@@ -20,6 +20,7 @@ from .divergence import (
     margin_error,
     mcsd_divergence_adversarial,
     mcsd_divergence_exact,
+    mcsd_rows,
     pac_bound_report,
     rademacher_estimate,
     smoothed_ramp,

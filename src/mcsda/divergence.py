@@ -10,7 +10,11 @@ Three routes are provided:
 
 * ``mcsd_divergence_exact`` / ``divergence_exact_variant`` enumerate every
   ordered pair of a finite ``ScorerGrid`` (the matrix form, the
-  decision-level form, and its 0/1 saturation);
+  decision-level form, and its 0/1 saturation).  The matrix form never
+  builds K x K violation matrices: each row of one holds ramp(-f_i) K-1
+  times off the diagonal and ramp(f_i) on it, so ``mcsd_rows`` takes the L1
+  distance of two matrices in O(K) per point (``violation_tensor`` is kept
+  as the reference oracle);
 * ``mcsd_divergence_adversarial`` runs monotone backtracking gradient
   ascent over two linear heads on frozen features, maximizing a smoothed
   version of the objective (the exact ramp is kinked at 0 and rho, so the
@@ -41,6 +45,7 @@ __all__ = [
     "ScorerGrid",
     "linear_scorer",
     "violation_tensor",
+    "mcsd_rows",
     "empirical_mcsd",
     "ExactDivergence",
     "mcsd_divergence_exact",
@@ -164,7 +169,8 @@ def violation_tensor(scores, rho: float) -> np.ndarray:
     """Stacked violation matrices for centered scores of shape [..., K].
 
     Returns [..., K, K] with entry (i, j) = ramp(mu_i(f, j), rho); agrees
-    entrywise with the single-vector ``margin.violation_matrix``.
+    entrywise with the single-vector ``margin.violation_matrix``.  Reference
+    oracle; production paths use ``mcsd_rows``.
     """
     s = np.asarray(scores, dtype=np.float64)
     k = s.shape[-1]
@@ -174,13 +180,38 @@ def violation_tensor(scores, rho: float) -> np.ndarray:
     return ramp_loss(mu, rho)
 
 
+def _signed_ramps(scores, rho: float) -> np.ndarray:
+    """[2, ..., K]: ramp(-s), the K-1 off-diagonal entries of each violation
+    row, stacked over ramp(s), its diagonal entry."""
+    s = np.asarray(scores, dtype=np.float64)
+    return ramp_loss(np.stack([-s, s]), rho)
+
+
+def _rows_from_ramps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Per-point violation-matrix L1 distance over K, from ``_signed_ramps``."""
+    d = np.abs(ra - rb)
+    k = d.shape[-1]
+    return ((k - 1) * d[0] + d[1]).sum(axis=-1) / k
+
+
+def mcsd_rows(a, b, rho: float) -> np.ndarray:
+    """Pointwise scoring disagreement of two centered score batches of one
+    shape [..., K]; returns [...].
+
+    Equals ``|violation_tensor(a) - violation_tensor(b)|`` summed over the
+    last two axes and divided by K, in O(K) per point: row i of a violation
+    matrix holds ramp(-f_i) K-1 times and ramp(f_i) once.
+    """
+    r = _signed_ramps(np.stack([a, b]), rho)
+    return _rows_from_ramps(r[:, 0], r[:, 1])
+
+
 def empirical_mcsd(sample, f1, f2, rho: float, weights=None) -> float:
     """Mean pointwise scoring disagreement of two scorers over a sample."""
     pts = _as_points(sample)
     grid = ScorerGrid([f1, f2], k=np.asarray(f1(pts[:1])).shape[-1])
-    v = violation_tensor(grid.evaluate(pts), rho)
-    per_point = np.abs(v[0] - v[1]).sum(axis=(1, 2)) / grid.k
-    return float(per_point @ _as_weights(weights, pts.shape[0]))
+    s = grid.evaluate(pts)
+    return float(mcsd_rows(s[0], s[1], rho) @ _as_weights(weights, pts.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -194,13 +225,18 @@ class ExactDivergence:
     mean_tgt: np.ndarray
 
 
-def _pairwise_mcsd_means(v: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Weighted mean disagreement for every ordered pair; [c, c] symmetric."""
-    c = v.shape[0]
-    out = np.empty((c, c))
-    for i in range(c):
-        diffs = np.abs(v[i : i + 1] - v).sum(axis=(2, 3)) / k  # [c, n]
-        out[i] = diffs @ weights
+def _pairwise_mcsd_means(scores: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarray:
+    """Weighted mean disagreement for every ordered pair; [c, c] symmetric.
+
+    Ramps every candidate once and fills the upper triangle, mirrored below;
+    the diagonal is exactly zero.
+    """
+    r = _signed_ramps(scores, rho)  # [2, c, n, K]
+    c = scores.shape[0]
+    out = np.zeros((c, c))
+    for i in range(c - 1):
+        rows = _rows_from_ramps(r[:, i, None], r[:, i + 1 :])  # [c-i-1, n]
+        out[i, i + 1 :] = out[i + 1 :, i] = rows @ weights
     return out
 
 
@@ -256,10 +292,9 @@ def mcsd_divergence_exact(
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    vs = violation_tensor(grid.evaluate(src_pts), rho)
-    vt = violation_tensor(grid.evaluate(tgt_pts), rho)
     return _sup_over_pairs(
-        _pairwise_mcsd_means(vs, ws, grid.k), _pairwise_mcsd_means(vt, wt, grid.k)
+        _pairwise_mcsd_means(grid.evaluate(src_pts), ws, rho),
+        _pairwise_mcsd_means(grid.evaluate(tgt_pts), wt, rho),
     )
 
 
@@ -343,10 +378,10 @@ def _smoothed_mcsd_and_grads(a: np.ndarray, b: np.ndarray, rho: float):
     the absolute values take subgradient 0 at ties.
     """
     k = a.shape[1]
-    vpa, gpa = _smoothed_ramp_and_grad(a, rho)
-    vpb, gpb = _smoothed_ramp_and_grad(b, rho)
-    vna, gna = _smoothed_ramp_and_grad(-a, rho)
-    vnb, gnb = _smoothed_ramp_and_grad(-b, rho)
+    ab = np.stack([a, b])
+    ((vpa, vpb), (vna, vnb)), ((gpa, gpb), (gna, gnb)) = _smoothed_ramp_and_grad(
+        np.stack([ab, -ab]), rho
+    )
     dn = vna - vnb
     dp = vpa - vpb
     val = ((k - 1) * np.abs(dn) + np.abs(dp)).sum(axis=1) / k
@@ -376,14 +411,14 @@ class AdversarialDivergence:
 
 
 def _exact_pair_objective(src_pts, tgt_pts, heads, k, rho, ws, wt) -> float:
-    """Exact-ramp objective of one head pair, via the same tensor kernel the
-    enumerator uses, so visited pairs compare bit-identically against grids."""
+    """Exact-ramp objective of one head pair, via the same grid evaluation and
+    per-point kernel the enumerator uses, so a visited pair scores each point
+    bit-identically to the same pair inside a grid."""
     w1, b1, w2, b2 = heads
     grid = ScorerGrid([linear_scorer(w1, b1), linear_scorer(w2, b2)], k=k)
-    vs = violation_tensor(grid.evaluate(src_pts), rho)
-    vt = violation_tensor(grid.evaluate(tgt_pts), rho)
-    src_mean = float((np.abs(vs[0] - vs[1]).sum(axis=(1, 2)) / k) @ ws)
-    tgt_mean = float((np.abs(vt[0] - vt[1]).sum(axis=(1, 2)) / k) @ wt)
+    ss, st = grid.evaluate(src_pts), grid.evaluate(tgt_pts)
+    src_mean = float(mcsd_rows(ss[0], ss[1], rho) @ ws)
+    tgt_mean = float(mcsd_rows(st[0], st[1], rho) @ wt)
     return tgt_mean - src_mean
 
 
@@ -529,18 +564,25 @@ def rademacher_estimate(
     return RademacherEstimate(value=value, stderr=stderr, n_draws=int(sigma_draws))
 
 
-def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
-    """Expected sum of ramped absolute-margin violations under point masses."""
+def _margin_violations(scores, labels, rho: float) -> np.ndarray:
+    """Per-point sum of ramped absolute margins: scores [..., n, K] -> [..., n].
+
+    The absolute margin of component k is +f_k at the 1-based label and -f_k
+    elsewhere; ``margin.source_margin_loss`` is the single-point oracle.
+    """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, k = s.shape
+    n, k = s.shape[-2:]
     if y.size != n or np.any(y < 1) or np.any(y > k):
         raise ValueError("labels must be 1-based and match the score rows")
-    mu = -s.copy()
-    rows = np.arange(n)
-    mu[rows, y - 1] = s[rows, y - 1]
-    per_point = ramp_loss(mu, rho).sum(axis=1)
-    return float(per_point @ _as_weights(weights, n))
+    signs = np.where(np.arange(1, k + 1) == y[:, None], 1.0, -1.0)
+    return ramp_loss(s * signs, rho).sum(axis=-1)
+
+
+def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
+    """Expected sum of ramped absolute-margin violations under point masses."""
+    per_point = _margin_violations(scores, labels, rho)
+    return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 
 def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
@@ -638,8 +680,11 @@ def pac_bound_report(
     scores_src = grid.evaluate(src.points)
     scores_tgt = grid.evaluate(tgt.points)
 
-    src_errs = np.array([margin_error(scores_src[i], src.labels, rho) for i in range(len(grid))])
-    tgt_errs = np.array([margin_error(scores_tgt[i], tgt.labels, rho) for i in range(len(grid))])
+    # one dot per candidate, as in margin_error: a batched matrix-vector
+    # product would round differently
+    w_s, w_t = _as_weights(None, n_s), _as_weights(None, n_t)
+    src_errs = np.array([p @ w_s for p in _margin_violations(scores_src, src.labels, rho)])
+    tgt_errs = np.array([p @ w_t for p in _margin_violations(scores_tgt, tgt.labels, rho)])
     lhs = np.array([zero_one_error(scores_tgt[i], tgt.labels) for i in range(len(grid))])
 
     div = mcsd_divergence_exact(src, tgt, grid, rho)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..divergence import violation_tensor
+from ..divergence import mcsd_rows
 from ..margin import ramp_loss
 from ..surrogates import _EPS, softmax
 
@@ -96,8 +96,7 @@ def emit_surface_grid(
     first, second = (fixed_batch, var) if direction == "fix_first" else (var, fixed_batch)
 
     if which == "mcsd":
-        diff = np.abs(violation_tensor(first, rho) - violation_tensor(second, rho))
-        vals = diff.sum(axis=(1, 2)) / 3.0
+        vals = mcsd_rows(first, second, rho)
     elif which in ("tilde", "hat"):
         margins = _decision_margins(first, second)
         if which == "tilde":

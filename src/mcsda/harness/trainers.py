@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..divergence import violation_tensor
+from ..divergence import mcsd_rows
 from ..neural import (
     MlpScorer,
     SgdMomentum,
@@ -118,11 +118,8 @@ def _mcsd_gap(model: MlpScorer, pair: DomainPair, head_a: str, head_b: str, rho:
     """Target-minus-source mean disagreement of two heads, exact ramp."""
     def mean_disagreement(points):
         cache = model.forward(points, heads=(head_a, head_b))
-        stacked = np.stack(
-            [center_scores(cache.raw[head_a]), center_scores(cache.raw[head_b])]
-        )
-        v = violation_tensor(stacked, rho)
-        return float(np.abs(v[0] - v[1]).sum(axis=(1, 2)).mean()) / stacked.shape[-1]
+        a, b = center_scores(cache.raw[head_a]), center_scores(cache.raw[head_b])
+        return float(mcsd_rows(a, b, rho).mean())
 
     return mean_disagreement(pair.target.points) - mean_disagreement(pair.source.points)
 

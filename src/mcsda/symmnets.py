@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import SampleSet, violation_tensor
+from .divergence import SampleSet, _margin_violations, mcsd_rows
 from .neural import MlpScorer, SgdMomentum, center_scores
 from .surrogates import log_loss_with_grads, softmax
 
@@ -172,19 +172,10 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
 def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, float]:
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
-    cs, ct = center_scores(np.asarray(raw_s, float)), center_scores(np.asarray(raw_t, float))
-    k = cs.shape[1]
-    v = violation_tensor(np.stack([cs, ct]), rho)
-    lhs = float(np.abs(v[0] - v[1]).sum(axis=(1, 2)).mean()) / k
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    rows = np.arange(cs.shape[0])
-
-    def margin_err(c):
-        mu = -c.copy()
-        mu[rows, y - 1] = c[rows, y - 1]
-        return float(np.clip(1.0 - mu / rho, 0.0, 1.0).sum(axis=1).mean())
-
-    return lhs, margin_err(cs) + margin_err(ct)
+    c = center_scores(np.asarray([raw_s, raw_t], dtype=float))
+    lhs = float(mcsd_rows(c[0], c[1], rho).mean())
+    err_s, err_t = _margin_violations(c, labels, rho)
+    return lhs, float(err_s.mean()) + float(err_t.mean())
 
 
 def symmnets_step(
@@ -208,13 +199,18 @@ def symmnets_step(
     without the adversarial part it descends confuse_src alone.  Returns the
     loss values for metrics; with ``rho`` given it also reports (and
     enforces) the per-step bound of the mean head disagreement by the sum of
-    the two source margin errors.
+    the two source margin errors.  A batch whose scores are not finite is
+    not stepped: the parameters keep their values and ``task_s`` is NaN.
     """
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
     zs = np.concatenate([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], axis=1)
     zt = np.concatenate([cache_t.raw[HEAD_S], cache_t.raw[HEAD_T]], axis=1)
     k = model.head_dim(HEAD_S)
+    if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
+        # the losses reject non-finite scores; report a NaN step without
+        # touching the parameters, so the caller flags the run
+        return {"task_s": float("nan")}
 
     values: dict[str, float] = {}
     if rho is not None:

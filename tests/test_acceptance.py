@@ -204,6 +204,7 @@ def moons_matrix():
     return means
 
 
+@pytest.mark.slow
 def test_criterion_06_adaptation_beats_source_only(moons_matrix):
     """Every surrogate beats the unadapted baseline; the symmetric trainer
     at least matches the best surrogate up to one accuracy point."""
@@ -219,6 +220,7 @@ def test_criterion_06_adaptation_beats_source_only(moons_matrix):
     assert time.perf_counter() - start < 300.0  # fixture cost lands here
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_ordering(moons_matrix):
     """Both ablations lose; the non-adversarial one learns nothing extra."""
     symm = moons_matrix["symmnets_v2"]
@@ -231,6 +233,7 @@ def test_criterion_07_ablation_ordering(moons_matrix):
     assert no_adv <= moons_matrix["source_only"] + 0.02, moons_matrix
 
 
+@pytest.mark.slow
 def test_criterion_08_partial_weights_ordering():
     """Estimated class weights rank source-exclusive below shared, all seeds."""
     for seed in range(10):
@@ -251,6 +254,7 @@ def test_criterion_08_partial_weights_ordering():
         assert exclusive < shared, (seed, omega)
 
 
+@pytest.mark.slow
 def test_criterion_09_openset_unknown_gain():
     """Oversampling the super class lifts unknown-class accuracy, 10-seed means."""
     unknown = {1.0: [], 6.0: []}

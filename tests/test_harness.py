@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from mcsda.harness import trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
@@ -352,6 +353,26 @@ class TestTrainerRuns:
             reloaded.forward(pts).raw["f"], res.model.forward(pts).raw["f"]
         )
 
+    def test_nan_step_keeps_checkpoint_finite(self, tmp_path, monkeypatch):
+        real_step = trainers.symmnets_step
+        seen = {}
+
+        def nan_batch_step(model, optimizer, src_x, *args, **kwargs):
+            seen.setdefault("before", {k: v.copy() for k, v in model.params().items()})
+            bad = src_x.copy()
+            bad[0, 0] = np.nan
+            return real_step(model, optimizer, bad, *args, **kwargs)
+
+        monkeypatch.setattr(trainers, "symmnets_step", nan_batch_step)
+        cfg = ExperimentConfig(method="symmnets_v2", epochs=3, seed=0, outdir=str(tmp_path))
+        res = run_experiment(_easy_pair(), cfg)
+        assert len(res.metrics) == 1 and res.metrics[0].nan_flag
+        assert not res.converged
+        saved = MlpScorer.load(tmp_path / "symmnets_v2_seed0" / "model.ckpt").params()
+        for name, value in seen["before"].items():
+            assert np.array_equal(res.model.params()[name], value), name
+            assert np.array_equal(saved[name], value), name
+
     def test_every_method_name_dispatches(self):
         pair = _easy_pair()
         for method in METHODS:
@@ -511,6 +532,7 @@ class TestPartialReweightingHelps:
         assert np.mean(active) > 0.85 and np.mean(flat) > 0.80
 
 
+@pytest.mark.slow
 class TestOversamplingTrend:
     """Unknown-class accuracy rises with the oversampling factor.
 

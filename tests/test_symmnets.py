@@ -200,6 +200,16 @@ class TestSymmnetsStep:
                                  lam=0.8, lr=0.02, rho=1.0)
             assert vals["bound_lhs"] <= vals["bound_rhs"] + 1e-9
 
+    def test_nan_batch_is_not_stepped(self):
+        before = {k: v.copy() for k, v in self.model.params().items()}
+        bad = self.pair.source.points.copy()
+        bad[0, 0] = np.nan
+        vals = symmnets_step(self.model, self.opt, bad, self.pair.source.labels,
+                             self.pair.target.points, lam=0.5, lr=0.01, rho=1.0)
+        assert not all(np.isfinite(v) for v in vals.values())
+        for k, v in self.model.params().items():
+            assert np.array_equal(before[k], v), k
+
     def test_parameters_move(self):
         before = {k: v.copy() for k, v in self.model.params().items()}
         symmnets_step(self.model, self.opt, self.pair.source.points,

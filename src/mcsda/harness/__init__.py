@@ -6,7 +6,7 @@ from .config import (
     ExperimentConfig,
     MetricsRecord,
 )
-from .trainers import RunResult, run_experiment, run_mcdalnet, run_source_only, run_symmnets
+from .trainers import RunResult, run_experiment
 from .theory import TheoryReport, run_theory_checks
 from .surface import SurfaceGrid, emit_surface_grid
 
@@ -17,9 +17,6 @@ __all__ = [
     "MetricsRecord",
     "RunResult",
     "run_experiment",
-    "run_source_only",
-    "run_mcdalnet",
-    "run_symmnets",
     "TheoryReport",
     "run_theory_checks",
     "SurfaceGrid",

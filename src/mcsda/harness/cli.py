@@ -5,10 +5,11 @@ Five subcommands: ``gen-data`` writes a synthetic domain pair to CSV,
 brute-force verification suite, ``surface`` dumps a disagreement surface,
 and ``pac-report`` assembles the finite-sample bound on a data file.
 
-Exit codes: 0 on success, 2 when a theory check or bound fails, 3 when
-training does not converge.  Argument defaults mirror the library
-defaults; ``train`` can also read a JSON config file, with explicit
-command-line flags taking precedence over file values.
+Exit codes: 0 on success, 2 when a theory check or bound fails or the
+training config is bad, 3 when training does not converge.  Argument
+defaults mirror the library defaults; ``train`` can also read a JSON
+config file, with explicit command-line flags taking precedence over file
+values.
 """
 
 from __future__ import annotations
@@ -100,9 +101,17 @@ def _cmd_train(args) -> int:
     if args.zeta_on_adversary:
         data["zeta_on_adversary"] = True
     data.setdefault("method", "source_only")
-    cfg = ExperimentConfig.from_json(data)
+    try:
+        cfg = ExperimentConfig.from_json(data)
+    except (TypeError, ValueError) as exc:
+        print("BAD CONFIG: %s" % exc)
+        return 2
     pair = read_csv(args.data)
-    result = run_experiment(pair, cfg)
+    try:
+        result = run_experiment(pair, cfg)
+    except ArithmeticError as exc:  # the per-step disagreement bound
+        print("BOUND VIOLATED: %s" % exc)
+        return 2
     line = "%s seed=%d converged=%s source_acc=%.4f target_acc=%.4f" % (
         result.method,
         result.seed,

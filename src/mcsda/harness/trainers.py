@@ -1,26 +1,33 @@
-"""Training loops for every method in the run matrix.
+"""One training loop for every method in the run matrix.
 
-All trainers share the same skeleton: seeded model + SGD momentum with
-heads at 10x the feature-map rate, the annealed learning-rate and
+``run_experiment`` owns the only epoch loop: seeded model + SGD momentum
+with heads at 10x the feature-map rate, the annealed learning-rate and
 adversarial-weight schedules driven by completed-epochs / total-epochs,
 full-batch steps when both domains fit under the full-batch limit and
-shuffled mini-batches otherwise, and one metrics record per epoch appended
-to a JSON Lines stream.  Target labels are touched only through the
-evaluation accessor.
+shuffled mini-batches otherwise, one full-data forward per domain for the
+epoch-end accuracies and divergence proxy, and one metrics record per
+epoch appended to a JSON Lines stream.  Target labels are touched only
+through the evaluation accessor.
 
-Methods:
+What differs by method is a small table entry (``_method``): the heads to
+build, a step function that updates the model on one batch and returns its
+loss values, the evaluation head and the head pair of the divergence proxy.
 
 * ``source_only``        task head on source data, nothing else;
 * ``mcdal_*``            minimax surrogate trainers: the task head and two
   auxiliary heads (or one scalar domain head for the binary surrogate),
   coupled through one simultaneous gradient-reversal update per step;
 * ``symmnets_v2``        the symmetric two-head trainer plus its two
-  ablations (no target-path task loss / no adversarial part).
+  ablations (no target-path task loss / no adversarial part).  Only this
+  family re-weights classes on partial pairs and draws source batches from
+  the super-class-oversampling sampler on open-set pairs.
 
-A run that produces a non-finite loss, or whose target accuracy stays
+Every step checks its forward scores before any loss; a batch with
+non-finite scores is not stepped, the epoch is flagged and the run stops
+with a note.  A run that stops that way, or whose target accuracy stays
 below 1.5x chance over the second half of training (second-half mean or
-final epoch), is marked not converged; callers map that onto the CLI
-exit code.
+final epoch), is marked not converged; callers map that onto the CLI exit
+code.
 """
 
 from __future__ import annotations
@@ -29,23 +36,23 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ..divergence import mcsd_rows
+from ..losses import PAIRWISE_SURROGATES as _PAIRWISE_SURROGATES
 from ..neural import (
     MlpScorer,
     SgdMomentum,
+    _add_grads,
     center_scores,
     grad_reversal_step,
     lambda_schedule,
     lr_schedule,
 )
 from ..surrogates import (
-    ce_with_grads,
     dann_with_grads,
-    kl_with_grads,
-    l1_with_grads,
     log_loss_with_grads,
     mdd_variant_with_grads,
     reset_clamp_count,
@@ -62,9 +69,7 @@ from ..symmnets import (
 from ..synthdata import DomainPair
 from .config import ExperimentConfig, MetricsRecord
 
-__all__ = ["RunResult", "run_experiment", "run_source_only", "run_mcdalnet", "run_symmnets"]
-
-from ..losses import PAIRWISE_SURROGATES as _PAIRWISE_SURROGATES
+__all__ = ["RunResult", "run_experiment"]
 
 
 @dataclass
@@ -93,6 +98,10 @@ def _accuracy(raw_scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(raw_scores, axis=1) + 1 == labels))
 
 
+def _finite(raw: dict[str, np.ndarray]) -> bool:
+    return all(np.isfinite(s).all() for s in raw.values())
+
+
 def _epoch_batches(
     rng: np.random.Generator, n_src: int, n_tgt: int, cfg: ExperimentConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -114,14 +123,18 @@ def _mean_losses(step_losses: list[dict[str, float]]) -> dict[str, float]:
     return {k: float(np.mean([d[k] for d in step_losses])) for k in keys}
 
 
-def _mcsd_gap(model: MlpScorer, pair: DomainPair, head_a: str, head_b: str, rho: float) -> float:
-    """Target-minus-source mean disagreement of two heads, exact ramp."""
-    def mean_disagreement(points):
-        cache = model.forward(points, heads=(head_a, head_b))
-        a, b = center_scores(cache.raw[head_a]), center_scores(cache.raw[head_b])
-        return float(mcsd_rows(a, b, rho).mean())
-
-    return mean_disagreement(pair.target.points) - mean_disagreement(pair.source.points)
+def _mcsd_gap(
+    src: dict[str, np.ndarray], tgt: dict[str, np.ndarray], heads: tuple[str, str], rho: float
+) -> float | None:
+    """Target-minus-source mean disagreement of two heads, exact ramp, from
+    full-data head outputs; None when those outputs are not finite."""
+    a, b = heads
+    means = []
+    for raw in (tgt, src):
+        if not (np.isfinite(raw[a]).all() and np.isfinite(raw[b]).all()):
+            return None
+        means.append(float(mcsd_rows(center_scores(raw[a]), center_scores(raw[b]), rho).mean()))
+    return means[0] - means[1]
 
 
 class _Recorder:
@@ -154,12 +167,10 @@ def _finalize(
     cfg: ExperimentConfig,
     pair: DomainPair,
     model: MlpScorer,
-    recorder: _Recorder,
+    records: list[MetricsRecord],
     run_dir: Path | None,
     **extra,
 ) -> RunResult:
-    recorder.close()
-    records = recorder.records
     bar = 1.5 / pair.k
     converged = bool(records) and not any(r.nan_flag for r in records)
     if records:
@@ -201,299 +212,226 @@ def _finalize(
     return result
 
 
-def _eval_raw(model: MlpScorer, points: np.ndarray, head: str) -> np.ndarray:
-    return model.forward(points, heads=(head,)).raw[head]
+# ---------------------------------------------------------------------------
+# Per-method steps.  Each takes (model, optimizer, cfg, source batch, source
+# labels, target batch, zeta, lr, omega), updates the model once and returns
+# its loss values; a batch with non-finite scores returns a NaN loss and
+# leaves the parameters as they were.  Library functions are called by their
+# module-level names, so a patched name takes effect on the next step.
+# ---------------------------------------------------------------------------
 
 
-def run_source_only(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
+def _source_only_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
     """Task head trained on source labels only; the adaptation baseline."""
-    init_seed, shuffle_seed, _ = _seeds(cfg)
-    d = pair.source.points.shape[1]
-    model = MlpScorer(
-        d, {"f": (pair.k, True)}, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=init_seed
-    )
-    opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
-    rng = np.random.default_rng(shuffle_seed)
-    xs, ys = pair.source.points, pair.source.labels
-    xt, yt = pair.target.points, pair.eval_target_labels()
-    run_dir = _run_dir(cfg)
-    recorder = _Recorder(run_dir / "metrics.jsonl" if run_dir else None)
-    reset_clamp_count()
-    for epoch in range(cfg.epochs):
-        p = epoch / cfg.epochs
-        lr = lr_schedule(p, cfg.schedules)
-        lam = lambda_schedule(p, cfg.schedules)
-        step_losses = []
-        nan_flag = False
-        for idx_s, _ in _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg):
-            cache = model.forward(xs[idx_s], heads=("f",))
-            value, g = log_loss_with_grads(cache.raw["f"], ys[idx_s])
-            if not np.isfinite(value):
-                nan_flag = True
-                break
-            opt.step(model.backward(cache, {"f": g}), lr)
-            step_losses.append({"task": value})
-        recorder.add(
-            MetricsRecord(
-                epoch=epoch,
-                method=cfg.method,
-                seed=cfg.seed,
-                lr=lr,
-                lambda_p=lam,
-                zeta=None,
-                xi=None,
-                losses=_mean_losses(step_losses),
-                source_acc=_accuracy(_eval_raw(model, xs, "f"), ys),
-                target_acc=_accuracy(_eval_raw(model, xt, "f"), yt),
-                divergence_proxy=None,
-                clamp_events=reset_clamp_count(),
-                nan_flag=nan_flag,
-            )
+    cache = model.forward(xs, heads=("f",))
+    if not _finite(cache.raw):
+        return {"task": float("nan")}
+    value, g = log_loss_with_grads(cache.raw["f"], ys)
+    opt.step(model.backward(cache, {"f": g}), lr)
+    return {"task": value}
+
+
+def _disagreement(surrogate: str, raw_s, raw_t) -> tuple[float, dict, dict]:
+    """(source-minus-target surrogate disagreement, source score gradients,
+    target score gradients) of the auxiliary heads."""
+    if surrogate == "dann":
+        src_term, tgt_term, g_s, g_t = dann_with_grads(raw_s["d"][:, 0], raw_t["d"][:, 0])
+        return src_term - tgt_term, {"d": g_s[:, None]}, {"d": -g_t[:, None]}
+    if surrogate == "mdd_variant":
+        src_term, tgt_term, g_s, g_t = mdd_variant_with_grads(
+            raw_s["f1"], raw_s["f2"], raw_t["f1"], raw_t["f2"]
         )
-        if nan_flag:
-            break
-    return _finalize(cfg, pair, model, recorder, run_dir)
+        return src_term - tgt_term, {"f2": g_s}, {"f2": -g_t}
+    fn = _PAIRWISE_SURROGATES[surrogate]
+    v_s, a1s, a2s = fn(raw_s["f1"], raw_s["f2"])
+    v_t, a1t, a2t = fn(raw_t["f1"], raw_t["f2"])
+    return v_s - v_t, {"f1": a1s, "f2": a2s}, {"f1": -a1t, "f2": -a2t}
 
 
-def run_mcdalnet(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
-    """Minimax surrogate trainer with one simultaneous reversal update per step.
+def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
+    """Minimax surrogate step with one simultaneous reversal update.
 
     The task head and (for the pairwise surrogates) both auxiliary heads
     minimize source log loss; the auxiliary side additionally descends the
     source-minus-target surrogate disagreement while the feature map
-    receives that gradient reversed and scaled by the annealed weight.
+    receives that gradient reversed and scaled by zeta.
     """
-    surrogate = cfg.surrogate
-    if surrogate is None:
-        raise ValueError("run_mcdalnet needs an mcdal_* method, got %r" % cfg.method)
-    init_seed, shuffle_seed, _ = _seeds(cfg)
-    d = pair.source.points.shape[1]
-    k = pair.k
-    if surrogate == "dann":
-        heads = {"f": (k, True), "d": (1, False)}
-        adversary = ("d",)
-    else:
+    adversary = tuple(n for n in model.head_names if n != "f")
+    cache_s = model.forward(xs)
+    cache_t = model.forward(xt, heads=adversary)
+    if not (_finite(cache_s.raw) and _finite(cache_t.raw)):
+        return {"task": float("nan")}
+    task_val, g_f = log_loss_with_grads(cache_s.raw["f"], ys)
+    task_score_grads = {"f": g_f}
+    aux_val = 0.0
+    if cfg.surrogate != "dann" and cfg.aux_task_weight > 0:
+        v1, g1 = log_loss_with_grads(cache_s.raw["f1"], ys)
+        v2, g2 = log_loss_with_grads(cache_s.raw["f2"], ys)
+        aux_val = cfg.aux_task_weight * (v1 + v2)
+        task_score_grads["f1"] = cfg.aux_task_weight * g1
+        task_score_grads["f2"] = cfg.aux_task_weight * g2
+    task_grads = model.backward(cache_s, task_score_grads)
+    disagreement, g_src, g_tgt = _disagreement(cfg.surrogate, cache_s.raw, cache_t.raw)
+    disc_grads = _add_grads(model.backward(cache_s, g_src), model.backward(cache_t, g_tgt))
+    grad_reversal_step(
+        model, opt, task_grads, disc_grads, zeta, lr, adversary, cfg.zeta_on_adversary
+    )
+    return {"task": task_val, "aux_task": aux_val, "disagreement": disagreement}
+
+
+def _symmnets_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
+    """Symmetric two-head step; ``symmnets_v2_no_Lt`` drops the target-path
+    task loss and ``symmnets_v2_no_adv`` keeps only the labeled confusion for
+    the feature map and the task losses for the heads."""
+    return symmnets_step(
+        model,
+        opt,
+        xs,
+        ys,
+        xt,
+        lam=zeta,
+        lr=lr,
+        omega=omega,
+        adversarial=cfg.method != "symmnets_v2_no_adv",
+        train_task_t=cfg.method != "symmnets_v2_no_Lt",
+        rho=cfg.rho,
+    )
+
+
+@dataclass(frozen=True)
+class _Method:
+    heads: dict[str, tuple[int, bool]]  # head name -> (width, centered)
+    step: Callable[..., dict[str, float]]
+    eval_head: str
+    proxy: tuple[str, str] | None  # head pair of the divergence proxy
+    uses_zeta: bool = True  # the step takes, and the record shows, the adversarial weight
+    modes: bool = False  # partial re-weighting and open-set sampling apply
+
+
+def _method(cfg: ExperimentConfig, k: int) -> _Method:
+    """The table entry of the configured method for K-class heads."""
+    if cfg.method == "source_only":
+        return _Method({"f": (k, True)}, _source_only_step, "f", None, uses_zeta=False)
+    if cfg.surrogate == "dann":
+        return _Method({"f": (k, True), "d": (1, False)}, _mcdal_step, "f", None)
+    if cfg.surrogate is not None:
         heads = {"f": (k, True), "f1": (k, True), "f2": (k, True)}
-        adversary = ("f1", "f2")
-    model = MlpScorer(d, heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=init_seed)
-    opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
-    rng = np.random.default_rng(shuffle_seed)
-    xs, ys = pair.source.points, pair.source.labels
-    xt, yt = pair.target.points, pair.eval_target_labels()
-    run_dir = _run_dir(cfg)
-    recorder = _Recorder(run_dir / "metrics.jsonl" if run_dir else None)
-    reset_clamp_count()
-    for epoch in range(cfg.epochs):
-        p = epoch / cfg.epochs
-        lr = lr_schedule(p, cfg.schedules)
-        lam = lambda_schedule(p, cfg.schedules)
-        zeta = lam if cfg.zeta is None else cfg.zeta
-        step_losses = []
-        nan_flag = False
-        for idx_s, idx_t in _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg):
-            bs_x, bs_y, bt_x = xs[idx_s], ys[idx_s], xt[idx_t]
-            cache_s = model.forward(bs_x)
-            cache_t = model.forward(bt_x, heads=tuple(n for n in model.head_names if n != "f"))
-
-            task_val, g_f = log_loss_with_grads(cache_s.raw["f"], bs_y)
-            task_score_grads = {"f": g_f}
-            aux_val = 0.0
-            if surrogate != "dann" and cfg.aux_task_weight > 0:
-                v1, g1 = log_loss_with_grads(cache_s.raw["f1"], bs_y)
-                v2, g2 = log_loss_with_grads(cache_s.raw["f2"], bs_y)
-                aux_val = cfg.aux_task_weight * (v1 + v2)
-                task_score_grads["f1"] = cfg.aux_task_weight * g1
-                task_score_grads["f2"] = cfg.aux_task_weight * g2
-            task_grads = model.backward(cache_s, task_score_grads)
-
-            if surrogate in _PAIRWISE_SURROGATES:
-                fn = _PAIRWISE_SURROGATES[surrogate]
-                v_s, a1s, a2s = fn(cache_s.raw["f1"], cache_s.raw["f2"])
-                v_t, a1t, a2t = fn(cache_t.raw["f1"], cache_t.raw["f2"])
-                disagreement = v_s - v_t
-                disc_grads = model.backward(cache_s, {"f1": a1s, "f2": a2s})
-                for name, g in model.backward(
-                    cache_t, {"f1": -a1t, "f2": -a2t}
-                ).items():
-                    disc_grads[name] = disc_grads[name] + g if name in disc_grads else g
-            elif surrogate == "mdd_variant":
-                src_term, tgt_term, g_aux_s, g_aux_t = mdd_variant_with_grads(
-                    cache_s.raw["f1"], cache_s.raw["f2"], cache_t.raw["f1"], cache_t.raw["f2"]
-                )
-                disagreement = src_term - tgt_term
-                disc_grads = model.backward(cache_s, {"f2": g_aux_s})
-                for name, g in model.backward(cache_t, {"f2": -g_aux_t}).items():
-                    disc_grads[name] = disc_grads[name] + g if name in disc_grads else g
-            else:  # dann
-                src_term, tgt_term, g_d_s, g_d_t = dann_with_grads(
-                    cache_s.raw["d"][:, 0], cache_t.raw["d"][:, 0]
-                )
-                disagreement = src_term - tgt_term
-                disc_grads = model.backward(cache_s, {"d": g_d_s[:, None]})
-                for name, g in model.backward(cache_t, {"d": -g_d_t[:, None]}).items():
-                    disc_grads[name] = disc_grads[name] + g if name in disc_grads else g
-
-            if not (np.isfinite(task_val) and np.isfinite(disagreement)):
-                nan_flag = True
-                break
-            grad_reversal_step(
-                model, opt, task_grads, disc_grads, zeta, lr, adversary, cfg.zeta_on_adversary
-            )
-            step_losses.append(
-                {"task": task_val, "aux_task": aux_val, "disagreement": disagreement}
-            )
-        proxy = (
-            None
-            if surrogate == "dann"
-            else _mcsd_gap(model, pair, "f1", "f2", cfg.rho)
-        )
-        recorder.add(
-            MetricsRecord(
-                epoch=epoch,
-                method=cfg.method,
-                seed=cfg.seed,
-                lr=lr,
-                lambda_p=lam,
-                zeta=zeta,
-                xi=None,
-                losses=_mean_losses(step_losses),
-                source_acc=_accuracy(_eval_raw(model, xs, "f"), ys),
-                target_acc=_accuracy(_eval_raw(model, xt, "f"), yt),
-                divergence_proxy=proxy,
-                clamp_events=reset_clamp_count(),
-                nan_flag=nan_flag,
-            )
-        )
-        if nan_flag:
-            break
-    return _finalize(cfg, pair, model, recorder, run_dir)
+        return _Method(heads, _mcdal_step, "f", ("f1", "f2"))
+    eval_head = {"f": HEAD_S, "fs": HEAD_S, "ft": HEAD_T}[cfg.resolve_eval_head()]
+    heads = {HEAD_S: (k, True), HEAD_T: (k, True)}
+    return _Method(heads, _symmnets_step, eval_head, (HEAD_S, HEAD_T), modes=True)
 
 
-def run_symmnets(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
-    """Symmetric two-head trainer; handles closed, partial and open-set pairs.
+def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
+    """Train the configured method on a domain pair, one record per epoch.
 
-    Partial mode re-estimates class weights from target predictions once per
-    epoch with the annealed blend; open-set mode widens the heads to
-    K_shared + 1 and draws source batches from the super-class-oversampling
-    sampler.  Ablations: ``symmnets_v2_no_Lt`` drops the target-path task
-    loss (evaluation falls back to the source-path head) and
-    ``symmnets_v2_no_adv`` keeps only the labeled confusion for the feature
-    map and the task losses for the heads.
+    Partial mode (SymmNets only) re-estimates class weights from target
+    predictions once per epoch with the annealed blend; open-set mode widens
+    the heads to K_shared + 1 and draws source batches from the
+    super-class-oversampling sampler.
     """
-    adversarial = cfg.method != "symmnets_v2_no_adv"
-    train_task_t = cfg.method != "symmnets_v2_no_Lt"
+    spec = _method(cfg, pair.k)
+    mode = pair.mode if spec.modes else "closed"
     init_seed, shuffle_seed, sampler_seed = _seeds(cfg)
-    d = pair.source.points.shape[1]
-    k = pair.k
     model = MlpScorer(
-        d,
-        {HEAD_S: (k, True), HEAD_T: (k, True)},
+        pair.source.points.shape[1],
+        spec.heads,
         hidden=cfg.hidden,
         feature_dim=cfg.feature_dim,
         seed=init_seed,
     )
-    if pair.mode == "openset":
+    if mode == "openset":
         openset_adapt(model, pair.k_shared)  # no-op when built at open-set width
     opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
     rng = np.random.default_rng(shuffle_seed)
     xs, ys = pair.source.points, pair.source.labels
     xt, yt = pair.target.points, pair.eval_target_labels()
-    eval_head = {"f": HEAD_S, "fs": HEAD_S, "ft": HEAD_T}[cfg.resolve_eval_head()]
     sampler = (
         openset_sampler(pair.source, cfg.nu, cfg.batch_size, seed=sampler_seed)
-        if pair.mode == "openset"
+        if mode == "openset"
         else None
     )
+    eval_heads = tuple(dict.fromkeys((spec.eval_head,) + (spec.proxy or ())))
+    omega = np.ones(pair.k)
+    os_fields: dict[str, float | None] = {"os_all": None, "os_shared": None, "unknown_acc": None}
+    notes: list[str] = []
     run_dir = _run_dir(cfg)
     recorder = _Recorder(run_dir / "metrics.jsonl" if run_dir else None)
     reset_clamp_count()
-    omega = np.ones(k)
-    os_fields: dict[str, float | None] = {"os_all": None, "os_shared": None, "unknown_acc": None}
-    for epoch in range(cfg.epochs):
-        p = epoch / cfg.epochs
-        lr = lr_schedule(p, cfg.schedules)
-        lam = lambda_schedule(p, cfg.schedules)
-        zeta = lam if cfg.zeta is None else cfg.zeta
-        xi = None
-        if pair.mode == "partial":
-            xi = lam if cfg.xi is None else cfg.xi
-            omega = partial_weights(_eval_raw(model, xt, HEAD_T), xi)
-        step_losses = []
-        nan_flag = False
-        if sampler is not None:
-            n_steps = max(
-                math.ceil(xs.shape[0] / cfg.batch_size), math.ceil(xt.shape[0] / cfg.batch_size)
+    try:
+        for epoch in range(cfg.epochs):
+            p = epoch / cfg.epochs
+            lr = lr_schedule(p, cfg.schedules)
+            lam = lambda_schedule(p, cfg.schedules)
+            zeta = (lam if cfg.zeta is None else cfg.zeta) if spec.uses_zeta else None
+            xi = None
+            if mode == "partial":
+                xi = lam if cfg.xi is None else cfg.xi
+                omega = partial_weights(model.forward(xt, heads=(HEAD_T,)).raw[HEAD_T], xi)
+            if sampler is None:
+                batches = _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg)
+            else:
+                n_steps = max(
+                    math.ceil(xs.shape[0] / cfg.batch_size),
+                    math.ceil(xt.shape[0] / cfg.batch_size),
+                )
+                tgt_perm = rng.permutation(xt.shape[0])
+                tgt_chunks = np.array_split(tgt_perm, math.ceil(xt.shape[0] / cfg.batch_size))
+                batches = [
+                    (next(sampler), tgt_chunks[i % len(tgt_chunks)]) for i in range(n_steps)
+                ]
+            step_losses = []
+            nan_flag = False
+            for idx_s, idx_t in batches:
+                values = spec.step(
+                    model, opt, cfg, xs[idx_s], ys[idx_s], xt[idx_t], zeta, lr, omega
+                )
+                if not all(np.isfinite(v) for v in values.values()):
+                    nan_flag = True
+                    break
+                step_losses.append(values)
+            src = model.forward(xs, heads=eval_heads).raw
+            tgt = model.forward(xt, heads=eval_heads).raw
+            if mode == "openset":
+                ev = eval_openset(np.argmax(tgt[spec.eval_head], axis=1) + 1, yt, pair.k_shared)
+                os_fields = {
+                    "os_all": ev.os_all,
+                    "os_shared": ev.os_shared,
+                    "unknown_acc": ev.unknown_acc,
+                }
+            recorder.add(
+                MetricsRecord(
+                    epoch=epoch,
+                    method=cfg.method,
+                    seed=cfg.seed,
+                    lr=lr,
+                    lambda_p=lam,
+                    zeta=zeta,
+                    xi=xi,
+                    losses=_mean_losses(step_losses),
+                    source_acc=_accuracy(src[spec.eval_head], ys),
+                    target_acc=_accuracy(tgt[spec.eval_head], yt),
+                    divergence_proxy=(
+                        None if spec.proxy is None else _mcsd_gap(src, tgt, spec.proxy, cfg.rho)
+                    ),
+                    clamp_events=reset_clamp_count(),
+                    omega=[float(w) for w in omega] if mode == "partial" else None,
+                    nan_flag=nan_flag,
+                    **os_fields,
+                )
             )
-            tgt_perm = rng.permutation(xt.shape[0])
-            tgt_chunks = np.array_split(tgt_perm, math.ceil(xt.shape[0] / cfg.batch_size))
-            batches = [
-                (next(sampler), tgt_chunks[i % len(tgt_chunks)]) for i in range(n_steps)
-            ]
-        else:
-            batches = _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg)
-        for idx_s, idx_t in batches:
-            values = symmnets_step(
-                model,
-                opt,
-                xs[idx_s],
-                ys[idx_s],
-                xt[idx_t],
-                lam=zeta,
-                lr=lr,
-                omega=omega,
-                adversarial=adversarial,
-                train_task_t=train_task_t,
-                rho=cfg.rho,
-            )
-            if not all(np.isfinite(v) for v in values.values()):
-                nan_flag = True
+            if nan_flag:
+                notes.append("stopped at epoch %d: non-finite scores" % epoch)
                 break
-            step_losses.append(values)
-        tgt_raw = _eval_raw(model, xt, eval_head)
-        target_acc = _accuracy(tgt_raw, yt)
-        if pair.mode == "openset":
-            ev = eval_openset(np.argmax(tgt_raw, axis=1) + 1, yt, pair.k_shared)
-            os_fields = {
-                "os_all": ev.os_all,
-                "os_shared": ev.os_shared,
-                "unknown_acc": ev.unknown_acc,
-            }
-        recorder.add(
-            MetricsRecord(
-                epoch=epoch,
-                method=cfg.method,
-                seed=cfg.seed,
-                lr=lr,
-                lambda_p=lam,
-                zeta=zeta,
-                xi=xi,
-                losses=_mean_losses(step_losses),
-                source_acc=_accuracy(_eval_raw(model, xs, eval_head), ys),
-                target_acc=target_acc,
-                divergence_proxy=_mcsd_gap(model, pair, HEAD_S, HEAD_T, cfg.rho),
-                clamp_events=reset_clamp_count(),
-                omega=[float(w) for w in omega] if pair.mode == "partial" else None,
-                nan_flag=nan_flag,
-                **os_fields,
-            )
-        )
-        if nan_flag:
-            break
+    finally:
+        recorder.close()
     return _finalize(
         cfg,
         pair,
         model,
-        recorder,
+        recorder.records,
         run_dir,
-        omega=omega if pair.mode == "partial" else None,
+        omega=omega if mode == "partial" else None,
+        notes=notes,
         **os_fields,
     )
-
-
-def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
-    """Dispatch a configured run to its trainer."""
-    if cfg.method == "source_only":
-        return run_source_only(pair, cfg)
-    if cfg.method.startswith("mcdal_"):
-        return run_mcdalnet(pair, cfg)
-    return run_symmnets(pair, cfg)

@@ -88,6 +88,16 @@ def center_score_grad(g: np.ndarray) -> np.ndarray:
     return g - g.mean(axis=-1, keepdims=True)
 
 
+def _add_grads(
+    into: dict[str, np.ndarray], more: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Add ``more`` into ``into`` key by key (new keys are taken as they
+    are) and return ``into``: the merge of two backward passes."""
+    for name, g in more.items():
+        into[name] = into[name] + g if name in into else g
+    return into
+
+
 @dataclass
 class _Head:
     w: np.ndarray  # [out, in]

@@ -10,9 +10,10 @@ ungraded; the `*_with_grads` batch forms return the batch-mean value
 together with gradients with respect to the raw scores, which is what the
 manual backprop in the neural stack consumes.
 
-Every logarithm is guarded by clamping its argument to at least 1e-12.
-Clamp events are counted in a module-level tally (`clamp_count`,
-`reset_clamp_count`) so training metrics can report them per epoch.
+Every logarithm, here and in the SymmNets losses, is guarded by clamping
+its argument to at least 1e-12 (`_clamped`).  Clamp events are counted in
+a module-level tally (`clamp_count`, `reset_clamp_count`) so training
+metrics can report them per epoch.
 
 Sign convention for the adversarial pairs: each returns
 (source term, target term) separately, and trainers form the disagreement

@@ -35,8 +35,8 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, mcsd_rows
-from .neural import MlpScorer, SgdMomentum, center_scores
-from .surrogates import log_loss_with_grads, softmax
+from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
+from .surrogates import _chain_softmax, _clamped, log_loss_with_grads, softmax
 
 __all__ = [
     "loss_task_src",
@@ -58,8 +58,6 @@ __all__ = [
 HEAD_S = "fs"
 HEAD_T = "ft"
 
-_EPS = 1e-12
-
 
 def _check_omega(omega, k: int) -> np.ndarray:
     if omega is None:
@@ -72,10 +70,6 @@ def _check_omega(omega, k: int) -> np.ndarray:
 
 def _per_example_omega(omega: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return omega[labels - 1]
-
-
-def _chain_joint_softmax(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return p * (u - np.sum(p * u, axis=1, keepdims=True))
 
 
 def _check_joint(z) -> np.ndarray:
@@ -108,8 +102,8 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
     w = _per_example_omega(_check_omega(omega, k), y)
     p = softmax(z)
     rows = np.arange(n)
-    pa = np.maximum(p[rows, y - 1], _EPS)
-    pb = np.maximum(p[rows, y - 1 + k], _EPS)
+    pa = _clamped(p[rows, y - 1])
+    pb = _clamped(p[rows, y - 1 + k])
     value = float(np.dot(w, -(np.log(pa) + np.log(pb)))) / (2.0 * n)
     g = p * (2.0 * w / (2.0 * n))[:, None]
     g[rows, y - 1] -= w / (2.0 * n)
@@ -130,10 +124,10 @@ def confuse_tgt(z) -> tuple[float, np.ndarray]:
     k = k2 // 2
     p = softmax(z)
     r, q = p[:, :k], p[:, k:]
-    cr, cq = np.maximum(r, _EPS), np.maximum(q, _EPS)
+    cr, cq = _clamped(r), _clamped(q)
     value = -0.5 * float(np.sum(q * np.log(cr)) + np.sum(r * np.log(cq))) / n
     u = np.concatenate([-0.5 * (q / cr + np.log(cq)), -0.5 * (np.log(cr) + r / cq)], axis=1)
-    g = _chain_joint_softmax(p, u) / n
+    g = _chain_softmax(p, u) / n
     return value, g
 
 
@@ -155,17 +149,17 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
     w = _per_example_omega(_check_omega(omega, k), y)
     ps = softmax(zs)
     rows = np.arange(ns)
-    picked = np.maximum(ps[rows, y - 1], _EPS)
+    picked = _clamped(ps[rows, y - 1])
     src_value = float(np.dot(w, -np.log(picked))) / ns
     g_src = ps * (w / ns)[:, None]
     g_src[rows, y - 1] -= w / ns
 
     pt = softmax(zt)
-    q_tot = np.maximum(pt[:, k:].sum(axis=1), _EPS)
+    q_tot = _clamped(pt[:, k:].sum(axis=1))
     tgt_value = float(np.mean(-np.log(q_tot)))
     u = np.zeros_like(pt)
     u[:, k:] = -1.0 / q_tot[:, None]
-    g_tgt = _chain_joint_softmax(pt, u) / nt
+    g_tgt = _chain_softmax(pt, u) / nt
     return src_value + tgt_value, g_src, g_tgt
 
 
@@ -234,17 +228,12 @@ def symmnets_step(
     if adversarial:
         disc_val, g_disc_s, g_disc_t = discrim(zs, src_y, zt, omega)
         values["discrim"] = disc_val
-        head_grads_src[HEAD_S] = head_grads_src[HEAD_S] + g_disc_s[:, :k]
-        g_t_src = head_grads_src.get(HEAD_T)
-        head_grads_src[HEAD_T] = (
-            g_disc_s[:, k:] if g_t_src is None else g_t_src + g_disc_s[:, k:]
-        )
+        _add_grads(head_grads_src, {HEAD_S: g_disc_s[:, :k], HEAD_T: g_disc_s[:, k:]})
         head_grads_tgt = {HEAD_S: g_disc_t[:, :k], HEAD_T: g_disc_t[:, k:]}
 
     grads = model.backward(cache_s, head_grads_src, heads_only=True)
     if head_grads_tgt:
-        for name, g in model.backward(cache_t, head_grads_tgt, heads_only=True).items():
-            grads[name] = grads[name] + g
+        _add_grads(grads, model.backward(cache_t, head_grads_tgt, heads_only=True))
 
     # feature map: confusion terms through frozen head weights
     conf_s_val, g_conf_s = confuse_src(zs, src_y, omega)
@@ -255,10 +244,8 @@ def symmnets_step(
     if adversarial:
         conf_t_val, g_conf_t = confuse_tgt(zt)
         values["confuse_tgt"] = conf_t_val
-        for name, g in model.backward(
-            cache_t, {HEAD_S: lam * g_conf_t[:, :k], HEAD_T: lam * g_conf_t[:, k:]}, psi_only=True
-        ).items():
-            psi_grads[name] = psi_grads[name] + g
+        conf_t_grads = {HEAD_S: lam * g_conf_t[:, :k], HEAD_T: lam * g_conf_t[:, k:]}
+        _add_grads(psi_grads, model.backward(cache_t, conf_t_grads, psi_only=True))
     grads.update(psi_grads)
     optimizer.step(grads, lr)
     return values

@@ -6,7 +6,10 @@ oversampling on open-set pairs) on frozen toy designs; together they
 account for most of this file's runtime.
 """
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +376,23 @@ class TestTrainerRuns:
             assert np.array_equal(res.model.params()[name], value), name
             assert np.array_equal(saved[name], value), name
 
+    @pytest.mark.parametrize(
+        "method", ["source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2"]
+    )
+    def test_nan_source_point_stops_every_method(self, method, tmp_path):
+        pair = _easy_pair()
+        pair.source.points[0, 0] = np.nan
+        cfg = ExperimentConfig(method=method, epochs=3, seed=0, outdir=str(tmp_path))
+        res = run_experiment(pair, cfg)
+        assert len(res.metrics) == 1 and res.metrics[0].nan_flag
+        assert res.metrics[0].divergence_proxy is None
+        assert not res.converged
+        assert res.notes == ["stopped at epoch 0: non-finite scores"]
+        run_dir = tmp_path / ("%s_seed0" % method)
+        assert json.loads((run_dir / "result.json").read_text())["converged"] is False
+        saved = MlpScorer.load(run_dir / "model.ckpt").params()
+        assert all(np.isfinite(v).all() for v in saved.values())
+
     def test_every_method_name_dispatches(self):
         pair = _easy_pair()
         for method in METHODS:
@@ -444,6 +464,32 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_train_bad_config_exits_2(self, blobs_csv, tmp_path, capsys):
+        unknown_key, invalid_value = {"epochz": 3}, {"epochs": 0}
+        for bad in (unknown_key, invalid_value):
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps(bad))
+            rc = main(["train", "--data", str(blobs_csv), "--config", str(cfg_path)])
+            assert rc == 2
+            out = capsys.readouterr().out.strip().splitlines()
+            assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
+
+    def test_train_bound_violation_exits_2(self, blobs_csv, tmp_path, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
+
+        monkeypatch.setattr(trainers, "symmnets_step", violated)
+        out = tmp_path / "runs"
+        rc = main(
+            [
+                "train", "--data", str(blobs_csv), "--method", "symmnets_v2",
+                "--epochs", "2", "--outdir", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("BOUND VIOLATED: disagreement bound")
+        assert (out / "symmnets_v2_seed0" / "metrics.jsonl").read_text() == ""
+
     def test_train_config_file_with_flag_overrides(self, blobs_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -501,6 +547,22 @@ class TestCli:
         assert parsed["holds"] is True
         assert parsed["lambda"] >= 0.0
         assert parsed["lhs_target_err"] <= parsed["rhs_total"]
+
+
+class TestBenchmarkTracing:
+    def test_every_traced_name_resolves(self):
+        # the traced benchmark run wraps these names; a rename must fail here
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans._TARGETS
+        for modname, attr, _, _ in spans._TARGETS:
+            obj = importlib.import_module(modname)
+            for part in attr.split("."):
+                assert hasattr(obj, part), "%s.%s" % (modname, attr)
+                obj = getattr(obj, part)
+            assert callable(obj), "%s.%s" % (modname, attr)
 
 
 class TestPartialReweightingHelps:

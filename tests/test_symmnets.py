@@ -8,7 +8,7 @@ import pytest
 
 from mcsda.divergence import SampleSet, empirical_mcsd, margin_error
 from mcsda.neural import MlpScorer, SgdMomentum, center_scores
-from mcsda.surrogates import softmax
+from mcsda.surrogates import clamp_count, reset_clamp_count, softmax
 from mcsda.symmnets import (
     HEAD_S,
     HEAD_T,
@@ -121,6 +121,13 @@ class TestConfuseTgt:
                 dn = confuse_tgt(z)[0]
                 z[i, j] += eps
                 assert (up - dn) / (2 * eps) == pytest.approx(g[i, j], abs=1e-6)
+
+
+    def test_saturated_scores_count_clamps(self):
+        # each half puts ~exp(-40) on its second class, below the 1e-12 guard
+        reset_clamp_count()
+        confuse_tgt(np.array([[40.0, 0.0, 40.0, 0.0]]))
+        assert clamp_count() == 2
 
 
 class TestDiscrim:

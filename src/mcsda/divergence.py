@@ -19,8 +19,10 @@ Three routes are provided:
   ascent over two linear heads on frozen features, maximizing a smoothed
   version of the objective (the exact ramp is kinked at 0 and rho, so the
   ascent uses a piecewise-cubic blend in windows of width rho/100 around
-  the kinks).  The reported value is always the exact-ramp objective of the
-  best visited head pair, hence a lower bound on the enumerated supremum;
+  the kinks).  Its backtracking line search compares smoothed values only;
+  gradients and the exact objective are computed once per accepted step.
+  The reported value is always the exact-ramp objective of the best visited
+  head pair, hence a lower bound on the enumerated supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
   of the per-component projections of the grid.
 
@@ -326,73 +328,132 @@ def divergence_exact_variant(
 _WINDOW_FRACTION = 100.0  # window width = rho / 100, centered on each kink
 
 
-def _hermite(x, a, b, va, sa, vb, sb):
-    """Cubic Hermite value and derivative on [a, b]."""
+def _hermite_nodes(rho: float):
+    """Half-width and the Hermite nodes (a, b, value and slope at a, value
+    and slope at b) of the two kink windows, at 0 and at rho."""
+    h = rho / (2.0 * _WINDOW_FRACTION)
+    return h, (
+        (-h, h, 1.0, 0.0, 1.0 - h / rho, -1.0 / rho),
+        (rho - h, rho + h, h / rho, -1.0 / rho, 0.0, 0.0),
+    )
+
+
+def _hermite_value(x, a, b, va, sa, vb, sb):
+    """Cubic Hermite interpolant on [a, b]."""
     h = b - a
     t = (x - a) / h
     t2, t3 = t * t, t * t * t
-    val = (
+    return (
         (2 * t3 - 3 * t2 + 1) * va
         + (t3 - 2 * t2 + t) * h * sa
         + (-2 * t3 + 3 * t2) * vb
         + (t3 - t2) * h * sb
     )
-    der = (
+
+
+def _hermite_slope(x, a, b, va, sa, vb, sb):
+    """Derivative of ``_hermite_value``."""
+    h = b - a
+    t = (x - a) / h
+    t2 = t * t
+    return (
         (6 * t2 - 6 * t) * va
         + (3 * t2 - 4 * t + 1) * h * sa
         + (-6 * t2 + 6 * t) * vb
         + (3 * t2 - 2 * t) * h * sb
     ) / h
-    return val, der
 
 
-def _smoothed_ramp_and_grad(x, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """C1 blend of the ramp: exact outside the kink windows, cubic inside."""
+def _smoothed_ramp_value(x, rho: float):
+    """C1 blend of the ramp: exact outside the kink windows, cubic inside.
+
+    Returns the values and the two window masks, which ``_smoothed_ramp_slope``
+    reuses at the same ``x``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    h = rho / (2.0 * _WINDOW_FRACTION)
+    h, nodes = _hermite_nodes(rho)
     val = np.clip(1.0 - x / rho, 0.0, 1.0)
+    masks = (np.abs(x) < h, np.abs(x - rho) < h)
+    for mask, node in zip(masks, nodes):
+        if np.any(mask):
+            val[mask] = _hermite_value(x[mask], *node)
+    return val, masks
+
+
+def _smoothed_ramp_slope(x: np.ndarray, rho: float, masks) -> np.ndarray:
+    """Derivative of the smoothed ramp at ``x``, given its window masks."""
+    _, nodes = _hermite_nodes(rho)
     der = np.where((x > 0.0) & (x < rho), -1.0 / rho, 0.0)
-    lo = np.abs(x) < h
-    if np.any(lo):
-        v, d = _hermite(x[lo], -h, h, 1.0, 0.0, 1.0 - h / rho, -1.0 / rho)
-        val[lo], der[lo] = v, d
-    hi = np.abs(x - rho) < h
-    if np.any(hi):
-        v, d = _hermite(x[hi], rho - h, rho + h, h / rho, -1.0 / rho, 0.0, 0.0)
-        val[hi], der[hi] = v, d
-    return val, der
+    for mask, node in zip(masks, nodes):
+        if np.any(mask):
+            der[mask] = _hermite_slope(x[mask], *node)
+    return der
 
 
 def smoothed_ramp(x, rho: float):
     """Value of the C1-smoothed ramp used inside the adversarial estimator."""
-    val, _ = _smoothed_ramp_and_grad(x, rho)
+    val, _ = _smoothed_ramp_value(x, rho)
     if np.isscalar(x):
         return float(val)
     return val
 
 
-def _smoothed_mcsd_and_grads(a: np.ndarray, b: np.ndarray, rho: float):
-    """Per-point smoothed disagreement of centered score batches, with grads.
+@dataclass
+class _SmoothedPass:
+    """What the value pass of one domain keeps for the gradient pass and the
+    exact-ramp objective: the ramp argument x = [[a, b], -[a, b]] of the
+    centered scores, its window masks and the differences of the ramped
+    negated (``dn``) and plain (``dp``) scores."""
 
-    Uses the per-component decomposition of the violation-matrix L1 distance;
-    the absolute values take subgradient 0 at ties.
+    x: np.ndarray
+    masks: tuple[np.ndarray, np.ndarray]
+    dn: np.ndarray
+    dp: np.ndarray
+
+
+def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
+    """Per-point smoothed disagreement of centered score batches, and the
+    ``_SmoothedPass`` its gradient needs.
+
+    Uses the per-component decomposition of the violation-matrix L1 distance.
     """
     k = a.shape[1]
     ab = np.stack([a, b])
-    ((vpa, vpb), (vna, vnb)), ((gpa, gpb), (gna, gnb)) = _smoothed_ramp_and_grad(
-        np.stack([ab, -ab]), rho
-    )
+    x = np.stack([ab, -ab])
+    ((vpa, vpb), (vna, vnb)), masks = _smoothed_ramp_value(x, rho)
     dn = vna - vnb
     dp = vpa - vpb
     val = ((k - 1) * np.abs(dn) + np.abs(dp)).sum(axis=1) / k
-    sn, sp = np.sign(dn), np.sign(dp)
+    return val, _SmoothedPass(x, masks, dn, dp)
+
+
+def _smoothed_mcsd_grads(p: _SmoothedPass, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``_smoothed_mcsd`` in a and in b, from its value pass; the
+    absolute values take subgradient 0 at ties."""
+    k = p.x.shape[-1]
+    (gpa, gpb), (gna, gnb) = _smoothed_ramp_slope(p.x, rho, p.masks)
+    sn, sp = np.sign(p.dn), np.sign(p.dp)
     da = ((k - 1) * sn * (-gna) + sp * gpa) / k
     db = ((k - 1) * sn * gnb + sp * (-gpb)) / k
-    return val, da, db
+    return da, db
 
 
 def _center_rows(z: np.ndarray) -> np.ndarray:
     return z - z.mean(axis=1, keepdims=True)
+
+
+def _exact_mean(p: _SmoothedPass, rho: float, weights: np.ndarray) -> float:
+    """Exact-ramp mean disagreement of the value pass's head pair.
+
+    The value pass centers ``x @ w.T + b`` as ``linear_scorer`` does; the
+    finiteness check and the second centering are ``ScorerGrid.evaluate``'s,
+    so every point scores bit-identically to the same pair inside a grid.
+    """
+    ab = p.x[0]
+    if not np.isfinite(ab).all():
+        raise ValueError("ascent head pair produced non-finite scores")
+    a, b = ab - ab.mean(axis=-1, keepdims=True)
+    return float(mcsd_rows(a, b, rho) @ weights)
 
 
 @dataclass
@@ -408,18 +469,6 @@ class AdversarialDivergence:
     )
     converged: bool = True
     warning: str | None = None
-
-
-def _exact_pair_objective(src_pts, tgt_pts, heads, k, rho, ws, wt) -> float:
-    """Exact-ramp objective of one head pair, via the same grid evaluation and
-    per-point kernel the enumerator uses, so a visited pair scores each point
-    bit-identically to the same pair inside a grid."""
-    w1, b1, w2, b2 = heads
-    grid = ScorerGrid([linear_scorer(w1, b1), linear_scorer(w2, b2)], k=k)
-    ss, st = grid.evaluate(src_pts), grid.evaluate(tgt_pts)
-    src_mean = float(mcsd_rows(ss[0], ss[1], rho) @ ws)
-    tgt_mean = float(mcsd_rows(st[0], st[1], rho) @ wt)
-    return tgt_mean - src_mean
 
 
 def mcsd_divergence_adversarial(
@@ -442,6 +491,12 @@ def mcsd_divergence_adversarial(
     raising.  The returned ``value`` is the exact-ramp objective of the best
     visited pair and therefore never exceeds the supremum over any family
     containing the visited pairs.
+
+    The line search compares values only: each trial runs the value pass
+    (score matmuls, centering, smoothed ramps, weighted objective), and the
+    gradient pass and the exact-ramp objective run once per accepted step,
+    from the centered scores and ramp intermediates the trial's value pass
+    kept.
     """
     if k < 2:
         raise ValueError("K must be >= 2, got %d" % k)
@@ -460,16 +515,23 @@ def mcsd_divergence_adversarial(
         ]
     else:
         heads = [np.array(h, dtype=np.float64) for h in init]
+        if [h.shape[:1] for h in heads] != [(k,)] * 4:
+            raise ValueError("init heads must have K = %d rows" % k)
 
-    def smoothed_objective_and_grads(hs):
+    def value_pass(hs):
         w1, b1, w2, b2 = hs
         a_s = _center_rows(src_pts @ w1.T + b1)
         a_t = _center_rows(tgt_pts @ w1.T + b1)
         b_s = _center_rows(src_pts @ w2.T + b2)
         b_t = _center_rows(tgt_pts @ w2.T + b2)
-        vs, das, dbs = _smoothed_mcsd_and_grads(a_s, b_s, rho)
-        vt, dat, dbt = _smoothed_mcsd_and_grads(a_t, b_t, rho)
-        obj = float(vt @ wt - vs @ ws)
+        vs, pass_s = _smoothed_mcsd(a_s, b_s, rho)
+        vt, pass_t = _smoothed_mcsd(a_t, b_t, rho)
+        return float(vt @ wt - vs @ ws), (pass_s, pass_t)
+
+    def gradient_pass(passes):
+        pass_s, pass_t = passes
+        das, dbs = _smoothed_mcsd_grads(pass_s, rho)
+        dat, dbt = _smoothed_mcsd_grads(pass_t, rho)
         # chain through centering, then the linear map; source side enters
         # with negative weight
         das = _center_rows(das) * (-ws[:, None])
@@ -480,14 +542,19 @@ def mcsd_divergence_adversarial(
         gb1 = das.sum(axis=0) + dat.sum(axis=0)
         gw2 = dbs.T @ src_pts + dbt.T @ tgt_pts
         gb2 = dbs.sum(axis=0) + dbt.sum(axis=0)
-        return obj, [gw1, gb1, gw2, gb2]
+        return [gw1, gb1, gw2, gb2]
+
+    def exact_objective(passes):
+        pass_s, pass_t = passes
+        return _exact_mean(pass_t, rho, wt) - _exact_mean(pass_s, rho, ws)
 
     def snapshot(hs):
         return tuple(np.array(h) for h in hs)
 
-    cur, grads = smoothed_objective_and_grads(heads)
+    cur, passes = value_pass(heads)
+    grads = gradient_pass(passes)
     result = AdversarialDivergence(
-        value=_exact_pair_objective(src_pts, tgt_pts, heads, k, rho, ws, wt),
+        value=exact_objective(passes),
         best_heads=snapshot(heads),
         final_heads=snapshot(heads),
         trajectory=[cur],
@@ -502,7 +569,7 @@ def mcsd_divergence_adversarial(
         accepted = False
         for _ in range(40):
             trial = [h + eta * g for h, g in zip(heads, grads)]
-            trial_obj, trial_grads = smoothed_objective_and_grads(trial)
+            trial_obj, passes = value_pass(trial)
             if trial_obj >= cur - 1e-12:
                 accepted = True
                 break
@@ -510,10 +577,10 @@ def mcsd_divergence_adversarial(
         if not accepted:
             stalled = True
             break
-        heads, cur, grads = trial, trial_obj, trial_grads
+        heads, cur, grads = trial, trial_obj, gradient_pass(passes)
         result.trajectory.append(cur)
         result.visited.append(snapshot(heads))
-        exact = _exact_pair_objective(src_pts, tgt_pts, heads, k, rho, ws, wt)
+        exact = exact_objective(passes)
         if exact > result.value:
             result.value = exact
             result.best_heads = snapshot(heads)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..divergence import mcsd_rows
 from ..margin import ramp_loss
-from ..surrogates import _EPS, softmax
+from ..surrogates import _clamped, softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
 
@@ -115,8 +115,8 @@ def emit_surface_grid(
         p1, p2 = _batch_probs(first), _batch_probs(second)
         # logs on floored probabilities, products on the raw ones, matching
         # the per-point surrogates at the grid corners
-        lp1 = np.log(np.maximum(p1, _EPS))
-        lp2 = np.log(np.maximum(p2, _EPS))
+        lp1 = np.log(_clamped(p1))
+        lp2 = np.log(_clamped(p2))
         if which == "l1":
             vals = np.abs(p1 - p2).sum(axis=1) / 3.0
         elif which == "kl":

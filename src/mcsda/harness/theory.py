@@ -102,7 +102,7 @@ class TheoryReport:
 
 def _random_scores(rng: np.random.Generator, k: int, rho: float) -> np.ndarray:
     """Centered scores with mixed magnitude relative to the margin width."""
-    scale = rho * rng.choice((0.2, 1.0, 3.0))
+    scale = rho * (0.2, 1.0, 3.0)[rng.integers(3)]
     s = rng.uniform(-2.0 * scale, 2.0 * scale, size=k)
     return s - s.mean()
 
@@ -454,6 +454,7 @@ def check_adversarial_estimator(seed: int) -> CheckResult:
             "exact_over_visited": exact,
             "monotone": monotone,
             "identical_samples_value": same.value,
+            "ascent_warning": res.warning,
         },
     )
 

@@ -22,7 +22,8 @@ loss values, the evaluation head and the head pair of the divergence proxy.
   family re-weights classes on partial pairs and draws source batches from
   the super-class-oversampling sampler on open-set pairs.
 
-Every step checks its forward scores before any loss; a batch with
+Every step checks its forward scores before any loss, and the partial-mode
+class-weight forward checks its scores before the weights; a batch with
 non-finite scores is not stepped, the epoch is flagged and the run stops
 with a note.  A run that stops that way, or whose target accuracy stays
 below 1.5x chance over the second half of training (second-half mean or
@@ -156,10 +157,14 @@ class _Recorder:
 
 
 def _run_dir(cfg: ExperimentConfig) -> Path | None:
+    """Create the run directory and write ``config.json`` into it; a run
+    stopped by an exception leaves it with ``metrics.jsonl`` but without
+    ``model.ckpt`` or ``result.json``."""
     if cfg.outdir is None:
         return None
     d = Path(cfg.outdir) / ("%s_seed%d" % (cfg.method, cfg.seed))
     d.mkdir(parents=True, exist_ok=True)
+    cfg.dump(d / "config.json")
     return d
 
 
@@ -191,7 +196,6 @@ def _finalize(
         **extra,
     )
     if run_dir is not None:
-        cfg.dump(run_dir / "config.json")
         model.save(run_dir / "model.ckpt")
         with open(run_dir / "result.json", "w") as fh:
             json.dump(
@@ -365,10 +369,16 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
             lam = lambda_schedule(p, cfg.schedules)
             zeta = (lam if cfg.zeta is None else cfg.zeta) if spec.uses_zeta else None
             xi = None
+            nan_flag = False
             if mode == "partial":
                 xi = lam if cfg.xi is None else cfg.xi
-                omega = partial_weights(model.forward(xt, heads=(HEAD_T,)).raw[HEAD_T], xi)
-            if sampler is None:
+                raw_t = model.forward(xt, heads=(HEAD_T,)).raw
+                nan_flag = not _finite(raw_t)  # stops the run before any step
+                if not nan_flag:
+                    omega = partial_weights(raw_t[HEAD_T], xi)
+            if nan_flag:
+                batches = []
+            elif sampler is None:
                 batches = _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg)
             else:
                 n_steps = max(
@@ -381,7 +391,6 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                     (next(sampler), tgt_chunks[i % len(tgt_chunks)]) for i in range(n_steps)
                 ]
             step_losses = []
-            nan_flag = False
             for idx_s, idx_t in batches:
                 values = spec.step(
                     model, opt, cfg, xs[idx_s], ys[idx_s], xt[idx_t], zeta, lr, omega

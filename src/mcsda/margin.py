@@ -23,6 +23,12 @@ Conventions, fixed across the package:
 * argmax ties resolve to the lowest index;
 * score vectors are projected onto the sum-to-zero hyperplane by
   subtracting the mean at construction time.
+
+Each public function validates its arguments once, at entry (``as_scores``,
+``_check_rho``, ``_check_label``, the finiteness and K-mismatch checks), and
+then computes with private kernels that trust them: ``_ramp``, the one ramp
+formula, ``_absolute_margin`` and ``_violation_matrix``.  So no input is
+centered or checked twice within one call.
 """
 
 from __future__ import annotations
@@ -53,21 +59,14 @@ class ScoreVector:
     """K class scores projected onto the sum-to-zero hyperplane.
 
     Construction subtracts the mean, so any finite vector of length >= 2
-    is accepted; the stored array is read-only and sums to zero up to
-    float rounding (|sum| <= 1e-9 * scale).
+    is accepted; the stored array is read-only, finite, and sums to zero up
+    to float rounding (|sum| <= 1e-9 * scale).
     """
 
     __slots__ = ("scores",)
 
     def __init__(self, scores: ScoresLike) -> None:
-        arr = np.array(scores, dtype=np.float64).reshape(-1)
-        if arr.size < 2:
-            raise ValueError("score vector needs at least 2 classes, got %d" % arr.size)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite")
-        arr -= arr.mean()
-        arr.flags.writeable = False
-        self.scores = arr
+        self.scores = _centered(scores)
 
     @property
     def k(self) -> int:
@@ -75,6 +74,20 @@ class ScoreVector:
 
     def __repr__(self) -> str:
         return "ScoreVector(%s)" % np.array2string(self.scores, precision=6)
+
+
+def _centered(scores: ScoresLike) -> np.ndarray:
+    """Validated, centered, read-only copy of raw scores."""
+    arr = np.array(scores, dtype=np.float64).reshape(-1)
+    if arr.size < 2:
+        raise ValueError("score vector needs at least 2 classes, got %d" % arr.size)
+    if not np.isfinite(arr).all():
+        raise ValueError("scores must be finite")
+    arr -= arr.sum() / arr.size
+    if not np.isfinite(arr).all():  # centering overflowed
+        raise ValueError("scores must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def as_scores(f: ScoresLike) -> np.ndarray:
@@ -85,7 +98,7 @@ def as_scores(f: ScoresLike) -> np.ndarray:
     """
     if isinstance(f, ScoreVector):
         return f.scores
-    return ScoreVector(f).scores
+    return _centered(f)
 
 
 def _check_rho(rho: float) -> float:
@@ -103,6 +116,21 @@ def _check_label(y: int, k: int) -> int:
     return iy - 1
 
 
+def _finite_ramp_argument(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("ramp argument must be finite")
+    return arr
+
+
+def _ramp(x, rho: float):
+    """Ramp formula for finite ``x`` and a checked ``rho``.
+
+    ``1 - x/rho`` is never -0.0, so the two-sided clamp equals ``np.clip``.
+    """
+    return np.minimum(np.maximum(1.0 - x / rho, 0.0), 1.0)
+
+
 def ramp_loss(x, rho: float):
     """Ramp loss: 1 for x <= 0, 0 for x >= rho, linear 1 - x/rho between.
 
@@ -110,10 +138,8 @@ def ramp_loss(x, rho: float):
     The function is non-increasing and 1/rho-Lipschitz.
     """
     rho = _check_rho(rho)
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("ramp argument must be finite")
-    out = np.clip(1.0 - arr / rho, 0.0, 1.0)
+    arr = _finite_ramp_argument(x)
+    out = _ramp(arr, rho)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -125,16 +151,19 @@ def argmax_label(f: ScoresLike) -> int:
     return int(np.argmax(s)) + 1
 
 
+def _absolute_margin(s: np.ndarray, y0: int) -> np.ndarray:
+    mu = -s
+    mu[y0] = s[y0]
+    return mu
+
+
 def absolute_margin(f: ScoresLike, y: int) -> np.ndarray:
     """Vector of absolute margins mu_k(f, y) = +f_k if k == y else -f_k.
 
     All entries >= 0 with at least one > 0 forces argmax(f) == y.
     """
     s = as_scores(f)
-    y0 = _check_label(y, s.size)
-    mu = -s.copy()
-    mu[y0] = s[y0]
-    return mu
+    return _absolute_margin(s, _check_label(y, s.size))
 
 
 def relative_margin(f: ScoresLike, y: int) -> float:
@@ -150,6 +179,12 @@ def relative_margin(f: ScoresLike, y: int) -> float:
     return 0.5 * float(s[y0] - others.max())
 
 
+def _violation_matrix(s: np.ndarray, rho: float) -> np.ndarray:
+    mu = np.repeat(-s[:, None], s.size, axis=1)
+    np.fill_diagonal(mu, s)
+    return _ramp(mu, rho)
+
+
 def violation_matrix(f: ScoresLike, rho: float) -> np.ndarray:
     """K x K matrix of ramp losses of absolute margins.
 
@@ -158,31 +193,33 @@ def violation_matrix(f: ScoresLike, rho: float) -> np.ndarray:
     ramp(-f_i) off the diagonal and ramp(+f_i) on it.
     """
     s = as_scores(f)
-    k = s.size
-    mu = np.tile(-s[:, None], (1, k))
-    np.fill_diagonal(mu, s)
-    return ramp_loss(mu, rho)
+    return _violation_matrix(s, _check_rho(rho))
+
+
+def _same_k(f1: ScoresLike, f2: ScoresLike) -> tuple[np.ndarray, np.ndarray]:
+    s1, s2 = as_scores(f1), as_scores(f2)
+    if s1.size != s2.size:
+        raise ValueError("score vectors disagree on K: %d vs %d" % (s1.size, s2.size))
+    return s1, s2
 
 
 def mcsd_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     """Scoring disagreement of two score vectors at one point.
 
     Entrywise L1 distance of the two violation matrices, scaled by 1/K.
-    Symmetric, in [0, K], and zero when the matrices coincide.
+    Symmetric, in [0, K], and zero when the matrices coincide.  Builds both
+    K x K matrices, so it stays an independent oracle for ``phi_distance``
+    and ``divergence.mcsd_rows``.
     """
-    s1, s2 = as_scores(f1), as_scores(f2)
-    if s1.size != s2.size:
-        raise ValueError("score vectors disagree on K: %d vs %d" % (s1.size, s2.size))
-    m1 = violation_matrix(s1, rho)
-    m2 = violation_matrix(s2, rho)
+    s1, s2 = _same_k(f1, f2)
+    rho = _check_rho(rho)
+    m1 = _violation_matrix(s1, rho)
+    m2 = _violation_matrix(s2, rho)
     return float(np.abs(m1 - m2).sum()) / s1.size
 
 
-def _decision_component_margin(f1: ScoresLike, f2: ScoresLike) -> float:
+def _decision_component_margin(s1: np.ndarray, s2: np.ndarray) -> float:
     """mu_{h2}(f2, h1): margin of f2's decision component against f1's decision."""
-    s1, s2 = as_scores(f1), as_scores(f2)
-    if s1.size != s2.size:
-        raise ValueError("score vectors disagree on K: %d vs %d" % (s1.size, s2.size))
     j1 = int(np.argmax(s1))
     j2 = int(np.argmax(s2))
     return float(s2[j2]) if j1 == j2 else float(-s2[j2])
@@ -194,8 +231,9 @@ def mcsd_tilde_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     Treats f1's argmax as the hypothesized label and scores f2's decision
     component against it.  Not symmetric in (f1, f2).
     """
-    rho = _check_rho(rho)
-    return ramp_loss(_decision_component_margin(f1, f2), rho / 2.0)
+    margin = _decision_component_margin(*_same_k(f1, f2))
+    # the half width is checked too: it underflows to 0 for the smallest rho
+    return float(_ramp(margin, _check_rho(_check_rho(rho) / 2.0)))
 
 
 def mcsd_hat_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
@@ -204,7 +242,8 @@ def mcsd_hat_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     1.0 exactly when the full-width ramp of mu_{h2}(f2, h1) saturates at 1,
     i.e. when that margin is <= 0; otherwise 0.0.
     """
-    return 1.0 if ramp_loss(_decision_component_margin(f1, f2), rho) == 1.0 else 0.0
+    margin = _decision_component_margin(*_same_k(f1, f2))
+    return 1.0 if _ramp(margin, _check_rho(rho)) == 1.0 else 0.0
 
 
 def phi_distance(a, b, rho: float, k: int):
@@ -218,8 +257,10 @@ def phi_distance(a, b, rho: float, k: int):
     k = int(k)
     if k < 2:
         raise ValueError("phi_distance needs K >= 2, got %d" % k)
-    off = np.abs(ramp_loss(np.negative(a), rho) - ramp_loss(np.negative(b), rho))
-    diag = np.abs(ramp_loss(a, rho) - ramp_loss(b, rho))
+    rho = _check_rho(rho)
+    xa, xb = _finite_ramp_argument(a), _finite_ramp_argument(b)
+    off = np.abs(_ramp(np.negative(xa), rho) - _ramp(np.negative(xb), rho))
+    diag = np.abs(_ramp(xa, rho) - _ramp(xb, rho))
     out = (k - 1) * off + diag
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
@@ -233,5 +274,6 @@ def source_margin_loss(f: ScoresLike, y: int, rho: float) -> float:
     Its expectation over a labeled sample is the margin analogue of the
     0-1 training error used throughout the bounds.
     """
-    mu = absolute_margin(f, y)
-    return float(np.sum(ramp_loss(mu, rho)))
+    s = as_scores(f)
+    mu = _absolute_margin(s, _check_label(y, s.size))
+    return float(_ramp(mu, _check_rho(rho)).sum())

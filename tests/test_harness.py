@@ -18,7 +18,12 @@ from mcsda.harness import trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
-from mcsda.harness.theory import check_prop3_identity, run_theory_checks
+from mcsda.divergence import mcsd_divergence_adversarial
+from mcsda.harness.theory import (
+    check_adversarial_estimator,
+    check_prop3_identity,
+    run_theory_checks,
+)
 from mcsda.harness.trainers import run_experiment
 from mcsda.margin import (
     argmax_label,
@@ -29,7 +34,7 @@ from mcsda.margin import (
     relative_margin,
 )
 from mcsda.neural import MlpScorer, Schedules, lambda_schedule, lr_schedule
-from mcsda.surrogates import softmax, sur_ce, sur_kl, sur_l1
+from mcsda.surrogates import clamp_count, reset_clamp_count, softmax, sur_ce, sur_kl, sur_l1
 from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, read_csv
 
 CHECK_NAMES = {
@@ -67,6 +72,17 @@ class TestTheorySuite:
             run_theory_checks(trials=0)
         with pytest.raises(ValueError):
             run_theory_checks(n_universes=0)
+
+    def test_ascent_warning_reaches_the_report(self):
+        # same data and budget as the check itself
+        rng = np.random.default_rng(10)
+        src = rng.normal((-2.0, 0.0), 0.6, size=(40, 2))
+        tgt = rng.normal((2.0, 0.0), 0.6, size=(40, 2))
+        res = mcsd_divergence_adversarial(src, tgt, k=3, rho=1.0, steps=80, seed=10)
+        assert res.warning == "ascent still improving after 80 steps"
+        details = check_adversarial_estimator(10).to_json()["details"]
+        assert details["ascent_warning"] == res.warning
+        assert check_adversarial_estimator(9).details["ascent_warning"] is None
 
     def test_report_roundtrip(self, tmp_path):
         report = run_theory_checks(seed=3, trials=100, n_universes=2)
@@ -128,6 +144,25 @@ class TestSurfaces:
                 fn = {"l1": sur_l1, "kl": sur_kl, "ce": sur_ce}[which]
                 want = fn(softmax(FIXED), softmax(v))
             assert g.values[i, j] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["kl", "ce"])
+    def test_log_surfaces_clamp_through_the_counted_guard(self, which):
+        # the pinned scorer's corners push probabilities below the 1e-12 floor
+        reset_clamp_count()
+        g = _grid(which)
+        clamps = reset_clamp_count()
+        aa, bb = np.meshgrid(g.a_grid, g.b_grid, indexing="ij")
+        var = np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3)
+        var = var - var.mean(axis=1, keepdims=True)
+        fx = np.broadcast_to(FIXED - FIXED.mean(), var.shape)
+        p1, p2 = softmax(fx), softmax(var)
+        lp1, lp2 = np.log(np.maximum(p1, 1e-12)), np.log(np.maximum(p2, 1e-12))
+        if which == "kl":
+            want = 0.5 * ((p1 - p2) * (lp1 - lp2)).sum(axis=1)
+        else:
+            want = -0.5 * (p1 * lp2 + p2 * lp1).sum(axis=1)
+        assert np.array_equal(g.values, want.reshape(g.values.shape))
+        assert clamps == np.count_nonzero(p1 < 1e-12) + np.count_nonzero(p2 < 1e-12) > 0
 
     def test_direction_flip_swaps_the_asymmetric_arguments(self):
         g = _grid("tilde", direction="fix_second")
@@ -393,6 +428,21 @@ class TestTrainerRuns:
         saved = MlpScorer.load(run_dir / "model.ckpt").params()
         assert all(np.isfinite(v).all() for v in saved.values())
 
+    def test_nan_target_point_stops_partial_run(self, tmp_path):
+        # the once-per-epoch class-weight forward sees the target before any step
+        pair = make_partial(gen_gauss_blobs(4, 40, (0.6, 0.3), seed=3, std=0.5), [1, 2])
+        pair.target.points[0, 0] = np.nan
+        cfg = ExperimentConfig(method="symmnets_v2", epochs=2, seed=0, outdir=str(tmp_path))
+        res = run_experiment(pair, cfg)
+        assert len(res.metrics) == 1 and res.metrics[0].nan_flag
+        assert res.metrics[0].divergence_proxy is None
+        assert not res.converged
+        assert res.notes == ["stopped at epoch 0: non-finite scores"]
+        run_dir = tmp_path / "symmnets_v2_seed0"
+        assert json.loads((run_dir / "result.json").read_text())["converged"] is False
+        saved = MlpScorer.load(run_dir / "model.ckpt").params()
+        assert all(np.isfinite(v).all() for v in saved.values())
+
     def test_every_method_name_dispatches(self):
         pair = _easy_pair()
         for method in METHODS:
@@ -489,6 +539,34 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().out.startswith("BOUND VIOLATED: disagreement bound")
         assert (out / "symmnets_v2_seed0" / "metrics.jsonl").read_text() == ""
+
+    def test_bound_violation_leaves_config_and_finished_epochs(
+        self, blobs_csv, tmp_path, capsys, monkeypatch
+    ):
+        real_step = trainers.symmnets_step
+        calls = []
+
+        def violated_in_second_epoch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:  # the blobs pair fits one full batch per epoch
+                raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainers, "symmnets_step", violated_in_second_epoch)
+        out = tmp_path / "runs"
+        rc = main(
+            [
+                "train", "--data", str(blobs_csv), "--method", "symmnets_v2",
+                "--epochs", "3", "--outdir", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("BOUND VIOLATED: ")
+        run_dir = out / "symmnets_v2_seed0"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "metrics.jsonl"]
+        assert json.loads((run_dir / "config.json").read_text())["epochs"] == 3
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0]
 
     def test_train_config_file_with_flag_overrides(self, blobs_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,21 +1,24 @@
 """O(K) production kernels pinned against the K x K tensor path.
 
 ``violation_tensor`` builds every violation matrix in full; the oracles in
-this file use it directly, and the four-call smoothed disagreement the
-ascent used before its ramps were batched is kept here verbatim, so the
-batched paths are compared against independent arithmetic.
+this file use it directly.  The adversarial ascent is pinned against an
+eager copy kept here: one smoothed-ramp call per operand returning values
+and slopes together, full gradients for every line-search trial and a grid
+evaluation for every accepted pair's exact objective.  So the batched and
+split paths are compared against independent arithmetic.
 """
 
 import numpy as np
 import pytest
 
-from mcsda import divergence
 from mcsda.divergence import (
+    AdversarialDivergence,
     SampleSet,
     ScorerGrid,
     _margin_violations,
     _pairwise_mcsd_means,
-    _smoothed_ramp_and_grad,
+    _smoothed_ramp_slope,
+    _smoothed_ramp_value,
     linear_scorer,
     margin_error,
     mcsd_divergence_adversarial,
@@ -122,14 +125,49 @@ class TestPairwiseMeans:
         assert exact.pair == (flat // 12, flat % 12)
 
 
+def _hermite(x, a, b, va, sa, vb, sb):
+    h = b - a
+    t = (x - a) / h
+    t2, t3 = t * t, t * t * t
+    val = (
+        (2 * t3 - 3 * t2 + 1) * va
+        + (t3 - 2 * t2 + t) * h * sa
+        + (-2 * t3 + 3 * t2) * vb
+        + (t3 - t2) * h * sb
+    )
+    der = (
+        (6 * t2 - 6 * t) * va
+        + (3 * t2 - 4 * t + 1) * h * sa
+        + (-6 * t2 + 6 * t) * vb
+        + (3 * t2 - 2 * t) * h * sb
+    ) / h
+    return val, der
+
+
+def eager_smoothed_ramp_and_grad(x, rho):
+    """Smoothed ramp value and slope in one pass, cubic in windows of width
+    rho/100 around the kinks."""
+    x = np.asarray(x, dtype=np.float64)
+    h = rho / 200.0
+    val = np.clip(1.0 - x / rho, 0.0, 1.0)
+    der = np.where((x > 0.0) & (x < rho), -1.0 / rho, 0.0)
+    lo = np.abs(x) < h
+    if np.any(lo):
+        val[lo], der[lo] = _hermite(x[lo], -h, h, 1.0, 0.0, 1.0 - h / rho, -1.0 / rho)
+    hi = np.abs(x - rho) < h
+    if np.any(hi):
+        val[hi], der[hi] = _hermite(x[hi], rho - h, rho + h, h / rho, -1.0 / rho, 0.0, 0.0)
+    return val, der
+
+
 def four_call_smoothed_mcsd_and_grads(a, b, rho):
     """The ascent's per-point smoothed disagreement with one ramp call per
-    operand, as it was before the ramps were stacked."""
+    operand."""
     k = a.shape[1]
-    vpa, gpa = _smoothed_ramp_and_grad(a, rho)
-    vpb, gpb = _smoothed_ramp_and_grad(b, rho)
-    vna, gna = _smoothed_ramp_and_grad(-a, rho)
-    vnb, gnb = _smoothed_ramp_and_grad(-b, rho)
+    vpa, gpa = eager_smoothed_ramp_and_grad(a, rho)
+    vpb, gpb = eager_smoothed_ramp_and_grad(b, rho)
+    vna, gna = eager_smoothed_ramp_and_grad(-a, rho)
+    vnb, gnb = eager_smoothed_ramp_and_grad(-b, rho)
     dn = vna - vnb
     dp = vpa - vpb
     val = ((k - 1) * np.abs(dn) + np.abs(dp)).sum(axis=1) / k
@@ -139,6 +177,95 @@ def four_call_smoothed_mcsd_and_grads(a, b, rho):
     return val, da, db
 
 
+def eager_exact_objective(src, tgt, heads, k, rho):
+    w1, b1, w2, b2 = heads
+    grid = ScorerGrid([linear_scorer(w1, b1), linear_scorer(w2, b2)], k=k)
+    ss, st = grid.evaluate(src), grid.evaluate(tgt)
+    ws, wt = np.full(len(src), 1.0 / len(src)), np.full(len(tgt), 1.0 / len(tgt))
+    return float(mcsd_rows(st[0], st[1], rho) @ wt) - float(mcsd_rows(ss[0], ss[1], rho) @ ws)
+
+
+def eager_ascent(src, tgt, k, rho, steps, step_size=0.5, seed=0):
+    """Backtracking ascent with uniform weights that computes gradients for
+    every trial and scores every accepted pair through a ``ScorerGrid``."""
+
+    def center(z):
+        return z - z.mean(axis=1, keepdims=True)
+
+    ws, wt = np.full(len(src), 1.0 / len(src)), np.full(len(tgt), 1.0 / len(tgt))
+
+    def objective_and_grads(hs):
+        w1, b1, w2, b2 = hs
+        vs, das, dbs = four_call_smoothed_mcsd_and_grads(
+            center(src @ w1.T + b1), center(src @ w2.T + b2), rho
+        )
+        vt, dat, dbt = four_call_smoothed_mcsd_and_grads(
+            center(tgt @ w1.T + b1), center(tgt @ w2.T + b2), rho
+        )
+        das, dbs = center(das) * (-ws[:, None]), center(dbs) * (-ws[:, None])
+        dat, dbt = center(dat) * wt[:, None], center(dbt) * wt[:, None]
+        grads = [
+            das.T @ src + dat.T @ tgt,
+            das.sum(axis=0) + dat.sum(axis=0),
+            dbs.T @ src + dbt.T @ tgt,
+            dbs.sum(axis=0) + dbt.sum(axis=0),
+        ]
+        return float(vt @ wt - vs @ ws), grads
+
+    def snapshot(hs):
+        return tuple(np.array(h) for h in hs)
+
+    def gnorm(gs):
+        return np.sqrt(sum(float(np.sum(g * g)) for g in gs))
+
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(src.shape[1])
+    heads = [
+        rng.uniform(-bound, bound, size=(k, src.shape[1])),
+        np.zeros(k),
+        rng.uniform(-bound, bound, size=(k, src.shape[1])),
+        np.zeros(k),
+    ]
+    cur, grads = objective_and_grads(heads)
+    res = AdversarialDivergence(
+        value=eager_exact_objective(src, tgt, heads, k, rho),
+        best_heads=snapshot(heads),
+        final_heads=snapshot(heads),
+        trajectory=[cur],
+        visited=[snapshot(heads)],
+    )
+    stalled = False
+    for _ in range(steps):
+        if gnorm(grads) < 1e-12:
+            break
+        eta, accepted = step_size, False
+        for _ in range(40):
+            trial = [h + eta * g for h, g in zip(heads, grads)]
+            trial_obj, trial_grads = objective_and_grads(trial)
+            if trial_obj >= cur - 1e-12:
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            stalled = True
+            break
+        heads, cur, grads = trial, trial_obj, trial_grads
+        res.trajectory.append(cur)
+        res.visited.append(snapshot(heads))
+        exact = eager_exact_objective(src, tgt, heads, k, rho)
+        if exact > res.value:
+            res.value, res.best_heads = exact, snapshot(heads)
+    else:
+        if gnorm(grads) > 1e-6:
+            res.converged = False
+            res.warning = "ascent still improving after %d steps" % steps
+    res.final_heads = snapshot(heads)
+    if stalled and len(res.trajectory) < 2:
+        res.converged = False
+        res.warning = "line search could not improve the smoothed objective"
+    return res
+
+
 def criterion5_data():
     rng = np.random.default_rng(5)
     src = np.concatenate([rng.normal(c, 0.6, size=(20, 2)) for c in (-2.0, 0.0, 2.0)])
@@ -146,25 +273,74 @@ def criterion5_data():
     return src, tgt, 3, 120
 
 
-def blobs10_data():
-    pair = gen_gauss_blobs(10, 60, (1.0, 0.5), seed=0)
+def blobs10(seed):
+    pair = gen_gauss_blobs(10, 60, (1.0, 0.5), seed=seed)
     return pair.source.points, pair.target.points, 10, 60
 
 
+def blobs10_data():
+    return blobs10(0)
+
+
+def blobs10_draw1():
+    return blobs10(1)
+
+
+def blobs10_draw2():
+    return blobs10(2)
+
+
+def assert_heads_equal(got, want):
+    assert len(got) == len(want)
+    for h_got, h_want in zip(got, want):
+        assert np.array_equal(h_got, h_want)
+
+
 class TestStackedAscent:
-    @pytest.mark.parametrize("data", [criterion5_data, blobs10_data])
-    def test_trajectory_bit_identical_to_four_calls(self, data, monkeypatch):
+    @pytest.mark.parametrize(
+        "data", [criterion5_data, blobs10_data, blobs10_draw1, blobs10_draw2]
+    )
+    def test_trajectory_bit_identical_to_four_calls(self, data):
         src, tgt, k, steps = data()
         new = mcsd_divergence_adversarial(src, tgt, k=k, rho=1.0, steps=steps, seed=0)
-        monkeypatch.setattr(
-            divergence, "_smoothed_mcsd_and_grads", four_call_smoothed_mcsd_and_grads
-        )
-        old = mcsd_divergence_adversarial(src, tgt, k=k, rho=1.0, steps=steps, seed=0)
+        old = eager_ascent(src, tgt, k, 1.0, steps)
         assert len(new.trajectory) == steps + 1
         assert new.trajectory == old.trajectory
         assert new.value == old.value
-        for h_new, h_old in zip(new.final_heads, old.final_heads):
-            assert np.array_equal(h_new, h_old)
+        assert_heads_equal(new.best_heads, old.best_heads)
+        assert_heads_equal(new.final_heads, old.final_heads)
+        assert len(new.visited) == len(old.visited)
+        for got, want in zip(new.visited, old.visited):
+            assert_heads_equal(got, want)
+        assert (new.warning, new.converged) == (old.warning, old.converged)
+
+    def test_init_heads_are_checked(self):
+        src, tgt, k, _ = criterion5_data()
+        rng = np.random.default_rng(1)
+        heads = [rng.normal(size=(k, 2)), np.zeros(k), rng.normal(size=(k, 2)), np.zeros(k)]
+        wide = [np.vstack([h, h[:1]]) if h.ndim == 2 else np.zeros(k + 1) for h in heads]
+        with pytest.raises(ValueError):
+            mcsd_divergence_adversarial(src, tgt, k=k, rho=1.0, steps=5, init=wide)
+        heads[0][0, 0] = np.nan
+        with pytest.raises(ValueError):
+            mcsd_divergence_adversarial(src, tgt, k=k, rho=1.0, steps=5, init=heads)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_value_and_slope_passes_match_eager_ramp(self, rho):
+        h = rho / 200.0
+        rng = np.random.default_rng(7)
+        x = np.concatenate(
+            [
+                rng.uniform(-2 * rho, 3 * rho, size=198),
+                rng.uniform(-h, h, size=50),
+                rho + rng.uniform(-h, h, size=50),
+                [0.0, rho, -h, h, rho - h, rho + h],
+            ]
+        ).reshape(2, 2, -1)
+        val, masks = _smoothed_ramp_value(x, rho)
+        want_val, want_der = eager_smoothed_ramp_and_grad(x, rho)
+        assert np.array_equal(val, want_val)
+        assert np.array_equal(_smoothed_ramp_slope(x, rho, masks), want_der)
 
 
 class TestMarginViolations:

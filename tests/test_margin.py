@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcsda.divergence import violation_tensor
 from mcsda.margin import (
     ScoreVector,
     absolute_margin,
@@ -286,3 +287,97 @@ class TestPointwiseLemmas:
             assert d <= source_margin_loss(f, y, rho) + source_margin_loss(fp, y, rho) + 1e-12
             err = self._err(fp, y)
             assert err <= source_margin_loss(f, y, rho) + d + 1e-12
+
+
+# Every public function validates its own arguments; the table gives each one
+# a call with defaults that pass, so each case swaps in one bad argument.
+GOOD = [1.0, 0.0, -1.0]
+PUBLIC = {
+    "ScoreVector": lambda f=GOOD, g=GOOD, rho=1.0, y=1: ScoreVector(f),
+    "as_scores": lambda f=GOOD, g=GOOD, rho=1.0, y=1: as_scores(f),
+    "ramp_loss": lambda f=GOOD, g=GOOD, rho=1.0, y=1: ramp_loss(f, rho),
+    "argmax_label": lambda f=GOOD, g=GOOD, rho=1.0, y=1: argmax_label(f),
+    "absolute_margin": lambda f=GOOD, g=GOOD, rho=1.0, y=1: absolute_margin(f, y),
+    "relative_margin": lambda f=GOOD, g=GOOD, rho=1.0, y=1: relative_margin(f, y),
+    "violation_matrix": lambda f=GOOD, g=GOOD, rho=1.0, y=1: violation_matrix(f, rho),
+    "mcsd_pointwise": lambda f=GOOD, g=GOOD, rho=1.0, y=1: mcsd_pointwise(f, g, rho),
+    "mcsd_tilde_pointwise": lambda f=GOOD, g=GOOD, rho=1.0, y=1: mcsd_tilde_pointwise(f, g, rho),
+    "mcsd_hat_pointwise": lambda f=GOOD, g=GOOD, rho=1.0, y=1: mcsd_hat_pointwise(f, g, rho),
+    "phi_distance": lambda f=GOOD, g=GOOD, rho=1.0, y=1: phi_distance(f, g, rho, len(GOOD)),
+    "source_margin_loss": lambda f=GOOD, g=GOOD, rho=1.0, y=1: source_margin_loss(f, y, rho),
+}
+TAKES_RHO = [
+    "ramp_loss", "violation_matrix", "mcsd_pointwise", "mcsd_tilde_pointwise",
+    "mcsd_hat_pointwise", "phi_distance", "source_margin_loss",
+]
+TAKES_LABEL = ["absolute_margin", "relative_margin", "source_margin_loss"]
+TAKES_PAIR = ["mcsd_pointwise", "mcsd_tilde_pointwise", "mcsd_hat_pointwise"]
+
+
+class TestPublicValidation:
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_good_arguments_pass(self, name):
+        PUBLIC[name]()
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, name, bad):
+        with pytest.raises(ValueError):
+            PUBLIC[name](f=[1.0, bad, -1.0])
+        if name in TAKES_PAIR or name == "phi_distance":
+            with pytest.raises(ValueError):
+                PUBLIC[name](g=[1.0, bad, -1.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("name", sorted(set(PUBLIC) - {"ramp_loss", "phi_distance"}))
+    def test_rejects_scores_that_overflow_when_centered(self, name):
+        with pytest.raises(ValueError):
+            PUBLIC[name](f=[1e308, 1e308, -1e308])
+
+    @pytest.mark.parametrize("name", TAKES_RHO)
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_rho(self, name, rho):
+        with pytest.raises(ValueError):
+            PUBLIC[name](rho=rho)
+
+    def test_tilde_rejects_a_half_width_that_underflows(self):
+        with pytest.raises(ValueError):
+            mcsd_tilde_pointwise(GOOD, GOOD, 5e-324)
+
+    @pytest.mark.parametrize("name", TAKES_LABEL)
+    @pytest.mark.parametrize("y", [0, 4, 1.5, -1])
+    def test_rejects_bad_label(self, name, y):
+        with pytest.raises(ValueError):
+            PUBLIC[name](y=y)
+
+    @pytest.mark.parametrize("name", TAKES_PAIR)
+    def test_rejects_k_mismatch(self, name):
+        with pytest.raises(ValueError):
+            PUBLIC[name](g=[1.0, -1.0])
+        with pytest.raises(ValueError):
+            PUBLIC[name](f=[1.0, 0.5, 0.0, -1.5])
+
+
+
+class TestMcsdPointwiseAgainstTensor:
+    """The single-vector oracle agrees with the stacked violation tensor,
+    kinks (entries at 0 and +-rho) and ties included."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_matches_violation_tensor(self, k, rho):
+        rng = np.random.default_rng(100 + k)
+        a = rng.normal(scale=2.0 * rho, size=(60, k))
+        b = rng.normal(scale=2.0 * rho, size=(60, k))
+        kinks = rng.choice([-rho, 0.0, rho], size=(2, 30, k))
+        kinks[..., -1] = -kinks[..., :-1].sum(axis=-1)
+        a = np.concatenate([a - a.mean(axis=1, keepdims=True), kinks[0], np.zeros((3, k))])
+        b = np.concatenate([b - b.mean(axis=1, keepdims=True), kinks[1], np.zeros((3, k))])
+        b[::5] = a[::5]
+        ta, tb = violation_tensor(a, rho), violation_tensor(b, rho)
+        want = np.abs(ta - tb).sum(axis=(-2, -1)) / k
+        got = np.array([mcsd_pointwise(x, y, rho) for x, y in zip(a, b)])
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.all(got[::5] == 0.0)
+        for i in range(0, len(a), 7):
+            assert np.abs(violation_matrix(a[i], rho) - ta[i]).max() <= 1e-12

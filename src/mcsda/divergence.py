@@ -13,8 +13,7 @@ Three routes are provided:
   decision-level form, and its 0/1 saturation).  The matrix form never
   builds K x K violation matrices: each row of one holds ramp(-f_i) K-1
   times off the diagonal and ramp(f_i) on it, so ``mcsd_rows`` takes the L1
-  distance of two matrices in O(K) per point (``violation_tensor`` is kept
-  as the reference oracle);
+  distance of two matrices in O(K) per point;
 * ``mcsd_divergence_adversarial`` runs monotone backtracking gradient
   ascent over two linear heads on frozen features, maximizing a smoothed
   version of the objective (the exact ramp is kinked at 0 and rho, so the
@@ -31,6 +30,12 @@ against source margin error + divergence + scaled complexities + slack
 terms + the best achievable joint margin error.  All expectations accept
 explicit point masses so fully enumerated universes can be checked
 exactly.
+
+Every route computes with ``margin``'s one kernel per object (centering,
+ramp, per-component disagreement, violation matrix, decision margin);
+public functions check ``rho`` and their scores once, at entry.
+``violation_tensor`` and the single-vector ``margin`` functions stay as
+reference oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import ramp_loss
+from .margin import _center, _check_rho, _component_disagreement, _decision_level
+from .margin import _decision_margin, _finite_ramp_argument, _ramp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -125,8 +131,7 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
     b = np.asarray(b, dtype=np.float64).reshape(-1)
 
     def score(points: np.ndarray) -> np.ndarray:
-        raw = _as_points(points) @ w.T + b
-        return raw - raw.mean(axis=1, keepdims=True)
+        return _center(_as_points(points) @ w.T + b)
 
     return score
 
@@ -163,7 +168,7 @@ class ScorerGrid:
                 )
             if not np.all(np.isfinite(s)):
                 raise ValueError("candidate %d produced non-finite scores" % i)
-            out[i] = s - s.mean(axis=1, keepdims=True)
+            out[i] = _center(s)
         return out
 
 
@@ -174,26 +179,21 @@ def violation_tensor(scores, rho: float) -> np.ndarray:
     entrywise with the single-vector ``margin.violation_matrix``.  Reference
     oracle; production paths use ``mcsd_rows``.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    k = s.shape[-1]
-    mu = np.repeat(-s[..., :, None], k, axis=-1)
-    idx = np.arange(k)
-    mu[..., idx, idx] = s
-    return ramp_loss(mu, rho)
+    rho = _check_rho(rho)
+    return _violation_matrix(_finite_ramp_argument(scores), rho)
 
 
-def _signed_ramps(scores, rho: float) -> np.ndarray:
+def _signed_ramps(s: np.ndarray, rho: float) -> np.ndarray:
     """[2, ..., K]: ramp(-s), the K-1 off-diagonal entries of each violation
     row, stacked over ramp(s), its diagonal entry."""
-    s = np.asarray(scores, dtype=np.float64)
-    return ramp_loss(np.stack([-s, s]), rho)
+    return _ramp(np.stack([-s, s]), rho)
 
 
 def _rows_from_ramps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Per-point violation-matrix L1 distance over K, from ``_signed_ramps``."""
-    d = np.abs(ra - rb)
+    d = ra - rb
     k = d.shape[-1]
-    return ((k - 1) * d[0] + d[1]).sum(axis=-1) / k
+    return _component_disagreement(d[0], d[1], k).sum(axis=-1) / k
 
 
 def mcsd_rows(a, b, rho: float) -> np.ndarray:
@@ -204,7 +204,8 @@ def mcsd_rows(a, b, rho: float) -> np.ndarray:
     last two axes and divided by K, in O(K) per point: row i of a violation
     matrix holds ramp(-f_i) K-1 times and ramp(f_i) once.
     """
-    r = _signed_ramps(np.stack([a, b]), rho)
+    rho = _check_rho(rho)
+    r = _signed_ramps(_finite_ramp_argument(np.stack([a, b])), rho)
     return _rows_from_ramps(r[:, 0], r[:, 1])
 
 
@@ -242,13 +243,6 @@ def _pairwise_mcsd_means(scores: np.ndarray, weights: np.ndarray, rho: float) ->
     return out
 
 
-def _decision_margin_table(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per candidate/point argmax indices and the corresponding top scores."""
-    arg = np.argmax(scores, axis=-1)
-    top = np.take_along_axis(scores, arg[..., None], axis=-1)[..., 0]
-    return arg, top
-
-
 def _pairwise_variant_means(
     scores: np.ndarray, weights: np.ndarray, rho: float, variant: str
 ) -> np.ndarray:
@@ -258,16 +252,8 @@ def _pairwise_variant_means(
     signed by agreement with f_i's decision, then passed through the ramp at
     rho/2 (``tilde``) or the saturation indicator at rho (``hat``).
     """
-    arg, top = _decision_margin_table(scores)
-    agree = arg[:, None, :] == arg[None, :, :]  # [i, j, n]
-    margins = np.where(agree, top[None, :, :], -top[None, :, :])
-    if variant == "tilde":
-        vals = ramp_loss(margins, rho / 2.0)
-    elif variant == "hat":
-        vals = (ramp_loss(margins, rho) == 1.0).astype(np.float64)
-    else:
-        raise ValueError("variant must be 'tilde' or 'hat', got %r" % variant)
-    return vals @ weights
+    margins = _decision_margin(scores[:, None], scores[None, :])  # [i, j, n]
+    return _decision_level(margins, rho, variant) @ weights
 
 
 def _sup_over_pairs(mean_src: np.ndarray, mean_tgt: np.ndarray) -> ExactDivergence:
@@ -291,6 +277,7 @@ def mcsd_divergence_exact(
 
     Non-negative because identical pairs contribute exactly zero.
     """
+    rho = _check_rho(rho)
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
@@ -310,6 +297,7 @@ def divergence_exact_variant(
     tgt_weights=None,
 ) -> ExactDivergence:
     """Exact decision-level divergence ('tilde') or its saturation ('hat')."""
+    rho = _check_rho(rho)
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
@@ -372,7 +360,7 @@ def _smoothed_ramp_value(x, rho: float):
     """
     x = np.asarray(x, dtype=np.float64)
     h, nodes = _hermite_nodes(rho)
-    val = np.clip(1.0 - x / rho, 0.0, 1.0)
+    val = _ramp(x, rho)
     masks = (np.abs(x) < h, np.abs(x - rho) < h)
     for mask, node in zip(masks, nodes):
         if np.any(mask):
@@ -392,10 +380,11 @@ def _smoothed_ramp_slope(x: np.ndarray, rho: float, masks) -> np.ndarray:
 
 def smoothed_ramp(x, rho: float):
     """Value of the C1-smoothed ramp used inside the adversarial estimator."""
-    val, _ = _smoothed_ramp_value(x, rho)
-    if np.isscalar(x):
-        return float(val)
-    return val
+    arr = _finite_ramp_argument(x)
+    val, _ = _smoothed_ramp_value(arr.reshape(-1), _check_rho(rho))
+    if np.isscalar(x) or arr.ndim == 0:
+        return float(val[0])
+    return val.reshape(arr.shape)
 
 
 @dataclass
@@ -423,7 +412,7 @@ def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
     ((vpa, vpb), (vna, vnb)), masks = _smoothed_ramp_value(x, rho)
     dn = vna - vnb
     dp = vpa - vpb
-    val = ((k - 1) * np.abs(dn) + np.abs(dp)).sum(axis=1) / k
+    val = _component_disagreement(dn, dp, k).sum(axis=1) / k
     return val, _SmoothedPass(x, masks, dn, dp)
 
 
@@ -438,10 +427,6 @@ def _smoothed_mcsd_grads(p: _SmoothedPass, rho: float) -> tuple[np.ndarray, np.n
     return da, db
 
 
-def _center_rows(z: np.ndarray) -> np.ndarray:
-    return z - z.mean(axis=1, keepdims=True)
-
-
 def _exact_mean(p: _SmoothedPass, rho: float, weights: np.ndarray) -> float:
     """Exact-ramp mean disagreement of the value pass's head pair.
 
@@ -452,8 +437,8 @@ def _exact_mean(p: _SmoothedPass, rho: float, weights: np.ndarray) -> float:
     ab = p.x[0]
     if not np.isfinite(ab).all():
         raise ValueError("ascent head pair produced non-finite scores")
-    a, b = ab - ab.mean(axis=-1, keepdims=True)
-    return float(mcsd_rows(a, b, rho) @ weights)
+    r = _signed_ramps(_center(ab), rho)
+    return float(_rows_from_ramps(r[:, 0], r[:, 1]) @ weights)
 
 
 @dataclass
@@ -500,6 +485,7 @@ def mcsd_divergence_adversarial(
     """
     if k < 2:
         raise ValueError("K must be >= 2, got %d" % k)
+    rho = _check_rho(rho)
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
@@ -520,10 +506,10 @@ def mcsd_divergence_adversarial(
 
     def value_pass(hs):
         w1, b1, w2, b2 = hs
-        a_s = _center_rows(src_pts @ w1.T + b1)
-        a_t = _center_rows(tgt_pts @ w1.T + b1)
-        b_s = _center_rows(src_pts @ w2.T + b2)
-        b_t = _center_rows(tgt_pts @ w2.T + b2)
+        a_s = _center(src_pts @ w1.T + b1)
+        a_t = _center(tgt_pts @ w1.T + b1)
+        b_s = _center(src_pts @ w2.T + b2)
+        b_t = _center(tgt_pts @ w2.T + b2)
         vs, pass_s = _smoothed_mcsd(a_s, b_s, rho)
         vt, pass_t = _smoothed_mcsd(a_t, b_t, rho)
         return float(vt @ wt - vs @ ws), (pass_s, pass_t)
@@ -534,10 +520,10 @@ def mcsd_divergence_adversarial(
         dat, dbt = _smoothed_mcsd_grads(pass_t, rho)
         # chain through centering, then the linear map; source side enters
         # with negative weight
-        das = _center_rows(das) * (-ws[:, None])
-        dat = _center_rows(dat) * wt[:, None]
-        dbs = _center_rows(dbs) * (-ws[:, None])
-        dbt = _center_rows(dbt) * wt[:, None]
+        das = _center(das) * (-ws[:, None])
+        dat = _center(dat) * wt[:, None]
+        dbs = _center(dbs) * (-ws[:, None])
+        dbt = _center(dbt) * wt[:, None]
         gw1 = das.T @ src_pts + dat.T @ tgt_pts
         gb1 = das.sum(axis=0) + dat.sum(axis=0)
         gw2 = dbs.T @ src_pts + dbt.T @ tgt_pts
@@ -636,6 +622,7 @@ def _margin_violations(scores, labels, rho: float) -> np.ndarray:
 
     The absolute margin of component k is +f_k at the 1-based label and -f_k
     elsewhere; ``margin.source_margin_loss`` is the single-point oracle.
+    Checks the labels; the scores and ``rho`` are checked by the callers.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -643,12 +630,13 @@ def _margin_violations(scores, labels, rho: float) -> np.ndarray:
     if y.size != n or np.any(y < 1) or np.any(y > k):
         raise ValueError("labels must be 1-based and match the score rows")
     signs = np.where(np.arange(1, k + 1) == y[:, None], 1.0, -1.0)
-    return ramp_loss(s * signs, rho).sum(axis=-1)
+    return _ramp(s * signs, rho).sum(axis=-1)
 
 
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
-    per_point = _margin_violations(scores, labels, rho)
+    rho = _check_rho(rho)
+    per_point = _margin_violations(_finite_ramp_argument(scores), labels, rho)
     return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 
@@ -742,6 +730,7 @@ def pac_bound_report(
         raise ValueError("bound report needs labels on both samples")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1), got %r" % delta)
+    rho = _check_rho(rho)
     k = grid.k
     n_s, n_t = src.n, tgt.n
     scores_src = grid.evaluate(src.points)

@@ -7,9 +7,11 @@ measures share the slice, which makes their level sets directly comparable:
 the matrix form, its two decision-level variants, the three probability
 surrogates, and the single-component decision-margin ramp.
 
-Evaluation is batched over the whole grid; the per-point functions in
-``mcsda.margin`` and ``mcsda.surrogates`` serve as independent oracles for
-spot checks.
+Evaluation is batched over the whole grid with the kernels of
+``mcsda.margin`` (centering, decision margin, relative margin, ramp) and
+``mcsda.divergence.mcsd_rows``; ``mcsd_pointwise`` and the per-point
+surrogates of ``mcsda.surrogates`` serve as independent oracles for spot
+checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..divergence import mcsd_rows
-from ..margin import ramp_loss
+from ..margin import _center, _check_rho, _decision_level, _decision_margin, _ramp
+from ..margin import _relative_margin
 from ..surrogates import _clamped, softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
@@ -47,21 +50,6 @@ class SurfaceGrid:
                     fh.write("%.17g,%.17g,%.17g\n" % (a, b, self.values[i, j]))
 
 
-def _decision_margins(dec: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Margins of ``other``'s decision components against ``dec``'s decisions.
-
-    Always ``other``'s own top score, sign flipped when the two argmax
-    decisions differ; matches the per-point decision-level measures.
-    """
-    own = other.max(axis=1)
-    agree = np.argmax(other, axis=1) == np.argmax(dec, axis=1)
-    return np.where(agree, own, -own)
-
-
-def _batch_probs(scores: np.ndarray) -> np.ndarray:
-    return softmax(scores)
-
-
 def emit_surface_grid(
     which: str,
     rho: float,
@@ -82,37 +70,28 @@ def emit_surface_grid(
         raise ValueError("direction must be 'fix_first' or 'fix_second'")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    rho = _check_rho(rho)
     fx = np.asarray(fixed, dtype=float)
     if fx.shape != (3,):
         raise ValueError("the pinned scorer output must have three components")
-    fx = fx - fx.mean()
     axis = np.linspace(-span, span, resolution)
     aa, bb = np.meshgrid(axis, axis, indexing="ij")
     var = np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3)
-    var = var - var.mean(axis=1, keepdims=True)
+    if not (np.isfinite(fx).all() and np.isfinite(var).all()):
+        raise ValueError("surface scores must be finite")
+    fx, var = _center(fx), _center(var)
     fixed_batch = np.broadcast_to(fx, var.shape)
     first, second = (fixed_batch, var) if direction == "fix_first" else (var, fixed_batch)
 
     if which == "mcsd":
         vals = mcsd_rows(first, second, rho)
     elif which in ("tilde", "hat"):
-        margins = _decision_margins(first, second)
-        if which == "tilde":
-            vals = ramp_loss(margins, rho / 2.0)
-        else:
-            vals = (ramp_loss(margins, rho) == 1.0).astype(float)
+        vals = _decision_level(_decision_margin(first, second), rho, which)
     elif which == "md":
         # relative margin of the probe at the reference's decision
-        idx = np.argmax(first, axis=1)
-        picked = np.take_along_axis(second, idx[:, None], axis=1)[:, 0]
-        masked = second.copy()
-        np.put_along_axis(masked, idx[:, None], -np.inf, axis=1)
-        rel = 0.5 * (picked - masked.max(axis=1))
-        vals = ramp_loss(rel, rho)
+        vals = _ramp(_relative_margin(second, first.argmax(axis=1)), rho)
     else:
-        p1, p2 = _batch_probs(first), _batch_probs(second)
+        p1, p2 = softmax(first), softmax(second)
         # logs on floored probabilities, products on the raw ones, matching
         # the per-point surrogates at the grid corners
         lp1 = np.log(_clamped(p1))

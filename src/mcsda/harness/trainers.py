@@ -47,6 +47,7 @@ from ..neural import (
     MlpScorer,
     SgdMomentum,
     _add_grads,
+    _replacing,
     center_scores,
     grad_reversal_step,
     lambda_schedule,
@@ -197,7 +198,7 @@ def _finalize(
     )
     if run_dir is not None:
         model.save(run_dir / "model.ckpt")
-        with open(run_dir / "result.json", "w") as fh:
+        with _replacing(run_dir / "result.json", "w") as fh:
             json.dump(
                 {
                     "method": result.method,
@@ -208,6 +209,7 @@ def _finalize(
                     "os_all": result.os_all,
                     "os_shared": result.os_shared,
                     "unknown_acc": result.unknown_acc,
+                    "notes": result.notes,
                 },
                 fh,
                 indent=2,

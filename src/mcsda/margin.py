@@ -26,9 +26,14 @@ Conventions, fixed across the package:
 
 Each public function validates its arguments once, at entry (``as_scores``,
 ``_check_rho``, ``_check_label``, the finiteness and K-mismatch checks), and
-then computes with private kernels that trust them: ``_ramp``, the one ramp
-formula, ``_absolute_margin`` and ``_violation_matrix``.  So no input is
-centered or checked twice within one call.
+then computes with private kernels that trust them, so no input is
+centered or checked twice within one call.  Each object has one kernel,
+which ``divergence``, ``neural`` and the surface dumps call on batches too:
+``_center``, ``_ramp``, ``_violation_matrix``, ``_component_disagreement``
+(K-1)|dn| + |dp|, ``_decision_margin`` with ``_decision_level`` (its ramp
+at rho/2, 'tilde', or 0/1 saturation, 'hat') and ``_relative_margin``.
+``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
+the O(K) kernels in ``divergence``.
 """
 
 from __future__ import annotations
@@ -76,14 +81,19 @@ class ScoreVector:
         return "ScoreVector(%s)" % np.array2string(self.scores, precision=6)
 
 
+def _center(z: np.ndarray) -> np.ndarray:
+    """Rows of ``z`` (its last axis) projected onto the sum-to-zero hyperplane."""
+    return z - (z.sum(axis=-1) / z.shape[-1])[..., None]
+
+
 def _centered(scores: ScoresLike) -> np.ndarray:
     """Validated, centered, read-only copy of raw scores."""
-    arr = np.array(scores, dtype=np.float64).reshape(-1)
+    arr = np.asarray(scores, dtype=np.float64).reshape(-1)
     if arr.size < 2:
         raise ValueError("score vector needs at least 2 classes, got %d" % arr.size)
     if not np.isfinite(arr).all():
         raise ValueError("scores must be finite")
-    arr -= arr.sum() / arr.size
+    arr = _center(arr)
     if not np.isfinite(arr).all():  # centering overflowed
         raise ValueError("scores must be finite")
     arr.flags.writeable = False
@@ -166,6 +176,14 @@ def absolute_margin(f: ScoresLike, y: int) -> np.ndarray:
     return _absolute_margin(s, _check_label(y, s.size))
 
 
+def _relative_margin(s: np.ndarray, y0) -> np.ndarray:
+    """(s_y - max_{k != y} s_k) / 2 for scores [..., K] and 0-based labels [...]."""
+    y0 = np.asarray(y0)[..., None]
+    rest = s.copy()
+    np.put_along_axis(rest, y0, -np.inf, axis=-1)
+    return 0.5 * (np.take_along_axis(s, y0, axis=-1)[..., 0] - rest.max(axis=-1))
+
+
 def relative_margin(f: ScoresLike, y: int) -> float:
     """Half-gap margin: (f_y - max_{k != y} f_k) / 2.
 
@@ -174,14 +192,16 @@ def relative_margin(f: ScoresLike, y: int) -> float:
     runs on absolute margins instead.
     """
     s = as_scores(f)
-    y0 = _check_label(y, s.size)
-    others = np.delete(s, y0)
-    return 0.5 * float(s[y0] - others.max())
+    return float(_relative_margin(s, _check_label(y, s.size)))
 
 
 def _violation_matrix(s: np.ndarray, rho: float) -> np.ndarray:
-    mu = np.repeat(-s[:, None], s.size, axis=1)
-    np.fill_diagonal(mu, s)
+    """Stacked violation matrices [..., K, K] of centered scores [..., K]:
+    row i holds ramp(-s_i) off the diagonal and ramp(s_i) on it."""
+    k = s.shape[-1]
+    mu = np.repeat(-s[..., :, None], k, axis=-1)
+    idx = np.arange(k)
+    mu[..., idx, idx] = s
     return _ramp(mu, rho)
 
 
@@ -218,11 +238,24 @@ def mcsd_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     return float(np.abs(m1 - m2).sum()) / s1.size
 
 
-def _decision_component_margin(s1: np.ndarray, s2: np.ndarray) -> float:
-    """mu_{h2}(f2, h1): margin of f2's decision component against f1's decision."""
-    j1 = int(np.argmax(s1))
-    j2 = int(np.argmax(s2))
-    return float(s2[j2]) if j1 == j2 else float(-s2[j2])
+def _decision_margin(dec: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """mu_{h2}(f2, h1) for broadcastable score batches [..., K]: ``other``'s
+    top score, negated where ``dec``'s argmax decision differs from it."""
+    top = other.max(axis=-1)
+    agree = dec.argmax(axis=-1) == other.argmax(axis=-1)
+    return np.where(agree, top, -top)[()]  # [()]: a scalar for single vectors
+
+
+def _decision_level(margins: np.ndarray, rho: float, variant: str) -> np.ndarray:
+    """Decision-level disagreement of decision margins at a checked ``rho``:
+    the ramp at width rho/2 ('tilde') or the 0/1 saturation of the ramp at
+    rho ('hat')."""
+    if variant == "tilde":
+        # the half width is checked too: it underflows to 0 for the smallest rho
+        return _ramp(margins, _check_rho(rho / 2.0))
+    if variant == "hat":
+        return (_ramp(margins, rho) == 1.0).astype(np.float64)
+    raise ValueError("variant must be 'tilde' or 'hat', got %r" % variant)
 
 
 def mcsd_tilde_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
@@ -231,9 +264,8 @@ def mcsd_tilde_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     Treats f1's argmax as the hypothesized label and scores f2's decision
     component against it.  Not symmetric in (f1, f2).
     """
-    margin = _decision_component_margin(*_same_k(f1, f2))
-    # the half width is checked too: it underflows to 0 for the smallest rho
-    return float(_ramp(margin, _check_rho(_check_rho(rho) / 2.0)))
+    margin = _decision_margin(*_same_k(f1, f2))
+    return float(_decision_level(margin, _check_rho(rho), "tilde"))
 
 
 def mcsd_hat_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
@@ -242,8 +274,15 @@ def mcsd_hat_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     1.0 exactly when the full-width ramp of mu_{h2}(f2, h1) saturates at 1,
     i.e. when that margin is <= 0; otherwise 0.0.
     """
-    margin = _decision_component_margin(*_same_k(f1, f2))
-    return 1.0 if _ramp(margin, _check_rho(rho)) == 1.0 else 0.0
+    margin = _decision_margin(*_same_k(f1, f2))
+    return float(_decision_level(margin, _check_rho(rho), "hat"))
+
+
+def _component_disagreement(dn, dp, k: int):
+    """(K-1)|dn| + |dp|: the violation-matrix L1 distance carried by one
+    component pair, from the differences of its ramped negated (``dn``) and
+    plain (``dp``) scores."""
+    return (k - 1) * np.abs(dn) + np.abs(dp)
 
 
 def phi_distance(a, b, rho: float, k: int):
@@ -259,9 +298,11 @@ def phi_distance(a, b, rho: float, k: int):
         raise ValueError("phi_distance needs K >= 2, got %d" % k)
     rho = _check_rho(rho)
     xa, xb = _finite_ramp_argument(a), _finite_ramp_argument(b)
-    off = np.abs(_ramp(np.negative(xa), rho) - _ramp(np.negative(xb), rho))
-    diag = np.abs(_ramp(xa, rho) - _ramp(xb, rho))
-    out = (k - 1) * off + diag
+    out = _component_disagreement(
+        _ramp(np.negative(xa), rho) - _ramp(np.negative(xb), rho),
+        _ramp(xa, rho) - _ramp(xb, rho),
+        k,
+    )
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out

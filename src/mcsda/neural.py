@@ -22,10 +22,15 @@ and the adversarial weight.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+
+from .margin import _center
 
 __all__ = [
     "Schedules",
@@ -36,7 +41,6 @@ __all__ = [
     "SgdMomentum",
     "grad_reversal_step",
     "center_scores",
-    "center_score_grad",
 ]
 
 HEAD_LR_MULT = 10.0
@@ -78,14 +82,25 @@ def lambda_schedule(p: float, s: Schedules) -> float:
     return 2.0 / (1.0 + np.exp(-s.gamma * p)) - 1.0
 
 
-def center_scores(raw: np.ndarray) -> np.ndarray:
-    """Project raw head outputs onto sum-to-zero rows."""
-    return raw - raw.mean(axis=-1, keepdims=True)
+# raw head outputs -> sum-to-zero rows (an orthogonal projection, so it also
+# pulls gradients on centered scores back): margin's centering kernel
+center_scores = _center
 
 
-def center_score_grad(g: np.ndarray) -> np.ndarray:
-    """Pull a gradient on centered scores back to the raw head outputs."""
-    return g - g.mean(axis=-1, keepdims=True)
+@contextmanager
+def _replacing(path, mode: str = "wb"):
+    """Open a temporary file next to ``path`` and move it onto ``path`` once
+    the block completes; if the block raises, remove it instead, so a crash
+    mid-write never leaves a truncated file under the final name."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _add_grads(
@@ -116,9 +131,6 @@ class ForwardCache:
     @property
     def feats(self) -> np.ndarray:
         return self.acts[-1]
-
-    def centered(self, name: str) -> np.ndarray:
-        return center_scores(self.raw[name])
 
 
 def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
@@ -188,18 +200,12 @@ class MlpScorer:
             for name in self.params()
         }
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
-
     def replace_head(self, name: str, out_dim: int, center: bool = True) -> None:
         """Install a freshly initialized head (used when widening to K+1)."""
         w, b = _uniform_init(self._rng, int(out_dim), self.feature_dim)
         self._heads[name] = _Head(w, b, bool(center))
 
     # -- forward / backward -------------------------------------------------
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, heads=()).feats
 
     def forward(self, x: np.ndarray, heads: Iterable[str] | None = None) -> ForwardCache:
         x = np.asarray(x, dtype=np.float64)
@@ -271,7 +277,8 @@ class MlpScorer:
     # -- checkpointing --------------------------------------------------------
 
     def save(self, path) -> None:
-        """JSON header line plus little-endian float64 parameter block."""
+        """JSON header line plus little-endian float64 parameter block,
+        written to a temporary file and then moved onto ``path``."""
         params = self.params()
         header = {
             "format": "mcsda-mlp-v1",
@@ -285,7 +292,7 @@ class MlpScorer:
             ],
             "param_order": list(params),
         }
-        with open(path, "wb") as fh:
+        with _replacing(path) as fh:
             fh.write((json.dumps(header) + "\n").encode("utf-8"))
             for name in header["param_order"]:
                 fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())

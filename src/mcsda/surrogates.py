@@ -32,8 +32,6 @@ __all__ = [
     "sur_kl",
     "sur_ce",
     "log_loss",
-    "sur_mdd_variant",
-    "sur_dann",
     "clamp_count",
     "reset_clamp_count",
     "l1_with_grads",
@@ -279,26 +277,3 @@ def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]
     g_src = (ss - 1.0) / ds.size
     g_tgt = -st / dt.size
     return src_term, tgt_term, g_src, g_tgt
-
-
-# ---------------------------------------------------------------------------
-# Scorer-level conveniences (value-only, callable scorers over batches).
-# ---------------------------------------------------------------------------
-
-
-def sur_mdd_variant(src_batch, tgt_batch, f1, f2) -> tuple[float, float]:
-    """Consistency pair evaluated through scorer callables.
-
-    ``f1`` supplies decision classes, ``f2`` the probabilities; both map a
-    batch of inputs to a matrix of raw scores.
-    """
-    src_term, tgt_term, _, _ = mdd_variant_with_grads(
-        f1(src_batch), f2(src_batch), f1(tgt_batch), f2(tgt_batch)
-    )
-    return src_term, tgt_term
-
-
-def sur_dann(src_batch, tgt_batch, d) -> tuple[float, float]:
-    """Binary domain-score pair evaluated through a scalar head callable."""
-    src_term, tgt_term, _, _ = dann_with_grads(d(src_batch), d(tgt_batch))
-    return src_term, tgt_term

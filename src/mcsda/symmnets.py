@@ -141,19 +141,15 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
     zs, zt = _check_joint(z_src), _check_joint(z_tgt)
     if zs.shape[1] != zt.shape[1]:
         raise ValueError("source and target joint widths differ")
-    ns, nt = zs.shape[0], zt.shape[0]
+    nt = zt.shape[0]
     k = zs.shape[1] // 2
     y = np.asarray(labels_src, dtype=np.int64).reshape(-1)
-    if y.size != ns or np.any(y < 1) or np.any(y > k):
+    if y.size != zs.shape[0] or np.any(y < 1) or np.any(y > k):
         raise ValueError("labels must be 1-based within K=%d" % k)
+    # the weighted log loss over the 2K joint scores; the check above keeps
+    # labels in the first half
     w = _per_example_omega(_check_omega(omega, k), y)
-    ps = softmax(zs)
-    rows = np.arange(ns)
-    picked = _clamped(ps[rows, y - 1])
-    src_value = float(np.dot(w, -np.log(picked))) / ns
-    g_src = ps * (w / ns)[:, None]
-    g_src[rows, y - 1] -= w / ns
-
+    src_value, g_src = log_loss_with_grads(zs, y, weights=w)
     pt = softmax(zt)
     q_tot = _clamped(pt[:, k:].sum(axis=1))
     tgt_value = float(np.mean(-np.log(q_tot)))

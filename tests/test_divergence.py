@@ -246,6 +246,16 @@ class TestSmoothedRamp:
     def test_scalar_form(self):
         assert smoothed_ramp(-1.0, 1.0) == 1.0
         assert smoothed_ramp(2.0, 1.0) == 0.0
+        # inside the kink windows, as one element of an array
+        for x in (0.001, 0.999, 1.001):
+            assert smoothed_ramp(x, 1.0) == smoothed_ramp(np.array([x]), 1.0)[0]
+
+    def test_argument_checks(self):
+        for rho in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                smoothed_ramp(0.5, rho)
+        with pytest.raises(ValueError):
+            smoothed_ramp(np.array([0.5, np.inf]), 1.0)
 
 
 class TestAdversarialEstimator:

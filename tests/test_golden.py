@@ -1,0 +1,214 @@
+"""Seeded results pinned bit for bit.
+
+Each expected value is the ``float.hex`` of what the library computed when
+the value was recorded, so any change of rounding on these paths fails
+here: the ``pac-report`` JSON on the default moons file, one K=10
+adversarial ascent, and short seeded runs of five trainers.  Regenerate
+the constants only for a deliberate numeric change, and record that change
+in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mcsda.divergence import mcsd_divergence_adversarial
+from mcsda.harness.cli import main
+from mcsda.harness.config import ExperimentConfig
+from mcsda.harness.trainers import run_experiment
+from mcsda.neural import Schedules
+from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons
+
+PAC_TERMS = (
+    "src_margin_err",
+    "divergence",
+    "rademacher_src",
+    "rademacher_tgt",
+    "rademacher_src_stderr",
+    "rademacher_tgt_stderr",
+    "rad_src_multiplier",
+    "rad_tgt_multiplier",
+    "slack_src",
+    "slack_tgt",
+    "lambda",
+    "lhs_target_err",
+    "rhs_total",
+)
+RUN_METHODS = ("source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2")
+
+
+def pac_report_values(tmp_path) -> dict:
+    """Bound terms, per-candidate terms and file digest of ``pac-report`` at
+    CLI defaults on the default ``gen-data`` moons file (K=2)."""
+    data, out = tmp_path / "moons.csv", tmp_path / "pac.json"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    assert main(["pac-report", "--data", str(data), "--out", str(out)]) == 0
+    text = out.read_bytes()
+    rep = json.loads(text)
+    values = {key: float(rep[key]).hex() for key in PAC_TERMS}
+    values["per_candidate"] = [
+        [float(c[key]).hex() for key in ("src_margin_err", "lhs_target_err", "rhs_total")]
+        for c in rep["per_candidate"]
+    ]
+    values["sha256"] = hashlib.sha256(text).hexdigest()
+    return values
+
+
+def ascent_values() -> dict:
+    """Value and smoothed trajectory of a short ascent on a small K=10 draw;
+    rho = 0.7, so that x / rho rounds."""
+    pair = gen_gauss_blobs(10, 8, (1.0, 0.5), seed=0)
+    res = mcsd_divergence_adversarial(
+        pair.source.points, pair.target.points, k=10, rho=0.7, steps=25, seed=0
+    )
+    return {"value": res.value.hex(), "trajectory": [v.hex() for v in res.trajectory]}
+
+
+def run_values(method: str) -> dict:
+    """Final accuracies, last-epoch losses and divergence proxy of a short
+    seeded mini-batch run on a small moons pair (rho = 0.7, as above)."""
+    pair = gen_rotated_moons(96, 96, 30.0, noise_sd=0.05, seed=0)
+    cfg = ExperimentConfig(
+        method=method, rho=0.7, epochs=3, batch_size=32, seed=0, schedules=Schedules(eta0=0.05)
+    )
+    res = run_experiment(pair, cfg)
+    last = res.metrics[-1]
+    return {
+        "source_acc": res.final_source_acc.hex(),
+        "target_acc": res.final_target_acc.hex(),
+        "losses": {k: v.hex() for k, v in sorted(last.losses.items())},
+        "proxy": None if last.divergence_proxy is None else last.divergence_proxy.hex(),
+    }
+
+
+EXPECTED_PAC = {
+    "src_margin_err": "0x1.a7815a5299d2ap-1",
+    "divergence": "0x1.2918d8b31fa94p-2",
+    "rademacher_src": "0x1.f420a2e969e26p-5",
+    "rademacher_tgt": "0x1.11a1773878680p-4",
+    "rademacher_src_stderr": "0x1.581160c0f5846p-11",
+    "rademacher_tgt_stderr": "0x1.98fbeb54b3310p-11",
+    "rad_src_multiplier": "0x1.0000000000000p+4",
+    "rad_tgt_multiplier": "0x1.0000000000000p+3",
+    "slack_src": "0x1.7346ebf364399p-1",
+    "slack_tgt": "0x1.7346ebf364399p-2",
+    "lambda": "0x1.bee60d914846ep+0",
+    "lhs_target_err": "0x1.ae147ae147ae1p-2",
+    "rhs_total": "0x1.5d90cbbbb65abp+2",
+    "per_candidate": [
+        ["0x1.91fcee6626b98p+0", "0x1.0bf258bf258bep-2", "0x1.8d1fdc0aeccecp+2"],
+        ["0x1.471df38c8391cp+0", "0x1.258bf258bf259p-1", "0x1.7a681d548404dp+2"],
+        ["0x1.ac945360c2110p-1", "0x1.5555555555556p-3", "0x1.5e332add7b628p+2"],
+        ["0x1.e61db86c3787ep+0", "0x1.a147ae147ae16p-1", "0x1.a2280e8c71026p+2"],
+        ["0x1.9bc6040349ce7p+0", "0x1.53a06d3a06d3ap-1", "0x1.8f92217235940p+2"],
+        ["0x1.7c71b439d726cp+0", "0x1.8888888888886p-2", "0x1.87bd0d7fd8ea1p+2"],
+        ["0x1.4c71b073785d8p+0", "0x1.3f258bf258bf2p-2", "0x1.7bbd0c8e4137cp+2"],
+        ["0x1.9d6516650aaa1p+0", "0x1.2fc962fc962fep-1", "0x1.8ff9e60aa5caep+2"],
+        ["0x1.22e1cab2eedd7p+0", "0x1.051eb851eb852p-1", "0x1.7159131e1ed7cp+2"],
+        ["0x1.e57d04b298e59p-1", "0x1.fc962fc962fcap-3", "0x1.65504107b63d1p+2"],
+        ["0x1.efb4674395c88p-1", "0x1.206d3a06d3a06p-2", "0x1.66972d59d5d97p+2"],
+        ["0x1.a7815a5299d2ap-1", "0x1.ae147ae147ae1p-2", "0x1.5d90cbbbb65abp+2"],
+    ],
+    "sha256": "923beaa65a84da417959d4b53d48cebb79a6e1bb34f3ffe45bbfe7de6e8733ca",
+}
+
+EXPECTED_ASCENT = {
+    "value": "0x1.01b8fa04be2fcp+0",
+    "trajectory": [
+        "0x1.46c54ae139e20p-3",
+        "0x1.4da2709366de0p-2",
+        "0x1.d1233c1697b90p-2",
+        "0x1.dbdd6991f3c20p-2",
+        "0x1.20f5086455f70p-1",
+        "0x1.3c6d71805ae40p-1",
+        "0x1.52890ed969410p-1",
+        "0x1.63e80bd2f2d78p-1",
+        "0x1.7799b2da9a6c0p-1",
+        "0x1.909ab036f31f8p-1",
+        "0x1.abf1bf2ebe5e8p-1",
+        "0x1.b2954d1b43500p-1",
+        "0x1.c18ebfe79a910p-1",
+        "0x1.d42ed928bcc90p-1",
+        "0x1.e5dd278feb140p-1",
+        "0x1.f350c916feda0p-1",
+        "0x1.f7f60e818e1c4p-1",
+        "0x1.f89bc63b58988p-1",
+        "0x1.fb685602b9060p-1",
+        "0x1.fcccf7624de50p-1",
+        "0x1.fd18eee93fdb0p-1",
+        "0x1.fed6c68442508p-1",
+        "0x1.00026007da94cp+0",
+        "0x1.00d514c5656a4p+0",
+        "0x1.017089baece30p+0",
+        "0x1.01b6202e0c7c4p+0",
+    ],
+}
+
+EXPECTED_RUNS = {
+    "source_only": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c555555555555p-1",
+        "losses": {
+            "task": "0x1.5053e660d1c64p-1",
+        },
+        "proxy": None,
+    },
+    "mcdal_kl": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "aux_task": "0x1.41dcda3896697p+0",
+            "disagreement": "0x1.ea1fab0773380p-15",
+            "task": "0x1.4f5da12da047ep-1",
+        },
+        "proxy": "0x1.335d7f0756000p-12",
+    },
+    "mcdal_mdd_variant": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "aux_task": "0x1.42da59c92331ep+0",
+            "disagreement": "0x1.64380e629226ep+0",
+            "task": "0x1.4f6bd22aa6825p-1",
+        },
+        "proxy": "-0x1.299408af423c8p-8",
+    },
+    "mcdal_dann": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c555555555555p-1",
+        "losses": {
+            "aux_task": "0x0.0p+0",
+            "disagreement": "0x1.6303e9badc0bcp+0",
+            "task": "0x1.5056a1056b317p-1",
+        },
+        "proxy": None,
+    },
+    "symmnets_v2": {
+        "source_acc": "0x1.8aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "bound_lhs": "0x1.b97e8d3b1a9a5p-5",
+            "bound_rhs": "0x1.d5bbffbc811aep+1",
+            "confuse_src": "0x1.56d9962d23d01p+0",
+            "confuse_tgt": "0x1.63205e32e1463p-1",
+            "discrim": "0x1.03c40bbc1ce06p+1",
+            "task_s": "0x1.4b62c6eca390bp-1",
+            "task_t": "0x1.495e26b275498p-1",
+        },
+        "proxy": "0x1.367cdeca1cc28p-8",
+    },
+}
+
+
+def test_pac_report_on_default_moons_file(tmp_path):
+    assert pac_report_values(tmp_path) == EXPECTED_PAC
+
+
+def test_k10_ascent():
+    assert ascent_values() == EXPECTED_ASCENT
+
+
+@pytest.mark.parametrize("method", RUN_METHODS)
+def test_short_seeded_run(method):
+    assert run_values(method) == EXPECTED_RUNS[method]

@@ -197,6 +197,10 @@ class TestSurfaces:
             emit_surface_grid("mcsd", 0.0)
         with pytest.raises(ValueError):
             emit_surface_grid("mcsd", 1.0, fixed=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            emit_surface_grid("kl", float("nan"))
+        with pytest.raises(ValueError):
+            emit_surface_grid("tilde", 1.0, fixed=(np.inf, 0.0, 0.0))
 
 
 class TestConfig:
@@ -385,6 +389,7 @@ class TestTrainerRuns:
         assert json.loads((run_dir / "config.json").read_text())["seed"] == 7
         summary = json.loads((run_dir / "result.json").read_text())
         assert summary["final_target_acc"] == res.final_target_acc
+        assert summary["notes"] == []
         reloaded = MlpScorer.load(run_dir / "model.ckpt")
         pts = _easy_pair().target.points
         assert np.array_equal(
@@ -406,10 +411,42 @@ class TestTrainerRuns:
         res = run_experiment(_easy_pair(), cfg)
         assert len(res.metrics) == 1 and res.metrics[0].nan_flag
         assert not res.converged
-        saved = MlpScorer.load(tmp_path / "symmnets_v2_seed0" / "model.ckpt").params()
+        run_dir = tmp_path / "symmnets_v2_seed0"
+        summary = json.loads((run_dir / "result.json").read_text())
+        assert summary["notes"] == ["stopped at epoch 0: non-finite scores"]
+        saved = MlpScorer.load(run_dir / "model.ckpt").params()
         for name, value in seen["before"].items():
             assert np.array_equal(res.model.params()[name], value), name
             assert np.array_equal(saved[name], value), name
+
+    def test_interrupted_writes_leave_no_partial_files(self, tmp_path, monkeypatch):
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        cfg = ExperimentConfig(method="source_only", epochs=1, seed=0, outdir=str(tmp_path))
+        res = run_experiment(_easy_pair(), cfg)
+        run_dir = tmp_path / "source_only_seed0"
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        # the checkpoint fails after its header and first parameters are written
+        params = dict(res.model.params(), **{"psi1.w": Unwritable()})
+        monkeypatch.setattr(res.model, "params", lambda: params)
+        for d in (fresh, run_dir):
+            with pytest.raises(OSError):
+                res.model.save(d / "model.ckpt")
+        monkeypatch.undo()
+        # no file under the final name and no temporary file in a fresh
+        # directory; an earlier run's files are left whole
+        assert list(fresh.iterdir()) == []
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # the summary fails partway through its JSON, after a good checkpoint
+        for d in (fresh, run_dir):
+            with pytest.raises(TypeError):
+                trainers._finalize(cfg, _easy_pair(), res.model, res.metrics, d, notes=[object()])
+        assert [p.name for p in fresh.iterdir()] == ["model.ckpt"]
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     @pytest.mark.parametrize(
         "method", ["source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2"]

@@ -6,11 +6,21 @@ eager copy kept here: one smoothed-ramp call per operand returning values
 and slopes together, full gradients for every line-search trial and a grid
 evaluation for every accepted pair's exact objective.  So the batched and
 split paths are compared against independent arithmetic.
+
+``TestOneKernelPerObject`` scans the library source: the ramp, the row
+centering, the per-component disagreement, the violation-matrix diagonal
+and the signed decision margin may each be spelled out in one function
+only, their kernel in ``mcsda.margin``.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcsda
 from mcsda.divergence import (
     AdversarialDivergence,
     SampleSet,
@@ -389,3 +399,85 @@ class TestMarginViolations:
             mu[np.arange(16), y - 1] = c[np.arange(16), y - 1]
             want += float(np.clip(1.0 - mu / 1.0, 0.0, 1.0).sum(axis=1).mean())
         assert rhs == want
+
+
+SRC = Path(mcsda.__file__).resolve().parent
+
+# object -> (pattern over an unparsed expression, the one function allowed to
+# contain it, as (path under src/mcsda, function name))
+KERNEL_RULES = {
+    "ramp clamp": (
+        re.compile(r"\bclip\(1\b|\bmaximum\(1(\.0)? - .* / rho\b"),
+        ("margin.py", "_ramp"),
+    ),
+    "row-mean subtraction": (
+        re.compile(
+            r"-=? \(?[\w.\[\]]+\."
+            r"(mean\([^)]*keepdims|sum\([^)]*\) / [\w.]+(\.size\b|\.shape\[))"
+        ),
+        ("margin.py", "_center"),
+    ),
+    "per-component disagreement": (
+        re.compile(r"\(k - 1\) \* (np\.)?abs\("),
+        ("margin.py", "_component_disagreement"),
+    ),
+    "violation-matrix diagonal": (
+        re.compile(r"\bfill_diagonal\(|\[\.\.\., (\w+), \1\]"),
+        ("margin.py", "_violation_matrix"),
+    ),
+    "signed decision margin": (
+        re.compile(r"\bwhere\(.+, (?P<top>[A-Za-z_][\w\[\]:, ]*), -(?P=top)\)"),
+        ("margin.py", "_decision_margin"),
+    ),
+}
+
+
+def kernel_spellings(source: str, path: str) -> set[tuple[str, str, str]]:
+    """(object, path, enclosing function) for every expression or augmented
+    assignment of ``source`` that spells out one of the KERNEL_RULES objects."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = node
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.expr, ast.AugAssign, ast.Assign)):
+            continue
+        if isinstance(node, ast.Constant):  # docstrings quote formulas
+            continue
+        text = ast.unparse(node)
+        for name, (pattern, _) in KERNEL_RULES.items():
+            if pattern.search(text):
+                scope = node
+                while scope in owner and not isinstance(scope, ast.FunctionDef):
+                    scope = owner[scope]
+                found.add((name, path, getattr(scope, "name", "<module>")))
+    return found
+
+
+class TestOneKernelPerObject:
+    def test_each_object_is_spelled_out_in_its_kernel_only(self):
+        found = set()
+        for file in sorted(SRC.rglob("*.py")):
+            rel = file.relative_to(SRC).as_posix()
+            found |= kernel_spellings(file.read_text(), rel)
+        owners = {(name, *where) for name, (_, where) in KERNEL_RULES.items()}
+        assert found - owners == set(), "duplicate kernel outside its owner"
+        assert found == owners  # every rule still recognizes its own kernel
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [
+            ("ramp clamp", "def r(x, rho):\n    return np.clip(1.0 - x / rho, 0.0, 1.0)\n"),
+            ("ramp clamp", "def r(x, rho):\n    return np.maximum(1.0 - x / rho, 0.0)\n"),
+            ("row-mean subtraction", "def c(z):\n    return z - z.mean(axis=1, keepdims=True)\n"),
+            ("row-mean subtraction", "def c(a):\n    a -= a.sum() / a.size\n"),
+            ("per-component disagreement", "def p(k, d):\n    return (k - 1) * np.abs(d[0])\n"),
+            ("violation-matrix diagonal", "def v(mu, s):\n    np.fill_diagonal(mu, s)\n"),
+            ("violation-matrix diagonal", "def v(mu, s, i):\n    mu[..., i, i] = s\n"),
+            ("signed decision margin", "def m(a, t):\n    return np.where(a, t, -t)\n"),
+        ],
+    )
+    def test_scan_flags_a_reintroduced_duplicate(self, name, source):
+        assert (name, "dup.py", source[4]) in kernel_spellings(source, "dup.py")

@@ -11,7 +11,6 @@ from mcsda.neural import (
     MlpScorer,
     Schedules,
     SgdMomentum,
-    center_score_grad,
     center_scores,
     grad_reversal_step,
     lambda_schedule,
@@ -234,8 +233,10 @@ class TestCenteredScores:
         np.testing.assert_allclose(center_scores(raw).sum(axis=1), 0.0, atol=1e-12)
 
     def test_grad_pullback_is_projection(self):
+        # centering is an orthogonal projection, so the same map pulls a
+        # gradient on centered scores back to the raw head outputs
         g = np.array([[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(center_score_grad(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
+        np.testing.assert_allclose(center_scores(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
 
     def test_scorer_callable_centers(self):
         model = MlpScorer(2, {"f": (3, True)}, seed=7)

@@ -24,10 +24,8 @@ from mcsda.surrogates import (
     sigmoid,
     softmax,
     sur_ce,
-    sur_dann,
     sur_kl,
     sur_l1,
-    sur_mdd_variant,
 )
 
 UNIFORM3 = [1.0 / 3.0] * 3
@@ -258,13 +256,15 @@ class TestMddVariant:
         fd_check(lambda a: (mdd_variant_with_grads(ref_s, aux_s, ref_t, a)[1],),
                  (aux_t,), 0, g_tgt)
 
-    def test_scorer_level_wrapper(self):
+    def test_pinned_values(self):
+        # reference decisions: class 1 on the source point, class 2 on the
+        # target point; the auxiliary head is uniform over three classes
         w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        f1 = lambda x: x @ w.T
-        f2 = lambda x: np.zeros((x.shape[0], 3))
         src_batch = np.array([[3.0, 0.0]])
         tgt_batch = np.array([[0.0, 3.0]])
-        src, tgt = sur_mdd_variant(src_batch, tgt_batch, f1, f2)
+        src, tgt, _, _ = mdd_variant_with_grads(
+            src_batch @ w.T, np.zeros((1, 3)), tgt_batch @ w.T, np.zeros((1, 3))
+        )
         assert src == pytest.approx(math.log(3.0), abs=1e-12)
         assert tgt == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
 
@@ -286,8 +286,7 @@ class TestDann:
         fd_check(lambda a: (dann_with_grads(a, dt)[0],), (ds,), 0, g_src)
         fd_check(lambda a: (dann_with_grads(ds, a)[1],), (dt,), 0, g_tgt)
 
-    def test_scorer_level_wrapper(self):
-        d = lambda x: x[:, 0]
-        src, tgt = sur_dann(np.array([[0.0]]), np.array([[0.0]]), d)
+    def test_pinned_values(self):
+        src, tgt, _, _ = dann_with_grads(np.array([0.0]), np.array([0.0]))
         assert src == pytest.approx(math.log(2.0), abs=1e-12)
         assert tgt == pytest.approx(math.log(0.5), abs=1e-12)

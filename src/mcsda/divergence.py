@@ -27,9 +27,11 @@ Three routes are provided:
 
 ``pac_bound_report`` assembles the finite-sample bound: target 0-1 error
 against source margin error + divergence + scaled complexities + slack
-terms + the best achievable joint margin error.  All expectations accept
-explicit point masses so fully enumerated universes can be checked
-exactly.
+terms + the best achievable joint margin error.  It evaluates the grid once
+per sample and hands those scores to the cores behind the public
+estimators (``_exact_mcsd``, ``_exact_variant``, ``_rademacher``).  All
+expectations accept explicit point masses so fully enumerated universes
+can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
 ramp, per-component disagreement, violation matrix, decision margin);
@@ -45,8 +47,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _center, _check_rho, _component_disagreement, _decision_level
-from .margin import _decision_margin, _finite_ramp_argument, _ramp, _violation_matrix
+from .margin import _absolute_margin, _center, _check_rho, _component_disagreement
+from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _ramp
+from .margin import _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -205,7 +208,13 @@ def mcsd_rows(a, b, rho: float) -> np.ndarray:
     matrix holds ramp(-f_i) K-1 times and ramp(f_i) once.
     """
     rho = _check_rho(rho)
-    r = _signed_ramps(_finite_ramp_argument(np.stack([a, b])), rho)
+    return _mcsd_rows(_finite_ramp_argument(np.stack([a, b])), rho)
+
+
+def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
+    """``mcsd_rows`` of a stacked pair ab [2, ..., K] of finite centered
+    scores, at a checked ``rho`` broadcastable against [..., K]."""
+    r = _signed_ramps(ab, rho)
     return _rows_from_ramps(r[:, 0], r[:, 1])
 
 
@@ -281,10 +290,13 @@ def mcsd_divergence_exact(
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    return _sup_over_pairs(
-        _pairwise_mcsd_means(grid.evaluate(src_pts), ws, rho),
-        _pairwise_mcsd_means(grid.evaluate(tgt_pts), wt, rho),
-    )
+    return _exact_mcsd(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho)
+
+
+def _exact_mcsd(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float) -> ExactDivergence:
+    """``mcsd_divergence_exact`` from the grid's evaluated scores [c, n, K] on
+    each side and checked masses and ``rho``."""
+    return _sup_over_pairs(_pairwise_mcsd_means(ss, ws, rho), _pairwise_mcsd_means(st, wt, rho))
 
 
 def divergence_exact_variant(
@@ -301,8 +313,11 @@ def divergence_exact_variant(
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    ss = grid.evaluate(src_pts)
-    st = grid.evaluate(tgt_pts)
+    return _exact_variant(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho, variant)
+
+
+def _exact_variant(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float, variant: str):
+    """``divergence_exact_variant`` from evaluated scores, as ``_exact_mcsd``."""
     return _sup_over_pairs(
         _pairwise_variant_means(ss, ws, rho, variant),
         _pairwise_variant_means(st, wt, rho, variant),
@@ -437,8 +452,7 @@ def _exact_mean(p: _SmoothedPass, rho: float, weights: np.ndarray) -> float:
     ab = p.x[0]
     if not np.isfinite(ab).all():
         raise ValueError("ascent head pair produced non-finite scores")
-    r = _signed_ramps(_center(ab), rho)
-    return float(_rows_from_ramps(r[:, 0], r[:, 1]) @ weights)
+    return float(_mcsd_rows(_center(ab), rho) @ weights)
 
 
 @dataclass
@@ -603,12 +617,15 @@ def rademacher_estimate(
     signed sum, and the estimate is the mean over draws divided by the
     sample size.
     """
+    return _rademacher(grid.evaluate(_as_points(sample)), sigma_draws, seed)
+
+
+def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEstimate:
+    """``rademacher_estimate`` from the grid's evaluated scores [c, m, K]."""
     if sigma_draws < 2:
         raise ValueError("need at least 2 sigma draws, got %d" % sigma_draws)
-    pts = _as_points(sample)
-    m = pts.shape[0]
-    evals = grid.evaluate(pts)  # [c, m, K]
-    g = np.moveaxis(evals, 2, 1).reshape(len(grid) * grid.k, m)  # component rows
+    c, m, k = evals.shape
+    g = np.moveaxis(evals, 2, 1).reshape(c * k, m)  # component rows
     rng = np.random.default_rng(seed)
     sigma = rng.choice((-1.0, 1.0), size=(int(sigma_draws), m))
     sups = (sigma @ g.T).max(axis=1)  # [draws]
@@ -629,8 +646,7 @@ def _margin_violations(scores, labels, rho: float) -> np.ndarray:
     n, k = s.shape[-2:]
     if y.size != n or np.any(y < 1) or np.any(y > k):
         raise ValueError("labels must be 1-based and match the score rows")
-    signs = np.where(np.arange(1, k + 1) == y[:, None], 1.0, -1.0)
-    return _ramp(s * signs, rho).sum(axis=-1)
+    return _ramp(_absolute_margin(s, y - 1), rho).sum(axis=-1)
 
 
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
@@ -743,9 +759,9 @@ def pac_bound_report(
     tgt_errs = np.array([p @ w_t for p in _margin_violations(scores_tgt, tgt.labels, rho)])
     lhs = np.array([zero_one_error(scores_tgt[i], tgt.labels) for i in range(len(grid))])
 
-    div = mcsd_divergence_exact(src, tgt, grid, rho)
-    rad_s = rademacher_estimate(src, grid, sigma_draws=sigma_draws, seed=seed)
-    rad_t = rademacher_estimate(tgt, grid, sigma_draws=sigma_draws, seed=seed + 1)
+    div = _exact_mcsd(scores_src, scores_tgt, w_s, w_t, rho)
+    rad_s = _rademacher(scores_src, sigma_draws, seed)
+    rad_t = _rademacher(scores_tgt, sigma_draws, seed + 1)
 
     rad_src_mult = 2.0 * k * k / rho + 4.0 * k / rho
     rad_tgt_mult = 4.0 * k / rho

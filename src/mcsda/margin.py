@@ -29,9 +29,12 @@ Each public function validates its arguments once, at entry (``as_scores``,
 then computes with private kernels that trust them, so no input is
 centered or checked twice within one call.  Each object has one kernel,
 which ``divergence``, ``neural`` and the surface dumps call on batches too:
-``_center``, ``_ramp``, ``_violation_matrix``, ``_component_disagreement``
-(K-1)|dn| + |dp|, ``_decision_margin`` with ``_decision_level`` (its ramp
-at rho/2, 'tilde', or 0/1 saturation, 'hat') and ``_relative_margin``.
+``_center``, ``_ramp``, ``_absolute_margin``, ``_violation_matrix`` with
+``_matrix_disagreement`` (the K x K form of the pointwise disagreement),
+``_component_disagreement`` (K-1)|dn| + |dp|, ``_decision_margin`` with
+``_decision_level`` (its ramp at rho/2, 'tilde', or 0/1 saturation, 'hat')
+and ``_relative_margin``.  The kernels broadcast a per-row ``rho``, which
+the theory suite uses to test its lemmas on whole batches of draws.
 ``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
 the O(K) kernels in ``divergence``.
 """
@@ -161,10 +164,11 @@ def argmax_label(f: ScoresLike) -> int:
     return int(np.argmax(s)) + 1
 
 
-def _absolute_margin(s: np.ndarray, y0: int) -> np.ndarray:
-    mu = -s
-    mu[y0] = s[y0]
-    return mu
+def _absolute_margin(s: np.ndarray, y0) -> np.ndarray:
+    """Absolute margins [..., K] of scores [..., K] under 0-based labels
+    broadcastable against [...]: +s_k at the label, -s_k elsewhere."""
+    signs = np.where(np.arange(s.shape[-1]) == np.asarray(y0)[..., None], 1.0, -1.0)
+    return s * signs
 
 
 def absolute_margin(f: ScoresLike, y: int) -> np.ndarray:
@@ -232,10 +236,15 @@ def mcsd_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     and ``divergence.mcsd_rows``.
     """
     s1, s2 = _same_k(f1, f2)
-    rho = _check_rho(rho)
-    m1 = _violation_matrix(s1, rho)
-    m2 = _violation_matrix(s2, rho)
-    return float(np.abs(m1 - m2).sum()) / s1.size
+    return float(_matrix_disagreement(s1, s2, _check_rho(rho)))
+
+
+def _matrix_disagreement(s1: np.ndarray, s2: np.ndarray, rho) -> np.ndarray:
+    """Entrywise L1 distance over K of the violation matrices of centered
+    score batches [..., K], at a checked ``rho`` broadcastable against
+    [..., K, K]; returns [...]."""
+    d = np.abs(_violation_matrix(s1, rho) - _violation_matrix(s2, rho))
+    return d.sum(axis=(-2, -1)) / s1.shape[-1]
 
 
 def _decision_margin(dec: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -246,13 +255,16 @@ def _decision_margin(dec: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.where(agree, top, -top)[()]  # [()]: a scalar for single vectors
 
 
-def _decision_level(margins: np.ndarray, rho: float, variant: str) -> np.ndarray:
-    """Decision-level disagreement of decision margins at a checked ``rho``:
-    the ramp at width rho/2 ('tilde') or the 0/1 saturation of the ramp at
-    rho ('hat')."""
+def _decision_level(margins: np.ndarray, rho, variant: str) -> np.ndarray:
+    """Decision-level disagreement of decision margins at a checked ``rho``
+    (broadcastable against them): the ramp at width rho/2 ('tilde') or the
+    0/1 saturation of the ramp at rho ('hat')."""
     if variant == "tilde":
+        half = rho / 2.0
         # the half width is checked too: it underflows to 0 for the smallest rho
-        return _ramp(margins, _check_rho(rho / 2.0))
+        if np.any(half == 0.0):
+            raise ValueError("margin width rho/2 underflows to 0 for rho = %r" % (rho,))
+        return _ramp(margins, half)
     if variant == "hat":
         return (_ramp(margins, rho) == 1.0).astype(np.float64)
     raise ValueError("variant must be 'tilde' or 'hat', got %r" % variant)

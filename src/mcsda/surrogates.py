@@ -108,16 +108,12 @@ def _check_prob_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
 
 def sur_l1(p1, p2) -> float:
     """L1 distance between probability vectors, scaled by 1/K; in [0, 2/K]."""
-    a, b = _check_prob_pair(p1, p2)
-    return float(np.abs(a - b).sum()) / a.size
+    return float(_l1_rows(*_check_prob_pair(p1, p2)))
 
 
 def sur_kl(p1, p2) -> float:
     """Symmetrized KL: (KL(p1||p2) + KL(p2||p1)) / 2.  Not a metric."""
-    a, b = _check_prob_pair(p1, p2)
-    ca, cb = _clamped(a), _clamped(b)
-    lr = np.log(ca) - np.log(cb)
-    return 0.5 * float(np.dot(a, lr) - np.dot(b, lr))
+    return float(_kl_rows(*_check_prob_pair(p1, p2)))
 
 
 def sur_ce(p1, p2) -> float:
@@ -125,9 +121,31 @@ def sur_ce(p1, p2) -> float:
 
     Equals sur_kl plus half the sum of the two entropies.
     """
-    a, b = _check_prob_pair(p1, p2)
+    return float(_ce_rows(*_check_prob_pair(p1, p2)))
+
+
+# Row forms of the three surrogates over probability rows [..., K].
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows [..., K] of a and b, as a stacked matmul: it
+    rounds like the 1-D ``np.dot`` in every row; a row-wise sum of products
+    does not."""
+    return (a[..., None, :] @ b[..., :, None]).squeeze((-2, -1))
+
+
+def _l1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b).sum(axis=-1) / a.shape[-1]
+
+
+def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    lr = np.log(_clamped(a)) - np.log(_clamped(b))
+    return 0.5 * (_row_dot(a, lr) - _row_dot(b, lr))
+
+
+def _ce_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ca, cb = _clamped(a), _clamped(b)
-    return -0.5 * float(np.dot(a, np.log(cb)) + np.dot(b, np.log(ca)))
+    return -0.5 * (_row_dot(a, np.log(cb)) + _row_dot(b, np.log(ca)))
 
 
 def log_loss(p, y: int) -> float:
@@ -221,7 +239,13 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != n:
         raise ValueError("got %d weights for %d score rows" % (w.size, n))
-    p = softmax(s)
+    return _weighted_log_loss(softmax(s), y, w)
+
+
+def _weighted_log_loss(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """``log_loss_with_grads`` from softmax rows [n, K] and checked 1-based
+    labels and weights [n]."""
+    n = p.shape[0]
     picked = p[np.arange(n), y - 1]
     value = float(np.dot(w, -np.log(_clamped(picked)))) / n
     g = p * (w / n)[:, None]

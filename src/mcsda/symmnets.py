@@ -18,7 +18,9 @@ probabilities) so they compose with the manual backprop:
 * ``symmnets_step``     one simultaneous update: heads descend
   task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
-  without updating them).
+  without updating them).  It computes each domain's joint softmax once
+  and passes it to the private cores behind ``confuse_src``,
+  ``confuse_tgt`` and ``discrim``.
 
 Class weights (all ones outside partial mode) re-weight source examples by
 their label; ``partial_weights`` re-estimates them from target predictions
@@ -36,7 +38,8 @@ import numpy as np
 
 from .divergence import SampleSet, _margin_violations, mcsd_rows
 from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
-from .surrogates import _chain_softmax, _clamped, log_loss_with_grads, softmax
+from .surrogates import _chain_softmax, _clamped, _weighted_log_loss, log_loss_with_grads
+from .surrogates import softmax
 
 __all__ = [
     "loss_task_src",
@@ -72,6 +75,15 @@ def _per_example_omega(omega: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return omega[labels - 1]
 
 
+def _checked_labels(labels, n: int, k: int, omega) -> tuple[np.ndarray, np.ndarray]:
+    """1-based labels of n joint score rows, checked to lie in the first K,
+    and their per-example class weights."""
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.size != n or np.any(y < 1) or np.any(y > k):
+        raise ValueError("labels must be 1-based within K=%d" % k)
+    return y, _per_example_omega(_check_omega(omega, k), y)
+
+
 def _check_joint(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] % 2 or z.shape[1] < 4:
@@ -94,13 +106,14 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
     example's mass evenly between the label's two neurons.
     """
     z = _check_joint(z)
-    n, k2 = z.shape
-    k = k2 // 2
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.size != n or np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels must be 1-based within K=%d" % k)
-    w = _per_example_omega(_check_omega(omega, k), y)
-    p = softmax(z)
+    y, w = _checked_labels(labels, z.shape[0], z.shape[1] // 2, omega)
+    return _confuse_src(softmax(z), y, w)
+
+
+def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """``confuse_src`` from the joint softmax rows and checked labels and
+    per-example weights."""
+    n, k = p.shape[0], p.shape[1] // 2
     rows = np.arange(n)
     pa = _clamped(p[rows, y - 1])
     pb = _clamped(p[rows, y - 1 + k])
@@ -119,10 +132,12 @@ def confuse_tgt(z) -> tuple[float, np.ndarray]:
     batch; it attains log(2)/2 per example exactly when the two halves agree
     and concentrate on a single class pair.
     """
-    z = _check_joint(z)
-    n, k2 = z.shape
-    k = k2 // 2
-    p = softmax(z)
+    return _confuse_tgt(softmax(_check_joint(z)))
+
+
+def _confuse_tgt(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """``confuse_tgt`` from the joint softmax rows."""
+    n, k = p.shape[0], p.shape[1] // 2
     r, q = p[:, :k], p[:, k:]
     cr, cq = _clamped(r), _clamped(q)
     value = -0.5 * float(np.sum(q * np.log(cr)) + np.sum(r * np.log(cq))) / n
@@ -141,16 +156,17 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
     zs, zt = _check_joint(z_src), _check_joint(z_tgt)
     if zs.shape[1] != zt.shape[1]:
         raise ValueError("source and target joint widths differ")
-    nt = zt.shape[0]
-    k = zs.shape[1] // 2
-    y = np.asarray(labels_src, dtype=np.int64).reshape(-1)
-    if y.size != zs.shape[0] or np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels must be 1-based within K=%d" % k)
-    # the weighted log loss over the 2K joint scores; the check above keeps
+    y, w = _checked_labels(labels_src, zs.shape[0], zs.shape[1] // 2, omega)
+    return _discrim(softmax(zs), y, softmax(zt), w)
+
+
+def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
+    """``discrim`` from the joint softmax rows of both domains and checked
+    source labels and per-example weights."""
+    nt, k = pt.shape[0], pt.shape[1] // 2
+    # the weighted log loss over the 2K joint scores; the label check keeps
     # labels in the first half
-    w = _per_example_omega(_check_omega(omega, k), y)
-    src_value, g_src = log_loss_with_grads(zs, y, weights=w)
-    pt = softmax(zt)
+    src_value, g_src = _weighted_log_loss(ps, y, w)
     q_tot = _clamped(pt[:, k:].sum(axis=1))
     tgt_value = float(np.mean(-np.log(q_tot)))
     u = np.zeros_like(pt)
@@ -220,9 +236,14 @@ def symmnets_step(
         task_t_val, g_task_t = loss_task_src(cache_s.raw[HEAD_T], src_y, omega)
         values["task_t"] = task_t_val
         head_grads_src[HEAD_T] = g_task_t
+    # one joint softmax per domain, shared by the discrimination and
+    # confusion terms
+    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
+    ps = softmax(zs)
     head_grads_tgt: dict[str, np.ndarray] = {}
     if adversarial:
-        disc_val, g_disc_s, g_disc_t = discrim(zs, src_y, zt, omega)
+        pt = softmax(zt)
+        disc_val, g_disc_s, g_disc_t = _discrim(ps, y, pt, w)
         values["discrim"] = disc_val
         _add_grads(head_grads_src, {HEAD_S: g_disc_s[:, :k], HEAD_T: g_disc_s[:, k:]})
         head_grads_tgt = {HEAD_S: g_disc_t[:, :k], HEAD_T: g_disc_t[:, k:]}
@@ -232,13 +253,13 @@ def symmnets_step(
         _add_grads(grads, model.backward(cache_t, head_grads_tgt, heads_only=True))
 
     # feature map: confusion terms through frozen head weights
-    conf_s_val, g_conf_s = confuse_src(zs, src_y, omega)
+    conf_s_val, g_conf_s = _confuse_src(ps, y, w)
     values["confuse_src"] = conf_s_val
     psi_grads = model.backward(
         cache_s, {HEAD_S: g_conf_s[:, :k], HEAD_T: g_conf_s[:, k:]}, psi_only=True
     )
     if adversarial:
-        conf_t_val, g_conf_t = confuse_tgt(zt)
+        conf_t_val, g_conf_t = _confuse_tgt(pt)
         values["confuse_tgt"] = conf_t_val
         conf_t_grads = {HEAD_S: lam * g_conf_t[:, :k], HEAD_T: lam * g_conf_t[:, k:]}
         _add_grads(psi_grads, model.backward(cache_t, conf_t_grads, psi_only=True))

@@ -3,7 +3,8 @@
 Each expected value is the ``float.hex`` of what the library computed when
 the value was recorded, so any change of rounding on these paths fails
 here: the ``pac-report`` JSON on the default moons file, one K=10
-adversarial ascent, and short seeded runs of five trainers.  Regenerate
+adversarial ascent, short seeded runs of five trainers and the
+``theory-check`` report at CLI defaults.  Regenerate
 the constants only for a deliberate numeric change, and record that change
 in CHANGES.md.
 """
@@ -16,6 +17,7 @@ import pytest
 from mcsda.divergence import mcsd_divergence_adversarial
 from mcsda.harness.cli import main
 from mcsda.harness.config import ExperimentConfig
+from mcsda.harness.theory import run_theory_checks
 from mcsda.harness.trainers import run_experiment
 from mcsda.neural import Schedules
 from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons
@@ -79,6 +81,25 @@ def run_values(method: str) -> dict:
         "target_acc": res.final_target_acc.hex(),
         "losses": {k: v.hex() for k, v in sorted(last.losses.items())},
         "proxy": None if last.divergence_proxy is None else last.divergence_proxy.hex(),
+    }
+
+
+def theory_values() -> dict:
+    """``passed`` and details of every check of ``run_theory_checks(seed=0)``
+    at CLI defaults (2000 trials, 20 universes), floats as ``float.hex``.
+    ``single_vector_gap`` is left out: ``tests/test_theory.py`` holds it to
+    its tolerance."""
+    report = run_theory_checks(seed=0, trials=2000, n_universes=20).to_json()
+
+    def pinned(v):
+        return float(v).hex() if isinstance(v, float) else v
+
+    return {
+        c["name"]: [
+            c["passed"],
+            {k: pinned(v) for k, v in c["details"].items() if k != "single_vector_gap"},
+        ]
+        for c in report["checks"]
     }
 
 
@@ -212,3 +233,77 @@ def test_k10_ascent():
 @pytest.mark.parametrize("method", RUN_METHODS)
 def test_short_seeded_run(method):
     assert run_values(method) == EXPECTED_RUNS[method]
+
+
+EXPECTED_THEORY = {
+    "ramp_properties": [True, {"worst_lipschitz_excess": "0x1.0000000000000p-53"}],
+    "margin_decision_property": [True, {"violations": 0}],
+    "per_component_identity": [
+        True,
+        {
+            "worst_abs_gap": "0x1.8000000000000p-45",
+            "tol": "0x1.19799812dea11p-40",
+            "mutant_rho_scale": "0x1.0000000000000p+0",
+        },
+    ],
+    "pointwise_lemmas": [True, {"worst_excess_a": "0x0.0p+0", "worst_excess_b": "0x0.0p+0"}],
+    "decision_level_lemmas": [True, {"worst_excess": "0x0.0p+0", "structure_ok": True}],
+    "pointwise_metric_properties": [True, {"worst_triangle_excess": "0x1.0000000000000p-51"}],
+    "surrogate_identities": [
+        True,
+        {
+            "worst_identity_gap": "0x1.0000000000000p-50",
+            "kl_triangle_violation": "0x1.4c28323cc79d4p-5",
+            "ce_triangle_violation": "0x1.5a48142fa31b0p-2",
+        },
+    ],
+    "enumerated_universe_bounds": [
+        True,
+        {
+            "worst_excess_matrix": "-0x1.565f8d6d5b984p+0",
+            "worst_excess_tilde": "-0x1.3c8ac984a3d6dp+0",
+            "worst_excess_hat": "-0x1.3c8ac984a3d6dp+0",
+            "n_universes": 20,
+        },
+    ],
+    "divergence_properties": [
+        True,
+        {
+            "worst_negative_value": "0x1.2492492492494p-2",
+            "worst_triangle_excess": "-0x1.35027471b3840p-7",
+            "largest_asymmetry_witness": "0x1.7dfbb35aaef04p-2",
+        },
+    ],
+    "adversarial_estimator": [
+        True,
+        {
+            "ascent_value": "0x1.8000000000004p+1",
+            "exact_over_visited": "0x1.7ffffffffffffp+1",
+            "monotone": True,
+            "identical_samples_value": "0x0.0p+0",
+            "ascent_warning": None,
+        },
+    ],
+    "rademacher_sign_symmetric": [
+        True,
+        {
+            "estimate": "0x1.8e89e90ba76dcp-2",
+            "oracle": "0x1.87f20fc12888fp-2",
+            "gap": "0x1.a5f6529fb9340p-8",
+            "stderr": "0x1.1d1d459c814ffp-8",
+        },
+    ],
+    "finite_sample_bound": [
+        True,
+        {
+            "lhs": "0x1.5555555555556p-3",
+            "rhs": "0x1.6ccb63f849f78p+5",
+            "divergence": "0x1.3505031f41e54p-2",
+        },
+    ],
+    "schedule_closed_forms": [True, {"worst_gap": "0x1.0000000000000p-52"}],
+}
+
+
+def test_theory_report_at_cli_defaults():
+    assert theory_values() == EXPECTED_THEORY

@@ -18,7 +18,7 @@ from mcsda.harness import trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
-from mcsda.divergence import mcsd_divergence_adversarial
+from mcsda.divergence import ScorerGrid, mcsd_divergence_adversarial
 from mcsda.harness.theory import (
     check_adversarial_estimator,
     check_prop3_identity,
@@ -89,6 +89,8 @@ class TestTheorySuite:
         path = tmp_path / "report.json"
         report.write(path)
         parsed = json.loads(path.read_text())
+        assert list(parsed)[0] == "schema_version"
+        assert parsed["schema_version"] == 1
         assert parsed["seed"] == 3
         assert parsed["all_passed"] is True
         assert [c["name"] for c in parsed["checks"]] == [c.name for c in report.checks]
@@ -662,6 +664,22 @@ class TestCli:
         assert parsed["holds"] is True
         assert parsed["lambda"] >= 0.0
         assert parsed["lhs_target_err"] <= parsed["rhs_total"]
+
+    def test_pac_report_evaluates_the_grid_once_per_sample(
+        self, blobs_csv, tmp_path, monkeypatch
+    ):
+        calls = []
+        evaluate = ScorerGrid.evaluate
+
+        def counted(grid, points):
+            calls.append(len(points))
+            return evaluate(grid, points)
+
+        monkeypatch.setattr(ScorerGrid, "evaluate", counted)
+        rc = main(["pac-report", "--data", str(blobs_csv), "--out", str(tmp_path / "pac.json")])
+        assert rc == 0
+        pair = read_csv(blobs_csv)
+        assert calls == [pair.source.n, pair.target.n]
 
 
 class TestBenchmarkTracing:

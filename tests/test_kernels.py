@@ -37,7 +37,7 @@ from mcsda.divergence import (
     pac_bound_report,
     violation_tensor,
 )
-from mcsda.margin import source_margin_loss
+from mcsda.margin import _absolute_margin, _center, absolute_margin, source_margin_loss
 from mcsda.symmnets import disagreement_bound_gap
 from mcsda.synthdata import gen_gauss_blobs
 
@@ -367,6 +367,20 @@ class TestMarginViolations:
                 want = source_margin_loss(scores[c, i], int(labels[i]), 1.0)
                 assert per_point[c, i] == pytest.approx(want, abs=1e-12)
 
+    def test_absolute_margin_kernel_matches_single_vectors(self):
+        rng = np.random.default_rng(24)
+        raw = rng.normal(size=(3, 20, 4))
+        labels = rng.integers(1, 5, size=20)
+        scores = _center(raw)  # what absolute_margin computes with
+        mu = _absolute_margin(scores, labels - 1)
+        assert mu.shape == scores.shape
+        for c in range(3):
+            for i in range(20):
+                want = -scores[c, i]
+                want[labels[i] - 1] = scores[c, i, labels[i] - 1]
+                assert np.array_equal(mu[c, i], want)
+                assert np.array_equal(absolute_margin(raw[c, i], int(labels[i])), want)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             _margin_violations(np.zeros((2, 5, 3)), [1, 2, 3, 4, 1], 1.0)
@@ -425,6 +439,10 @@ KERNEL_RULES = {
         re.compile(r"\bfill_diagonal\(|\[\.\.\., (\w+), \1\]"),
         ("margin.py", "_violation_matrix"),
     ),
+    "absolute margin": (
+        re.compile(r"\* signs\b"),
+        ("margin.py", "_absolute_margin"),
+    ),
     "signed decision margin": (
         re.compile(r"\bwhere\(.+, (?P<top>[A-Za-z_][\w\[\]:, ]*), -(?P=top)\)"),
         ("margin.py", "_decision_margin"),
@@ -477,6 +495,7 @@ class TestOneKernelPerObject:
             ("violation-matrix diagonal", "def v(mu, s):\n    np.fill_diagonal(mu, s)\n"),
             ("violation-matrix diagonal", "def v(mu, s, i):\n    mu[..., i, i] = s\n"),
             ("signed decision margin", "def m(a, t):\n    return np.where(a, t, -t)\n"),
+            ("absolute margin", "def a(s, signs, rho):\n    return _ramp(s * signs, rho)\n"),
         ],
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mcsda import surrogates, symmnets
 from mcsda.divergence import SampleSet, empirical_mcsd, margin_error
 from mcsda.neural import MlpScorer, SgdMomentum, center_scores
 from mcsda.surrogates import clamp_count, reset_clamp_count, softmax
@@ -216,6 +217,24 @@ class TestSymmnetsStep:
         assert not all(np.isfinite(v) for v in vals.values())
         for k, v in self.model.params().items():
             assert np.array_equal(before[k], v), k
+
+    @pytest.mark.parametrize("adversarial, calls", [(True, 4), (False, 3)])
+    def test_one_softmax_per_joint_score_matrix(self, monkeypatch, adversarial, calls):
+        # two task losses, then the joint softmax of each domain the step uses
+        counted = []
+
+        def counting(scores):
+            counted.append(np.shape(scores))
+            return softmax(scores)
+
+        monkeypatch.setattr(surrogates, "softmax", counting)
+        monkeypatch.setattr(symmnets, "softmax", counting)
+        symmnets_step(self.model, self.opt, self.pair.source.points,
+                      self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01,
+                      adversarial=adversarial, rho=1.0)
+        assert len(counted) == calls
+        n_s, n_t = self.pair.source.n, self.pair.target.n
+        assert counted[2:] == [(n_s, 6), (n_t, 6)][: calls - 2]
 
     def test_parameters_move(self):
         before = {k: v.copy() for k, v in self.model.params().items()}

@@ -1,0 +1,245 @@
+"""Theory suite: the batched checks replay the per-trial draws and fail
+their mutants.
+
+The oracle draw loops below make one trial's generator calls after
+another and center each score draw with ``s - s.mean()``, as the
+statements' per-trial form reads: every batched check must see exactly
+their draws, centered to the same bits.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from mcsda import divergence, margin, surrogates
+from mcsda.divergence import ScorerGrid
+from mcsda.harness import theory
+from mcsda.margin import _center
+
+
+def random_scores(rng, k, rho):
+    scale = rho * (0.2, 1.0, 3.0)[rng.integers(3)]
+    s = rng.uniform(-2.0 * scale, 2.0 * scale, size=k)
+    return s - s.mean()
+
+
+def oracle_ramp(seed, trials):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        rho = float(rng.uniform(0.1, 10.0))
+        x, y = rng.uniform(-3 * rho, 3 * rho, size=2)
+        draws.append((rho, x, y))
+    return draws
+
+
+def oracle_margin_decision(seed, trials):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        f = random_scores(rng, k, 1.0)
+        y = int(rng.integers(1, k + 1))
+        draws.append((k, f, y))
+    return draws
+
+
+def oracle_prop3(seed, trials, ks=(2, 3, 5, 10), rhos=(0.5, 1.0, 5.0)):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in ks:
+        for rho in rhos:
+            for _ in range(trials):
+                f1 = random_scores(rng, k, rho)
+                f2 = random_scores(rng, k, rho)
+                draws.append((k, rho, f1, f2))
+    return draws
+
+
+def oracle_lemmas(seed, trials):
+    # the draws of both the pointwise and the decision-level lemma loops
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        rho = float(rng.uniform(0.2, 5.0))
+        f, fp = random_scores(rng, k, rho), random_scores(rng, k, rho)
+        y = int(rng.integers(1, k + 1))
+        draws.append((k, rho, f, fp, y))
+    return draws
+
+
+def oracle_metric(seed, trials):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        rho = float(rng.uniform(0.2, 5.0))
+        f1, f2, f3 = (random_scores(rng, k, rho) for _ in range(3))
+        draws.append((k, rho, f1, f2, f3))
+    return draws
+
+
+def oracle_surrogates(seed, trials):
+    # the loop applied softmax to each logit draw right away
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        z1 = rng.normal(0, 2, size=k)
+        z2 = rng.normal(0, 2, size=k)
+        z3 = rng.normal(0, 2, size=k)
+        draws.append((k, z1, z2, z3))
+    return draws
+
+
+# check -> (its grouped draws, the oracle loop, the columns that are raw
+# score draws, which the check centers per group); trial counts are those
+# run_theory_checks passes at CLI defaults
+DRAWS = {
+    "check_ramp": (
+        lambda s: theory._grouped(theory._ramp_draws(s, 2000), key=lambda d: None),
+        lambda s: oracle_ramp(s, 2000),
+        (),
+    ),
+    "check_margin_decision": (
+        lambda s: theory._grouped(theory._decision_draws(s, 2000)),
+        lambda s: oracle_margin_decision(s, 2000),
+        (1,),
+    ),
+    "check_prop3_identity": (
+        lambda s: theory._grouped(
+            theory._prop3_draws(s, 500, (2, 3, 5, 10), (0.5, 1.0, 5.0)), key=lambda d: d[:2]
+        ),
+        lambda s: oracle_prop3(s, 500),
+        (2, 3),
+    ),
+    "check_pointwise_lemmas": (
+        lambda s: theory._grouped(theory._lemma_draws(s, 2000)),
+        lambda s: oracle_lemmas(s, 2000),
+        (2, 3),
+    ),
+    "check_variant_lemmas": (
+        lambda s: theory._grouped(theory._lemma_draws(s, 2000)),
+        lambda s: oracle_lemmas(s, 2000),
+        (2, 3),
+    ),
+    "check_mcsd_metric": (
+        lambda s: theory._grouped(theory._metric_draws(s, 2000)),
+        lambda s: oracle_metric(s, 2000),
+        (2, 3, 4),
+    ),
+    "check_surrogate_identities": (
+        lambda s: theory._grouped(theory._surrogate_draws(s, 500)),
+        lambda s: oracle_surrogates(s, 500),
+        (),
+    ),
+}
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestDrawReplay:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("check", sorted(DRAWS))
+    def test_grouped_draws_equal_the_per_trial_loop(self, check, seed):
+        grouped, oracle, centered = DRAWS[check]
+        groups, where = grouped(seed)
+        want = oracle(seed)
+        assert len(where) == len(want)
+        cols = {
+            g: [_center(col) if j in centered else col for j, col in enumerate(arrays)]
+            for g, arrays in groups.items()
+        }
+        assert sum(len(arrays[0]) for arrays in groups.values()) == len(want)
+        for (g, row), draw in zip(where, want):
+            assert len(cols[g]) == len(draw)
+            for col, value in zip(cols[g], draw):
+                assert bits(col[row]) == bits(value)
+
+
+def scale_everywhere(monkeypatch, module, name, factor):
+    """Replace ``module.name`` by a scaled copy in every mcsda module that
+    holds it, so the single-vector functions see the mutant too."""
+    orig = getattr(module, name)
+
+    def scaled(*args, **kwargs):
+        return factor * orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("mcsda") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, scaled)
+
+
+def run_check(check, seed=0, trials=400):
+    if check == "check_prop3_identity":
+        return theory.check_prop3_identity(seed, 100)
+    return getattr(theory, check)(seed, trials)
+
+
+class TestMutants:
+    @pytest.mark.parametrize(
+        "check, module, name, factor",
+        [
+            ("check_ramp", margin, "_ramp", 2.0),
+            ("check_margin_decision", margin, "_absolute_margin", -1.0),
+            ("check_prop3_identity", margin, "_matrix_disagreement", 2.0),
+            ("check_pointwise_lemmas", divergence, "_mcsd_rows", 2.0),
+            ("check_pointwise_lemmas", divergence, "_margin_violations", 0.5),
+            ("check_variant_lemmas", margin, "_decision_level", 2.0),
+            ("check_variant_lemmas", divergence, "_margin_violations", 0.5),
+            ("check_mcsd_metric", divergence, "_mcsd_rows", 10.0),
+            ("check_surrogate_identities", surrogates, "_ce_rows", 1.5),
+        ],
+    )
+    def test_scaled_kernel_fails_the_check(self, monkeypatch, check, module, name, factor):
+        assert run_check(check).passed
+        scale_everywhere(monkeypatch, module, name, factor)
+        assert not run_check(check).passed
+
+    @pytest.mark.parametrize(
+        "check, name",
+        [
+            ("check_ramp", "_ramp"),
+            ("check_margin_decision", "_absolute_margin"),
+            ("check_prop3_identity", "_matrix_disagreement"),
+            ("check_pointwise_lemmas", "_mcsd_rows"),
+            ("check_variant_lemmas", "_decision_level"),
+            ("check_mcsd_metric", "_mcsd_rows"),
+            ("check_surrogate_identities", "_l1_rows"),
+        ],
+    )
+    def test_batched_drift_shows_in_the_single_vector_gap(self, monkeypatch, check, name):
+        # one part in 1e6, in the suite's batched path only: the public
+        # single-vector functions keep the real kernel
+        orig = getattr(theory, name)
+        monkeypatch.setattr(theory, name, lambda *args: orig(*args) * (1.0 + 1e-6))
+        res = run_check(check)
+        assert not res.passed
+        assert res.details["single_vector_gap"] > 1e-12
+
+
+class TestReport:
+    def test_every_batched_check_reports_its_single_vector_gap(self):
+        report = theory.run_theory_checks(seed=4, trials=300, n_universes=2)
+        gaps = {c.name: c.details.get("single_vector_gap") for c in report.checks[:7]}
+        assert all(gap is not None and 0.0 <= gap <= 1e-12 for gap in gaps.values()), gaps
+        assert all("single_vector_gap" not in c.details for c in report.checks[7:])
+
+    def test_universe_grid_is_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = ScorerGrid.evaluate
+
+        def counted(grid, points):
+            calls.append(len(points))
+            return evaluate(grid, points)
+
+        monkeypatch.setattr(ScorerGrid, "evaluate", counted)
+        for i, rho in enumerate((0.5, 1.0, 5.0)):
+            calls.clear()
+            u = theory.build_universe(i, rho=rho)
+            theory._universe_bound_gaps(u)
+            assert calls == [len(u.points)]

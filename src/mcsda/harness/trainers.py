@@ -63,7 +63,6 @@ from ..symmnets import (
     HEAD_S,
     HEAD_T,
     eval_openset,
-    openset_adapt,
     openset_sampler,
     partial_weights,
     symmnets_step,
@@ -233,7 +232,8 @@ def _source_only_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str,
     if not _finite(cache.raw):
         return {"task": float("nan")}
     value, g = log_loss_with_grads(cache.raw["f"], ys)
-    opt.step(model.backward(cache, {"f": g}), lr)
+    score_grads = {"f": g}
+    opt.step(model.backward(cache, score_grads, score_grads), lr)
     return {"task": value}
 
 
@@ -276,9 +276,11 @@ def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float
         aux_val = cfg.aux_task_weight * (v1 + v2)
         task_score_grads["f1"] = cfg.aux_task_weight * g1
         task_score_grads["f2"] = cfg.aux_task_weight * g2
-    task_grads = model.backward(cache_s, task_score_grads)
+    task_grads = model.backward(cache_s, task_score_grads, task_score_grads)
     disagreement, g_src, g_tgt = _disagreement(cfg.surrogate, cache_s.raw, cache_t.raw)
-    disc_grads = _add_grads(model.backward(cache_s, g_src), model.backward(cache_t, g_tgt))
+    disc_grads = _add_grads(
+        model.backward(cache_s, g_src, g_src), model.backward(cache_t, g_tgt, g_tgt)
+    )
     grad_reversal_step(
         model, opt, task_grads, disc_grads, zeta, lr, adversary, cfg.zeta_on_adversary
     )
@@ -332,9 +334,9 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
     """Train the configured method on a domain pair, one record per epoch.
 
     Partial mode (SymmNets only) re-estimates class weights from target
-    predictions once per epoch with the annealed blend; open-set mode widens
-    the heads to K_shared + 1 and draws source batches from the
-    super-class-oversampling sampler.
+    predictions once per epoch with the annealed blend; open-set mode draws
+    source batches from the super-class-oversampling sampler (the heads
+    already have the pair's K_shared + 1 outputs).
     """
     spec = _method(cfg, pair.k)
     mode = pair.mode if spec.modes else "closed"
@@ -346,8 +348,6 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
         feature_dim=cfg.feature_dim,
         seed=init_seed,
     )
-    if mode == "openset":
-        openset_adapt(model, pair.k_shared)  # no-op when built at open-set width
     opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
     rng = np.random.default_rng(shuffle_seed)
     xs, ys = pair.source.points, pair.source.labels

@@ -8,9 +8,11 @@ invariant, so their gradients are taken with respect to the raw head
 outputs and already sum to zero per row.
 
 Gradients flow through an explicit cache (inputs, per-layer activations,
-head outputs).  ``MlpScorer.backward`` accepts per-head gradient matrices
-with respect to the raw head outputs plus an optional direct gradient on
-the features, and returns a dict of parameter gradients; it is audited
+head outputs).  ``MlpScorer.backward`` takes two maps from head name to
+dL/d(raw head outputs): the head parameters take their gradients from the
+first, the feature map from the second, pulled back through the current
+head weights.  Passing one map twice is plain backprop; an empty map leaves
+that side out.  It returns a dict of parameter gradients and is audited
 against central finite differences in the tests.
 
 Optimization is plain SGD with momentum (v <- m v + g; theta <- theta -
@@ -133,6 +135,15 @@ class ForwardCache:
         return self.acts[-1]
 
 
+def _score_grad(cache: ForwardCache, name: str, g) -> np.ndarray:
+    """dL/d(raw outputs of head ``name``) as float64, checked against the
+    head's cached output shape."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != cache.raw[name].shape:
+        raise ValueError("gradient shape %r mismatches head %r" % (g.shape, name))
+    return g
+
+
 def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
     bound = 1.0 / np.sqrt(in_dim)
     w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
@@ -171,7 +182,6 @@ class MlpScorer:
         for name, (out_dim, center) in heads.items():
             w, b = _uniform_init(rng, int(out_dim), self.feature_dim)
             self._heads[name] = _Head(w, b, bool(center))
-        self._rng = rng  # retained for head re-dimensioning
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -200,11 +210,6 @@ class MlpScorer:
             for name in self.params()
         }
 
-    def replace_head(self, name: str, out_dim: int, center: bool = True) -> None:
-        """Install a freshly initialized head (used when widening to K+1)."""
-        w, b = _uniform_init(self._rng, int(out_dim), self.feature_dim)
-        self._heads[name] = _Head(w, b, bool(center))
-
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, heads: Iterable[str] | None = None) -> ForwardCache:
@@ -225,35 +230,27 @@ class MlpScorer:
     def backward(
         self,
         cache: ForwardCache,
-        score_grads: Mapping[str, np.ndarray],
-        feat_grad: np.ndarray | None = None,
-        psi_only: bool = False,
-        heads_only: bool = False,
+        head_grads: Mapping[str, np.ndarray],
+        psi_grads: Mapping[str, np.ndarray],
     ) -> dict[str, np.ndarray]:
-        """Parameter gradients for dL/d(raw head outputs) plus optional dL/dfeats.
+        """Parameter gradients from two maps of dL/d(raw head outputs).
 
-        ``psi_only`` treats head weights as fixed linear maps (gradients
-        returned for psi parameters only); ``heads_only`` stops gradients at
-        the features.
+        Head parameters take ``head_grads``; the feature map takes
+        ``psi_grads``, pulled back through the current head weights (which
+        that side treats as fixed linear maps).  An empty map leaves its
+        side out of the result.
         """
-        if psi_only and heads_only:
-            raise ValueError("psi_only and heads_only are mutually exclusive")
         grads: dict[str, np.ndarray] = {}
         feats = cache.feats
-        dfeat = np.zeros_like(feats)
-        for name, g in score_grads.items():
-            head = self._heads[name]
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != cache.raw[name].shape:
-                raise ValueError("gradient shape %r mismatches head %r" % (g.shape, name))
-            if not psi_only:
-                grads["head:%s.w" % name] = g.T @ feats
-                grads["head:%s.b" % name] = g.sum(axis=0)
-            dfeat += g @ head.w
-        if feat_grad is not None:
-            dfeat = dfeat + feat_grad
-        if heads_only:
+        for name, g in head_grads.items():
+            g = _score_grad(cache, name, g)
+            grads["head:%s.w" % name] = g.T @ feats
+            grads["head:%s.b" % name] = g.sum(axis=0)
+        if not psi_grads:
             return grads
+        dfeat = np.zeros_like(feats)
+        for name, g in psi_grads.items():
+            dfeat += _score_grad(cache, name, g) @ self._heads[name].w
         for i in range(len(self._psi) - 1, -1, -1):
             a = cache.acts[i]
             prev = cache.x if i == 0 else cache.acts[i - 1]
@@ -379,9 +376,8 @@ def grad_reversal_step(
     for name, p in model.params().items():
         t = task_grads.get(name)
         d = disagreement_grads.get(name)
-        g = np.zeros_like(p)
-        if t is not None:
-            g = g + t
+        # a parameter without a task gradient still steps (momentum decay)
+        g = np.zeros_like(p) if t is None else t
         if d is not None:
             if name.startswith(adv_prefixes):
                 g = g + (zeta * d if zeta_on_adversary else d)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .margin import _check_label
+
 __all__ = [
     "softmax",
     "sur_l1",
@@ -151,9 +153,8 @@ def _ce_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def log_loss(p, y: int) -> float:
     """Negative log probability of the 1-based label y."""
     a = np.asarray(p, dtype=np.float64).reshape(-1)
-    if not 1 <= int(y) <= a.size:
-        raise ValueError("label %r outside {1..%d}" % (y, a.size))
-    return -float(np.log(_clamped(a[int(y) - 1 : int(y)]))[0])
+    i = _check_label(y, a.size)
+    return -float(np.log(_clamped(a[i : i + 1]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ probabilities) so they compose with the manual backprop:
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
   without updating them).  It computes each domain's joint softmax once
   and passes it to the private cores behind ``confuse_src``,
-  ``confuse_tgt`` and ``discrim``.
+  ``confuse_tgt`` and ``discrim``, then makes one backward pass per domain
+  that takes the head gradients from one set of score gradients and the
+  feature-map gradients from the other.
 
 Class weights (all ones outside partial mode) re-weight source examples by
 their label; ``partial_weights`` re-estimates them from target predictions
-once per epoch.  Open-set helpers re-dimension heads to K_shared + 1
-outputs, oversample the source super class, and score per-class target
-accuracy including unknowns.
+once per epoch.  Open-set pairs arrive with K_shared + 1 classes, so the
+heads are built at that width; the open-set helpers oversample the source
+super class and score per-class target accuracy including unknowns.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "discrim",
     "symmnets_step",
     "partial_weights",
-    "openset_adapt",
     "openset_sampler",
     "openset_class_probs",
     "OpensetEval",
@@ -175,6 +176,11 @@ def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
     return src_value + tgt_value, g_src, g_tgt
 
 
+def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
+    """Gradients on joint [n, 2K] scores as the two heads' [n, K] halves."""
+    return {HEAD_S: g[:, :k], HEAD_T: g[:, k:]}
+
+
 def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, float]:
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
@@ -202,11 +208,16 @@ def symmnets_step(
     Heads descend task losses plus (when adversarial) the discrimination
     term, with gradients stopped at the features.  The feature map descends
     confuse_src plus lambda times confuse_tgt (through frozen head weights);
-    without the adversarial part it descends confuse_src alone.  Returns the
-    loss values for metrics; with ``rho`` given it also reports (and
-    enforces) the per-step bound of the mean head disagreement by the sum of
-    the two source margin errors.  A batch whose scores are not finite is
-    not stepped: the parameters keep their values and ``task_s`` is NaN.
+    without the adversarial part it descends confuse_src alone.  Each domain
+    takes one backward pass that routes its head and feature-map gradients
+    separately: source task + discrimination to the heads and confuse_src to
+    the feature map, then target discrimination to the heads and lambda
+    times confuse_tgt to the feature map (the target pass only when
+    adversarial).  Returns the loss values for metrics; with ``rho`` given
+    it also reports (and enforces) the per-step bound of the mean head
+    disagreement by the sum of the two source margin errors.  A batch whose
+    scores are not finite is not stepped: the parameters keep their values
+    and ``task_s`` is NaN.
     """
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
@@ -228,7 +239,8 @@ def symmnets_step(
         values["bound_lhs"] = lhs
         values["bound_rhs"] = rhs
 
-    # heads: task terms (+ discrimination when adversarial)
+    # heads: task terms (+ discrimination when adversarial); feature map:
+    # confusion terms through frozen head weights
     task_s_val, g_task_s = loss_task_src(cache_s.raw[HEAD_S], src_y, omega)
     values["task_s"] = task_s_val
     head_grads_src = {HEAD_S: g_task_s}
@@ -240,30 +252,19 @@ def symmnets_step(
     # confusion terms
     y, w = _checked_labels(src_y, zs.shape[0], k, omega)
     ps = softmax(zs)
-    head_grads_tgt: dict[str, np.ndarray] = {}
     if adversarial:
         pt = softmax(zt)
         disc_val, g_disc_s, g_disc_t = _discrim(ps, y, pt, w)
         values["discrim"] = disc_val
-        _add_grads(head_grads_src, {HEAD_S: g_disc_s[:, :k], HEAD_T: g_disc_s[:, k:]})
-        head_grads_tgt = {HEAD_S: g_disc_t[:, :k], HEAD_T: g_disc_t[:, k:]}
-
-    grads = model.backward(cache_s, head_grads_src, heads_only=True)
-    if head_grads_tgt:
-        _add_grads(grads, model.backward(cache_t, head_grads_tgt, heads_only=True))
-
-    # feature map: confusion terms through frozen head weights
+        _add_grads(head_grads_src, _by_head(g_disc_s, k))
     conf_s_val, g_conf_s = _confuse_src(ps, y, w)
     values["confuse_src"] = conf_s_val
-    psi_grads = model.backward(
-        cache_s, {HEAD_S: g_conf_s[:, :k], HEAD_T: g_conf_s[:, k:]}, psi_only=True
-    )
+    grads = model.backward(cache_s, head_grads_src, _by_head(g_conf_s, k))
     if adversarial:
         conf_t_val, g_conf_t = _confuse_tgt(pt)
         values["confuse_tgt"] = conf_t_val
-        conf_t_grads = {HEAD_S: lam * g_conf_t[:, :k], HEAD_T: lam * g_conf_t[:, k:]}
-        _add_grads(psi_grads, model.backward(cache_t, conf_t_grads, psi_only=True))
-    grads.update(psi_grads)
+        tgt_grads = model.backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k))
+        _add_grads(grads, tgt_grads)
     optimizer.step(grads, lr)
     return values
 
@@ -281,22 +282,6 @@ def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
         raise ValueError("expected a batch of target scores")
     omega = p.mean(axis=0)
     return xi * omega / omega.max() + (1.0 - xi)
-
-
-def openset_adapt(model: MlpScorer, k_shared: int) -> bool:
-    """Widen both scoring heads to K_shared + 1 outputs (fresh init).
-
-    Returns True when heads were replaced, False when they already had the
-    open-set width (so closed-set models pass through untouched).
-    """
-    if k_shared < 2:
-        raise ValueError("need at least 2 shared classes")
-    out = k_shared + 1
-    if model.head_dim(HEAD_S) == out and model.head_dim(HEAD_T) == out:
-        return False
-    model.replace_head(HEAD_S, out, center=True)
-    model.replace_head(HEAD_T, out, center=True)
-    return True
 
 
 def openset_class_probs(k_shared: int, nu: float) -> np.ndarray:

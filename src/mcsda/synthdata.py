@@ -75,6 +75,14 @@ class DomainPair:
             raise ValueError("meta['k'] must be >= 2")
         if self.source.labels.max() > k or lab.max() > k:
             raise ValueError("labels exceed the declared class count %d" % k)
+        if self.mode == "openset":
+            # the heads are built at the pair's width, K_shared + 1
+            k_shared = int(self.meta.get("k_shared", 0))
+            if k_shared < 2 or k != k_shared + 1:
+                raise ValueError(
+                    "open-set pairs need k_shared >= 2 and k == k_shared + 1, got k=%d, "
+                    "k_shared=%d" % (k, k_shared)
+                )
 
     @property
     def k(self) -> int:

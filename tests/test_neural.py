@@ -19,18 +19,15 @@ from mcsda.neural import (
 
 
 def composed_loss(model, x):
-    """Scalar test loss: sin over raw head outputs, cos over features."""
+    """Scalar test loss: sin over raw head outputs."""
     cache = model.forward(x)
-    total = sum(float(np.sum(np.sin(raw))) for raw in cache.raw.values())
-    total += float(np.sum(np.cos(cache.feats)))
-    return total
+    return sum(float(np.sum(np.sin(raw))) for raw in cache.raw.values())
 
 
 def composed_grads(model, x):
     cache = model.forward(x)
     score_grads = {name: np.cos(raw) for name, raw in cache.raw.items()}
-    feat_grad = -np.sin(cache.feats)
-    return model.backward(cache, score_grads, feat_grad=feat_grad)
+    return model.backward(cache, score_grads, score_grads)
 
 
 class TestBackward:
@@ -67,7 +64,8 @@ class TestBackward:
         params["head:f.b"][...] = 0.0
         x = np.array([[0.3]])
         cache = model.forward(x)
-        grads = model.backward(cache, {"f": np.ones((1, 1))})
+        g = {"f": np.ones((1, 1))}
+        grads = model.backward(cache, g, g)
         t = math.tanh(0.3)
         assert grads["head:f.w"][0, 0] == pytest.approx(t, abs=1e-12)
         assert grads["head:f.b"][0] == pytest.approx(1.0, abs=1e-12)
@@ -78,26 +76,42 @@ class TestBackward:
         model = MlpScorer(2, {"f": (2, True)}, hidden=(), feature_dim=3, seed=1)
         x = np.zeros((5, 2))
         cache = model.forward(x)
-        grads = model.backward(cache, {"f": np.ones((5, 2))})
+        g = {"f": np.ones((5, 2))}
+        grads = model.backward(cache, g, g)
         np.testing.assert_allclose(grads["psi0.w"], 0.0, atol=0.0)
         assert np.any(grads["psi0.b"] != 0.0)
 
-    def test_heads_only_and_psi_only(self):
-        model = MlpScorer(2, {"f": (2, True)}, hidden=(2,), feature_dim=2, seed=2)
-        cache = model.forward(np.ones((3, 2)))
-        g = {"f": np.ones((3, 2))}
-        heads = model.backward(cache, g, heads_only=True)
-        assert set(heads) == {"head:f.w", "head:f.b"}
-        psi = model.backward(cache, g, psi_only=True)
+    def test_split_maps_route_heads_and_psi_separately(self):
+        model = MlpScorer(2, {"f": (2, True), "d": (1, False)}, hidden=(2,), feature_dim=2,
+                          seed=2)
+        rng = np.random.default_rng(3)
+        cache = model.forward(rng.normal(size=(3, 2)))
+        a = {"f": rng.normal(size=(3, 2)), "d": rng.normal(size=(3, 1))}
+        b = {"f": rng.normal(size=(3, 2)), "d": rng.normal(size=(3, 1))}
+        split = model.backward(cache, a, b)
+        plain_a = model.backward(cache, a, a)
+        plain_b = model.backward(cache, b, b)
+        assert set(split) == set(model.params())
+        for name, g in split.items():
+            expect = plain_a[name] if name.startswith("head:") else plain_b[name]
+            assert np.array_equal(g, expect), name
+        heads = model.backward(cache, a, {})
+        assert set(heads) == {"head:f.w", "head:f.b", "head:d.w", "head:d.b"}
+        psi = model.backward(cache, {}, a)
         assert set(psi) == {"psi0.w", "psi0.b", "psi1.w", "psi1.b"}
-        with pytest.raises(ValueError):
-            model.backward(cache, g, psi_only=True, heads_only=True)
+        for name in heads:
+            assert np.array_equal(heads[name], plain_a[name]), name
+        for name in psi:
+            assert np.array_equal(psi[name], plain_a[name]), name
 
     def test_gradient_shape_check(self):
         model = MlpScorer(2, {"f": (2, True)}, seed=3)
         cache = model.forward(np.ones((3, 2)))
+        bad = {"f": np.ones((4, 2))}
         with pytest.raises(ValueError):
-            model.backward(cache, {"f": np.ones((4, 2))})
+            model.backward(cache, bad, {})
+        with pytest.raises(ValueError):
+            model.backward(cache, {}, bad)
 
 
 class TestSchedules:
@@ -277,10 +291,3 @@ class TestCheckpointAndDeterminism:
         b = MlpScorer(2, {"f": (3, True)}, seed=11)
         for name, p in a.params().items():
             assert np.array_equal(p, b.params()[name])
-
-    def test_replace_head_redimensions(self):
-        model = MlpScorer(2, {"f": (3, True)}, seed=0)
-        model.replace_head("f", 5)
-        assert model.head_dim("f") == 5
-        out = model.forward(np.ones((2, 2))).raw["f"]
-        assert out.shape == (2, 5)

@@ -140,6 +140,8 @@ class TestPointwiseSurrogates:
             log_loss(UNIFORM3, 0)
         with pytest.raises(ValueError):
             log_loss(UNIFORM3, 4)
+        with pytest.raises(ValueError):
+            log_loss([0.2, 0.8], 1.5)
 
     def test_prob_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from mcsda.symmnets import (
     discrim,
     eval_openset,
     loss_task_src,
-    openset_adapt,
     openset_class_probs,
     openset_sampler,
     partial_weights,
@@ -236,6 +235,23 @@ class TestSymmnetsStep:
         n_s, n_t = self.pair.source.n, self.pair.target.n
         assert counted[2:] == [(n_s, 6), (n_t, 6)][: calls - 2]
 
+    @pytest.mark.parametrize("adversarial, calls", [(True, 2), (False, 1)])
+    def test_one_backward_per_domain(self, monkeypatch, adversarial, calls):
+        # each backward routes head and feature-map gradients at once: the
+        # source pass always, the target pass only with the adversarial part
+        counted = []
+        backward = MlpScorer.backward
+        xs, xt = self.pair.source.points, self.pair.target.points
+
+        def counting(model, cache, *args, **kwargs):
+            counted.append("source" if cache.x is xs else "target" if cache.x is xt else None)
+            return backward(model, cache, *args, **kwargs)
+
+        monkeypatch.setattr(MlpScorer, "backward", counting)
+        symmnets_step(self.model, self.opt, xs, self.pair.source.labels, xt, lam=0.5,
+                      lr=0.01, adversarial=adversarial, rho=1.0)
+        assert counted == ["source", "target"][:calls]
+
     def test_parameters_move(self):
         before = {k: v.copy() for k, v in self.model.params().items()}
         symmnets_step(self.model, self.opt, self.pair.source.points,
@@ -272,9 +288,9 @@ class TestConfusionEqualizesHeads:
             zt = np.concatenate([ct.raw[HEAD_S], ct.raw[HEAD_T]], axis=1)
             _, g_s = confuse_src(zs, ys)
             _, g_t = confuse_tgt(zt)
-            psi = model.backward(cs, {HEAD_S: g_s[:, :k], HEAD_T: g_s[:, k:]}, psi_only=True)
+            psi = model.backward(cs, {}, {HEAD_S: g_s[:, :k], HEAD_T: g_s[:, k:]})
             for name, g in model.backward(
-                ct, {HEAD_S: g_t[:, :k], HEAD_T: g_t[:, k:]}, psi_only=True
+                ct, {}, {HEAD_S: g_t[:, :k], HEAD_T: g_t[:, k:]}
             ).items():
                 psi[name] = psi[name] + g
             opt.step(psi, 0.05)
@@ -321,18 +337,6 @@ class TestPartialWeights:
             partial_weights(np.zeros((2, 3)), 1.5)
         with pytest.raises(ValueError):
             partial_weights(np.zeros(3), 0.5)
-
-
-class TestOpensetAdapt:
-    def test_redimension_once(self):
-        model = two_head_model(5, seed=0)
-        assert openset_adapt(model, 2) is True
-        assert model.head_dim(HEAD_S) == 3 and model.head_dim(HEAD_T) == 3
-        assert openset_adapt(model, 2) is False
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            openset_adapt(two_head_model(3), 1)
 
 
 class TestOpensetSampler:

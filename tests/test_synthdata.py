@@ -1,5 +1,7 @@
 """Synthetic domain pairs: determinism, geometry, mode restrictions, CSV."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,33 @@ class TestOpenset:
             make_openset(base, [1], [1], [2])
         with pytest.raises(ValueError):
             make_openset(base, [1], [2], [9])
+        # a single shared class is rejected when the pair is built
+        with pytest.raises(ValueError):
+            make_openset(base, [1], [2], [3])
+
+    def test_pair_width_checks(self):
+        src = SampleSet(np.ones((4, 2)), [1, 2, 3, 3])
+        tgt = SampleSet(np.ones((3, 2)))
+        hidden = np.array([1, 2, 3])
+        DomainPair(src, tgt, "openset", {"k": 3, "k_shared": 2}, hidden)
+        with pytest.raises(ValueError):
+            DomainPair(src, tgt, "openset", {"k": 2, "k_shared": 1}, np.array([1, 2, 2]))
+        with pytest.raises(ValueError):
+            DomainPair(src, tgt, "openset", {"k": 4, "k_shared": 2}, hidden)
+        with pytest.raises(ValueError):
+            DomainPair(src, tgt, "openset", {"k": 3}, hidden)
+        # closed and partial pairs keep any k_shared
+        DomainPair(src, tgt, "closed", {"k": 4, "k_shared": 2}, hidden)
+
+    def test_bad_manifest_fails_on_read(self, tmp_path):
+        base = gen_gauss_blobs(5, 10, (0.0, 0.0), seed=0)
+        path = tmp_path / "os.csv"
+        write_csv(make_openset(base, [1, 2], [3], [4, 5]), path)
+        manifest = json.loads(manifest_path(path).read_text())
+        manifest["k"] = 4
+        manifest_path(path).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError):
+            read_csv(path)
 
 
 class TestDomainPairContract:

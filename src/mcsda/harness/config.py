@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..neural import Schedules
@@ -59,17 +61,25 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError("method must be one of %r, got %r" % (METHODS, self.method))
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.full_batch_limit < 1:
-            raise ValueError("epochs, batch_size and full_batch_limit must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite, got %r" % self.rho)
+        sizes = (self.epochs, self.batch_size, self.full_batch_limit, self.feature_dim)
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in sizes + tuple(self.hidden)):
+            raise ValueError(
+                "epochs, batch_size, full_batch_limit, feature_dim and hidden widths"
+                " must be positive integers"
+            )
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
         if self.eval_head not in _EVAL_HEADS:
             raise ValueError("eval_head must be one of %r" % (_EVAL_HEADS,))
         for name, v in (("zeta", self.zeta), ("xi", self.xi)):
             if v is not None and not 0.0 <= float(v) <= 1.0:
                 raise ValueError("%s must lie in [0, 1] when fixed, got %r" % (name, v))
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError("nu must be positive and finite, got %r" % self.nu)
+        if not math.isfinite(self.aux_task_weight):
+            raise ValueError("aux_task_weight must be finite, got %r" % self.aux_task_weight)
         if isinstance(self.hidden, list):
             self.hidden = tuple(self.hidden)
         if isinstance(self.schedules, dict):

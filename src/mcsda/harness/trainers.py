@@ -16,7 +16,11 @@ loss values, the evaluation head and the head pair of the divergence proxy.
 * ``source_only``        task head on source data, nothing else;
 * ``mcdal_*``            minimax surrogate trainers: the task head and two
   auxiliary heads (or one scalar domain head for the binary surrogate),
-  coupled through one simultaneous gradient-reversal update per step;
+  coupled through one simultaneous gradient-reversal update per step.  A
+  step is one forward and one backward of the stacked batch [source;
+  target]: one softmax of the K-wide heads feeds the task log loss and one
+  surrogate core call, and the reversal lives in the backward's
+  feature-map gradients;
 * ``symmnets_v2``        the symmetric two-head trainer plus its two
   ablations (no target-path task loss / no adversarial part).  Only this
   family re-weights classes on partial pairs and draws source batches from
@@ -42,21 +46,22 @@ from typing import Callable
 import numpy as np
 
 from ..divergence import mcsd_rows
-from ..losses import PAIRWISE_SURROGATES as _PAIRWISE_SURROGATES
+from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
 from ..neural import (
     MlpScorer,
     SgdMomentum,
-    _add_grads,
     _replacing,
     center_scores,
-    grad_reversal_step,
     lambda_schedule,
     lr_schedule,
 )
 from ..surrogates import (
-    dann_with_grads,
+    _check_labels,
+    _dann_core,
+    _mdd_variant_core,
+    _softmax,
+    _weighted_log_loss,
     log_loss_with_grads,
-    mdd_variant_with_grads,
     reset_clamp_count,
 )
 from ..symmnets import (
@@ -237,54 +242,56 @@ def _source_only_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str,
     return {"task": value}
 
 
-def _disagreement(surrogate: str, raw_s, raw_t) -> tuple[float, dict, dict]:
-    """(source-minus-target surrogate disagreement, source score gradients,
-    target score gradients) of the auxiliary heads."""
-    if surrogate == "dann":
-        src_term, tgt_term, g_s, g_t = dann_with_grads(raw_s["d"][:, 0], raw_t["d"][:, 0])
-        return src_term - tgt_term, {"d": g_s[:, None]}, {"d": -g_t[:, None]}
-    if surrogate == "mdd_variant":
-        src_term, tgt_term, g_s, g_t = mdd_variant_with_grads(
-            raw_s["f1"], raw_s["f2"], raw_t["f1"], raw_t["f2"]
-        )
-        return src_term - tgt_term, {"f2": g_s}, {"f2": -g_t}
-    fn = _PAIRWISE_SURROGATES[surrogate]
-    v_s, a1s, a2s = fn(raw_s["f1"], raw_s["f2"])
-    v_t, a1t, a2t = fn(raw_t["f1"], raw_t["f2"])
-    return v_s - v_t, {"f1": a1s, "f2": a2s}, {"f1": -a1t, "f2": -a2t}
-
-
 def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
-    """Minimax surrogate step with one simultaneous reversal update.
+    """Minimax surrogate step: one forward and one backward of the stacked
+    batch [xs; xt].
 
     The task head and (for the pairwise surrogates) both auxiliary heads
-    minimize source log loss; the auxiliary side additionally descends the
-    source-minus-target surrogate disagreement while the feature map
-    receives that gradient reversed and scaled by zeta.
+    minimize source log loss.  The disagreement D is the source-minus-target
+    surrogate, from one core call over the stacked rows weighted +1/n_s
+    (source) and -1/n_t (target).  The gradient-reversal layer is data: the
+    auxiliary heads take task + c * D with c = zeta under
+    ``zeta_on_adversary`` and 1 otherwise, the feature map takes task -
+    zeta * D, and the task head takes no D.
     """
-    adversary = tuple(n for n in model.head_names if n != "f")
-    cache_s = model.forward(xs)
-    cache_t = model.forward(xt, heads=adversary)
-    if not (_finite(cache_s.raw) and _finite(cache_t.raw)):
+    ns = xs.shape[0]
+    cache = model.forward(np.concatenate((xs, xt)))
+    raw = cache.raw
+    if not _finite(raw):
         return {"task": float("nan")}
-    task_val, g_f = log_loss_with_grads(cache_s.raw["f"], ys)
-    task_score_grads = {"f": g_f}
-    aux_val = 0.0
-    if cfg.surrogate != "dann" and cfg.aux_task_weight > 0:
-        v1, g1 = log_loss_with_grads(cache_s.raw["f1"], ys)
-        v2, g2 = log_loss_with_grads(cache_s.raw["f2"], ys)
-        aux_val = cfg.aux_task_weight * (v1 + v2)
-        task_score_grads["f1"] = cfg.aux_task_weight * g1
-        task_score_grads["f2"] = cfg.aux_task_weight * g2
-    task_grads = model.backward(cache_s, task_score_grads, task_score_grads)
-    disagreement, g_src, g_tgt = _disagreement(cfg.surrogate, cache_s.raw, cache_t.raw)
-    disc_grads = _add_grads(
-        model.backward(cache_s, g_src, g_src), model.backward(cache_t, g_tgt, g_tgt)
+    n, k = raw["f"].shape
+    wide = ("f",) if cfg.surrogate == "dann" else ("f", "f1", "f2")
+    probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
+    trained = wide if cfg.aux_task_weight > 0 else ("f",)
+    values, g = _weighted_log_loss(
+        probs[: len(trained), :ns], _check_labels(ys, ns, k), np.ones(ns)
     )
-    grad_reversal_step(
-        model, opt, task_grads, disc_grads, zeta, lr, adversary, cfg.zeta_on_adversary
-    )
-    return {"task": task_val, "aux_task": aux_val, "disagreement": disagreement}
+    task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
+    task[:, :ns] = g
+    task[1:] *= cfg.aux_task_weight
+
+    w = np.full(n, 1.0 / ns)
+    w[ns:] = -1.0 / (n - ns)
+    if cfg.surrogate == "dann":
+        disagreement, g_d = _dann_core(raw["d"][:, 0], w)
+        dis = {"d": g_d[:, None]}
+    elif cfg.surrogate == "mdd_variant":
+        disagreement, g_2 = _mdd_variant_core(np.argmax(raw["f1"], axis=1), probs[2], w)
+        dis = {"f2": g_2}
+    else:
+        disagreement, g_1, g_2 = _PAIRWISE_CORES[cfg.surrogate](probs[1], probs[2], w)
+        dis = {"f1": g_1, "f2": g_2}
+
+    c = zeta if cfg.zeta_on_adversary else 1.0
+    head_grads = dict(zip(trained, task))
+    psi_grads = dict(head_grads)
+    for h, d in dis.items():
+        t = head_grads.get(h, 0.0)
+        head_grads[h] = t + c * d
+        psi_grads[h] = t - zeta * d
+    opt.step(model.backward(cache, head_grads, psi_grads), lr)
+    aux = cfg.aux_task_weight * float(values[1] + values[2]) if len(trained) > 1 else 0.0
+    return {"task": float(values[0]), "aux_task": aux, "disagreement": disagreement}
 
 
 def _symmnets_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:

@@ -3,7 +3,9 @@
 Each entry bundles a differentiable loss with a sampler producing valid
 random inputs, so the whole collection can be audited against central
 finite differences in one sweep.  Admission rule: a loss may only be
-dispatched by a trainer if it is listed here and passes the audit.
+dispatched by a trainer if it is listed here and passes the audit.  A
+trainer may call the private core behind a listed public form (softmax plus
+core); the audit reaches the core through that form.
 
 ``apply`` returns the scalar value and a dict mapping input positions to
 gradients; positions absent from the dict (labels, weights, reference
@@ -20,6 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .surrogates import (
+    _ce_core,
+    _kl_core,
+    _l1_core,
     ce_with_grads,
     dann_with_grads,
     kl_with_grads,
@@ -29,10 +34,19 @@ from .surrogates import (
 )
 from .symmnets import confuse_src, confuse_tgt, discrim, loss_task_src
 
-__all__ = ["RegisteredLoss", "PAIRWISE_SURROGATES", "registered_losses", "finite_difference_audit"]
+__all__ = [
+    "RegisteredLoss",
+    "PAIRWISE_SURROGATES",
+    "PAIRWISE_CORES",
+    "registered_losses",
+    "finite_difference_audit",
+]
 
 # pairwise surrogates share one calling shape: (scores1, scores2) -> (value, g1, g2)
 PAIRWISE_SURROGATES = {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
+# the cores behind them, which the trainers dispatch and the audit reaches
+# through the public forms: (p1, p2, row weights) -> (value, g1, g2)
+PAIRWISE_CORES = {"l1": _l1_core, "kl": _kl_core, "ce": _ce_core}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ dL/d(raw head outputs): the head parameters take their gradients from the
 first, the feature map from the second, pulled back through the current
 head weights.  Passing one map twice is plain backprop; an empty map leaves
 that side out.  It returns a dict of parameter gradients and is audited
-against central finite differences in the tests.
+against central finite differences in the tests.  The two maps carry the
+gradient-reversal layer as data: a McDalNet step forwards source and target
+as one stacked batch and makes one backward, with the disagreement
+gradients reversed and scaled by zeta in the feature-map map only.
+``grad_reversal_step`` routes already-computed parameter gradients by name
+instead; the tests keep it as the reference for that step.
 
 Optimization is plain SGD with momentum (v <- m v + g; theta <- theta -
 lr * v), a per-parameter learning-rate multiplier (heads train at 10x the
@@ -24,6 +29,7 @@ and the adversarial weight.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,6 +65,8 @@ class Schedules:
     momentum: float = 0.9
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.eta0, self.alpha, self.beta, self.gamma)):
+            raise ValueError("schedule constants must be finite: %r" % (self,))
         if self.eta0 <= 0 or self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
             raise ValueError("schedule constants out of range: %r" % (self,))
         if not 0.0 <= self.momentum < 1.0:

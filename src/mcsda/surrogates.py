@@ -16,10 +16,11 @@ events are counted in a module-level tally (`clamp_count`,
 `reset_clamp_count`) so training metrics can report them per epoch.
 
 Sign convention for the adversarial pairs: each returns
-(source term, target term) separately, and trainers form the disagreement
-loss as source term minus target term.  Minimizing that difference over
-the auxiliary heads widens the source/target gap; the feature map receives
-the reversed gradient.
+(source term, target term) separately, and the disagreement loss is source
+term minus target term.  Minimizing that difference over the auxiliary
+heads widens the source/target gap; the feature map receives the reversed
+gradient.  Trainers get that difference from the private cores below in
+one call over stacked source and target rows.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def softmax(scores) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     if s.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 classes")
+    return _softmax(s)
+
+
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """``softmax`` of finite float64 scores [..., K>=2], unchecked."""
     z = s - s.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -160,9 +166,18 @@ def log_loss(p, y: int) -> float:
 # ---------------------------------------------------------------------------
 # Batch forms with gradients w.r.t. raw scores.
 #
-# Each returns the batch-mean value and arrays dValue/dScores of the same
-# shape as the score inputs.  Softmax Jacobian chain: for per-row dV/dp = U,
-# dV/ds = p * (U - <p, U>).
+# Each public form returns the batch-mean value and arrays dValue/dScores of
+# the same shape as the score inputs.  Softmax Jacobian chain: for per-row
+# dV/dp = U, dV/ds = p * (U - <p, U>).
+#
+# Behind each public form sits one private core on probability rows (raw
+# rows for the binary domain head) and a row-weight vector w [n]: it returns
+# sum_i w_i * loss_i and the score gradients of that sum.  The public forms
+# are softmax + core with w = 1/n (-1/n for a target term, negated back).
+# A trainer stacks source and target rows and weights them +1/n_s and
+# -1/n_t, so one core call gives "source term minus target term" and the
+# gradients of both domains.  The adversarial pairs use different source and
+# target losses; their cores tell the rows apart by the sign of w.
 # ---------------------------------------------------------------------------
 
 
@@ -175,8 +190,57 @@ def _as_batch(scores) -> np.ndarray:
     return s
 
 
+def _mean_weights(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
+def _check_labels(labels, n: int, k: int) -> np.ndarray:
+    """1-based labels as int64 [n], each in {1..k}."""
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.size != n:
+        raise ValueError("got %d labels for %d score rows" % (y.size, n))
+    if np.any(y < 1) or np.any(y > k):
+        raise ValueError("labels outside {1..%d}" % k)
+    return y
+
+
 def _chain_softmax(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return p * (u - np.sum(p * u, axis=1, keepdims=True))
+
+
+def _l1_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted sum of the scaled L1 rows of p1, p2 [n, K] and its score
+    gradients; the subgradient of |.| at 0 is 0."""
+    k = p1.shape[1]
+    d = p1 - p2
+    value = float(np.abs(d).sum(axis=1) @ w) / k
+    u1 = np.sign(d) / k
+    wc = w[:, None]
+    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, -u1) * wc
+
+
+def _kl_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted sum of the symmetrized-KL rows of p1, p2 [n, K] and its score
+    gradients."""
+    c1, c2 = _clamped(p1), _clamped(p2)
+    lr = np.log(c1) - np.log(c2)
+    value = 0.5 * float(((p1 - p2) * lr).sum(axis=1) @ w)
+    u1 = 0.5 * (lr + 1.0 - p2 / c1)
+    u2 = 0.5 * (-lr + 1.0 - p1 / c2)
+    wc = w[:, None]
+    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
+
+
+def _ce_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted sum of the symmetrized cross-entropy rows of p1, p2 [n, K]
+    and its score gradients."""
+    c1, c2 = _clamped(p1), _clamped(p2)
+    l1, l2 = np.log(c1), np.log(c2)
+    value = -0.5 * float((p1 * l2 + p2 * l1).sum(axis=1) @ w)
+    u1 = 0.5 * (-l2 - p2 / c1)
+    u2 = 0.5 * (-l1 - p1 / c2)
+    wc = w[:, None]
+    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
 
 
 def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
@@ -186,42 +250,19 @@ def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     produce exactly zero gradient.
     """
     s1, s2 = _as_batch(s1), _as_batch(s2)
-    p1, p2 = softmax(s1), softmax(s2)
-    n, k = s1.shape
-    value = float(np.abs(p1 - p2).sum()) / (k * n)
-    u1 = np.sign(p1 - p2) / k
-    g1 = _chain_softmax(p1, u1) / n
-    g2 = _chain_softmax(p2, -u1) / n
-    return value, g1, g2
+    return _l1_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
 
 
 def kl_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch mean of the symmetrized KL on softmax rows, with score gradients."""
     s1, s2 = _as_batch(s1), _as_batch(s2)
-    p1, p2 = softmax(s1), softmax(s2)
-    c1, c2 = _clamped(p1), _clamped(p2)
-    n = s1.shape[0]
-    lr = np.log(c1) - np.log(c2)
-    value = 0.5 * float(np.sum(p1 * lr) - np.sum(p2 * lr)) / n
-    u1 = 0.5 * (lr + 1.0 - p2 / c1)
-    u2 = 0.5 * (-lr + 1.0 - p1 / c2)
-    g1 = _chain_softmax(p1, u1) / n
-    g2 = _chain_softmax(p2, u2) / n
-    return value, g1, g2
+    return _kl_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
 
 
 def ce_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch mean of the symmetrized cross entropy, with score gradients."""
     s1, s2 = _as_batch(s1), _as_batch(s2)
-    p1, p2 = softmax(s1), softmax(s2)
-    c1, c2 = _clamped(p1), _clamped(p2)
-    n = s1.shape[0]
-    value = -0.5 * float(np.sum(p1 * np.log(c2)) + np.sum(p2 * np.log(c1))) / n
-    u1 = 0.5 * (-np.log(c2) - p2 / c1)
-    u2 = 0.5 * (-np.log(c1) - p1 / c2)
-    g1 = _chain_softmax(p1, u1) / n
-    g2 = _chain_softmax(p2, u2) / n
-    return value, g1, g2
+    return _ce_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
 
 
 def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray]:
@@ -232,25 +273,39 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     """
     s = _as_batch(scores)
     n, k = s.shape
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.size != n:
-        raise ValueError("got %d labels for %d score rows" % (y.size, n))
-    if np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels outside {1..%d}" % k)
+    y = _check_labels(labels, n, k)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != n:
         raise ValueError("got %d weights for %d score rows" % (w.size, n))
     return _weighted_log_loss(softmax(s), y, w)
 
 
-def _weighted_log_loss(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """``log_loss_with_grads`` from softmax rows [n, K] and checked 1-based
-    labels and weights [n]."""
-    n = p.shape[0]
-    picked = p[np.arange(n), y - 1]
-    value = float(np.dot(w, -np.log(_clamped(picked)))) / n
+def _weighted_log_loss(p: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """``log_loss_with_grads`` from softmax rows [..., n, K] and checked
+    1-based labels and weights [n].  Leading axes stack heads scored on the
+    same rows; each gets its own value (a float for plain [n, K] rows)."""
+    n = p.shape[-2]
+    rows, cols = np.arange(n), y - 1
+    value = np.dot(-np.log(_clamped(p[..., rows, cols])), w) / n
     g = p * (w / n)[:, None]
-    g[np.arange(n), y - 1] -= w / n
+    g[..., rows, cols] -= w / n
+    return (float(value) if value.ndim == 0 else value), g
+
+
+def _mdd_variant_core(c: np.ndarray, p: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """One-vs-rest consistency rows: auxiliary softmax rows p [n, K] and the
+    reference head's 0-based decision classes c [n].  A row with w > 0 is a
+    source row, loss -log p_c; a row with w < 0 is a target row, loss
+    log(1 - p_c).  Returns sum_i w_i * loss_i and its gradient w.r.t. the
+    auxiliary scores."""
+    rows = np.arange(p.shape[0])
+    pc = p[rows, c]
+    src = w > 0
+    q = _clamped(np.where(src, pc, 1.0 - pc))  # the probability under the log
+    value = -float(np.abs(w) @ np.log(q))
+    g = p.copy()
+    g[rows, c] -= 1.0
+    g *= np.where(src, w, w * pc / q)[:, None]
     return value, g
 
 
@@ -268,24 +323,24 @@ def mdd_variant_with_grads(
     ref_s, aux_s = _as_batch(ref_src), _as_batch(aux_src)
     ref_t, aux_t = _as_batch(ref_tgt), _as_batch(aux_tgt)
     ns, nt = aux_s.shape[0], aux_t.shape[0]
+    src_term, g_src = _mdd_variant_core(
+        np.argmax(ref_s, axis=1), softmax(aux_s), _mean_weights(ns)
+    )
+    neg_tgt, neg_g = _mdd_variant_core(
+        np.argmax(ref_t, axis=1), softmax(aux_t), -_mean_weights(nt)
+    )
+    return src_term, -neg_tgt, g_src, -neg_g
 
-    cs = np.argmax(ref_s, axis=1)
-    ps = softmax(aux_s)
-    picked_s = _clamped(ps[np.arange(ns), cs])
-    src_term = float(np.mean(-np.log(picked_s)))
-    g_src = ps.copy()
-    g_src[np.arange(ns), cs] -= 1.0
-    g_src /= ns
 
-    ct = np.argmax(ref_t, axis=1)
-    pt = softmax(aux_t)
-    pc = pt[np.arange(nt), ct]
-    comp = _clamped(1.0 - pc)
-    tgt_term = float(np.mean(np.log(comp)))
-    onehot = np.zeros_like(pt)
-    onehot[np.arange(nt), ct] = 1.0
-    g_tgt = -(pc / comp)[:, None] * (onehot - pt) / nt
-    return src_term, tgt_term, g_src, g_tgt
+def _dann_core(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Binary domain rows on raw scalar domain scores d [n]: a row with
+    w > 0 is a source row, loss -log sigmoid(d); a row with w < 0 is a
+    target row, loss log(1 - sigmoid(d)).  Returns sum_i w_i * loss_i and
+    its gradient w.r.t. d."""
+    s = sigmoid(d)
+    src = w > 0
+    value = -float(np.abs(w) @ np.log(_clamped(np.where(src, s, 1.0 - s))))
+    return value, w * np.where(src, s - 1.0, -s)
 
 
 def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -296,9 +351,6 @@ def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]
     """
     ds = np.asarray(d_src, dtype=np.float64).reshape(-1)
     dt = np.asarray(d_tgt, dtype=np.float64).reshape(-1)
-    ss, st = sigmoid(ds), sigmoid(dt)
-    src_term = float(np.mean(-np.log(_clamped(ss))))
-    tgt_term = float(np.mean(np.log(_clamped(1.0 - st))))
-    g_src = (ss - 1.0) / ds.size
-    g_tgt = -st / dt.size
-    return src_term, tgt_term, g_src, g_tgt
+    src_term, g_src = _dann_core(ds, _mean_weights(ds.size))
+    neg_tgt, neg_g = _dann_core(dt, -_mean_weights(dt.size))
+    return src_term, -neg_tgt, g_src, -neg_g

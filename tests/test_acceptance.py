@@ -187,6 +187,9 @@ SURROGATE_GAP_FLOORS = {
 
 @pytest.fixture(scope="module")
 def moons_matrix():
+    """10-seed mean target accuracy per method, and the seconds the 90 runs
+    took."""
+    start = time.perf_counter()
     means = {}
     for method in RUN_METHODS:
         accs = []
@@ -201,36 +204,38 @@ def moons_matrix():
             )
             accs.append(run_experiment(pair, cfg).final_target_acc)
         means[method] = float(np.mean(accs))
-    return means
+    return means, time.perf_counter() - start
 
 
 @pytest.mark.slow
 def test_criterion_06_adaptation_beats_source_only(moons_matrix):
     """Every surrogate beats the unadapted baseline; the symmetric trainer
-    at least matches the best surrogate up to one accuracy point."""
-    start = time.perf_counter()
-    base = moons_matrix["source_only"]
-    assert base > 0.70, moons_matrix
+    at least matches the best surrogate up to one accuracy point.  The 90
+    runs behind it finish within 300 s."""
+    means, seconds = moons_matrix
+    base = means["source_only"]
+    assert base > 0.70, means
     for method, floor in SURROGATE_GAP_FLOORS.items():
-        assert moons_matrix[method] > base, (method, moons_matrix)
-        assert moons_matrix[method] - base >= floor, (method, moons_matrix)
-    best_surrogate = max(moons_matrix[m] for m in SURROGATE_GAP_FLOORS)
-    assert moons_matrix["symmnets_v2"] >= best_surrogate - 0.01, moons_matrix
-    assert moons_matrix["symmnets_v2"] - base >= 0.11, moons_matrix
-    assert time.perf_counter() - start < 300.0  # fixture cost lands here
+        assert means[method] > base, (method, means)
+        assert means[method] - base >= floor, (method, means)
+    best_surrogate = max(means[m] for m in SURROGATE_GAP_FLOORS)
+    assert means["symmnets_v2"] >= best_surrogate - 0.01, means
+    assert means["symmnets_v2"] - base >= 0.11, means
+    assert seconds < 300.0, seconds
 
 
 @pytest.mark.slow
 def test_criterion_07_ablation_ordering(moons_matrix):
     """Both ablations lose; the non-adversarial one learns nothing extra."""
-    symm = moons_matrix["symmnets_v2"]
-    no_adv = moons_matrix["symmnets_v2_no_adv"]
-    no_lt = moons_matrix["symmnets_v2_no_Lt"]
-    assert symm > no_adv + 0.05, moons_matrix
-    assert symm > no_lt + 0.05, moons_matrix
+    means, _ = moons_matrix
+    symm = means["symmnets_v2"]
+    no_adv = means["symmnets_v2_no_adv"]
+    no_lt = means["symmnets_v2_no_Lt"]
+    assert symm > no_adv + 0.05, means
+    assert symm > no_lt + 0.05, means
     # "no useful adaptation": solid classifier, no gain over the baseline
-    assert no_adv > 0.65, moons_matrix
-    assert no_adv <= moons_matrix["source_only"] + 0.02, moons_matrix
+    assert no_adv > 0.65, means
+    assert no_adv <= means["source_only"] + 0.02, means
 
 
 @pytest.mark.slow

@@ -179,9 +179,9 @@ EXPECTED_RUNS = {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.c000000000000p-1",
         "losses": {
-            "aux_task": "0x1.41dcda3896697p+0",
-            "disagreement": "0x1.ea1fab0773380p-15",
-            "task": "0x1.4f5da12da047ep-1",
+            "aux_task": "0x1.41dcda3896696p+0",
+            "disagreement": "0x1.ea1fab0773260p-15",
+            "task": "0x1.4f5da12da047dp-1",
         },
         "proxy": "0x1.335d7f0756000p-12",
     },
@@ -193,7 +193,7 @@ EXPECTED_RUNS = {
             "disagreement": "0x1.64380e629226ep+0",
             "task": "0x1.4f6bd22aa6825p-1",
         },
-        "proxy": "-0x1.299408af423c8p-8",
+        "proxy": "-0x1.299408af423a8p-8",
     },
     "mcdal_dann": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",

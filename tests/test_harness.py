@@ -227,6 +227,24 @@ class TestConfig:
             {"zeta": 1.5},
             {"xi": -0.1},
             {"nu": 0.0},
+            {"rho": float("nan")},
+            {"rho": float("inf")},
+            {"nu": float("nan")},
+            {"nu": float("inf")},
+            {"zeta": float("nan")},
+            {"aux_task_weight": float("nan")},
+            {"schedules": {"eta0": float("nan")}},
+            {"schedules": {"eta0": float("inf")}},
+            {"schedules": {"alpha": float("nan")}},
+            {"schedules": {"beta": float("inf")}},
+            {"schedules": {"gamma": float("nan")}},
+            {"schedules": {"momentum": float("nan")}},
+            {"epochs": float("nan")},
+            {"epochs": 2.5},
+            {"batch_size": float("inf")},
+            {"seed": float("nan")},
+            {"feature_dim": 0},
+            {"hidden": [8, float("nan")]},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**kwargs)
@@ -451,11 +469,26 @@ class TestTrainerRuns:
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     @pytest.mark.parametrize(
-        "method", ["source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2"]
+        "method, domain",
+        [
+            pytest.param(m, "source", id=m)
+            for m in ("source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2")
+        ]
+        + [
+            pytest.param(m, "target", id="target-" + m)
+            for m in (
+                "mcdal_l1",
+                "mcdal_kl",
+                "mcdal_ce",
+                "mcdal_mdd_variant",
+                "mcdal_dann",
+                "symmnets_v2",
+            )
+        ],
     )
-    def test_nan_source_point_stops_every_method(self, method, tmp_path):
+    def test_nan_source_point_stops_every_method(self, method, domain, tmp_path):
         pair = _easy_pair()
-        pair.source.points[0, 0] = np.nan
+        getattr(pair, domain).points[0, 0] = np.nan
         cfg = ExperimentConfig(method=method, epochs=3, seed=0, outdir=str(tmp_path))
         res = run_experiment(pair, cfg)
         assert len(res.metrics) == 1 and res.metrics[0].nan_flag
@@ -466,6 +499,10 @@ class TestTrainerRuns:
         assert json.loads((run_dir / "result.json").read_text())["converged"] is False
         saved = MlpScorer.load(run_dir / "model.ckpt").params()
         assert all(np.isfinite(v).all() for v in saved.values())
+        # the one full batch held the point, so no step was taken
+        init = MlpScorer(2, trainers._method(cfg, pair.k).heads, seed=trainers._seeds(cfg)[0])
+        for name, value in init.params().items():
+            assert np.array_equal(saved[name], value), name
 
     def test_nan_target_point_stops_partial_run(self, tmp_path):
         # the once-per-epoch class-weight forward sees the target before any step
@@ -554,14 +591,17 @@ class TestCli:
         assert rc == 3
 
     def test_train_bad_config_exits_2(self, blobs_csv, tmp_path, capsys):
+        runs = tmp_path / "runs"
         unknown_key, invalid_value = {"epochz": 3}, {"epochs": 0}
-        for bad in (unknown_key, invalid_value):
+        non_finite = {"method": "mcdal_kl", "rho": float("nan"), "outdir": str(runs)}
+        for bad in (unknown_key, invalid_value, non_finite):
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps(bad))
             rc = main(["train", "--data", str(blobs_csv), "--config", str(cfg_path)])
             assert rc == 2
             out = capsys.readouterr().out.strip().splitlines()
             assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
+        assert not runs.exists()
 
     def test_train_bound_violation_exits_2(self, blobs_csv, tmp_path, capsys, monkeypatch):
         def violated(*args, **kwargs):

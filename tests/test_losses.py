@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mcsda.losses import (
+    PAIRWISE_CORES,
     PAIRWISE_SURROGATES,
     RegisteredLoss,
     finite_difference_audit,
     registered_losses,
 )
-from mcsda.surrogates import ce_with_grads, kl_with_grads, l1_with_grads
+from mcsda.surrogates import ce_with_grads, kl_with_grads, l1_with_grads, softmax
 
 EXPECTED_NAMES = {
     "sur_l1_pair",
@@ -37,10 +38,19 @@ class TestRegistry:
         assert PAIRWISE_SURROGATES == {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
 
     def test_trainers_dispatch_through_registry(self):
-        # the trainer module must consume this exact mapping, not a copy
+        # the trainer module must consume this exact mapping, not a copy,
+        # and each core must be the one behind the audited public form
         from mcsda.harness import trainers
 
-        assert trainers._PAIRWISE_SURROGATES is PAIRWISE_SURROGATES
+        assert trainers._PAIRWISE_CORES is PAIRWISE_CORES
+        assert PAIRWISE_CORES.keys() == PAIRWISE_SURROGATES.keys()
+        rng = np.random.default_rng(4)
+        s1, s2 = rng.normal(size=(2, 5, 3))
+        for name, core in PAIRWISE_CORES.items():
+            want = PAIRWISE_SURROGATES[name](s1, s2)
+            got = core(softmax(s1), softmax(s2), np.full(5, 1 / 5))
+            assert got[0] == want[0], name
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), name
 
     @pytest.mark.parametrize("loss", registered_losses(), ids=lambda l: l.name)
     def test_sample_apply_contract(self, loss):

@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _center, _check_rho, _component_disagreement
+from .margin import _absolute_margin, _center, _check_labels, _check_rho, _component_disagreement
 from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _ramp
 from .margin import _violation_matrix
 
@@ -241,14 +241,17 @@ def _pairwise_mcsd_means(scores: np.ndarray, weights: np.ndarray, rho: float) ->
     """Weighted mean disagreement for every ordered pair; [c, c] symmetric.
 
     Ramps every candidate once and fills the upper triangle, mirrored below;
-    the diagonal is exactly zero.
+    the diagonal is exactly zero.  Each pair's rows are weighted as one
+    1-D dot, as in ``_exact_mean`` and ``margin_error``, so a pair scores
+    the same here as alone: a matrix-vector product rounds differently, a
+    stack of row-vector products does not.
     """
     r = _signed_ramps(scores, rho)  # [2, c, n, K]
     c = scores.shape[0]
     out = np.zeros((c, c))
     for i in range(c - 1):
         rows = _rows_from_ramps(r[:, i, None], r[:, i + 1 :])  # [c-i-1, n]
-        out[i, i + 1 :] = out[i + 1 :, i] = rows @ weights
+        out[i, i + 1 :] = out[i + 1 :, i] = (rows[:, None, :] @ weights[:, None])[:, 0, 0]
     return out
 
 
@@ -642,10 +645,7 @@ def _margin_violations(scores, labels, rho: float) -> np.ndarray:
     Checks the labels; the scores and ``rho`` are checked by the callers.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, k = s.shape[-2:]
-    if y.size != n or np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels must be 1-based and match the score rows")
+    y = _check_labels(labels, *s.shape[-2:])
     return _ramp(_absolute_margin(s, y - 1), rho).sum(axis=-1)
 
 
@@ -659,7 +659,9 @@ def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
 def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     """Expected argmax misclassification under point masses (ties: lowest index)."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if s.ndim != 2:
+        raise ValueError("expected scores of shape [n, K], got %r" % (s.shape,))
+    y = _check_labels(labels, *s.shape)
     wrong = (np.argmax(s, axis=1) + 1 != y).astype(np.float64)
     return float(wrong @ _as_weights(weights, s.shape[0]))
 

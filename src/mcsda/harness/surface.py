@@ -8,10 +8,13 @@ the matrix form, its two decision-level variants, the three probability
 surrogates, and the single-component decision-margin ramp.
 
 Evaluation is batched over the whole grid with the kernels of
-``mcsda.margin`` (centering, decision margin, relative margin, ramp) and
-``mcsda.divergence.mcsd_rows``; ``mcsd_pointwise`` and the per-point
-surrogates of ``mcsda.surrogates`` serve as independent oracles for spot
-checks.
+``mcsda.margin`` (centering, decision margin, relative margin, ramp),
+``mcsda.divergence.mcsd_rows`` and the surrogate kernels of
+``mcsda.surrogates`` (``_l1``, ``_kl``, ``_ce``, which the per-point
+``sur_*`` share).  ``mcsd_pointwise`` serves as an independent oracle for
+spot checks; the independent surrogate oracles live in the tests
+(``kl_oracle`` in ``tests/test_surrogates.py`` and the inline formulas of
+``test_log_surfaces_clamp_through_the_counted_guard``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from ..divergence import mcsd_rows
 from ..margin import _center, _check_rho, _decision_level, _decision_margin, _ramp
 from ..margin import _relative_margin
-from ..surrogates import _clamped, softmax
+from ..surrogates import _ce, _kl, _l1, softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
 
@@ -91,16 +94,7 @@ def emit_surface_grid(
         # relative margin of the probe at the reference's decision
         vals = _ramp(_relative_margin(second, first.argmax(axis=1)), rho)
     else:
-        p1, p2 = softmax(first), softmax(second)
-        # logs on floored probabilities, products on the raw ones, matching
-        # the per-point surrogates at the grid corners
-        lp1 = np.log(_clamped(p1))
-        lp2 = np.log(_clamped(p2))
-        if which == "l1":
-            vals = np.abs(p1 - p2).sum(axis=1) / 3.0
-        elif which == "kl":
-            vals = 0.5 * ((p1 - p2) * (lp1 - lp2)).sum(axis=1)
-        else:
-            vals = -0.5 * (p1 * lp2 + p2 * lp1).sum(axis=1)
+        kernel = {"l1": _l1, "kl": _kl, "ce": _ce}[which]
+        vals = kernel(softmax(first), softmax(second))[0]
     values = vals.reshape(resolution, resolution)
     return SurfaceGrid(which, float(rho), tuple(fx), direction, axis, axis, values)

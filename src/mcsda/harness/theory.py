@@ -26,8 +26,9 @@ the training proxy, with a per-trial rho broadcast as a column:
   margin losses from ``divergence._margin_violations``;
 * ``check_variant_lemmas``: ``margin._decision_margin`` and
   ``_decision_level``, with the same margin losses;
-* ``check_surrogate_identities``: batched ``softmax`` and the row forms of
-  the L1, KL and CE surrogates.
+* ``check_surrogate_identities``: batched ``softmax`` and the kernels
+  ``surrogates._l1``, ``_kl`` and ``_ce``, whose rows the McDalNet step,
+  SymmNets' target confusion and the surfaces sum.
 
 Like the single-vector scores the public API re-centers, the batched
 kernels see each instance centered once more.  The first 64 draws of each
@@ -85,8 +86,7 @@ from ..margin import (
     source_margin_loss,
 )
 from ..neural import Schedules, lambda_schedule, lr_schedule
-from ..surrogates import _ce_rows, _kl_rows, _l1_rows, _row_dot, softmax, sur_ce, sur_kl
-from ..surrogates import sur_l1
+from ..surrogates import _ce, _kl, _l1, softmax, sur_ce, sur_kl, sur_l1
 from ..synthdata import gen_gauss_blobs
 
 __all__ = [
@@ -485,9 +485,9 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
     inputs, batched = {}, {}
     for k, (_, *logits) in groups.items():
         p1, p2, p3 = softmax(np.stack(logits))
-        kl, ce = _kl_rows(p1, p2), _ce_rows(p1, p2)
-        l12, l21, l13, l23 = _l1_rows(np.stack([p1, p2, p1, p2]), np.stack([p2, p1, p3, p3]))
-        ent1, ent2 = (-_row_dot(p, np.log(p)) for p in (p1, p2))
+        kl, ce = _kl(p1, p2)[0], _ce(p1, p2)[0]
+        l12, l21, l13, l23 = _l1(np.stack([p1, p2, p1, p2]), np.stack([p2, p1, p3, p3]))[0]
+        ent1, ent2 = (-(p * np.log(p)).sum(axis=-1) for p in (p1, p2))
         worst_identity = max(worst_identity, np.abs(ce - (kl + 0.5 * (ent1 + ent2))).max())
         ok &= bool(np.all((ce >= kl - 1e-12) & (kl - 1e-12 >= -1e-12)))
         ok &= bool(np.all(np.abs(l12 - l21) <= 1e-15))

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..divergence import mcsd_rows
 from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
+from ..margin import _check_labels
 from ..neural import (
     MlpScorer,
     SgdMomentum,
@@ -56,7 +57,6 @@ from ..neural import (
     lr_schedule,
 )
 from ..surrogates import (
-    _check_labels,
     _dann_core,
     _mdd_variant_core,
     _softmax,
@@ -109,16 +109,21 @@ def _finite(raw: dict[str, np.ndarray]) -> bool:
 
 
 def _epoch_batches(
-    rng: np.random.Generator, n_src: int, n_tgt: int, cfg: ExperimentConfig
+    rng: np.random.Generator, n_src: int, n_tgt: int, cfg: ExperimentConfig, sampler=None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Index pairs for one epoch: single full batch on small data, otherwise
-    shuffled chunks with the shorter stream cycled."""
-    if n_src <= cfg.full_batch_limit and n_tgt <= cfg.full_batch_limit:
+    shuffled chunks with the shorter stream cycled.  An open-set ``sampler``
+    draws every source batch instead (never a full batch); the target is
+    chunked as usual."""
+    if sampler is None and n_src <= cfg.full_batch_limit and n_tgt <= cfg.full_batch_limit:
         return [(np.arange(n_src), np.arange(n_tgt))]
     bs = cfg.batch_size
-    chunks_s = [c for c in np.array_split(rng.permutation(n_src), math.ceil(n_src / bs))]
-    chunks_t = [c for c in np.array_split(rng.permutation(n_tgt), math.ceil(n_tgt / bs))]
-    steps = max(len(chunks_s), len(chunks_t))
+    steps = max(math.ceil(n_src / bs), math.ceil(n_tgt / bs))
+    if sampler is None:
+        chunks_s = np.array_split(rng.permutation(n_src), math.ceil(n_src / bs))
+    else:
+        chunks_s = [next(sampler) for _ in range(steps)]
+    chunks_t = np.array_split(rng.permutation(n_tgt), math.ceil(n_tgt / bs))
     return [(chunks_s[i % len(chunks_s)], chunks_t[i % len(chunks_t)]) for i in range(steps)]
 
 
@@ -385,20 +390,9 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                 nan_flag = not _finite(raw_t)  # stops the run before any step
                 if not nan_flag:
                     omega = partial_weights(raw_t[HEAD_T], xi)
-            if nan_flag:
-                batches = []
-            elif sampler is None:
-                batches = _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg)
-            else:
-                n_steps = max(
-                    math.ceil(xs.shape[0] / cfg.batch_size),
-                    math.ceil(xt.shape[0] / cfg.batch_size),
-                )
-                tgt_perm = rng.permutation(xt.shape[0])
-                tgt_chunks = np.array_split(tgt_perm, math.ceil(xt.shape[0] / cfg.batch_size))
-                batches = [
-                    (next(sampler), tgt_chunks[i % len(tgt_chunks)]) for i in range(n_steps)
-                ]
+            batches = (
+                [] if nan_flag else _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg, sampler)
+            )
             step_losses = []
             for idx_s, idx_t in batches:
                 values = spec.step(

@@ -17,14 +17,16 @@ surrogate) where one-sided subgradients are returned by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .surrogates import (
-    _ce_core,
-    _kl_core,
-    _l1_core,
+    _ce,
+    _kl,
+    _l1,
+    _pair_core,
     ce_with_grads,
     dann_with_grads,
     kl_with_grads,
@@ -44,9 +46,11 @@ __all__ = [
 
 # pairwise surrogates share one calling shape: (scores1, scores2) -> (value, g1, g2)
 PAIRWISE_SURROGATES = {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
-# the cores behind them, which the trainers dispatch and the audit reaches
-# through the public forms: (p1, p2, row weights) -> (value, g1, g2)
-PAIRWISE_CORES = {"l1": _l1_core, "kl": _kl_core, "ce": _ce_core}
+# the weighted cores behind them, which the trainers dispatch and the audit
+# reaches through the public forms: (p1, p2, row weights) -> (value, g1, g2)
+PAIRWISE_CORES = {
+    name: partial(_pair_core, kernel) for name, kernel in (("l1", _l1), ("kl", _kl), ("ce", _ce))
+}
 
 
 @dataclass(frozen=True)

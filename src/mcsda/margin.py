@@ -25,10 +25,11 @@ Conventions, fixed across the package:
   subtracting the mean at construction time.
 
 Each public function validates its arguments once, at entry (``as_scores``,
-``_check_rho``, ``_check_label``, the finiteness and K-mismatch checks), and
-then computes with private kernels that trust them, so no input is
-centered or checked twice within one call.  Each object has one kernel,
-which ``divergence``, ``neural`` and the surface dumps call on batches too:
+``_check_rho``, ``_check_label`` and its batch form ``_check_labels``, the
+finiteness and K-mismatch checks), and then computes with private kernels
+that trust them, so no input is centered or checked twice within one call.
+Each object has one kernel, which ``divergence``, ``neural`` and the
+surface dumps call on batches too:
 ``_center``, ``_ramp``, ``_absolute_margin``, ``_violation_matrix`` with
 ``_matrix_disagreement`` (the K x K form of the pointwise disagreement),
 ``_component_disagreement`` (K-1)|dn| + |dp|, ``_decision_margin`` with
@@ -127,6 +128,16 @@ def _check_label(y: int, k: int) -> int:
     if iy != y or not 1 <= iy <= k:
         raise ValueError("label %r outside {1..%d}" % (y, k))
     return iy - 1
+
+
+def _check_labels(labels, n: int, k: int) -> np.ndarray:
+    """1-based labels of n score rows as int64 [n], each in {1..k}."""
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.size != n:
+        raise ValueError("got %d labels for %d score rows" % (y.size, n))
+    if np.any(y < 1) or np.any(y > k):
+        raise ValueError("labels outside {1..%d}" % k)
+    return y
 
 
 def _finite_ramp_argument(x) -> np.ndarray:

@@ -10,6 +10,16 @@ ungraded; the `*_with_grads` batch forms return the batch-mean value
 together with gradients with respect to the raw scores, which is what the
 manual backprop in the neural stack consumes.
 
+Each of the three pairwise surrogates is written once, as a kernel on
+probability rows [..., K] (`_l1`, `_kl`, `_ce`): it returns the per-row
+values and the per-row probability gradients dV/dp1, dV/dp2, clamping each
+log argument once.  One weighted core, `_pair_core`, sums the rows with row
+weights w and chains the probability gradients through the softmax.  Every
+caller goes through a kernel: `sur_*` (one row), `*_with_grads` (softmax +
+weighted core with w = 1/n), the McDalNet step (the weighted core, through
+`losses.PAIRWISE_CORES`), SymmNets' target confusion (`_ce` between the two
+halves of the joint softmax), the surface slices and the theory suite.
+
 Every logarithm, here, in the SymmNets losses and in the surface slices, is
 guarded by clamping its argument to at least 1e-12 (`_clamped`).  Clamp
 events are counted in a module-level tally (`clamp_count`,
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .margin import _check_label
+from .margin import _check_label, _check_labels
 
 __all__ = [
     "softmax",
@@ -116,12 +126,12 @@ def _check_prob_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
 
 def sur_l1(p1, p2) -> float:
     """L1 distance between probability vectors, scaled by 1/K; in [0, 2/K]."""
-    return float(_l1_rows(*_check_prob_pair(p1, p2)))
+    return float(_l1(*_check_prob_pair(p1, p2))[0])
 
 
 def sur_kl(p1, p2) -> float:
     """Symmetrized KL: (KL(p1||p2) + KL(p2||p1)) / 2.  Not a metric."""
-    return float(_kl_rows(*_check_prob_pair(p1, p2)))
+    return float(_kl(*_check_prob_pair(p1, p2))[0])
 
 
 def sur_ce(p1, p2) -> float:
@@ -129,31 +139,39 @@ def sur_ce(p1, p2) -> float:
 
     Equals sur_kl plus half the sum of the two entropies.
     """
-    return float(_ce_rows(*_check_prob_pair(p1, p2)))
+    return float(_ce(*_check_prob_pair(p1, p2))[0])
 
 
-# Row forms of the three surrogates over probability rows [..., K].
+# The three pairwise surrogates, one kernel each, over probability rows
+# p1, p2 [..., K].  A kernel returns the per-row values [...] and the per-row
+# probability gradients dV/dp1, dV/dp2 [..., K]; each log argument is
+# clamped once.
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows [..., K] of a and b, as a stacked matmul: it
-    rounds like the 1-D ``np.dot`` in every row; a row-wise sum of products
-    does not."""
-    return (a[..., None, :] @ b[..., :, None]).squeeze((-2, -1))
+def _l1(p1: np.ndarray, p2: np.ndarray):
+    """Scaled L1 rows |p1 - p2|_1 / K; the subgradient of |.| at 0 is 0."""
+    k = p1.shape[-1]
+    d = p1 - p2
+    u1 = np.sign(d) / k
+    return np.abs(d).sum(axis=-1) / k, u1, -u1
 
 
-def _l1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b).sum(axis=-1) / a.shape[-1]
+def _kl(p1: np.ndarray, p2: np.ndarray):
+    """Symmetrized-KL rows (p1 - p2) . (log p1 - log p2) / 2."""
+    c1, c2 = _clamped(p1), _clamped(p2)
+    lr = np.log(c1) - np.log(c2)
+    u1 = 0.5 * (lr + 1.0 - p2 / c1)
+    u2 = 0.5 * (-lr + 1.0 - p1 / c2)
+    return 0.5 * ((p1 - p2) * lr).sum(axis=-1), u1, u2
 
 
-def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lr = np.log(_clamped(a)) - np.log(_clamped(b))
-    return 0.5 * (_row_dot(a, lr) - _row_dot(b, lr))
-
-
-def _ce_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ca, cb = _clamped(a), _clamped(b)
-    return -0.5 * (_row_dot(a, np.log(cb)) + _row_dot(b, np.log(ca)))
+def _ce(p1: np.ndarray, p2: np.ndarray):
+    """Symmetrized cross-entropy rows -(p1 . log p2 + p2 . log p1) / 2."""
+    c1, c2 = _clamped(p1), _clamped(p2)
+    l1, l2 = np.log(c1), np.log(c2)
+    u1 = 0.5 * (-l2 - p2 / c1)
+    u2 = 0.5 * (-l1 - p1 / c2)
+    return -0.5 * (p1 * l2 + p2 * l1).sum(axis=-1), u1, u2
 
 
 def log_loss(p, y: int) -> float:
@@ -172,7 +190,8 @@ def log_loss(p, y: int) -> float:
 #
 # Behind each public form sits one private core on probability rows (raw
 # rows for the binary domain head) and a row-weight vector w [n]: it returns
-# sum_i w_i * loss_i and the score gradients of that sum.  The public forms
+# sum_i w_i * loss_i and the score gradients of that sum.  The three
+# pairwise forms share `_pair_core` over their kernels.  The public forms
 # are softmax + core with w = 1/n (-1/n for a target term, negated back).
 # A trainer stacks source and target rows and weights them +1/n_s and
 # -1/n_t, so one core call gives "source term minus target term" and the
@@ -194,53 +213,21 @@ def _mean_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _check_labels(labels, n: int, k: int) -> np.ndarray:
-    """1-based labels as int64 [n], each in {1..k}."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.size != n:
-        raise ValueError("got %d labels for %d score rows" % (y.size, n))
-    if np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels outside {1..%d}" % k)
-    return y
-
-
 def _chain_softmax(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return p * (u - np.sum(p * u, axis=1, keepdims=True))
 
 
-def _l1_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted sum of the scaled L1 rows of p1, p2 [n, K] and its score
-    gradients; the subgradient of |.| at 0 is 0."""
-    k = p1.shape[1]
-    d = p1 - p2
-    value = float(np.abs(d).sum(axis=1) @ w) / k
-    u1 = np.sign(d) / k
+def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted sum of a pairwise kernel's rows of p1, p2 [n, K] and its
+    score gradients."""
+    rows, u1, u2 = kernel(p1, p2)
     wc = w[:, None]
-    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, -u1) * wc
+    return float(rows @ w), _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
 
 
-def _kl_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted sum of the symmetrized-KL rows of p1, p2 [n, K] and its score
-    gradients."""
-    c1, c2 = _clamped(p1), _clamped(p2)
-    lr = np.log(c1) - np.log(c2)
-    value = 0.5 * float(((p1 - p2) * lr).sum(axis=1) @ w)
-    u1 = 0.5 * (lr + 1.0 - p2 / c1)
-    u2 = 0.5 * (-lr + 1.0 - p1 / c2)
-    wc = w[:, None]
-    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
-
-
-def _ce_core(p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted sum of the symmetrized cross-entropy rows of p1, p2 [n, K]
-    and its score gradients."""
-    c1, c2 = _clamped(p1), _clamped(p2)
-    l1, l2 = np.log(c1), np.log(c2)
-    value = -0.5 * float((p1 * l2 + p2 * l1).sum(axis=1) @ w)
-    u1 = 0.5 * (-l2 - p2 / c1)
-    u2 = 0.5 * (-l1 - p1 / c2)
-    wc = w[:, None]
-    return value, _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
+def _pair_with_grads(kernel, s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
+    s1, s2 = _as_batch(s1), _as_batch(s2)
+    return _pair_core(kernel, softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
 
 
 def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
@@ -249,20 +236,17 @@ def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     The subgradient of |.| at 0 is taken as 0, so identical score rows
     produce exactly zero gradient.
     """
-    s1, s2 = _as_batch(s1), _as_batch(s2)
-    return _l1_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
+    return _pair_with_grads(_l1, s1, s2)
 
 
 def kl_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch mean of the symmetrized KL on softmax rows, with score gradients."""
-    s1, s2 = _as_batch(s1), _as_batch(s2)
-    return _kl_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
+    return _pair_with_grads(_kl, s1, s2)
 
 
 def ce_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch mean of the symmetrized cross entropy, with score gradients."""
-    s1, s2 = _as_batch(s1), _as_batch(s2)
-    return _ce_core(softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
+    return _pair_with_grads(_ce, s1, s2)
 
 
 def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray]:

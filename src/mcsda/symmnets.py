@@ -39,8 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, mcsd_rows
+from .margin import _check_labels
 from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
-from .surrogates import _chain_softmax, _clamped, _weighted_log_loss, log_loss_with_grads
+from .surrogates import _ce, _chain_softmax, _clamped, _weighted_log_loss, log_loss_with_grads
 from .surrogates import softmax
 
 __all__ = [
@@ -79,9 +80,7 @@ def _per_example_omega(omega: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _checked_labels(labels, n: int, k: int, omega) -> tuple[np.ndarray, np.ndarray]:
     """1-based labels of n joint score rows, checked to lie in the first K,
     and their per-example class weights."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.size != n or np.any(y < 1) or np.any(y > k):
-        raise ValueError("labels must be 1-based within K=%d" % k)
+    y = _check_labels(labels, n, k)
     return y, _per_example_omega(_check_omega(omega, k), y)
 
 
@@ -137,14 +136,11 @@ def confuse_tgt(z) -> tuple[float, np.ndarray]:
 
 
 def _confuse_tgt(p: np.ndarray) -> tuple[float, np.ndarray]:
-    """``confuse_tgt`` from the joint softmax rows."""
+    """``confuse_tgt`` from the joint softmax rows: the symmetrized cross
+    entropy of the two halves, chained through the joint softmax."""
     n, k = p.shape[0], p.shape[1] // 2
-    r, q = p[:, :k], p[:, k:]
-    cr, cq = _clamped(r), _clamped(q)
-    value = -0.5 * float(np.sum(q * np.log(cr)) + np.sum(r * np.log(cq))) / n
-    u = np.concatenate([-0.5 * (q / cr + np.log(cq)), -0.5 * (np.log(cr) + r / cq)], axis=1)
-    g = _chain_softmax(p, u) / n
-    return value, g
+    rows, u_r, u_q = _ce(p[:, :k], p[:, k:])
+    return float(rows.sum()) / n, _chain_softmax(p, np.concatenate([u_r, u_q], axis=1)) / n
 
 
 def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np.ndarray]:

@@ -365,6 +365,14 @@ class TestErrorFunctionals:
         with pytest.raises(ValueError):
             margin_error(np.zeros((2, 3)), [1, 4], 1.0)
 
+    @pytest.mark.parametrize("labels", [[1], [1, 2, 3], [0, 1, 2]])
+    def test_zero_one_error_label_validation(self, labels):
+        # a short label list must not broadcast; labels outside {1..K} must
+        # not count as errors: the same check as margin_error's
+        for error in (zero_one_error, lambda s, y: margin_error(s, y, 1.0)):
+            with pytest.raises(ValueError):
+                error(np.zeros((3, 2)), labels)
+
 
 class TestPacBoundReport:
     def setup_method(self):

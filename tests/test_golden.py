@@ -3,8 +3,9 @@
 Each expected value is the ``float.hex`` of what the library computed when
 the value was recorded, so any change of rounding on these paths fails
 here: the ``pac-report`` JSON on the default moons file, one K=10
-adversarial ascent, short seeded runs of five trainers and the
-``theory-check`` report at CLI defaults.  Regenerate
+adversarial ascent, short seeded runs of five trainers, short seeded
+partial and open-set SymmNets runs and the ``theory-check`` report at CLI
+defaults.  Regenerate
 the constants only for a deliberate numeric change, and record that change
 in CHANGES.md.
 """
@@ -20,7 +21,7 @@ from mcsda.harness.config import ExperimentConfig
 from mcsda.harness.theory import run_theory_checks
 from mcsda.harness.trainers import run_experiment
 from mcsda.neural import Schedules
-from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons
+from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial
 
 PAC_TERMS = (
     "src_margin_err",
@@ -38,6 +39,7 @@ PAC_TERMS = (
     "rhs_total",
 )
 RUN_METHODS = ("source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2")
+RUN_MODES = ("partial", "openset")
 
 
 def pac_report_values(tmp_path) -> dict:
@@ -74,7 +76,10 @@ def run_values(method: str) -> dict:
     cfg = ExperimentConfig(
         method=method, rho=0.7, epochs=3, batch_size=32, seed=0, schedules=Schedules(eta0=0.05)
     )
-    res = run_experiment(pair, cfg)
+    return run_summary(run_experiment(pair, cfg))
+
+
+def run_summary(res) -> dict:
     last = res.metrics[-1]
     return {
         "source_acc": res.final_source_acc.hex(),
@@ -82,6 +87,38 @@ def run_values(method: str) -> dict:
         "losses": {k: v.hex() for k, v in sorted(last.losses.items())},
         "proxy": None if last.divergence_proxy is None else last.divergence_proxy.hex(),
     }
+
+
+def mode_run_values(mode: str) -> dict:
+    """A short seeded ``symmnets_v2`` run on a partial pair (shuffled
+    mini-batches, class weights re-estimated every epoch) or an open-set
+    pair (super-class-oversampled source batches): the ``run_values``
+    summary plus the final class weights or open-set accuracies and every
+    epoch's target accuracy."""
+    if mode == "partial":
+        pair = make_partial(gen_gauss_blobs(4, 40, (0.6, 0.3), seed=3, std=0.5), [1, 2])
+        extra = {"full_batch_limit": 32}
+    else:
+        base = gen_gauss_blobs(6, 30, (0.6, 0.3), seed=4, std=0.8)
+        pair = make_openset(base, [1, 2, 3], [4], [5, 6])
+        extra = {"nu": 2.0}
+    cfg = ExperimentConfig(
+        method="symmnets_v2",
+        rho=0.7,
+        epochs=3,
+        batch_size=32,
+        seed=0,
+        schedules=Schedules(eta0=0.05),
+        **extra,
+    )
+    res = run_experiment(pair, cfg)
+    values = run_summary(res)
+    values["target_accs"] = [r.target_acc.hex() for r in res.metrics]
+    if mode == "partial":
+        values["omega"] = [float(w).hex() for w in res.omega]
+    else:
+        values["open_set"] = [res.os_all.hex(), res.os_shared.hex(), res.unknown_acc.hex()]
+    return values
 
 
 def theory_values() -> dict:
@@ -222,6 +259,47 @@ EXPECTED_RUNS = {
 }
 
 
+EXPECTED_MODE_RUNS = {
+    "partial": {
+        "source_acc": "0x1.0000000000000p+0",
+        "target_acc": "0x1.0000000000000p+0",
+        "losses": {
+            "bound_lhs": "0x1.9008e91e0bf22p-6",
+            "bound_rhs": "0x1.014360e91966ap+1",
+            "confuse_src": "0x1.ec7d8f8bf7e98p-2",
+            "confuse_tgt": "0x1.77033af9641fap-1",
+            "discrim": "0x1.07e9acc2ee38cp+0",
+            "task_s": "0x1.4f35245cb803ep-7",
+            "task_t": "0x1.1e0817623178ep-6",
+        },
+        "proxy": "0x1.4153e97b70ddfp-6",
+        "target_accs": ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"],
+        "omega": [
+            "0x1.f18df6f26de37p-1",
+            "0x1.0000000000000p+0",
+            "0x1.16c1b90e25bdfp-6",
+            "0x1.4b846ca80e155p-5",
+        ],
+    },
+    "openset": {
+        "source_acc": "0x1.eeeeeeeeeeeefp-1",
+        "target_acc": "0x1.999999999999ap-1",
+        "losses": {
+            "bound_lhs": "0x1.353c1ce8e8b5ep-3",
+            "bound_rhs": "0x1.20426ab625b5bp+1",
+            "confuse_src": "0x1.f6938bbc25c06p-1",
+            "confuse_tgt": "0x1.a46eaa5a81586p-1",
+            "discrim": "0x1.4638df6e25562p+0",
+            "task_s": "0x1.2fc1f18f82574p-3",
+            "task_t": "0x1.cce46ac6db458p-3",
+        },
+        "proxy": "-0x1.2376ea4d2ebccp-4",
+        "target_accs": ["0x1.5f92c5f92c5f9p-1", "0x1.70a3d70a3d70ap-1", "0x1.999999999999ap-1"],
+        "open_set": ["0x1.b99999999999ap-1", "0x1.eeeeeeeeeeeefp-1", "0x1.199999999999ap-1"],
+    },
+}
+
+
 def test_pac_report_on_default_moons_file(tmp_path):
     assert pac_report_values(tmp_path) == EXPECTED_PAC
 
@@ -233,6 +311,11 @@ def test_k10_ascent():
 @pytest.mark.parametrize("method", RUN_METHODS)
 def test_short_seeded_run(method):
     assert run_values(method) == EXPECTED_RUNS[method]
+
+
+@pytest.mark.parametrize("mode", RUN_MODES)
+def test_short_seeded_mode_run(mode):
+    assert mode_run_values(mode) == EXPECTED_MODE_RUNS[mode]
 
 
 EXPECTED_THEORY = {
@@ -252,7 +335,7 @@ EXPECTED_THEORY = {
     "surrogate_identities": [
         True,
         {
-            "worst_identity_gap": "0x1.0000000000000p-50",
+            "worst_identity_gap": "0x1.0000000000000p-49",
             "kl_triangle_violation": "0x1.4c28323cc79d4p-5",
             "ce_triangle_violation": "0x1.5a48142fa31b0p-2",
         },
@@ -260,7 +343,7 @@ EXPECTED_THEORY = {
     "enumerated_universe_bounds": [
         True,
         {
-            "worst_excess_matrix": "-0x1.565f8d6d5b984p+0",
+            "worst_excess_matrix": "-0x1.565f8d6d5b982p+0",
             "worst_excess_tilde": "-0x1.3c8ac984a3d6dp+0",
             "worst_excess_hat": "-0x1.3c8ac984a3d6dp+0",
             "n_universes": 20,
@@ -278,7 +361,7 @@ EXPECTED_THEORY = {
         True,
         {
             "ascent_value": "0x1.8000000000004p+1",
-            "exact_over_visited": "0x1.7ffffffffffffp+1",
+            "exact_over_visited": "0x1.8000000000004p+1",
             "monotone": True,
             "identical_samples_value": "0x0.0p+0",
             "ascent_warning": None,
@@ -298,7 +381,7 @@ EXPECTED_THEORY = {
         {
             "lhs": "0x1.5555555555556p-3",
             "rhs": "0x1.6ccb63f849f78p+5",
-            "divergence": "0x1.3505031f41e54p-2",
+            "divergence": "0x1.3505031f41e58p-2",
         },
     ],
     "schedule_closed_forms": [True, {"worst_gap": "0x1.0000000000000p-52"}],

@@ -10,7 +10,8 @@ split paths are compared against independent arithmetic.
 ``TestOneKernelPerObject`` scans the library source: the ramp, the row
 centering, the per-component disagreement, the violation-matrix diagonal
 and the signed decision margin may each be spelled out in one function
-only, their kernel in ``mcsda.margin``.
+only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
+symmetrized-CE rows likewise, their kernels in ``mcsda.surrogates``.
 """
 
 import ast
@@ -117,6 +118,19 @@ class TestPairwiseMeans:
         assert np.abs(fast - full_square_means(scores, w, 1.0)).max() <= 1e-12
         assert np.array_equal(fast, fast.T)
         assert np.all(np.diag(fast) == 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_each_pair_rounds_as_one_dot_of_its_rows(self, k):
+        # as ``_exact_mean`` and ``margin_error`` weight a single pair's rows
+        rng = np.random.default_rng(50 + k)
+        scores = _center(rng.normal(scale=2.0, size=(6, 300, k)))
+        w = rng.random(300)
+        w /= w.sum()
+        means = _pairwise_mcsd_means(scores, w, 0.7)
+        for i in range(6):
+            for j in range(6):
+                if i != j:
+                    assert means[i, j] == float(mcsd_rows(scores[i], scores[j], 0.7) @ w)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_divergence_selects_the_oracle_pair(self, k):
@@ -447,6 +461,27 @@ KERNEL_RULES = {
         re.compile(r"\bwhere\(.+, (?P<top>[A-Za-z_][\w\[\]:, ]*), -(?P=top)\)"),
         ("margin.py", "_decision_margin"),
     ),
+    # the probability surrogates: |p1 - p2| summed over a row, the log ratio
+    # (or the difference-times-difference row) of the symmetrized KL, and the
+    # two cross terms of the symmetrized cross entropy
+    "scaled L1": (
+        re.compile(r"\babs\(\w+( - \w+)?\)\.sum\("),
+        ("surrogates.py", "_l1"),
+    ),
+    "symmetrized KL": (
+        re.compile(
+            r"\blog\([^()]*(\([^()]*\))?\) - (np\.)?log\("
+            r"|\(\w+ - \w+\) \* \(\w+ - \w+\)"
+        ),
+        ("surrogates.py", "_kl"),
+    ),
+    "symmetrized CE": (
+        re.compile(
+            r"\b\w+(, | \* )((np\.)?log\(\w+\)|l\w*)\)* \+ (np\.sum\(|_row_dot\()?"
+            r"\w+(, | \* )((np\.)?log\(\w+\)|l\w*)"
+        ),
+        ("surrogates.py", "_ce"),
+    ),
 }
 
 
@@ -496,6 +531,27 @@ class TestOneKernelPerObject:
             ("violation-matrix diagonal", "def v(mu, s, i):\n    mu[..., i, i] = s\n"),
             ("signed decision margin", "def m(a, t):\n    return np.where(a, t, -t)\n"),
             ("absolute margin", "def a(s, signs, rho):\n    return _ramp(s * signs, rho)\n"),
+            ("scaled L1", "def s(p1, p2):\n    return np.abs(p1 - p2).sum(axis=1) / 3.0\n"),
+            ("scaled L1", "def s(d, w, k):\n    return float(np.abs(d).sum(axis=1) @ w) / k\n"),
+            (
+                "symmetrized KL",
+                "def s(a, b):\n    return np.log(_clamped(a)) - np.log(_clamped(b))\n",
+            ),
+            (
+                "symmetrized KL",
+                "def s(p1, p2, l1, l2):\n    return ((p1 - p2) * (l1 - l2)).sum(-1)\n",
+            ),
+            ("symmetrized CE", "def s(p1, p2, l1, l2):\n    return (p1 * l2 + p2 * l1).sum(-1)\n"),
+            (
+                "symmetrized CE",
+                "def s(r, q, cr, cq):\n"
+                "    return np.sum(q * np.log(cr)) + np.sum(r * np.log(cq))\n",
+            ),
+            (
+                "symmetrized CE",
+                "def s(a, b, ca, cb):\n"
+                "    return _row_dot(a, np.log(cb)) + _row_dot(b, np.log(ca))\n",
+            ),
         ],
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):

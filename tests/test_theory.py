@@ -161,17 +161,26 @@ class TestDrawReplay:
                 assert bits(col[row]) == bits(value)
 
 
+def scaled(fn, factor):
+    """``fn`` with its result times ``factor``; a tuple result (a surrogate
+    kernel's rows and probability gradients) is scaled entry by entry."""
+
+    def mutant(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if isinstance(out, tuple):
+            return tuple(factor * x for x in out)
+        return factor * out
+
+    return mutant
+
+
 def scale_everywhere(monkeypatch, module, name, factor):
     """Replace ``module.name`` by a scaled copy in every mcsda module that
     holds it, so the single-vector functions see the mutant too."""
     orig = getattr(module, name)
-
-    def scaled(*args, **kwargs):
-        return factor * orig(*args, **kwargs)
-
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("mcsda") and vars(mod).get(name) is orig:
-            monkeypatch.setattr(mod, name, scaled)
+            monkeypatch.setattr(mod, name, scaled(orig, factor))
 
 
 def run_check(check, seed=0, trials=400):
@@ -192,7 +201,7 @@ class TestMutants:
             ("check_variant_lemmas", margin, "_decision_level", 2.0),
             ("check_variant_lemmas", divergence, "_margin_violations", 0.5),
             ("check_mcsd_metric", divergence, "_mcsd_rows", 10.0),
-            ("check_surrogate_identities", surrogates, "_ce_rows", 1.5),
+            ("check_surrogate_identities", surrogates, "_ce", 1.5),
         ],
     )
     def test_scaled_kernel_fails_the_check(self, monkeypatch, check, module, name, factor):
@@ -209,20 +218,26 @@ class TestMutants:
             ("check_pointwise_lemmas", "_mcsd_rows"),
             ("check_variant_lemmas", "_decision_level"),
             ("check_mcsd_metric", "_mcsd_rows"),
-            ("check_surrogate_identities", "_l1_rows"),
+            ("check_surrogate_identities", "_l1"),
         ],
     )
     def test_batched_drift_shows_in_the_single_vector_gap(self, monkeypatch, check, name):
         # one part in 1e6, in the suite's batched path only: the public
         # single-vector functions keep the real kernel
-        orig = getattr(theory, name)
-        monkeypatch.setattr(theory, name, lambda *args: orig(*args) * (1.0 + 1e-6))
+        monkeypatch.setattr(theory, name, scaled(getattr(theory, name), 1.0 + 1e-6))
         res = run_check(check)
         assert not res.passed
         assert res.details["single_vector_gap"] > 1e-12
 
 
 class TestReport:
+    def test_ascent_value_never_exceeds_the_enumeration_without_slack(self):
+        # the ascent scores its pair with the same 1-D row dot as the grid
+        # enumeration does, so the statement holds bit for bit
+        res = theory.check_adversarial_estimator(0)
+        assert res.passed
+        assert res.details["ascent_value"] <= res.details["exact_over_visited"]
+
     def test_every_batched_check_reports_its_single_vector_gap(self):
         report = theory.run_theory_checks(seed=4, trials=300, n_universes=2)
         gaps = {c.name: c.details.get("single_vector_gap") for c in report.checks[:7]}

@@ -49,7 +49,7 @@ import numpy as np
 
 from .margin import _absolute_margin, _center, _check_labels, _check_rho, _component_disagreement
 from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _ramp
-from .margin import _violation_matrix
+from .margin import _integer_labels, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -97,7 +97,7 @@ class SampleSet:
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+            lab = _integer_labels(self.labels)
             if lab.size != pts.shape[0]:
                 raise ValueError("got %d labels for %d points" % (lab.size, pts.shape[0]))
             if np.any(lab < 1):

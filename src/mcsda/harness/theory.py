@@ -86,7 +86,7 @@ from ..margin import (
     source_margin_loss,
 )
 from ..neural import Schedules, lambda_schedule, lr_schedule
-from ..surrogates import _ce, _kl, _l1, softmax, sur_ce, sur_kl, sur_l1
+from ..surrogates import _ce, _guarded_log, _kl, _l1, softmax, sur_ce, sur_kl, sur_l1
 from ..synthdata import gen_gauss_blobs
 
 __all__ = [
@@ -487,7 +487,7 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
         p1, p2, p3 = softmax(np.stack(logits))
         kl, ce = _kl(p1, p2)[0], _ce(p1, p2)[0]
         l12, l21, l13, l23 = _l1(np.stack([p1, p2, p1, p2]), np.stack([p2, p1, p3, p3]))[0]
-        ent1, ent2 = (-(p * np.log(p)).sum(axis=-1) for p in (p1, p2))
+        ent1, ent2 = (-(p * _guarded_log(p)[0]).sum(axis=-1) for p in (p1, p2))
         worst_identity = max(worst_identity, np.abs(ce - (kl + 0.5 * (ent1 + ent2))).max())
         ok &= bool(np.all((ce >= kl - 1e-12) & (kl - 1e-12 >= -1e-12)))
         ok &= bool(np.all(np.abs(l12 - l21) <= 1e-15))

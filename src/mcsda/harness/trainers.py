@@ -59,8 +59,8 @@ from ..neural import (
 from ..surrogates import (
     _dann_core,
     _mdd_variant_core,
+    _picked_log_loss,
     _softmax,
-    _weighted_log_loss,
     log_loss_with_grads,
     reset_clamp_count,
 )
@@ -268,9 +268,8 @@ def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float
     wide = ("f",) if cfg.surrogate == "dann" else ("f", "f1", "f2")
     probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
     trained = wide if cfg.aux_task_weight > 0 else ("f",)
-    values, g = _weighted_log_loss(
-        probs[: len(trained), :ns], _check_labels(ys, ns, k), np.ones(ns)
-    )
+    picks = (_check_labels(ys, ns, k) - 1)[:, None]
+    values, g = _picked_log_loss(probs[: len(trained), :ns], picks, np.ones(ns))
     task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
     task[:, :ns] = g
     task[1:] *= cfg.aux_task_weight

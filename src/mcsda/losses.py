@@ -1,11 +1,17 @@
-"""Registry of every loss the trainers backpropagate through.
+"""Registry of the loss cores the training steps backpropagate through.
 
-Each entry bundles a differentiable loss with a sampler producing valid
-random inputs, so the whole collection can be audited against central
-finite differences in one sweep.  Admission rule: a loss may only be
-dispatched by a trainer if it is listed here and passes the audit.  A
-trainer may call the private core behind a listed public form (softmax plus
-core); the audit reaches the core through that form.
+Each entry calls one private core the way a step calls it: softmax rows of
+stacked source and target rows weighted +1/n_s and -1/n_t (the pairwise,
+one-vs-rest and domain-head cores), a leading head axis (the McDalNet task
+losses), per-example class weights (the SymmNets task losses) or a joint
+softmax shared by several terms (the SymmNets confusion and discrimination
+cores).  It bundles that call with a sampler producing valid random inputs,
+so the whole collection can be audited against central finite differences
+in one sweep.  Admission rule: a step may call a loss core only in a shape
+that an entry here calls it in and that passes the audit;
+``tests/test_losses.py`` runs one step of every method and checks the rule.
+The public wrappers (softmax plus a core with batch-mean weights) keep
+finite-difference tests of their own.
 
 ``apply`` returns the scalar value and a dict mapping input positions to
 gradients; positions absent from the dict (labels, weights, reference
@@ -22,32 +28,19 @@ from typing import Callable
 
 import numpy as np
 
-from .surrogates import (
-    _ce,
-    _kl,
-    _l1,
-    _pair_core,
-    ce_with_grads,
-    dann_with_grads,
-    kl_with_grads,
-    l1_with_grads,
-    log_loss_with_grads,
-    mdd_variant_with_grads,
-)
-from .symmnets import confuse_src, confuse_tgt, discrim, loss_task_src
+from .surrogates import _ce, _dann_core, _kl, _l1, _mdd_variant_core, _pair_core
+from .surrogates import _picked_log_loss, _softmax
+from .symmnets import _confuse_src, _confuse_tgt, _discrim
 
 __all__ = [
     "RegisteredLoss",
-    "PAIRWISE_SURROGATES",
     "PAIRWISE_CORES",
     "registered_losses",
     "finite_difference_audit",
 ]
 
-# pairwise surrogates share one calling shape: (scores1, scores2) -> (value, g1, g2)
-PAIRWISE_SURROGATES = {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
-# the weighted cores behind them, which the trainers dispatch and the audit
-# reaches through the public forms: (p1, p2, row weights) -> (value, g1, g2)
+# the weighted pairwise cores the McDalNet step dispatches:
+# (p1, p2, row weights) -> (value, g1, g2)
 PAIRWISE_CORES = {
     name: partial(_pair_core, kernel) for name, kernel in (("l1", _l1), ("kl", _kl), ("ce", _ce))
 }
@@ -76,77 +69,65 @@ def _omega(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.uniform(0.2, 2.0, size=k)
 
 
-def _pair_sample_l1(rng: np.random.Generator) -> tuple:
-    """Score pair kept away from probability ties, where |.| is kinked."""
-    from .surrogates import softmax
+def _stacked_weights(rng: np.random.Generator) -> np.ndarray:
+    """+1/n_s on n_s source rows, then -1/n_t on n_t target rows."""
+    ns, nt = (int(m) for m in rng.integers(1, 4, size=2))
+    return np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
 
-    n, k = _shape(rng)
+
+def _pair_sample(rng: np.random.Generator, apart: bool = False) -> tuple:
+    """Stacked score pair; ``apart`` keeps it away from probability ties,
+    where the L1 surrogate is kinked."""
+    w = _stacked_weights(rng)
+    k = int(rng.integers(2, 6))
     while True:
-        s1, s2 = _scores(rng, n, k), _scores(rng, n, k)
-        if np.min(np.abs(softmax(s1) - softmax(s2))) > 1e-3:
-            return s1, s2
+        s1, s2 = _scores(rng, w.size, k), _scores(rng, w.size, k)
+        if not apart or np.min(np.abs(_softmax(s1) - _softmax(s2))) > 1e-3:
+            return s1, s2, w
 
 
-def _pair_sample(rng: np.random.Generator) -> tuple:
-    n, k = _shape(rng)
-    return _scores(rng, n, k), _scores(rng, n, k)
-
-
-def _wrap_pair(fn) -> Callable:
-    def apply(s1, s2):
-        value, g1, g2 = fn(s1, s2)
+def _pair_apply(name: str) -> Callable:
+    def apply(s1, s2, w):
+        value, g1, g2 = PAIRWISE_CORES[name](_softmax(s1), _softmax(s2), w)
         return value, {0: g1, 1: g2}
 
     return apply
 
 
-def _log_loss_sample(rng: np.random.Generator) -> tuple:
-    n, k = _shape(rng)
-    return _scores(rng, n, k), _labels(rng, n, k), rng.uniform(0.2, 2.0, size=n)
-
-
-def _log_loss_apply(scores, labels, weights):
-    value, g = log_loss_with_grads(scores, labels, weights=weights)
-    return value, {0: g}
-
-
-def _mdd_src_sample(rng: np.random.Generator) -> tuple:
-    n, k = _shape(rng)
-    return _scores(rng, n, k), _scores(rng, n, k)
-
-
-def _mdd_src_apply(ref, aux):
-    src_term, _, g_src, _ = mdd_variant_with_grads(ref, aux, ref, aux)
-    return src_term, {1: g_src}
-
-
-def _mdd_tgt_apply(ref, aux):
-    _, tgt_term, _, g_tgt = mdd_variant_with_grads(ref, aux, ref, aux)
-    return tgt_term, {1: g_tgt}
+def _mdd_variant_apply(ref, aux, w):
+    value, g = _mdd_variant_core(np.argmax(ref, axis=1), _softmax(aux), w)
+    return value, {1: g}
 
 
 def _dann_sample(rng: np.random.Generator) -> tuple:
-    return (rng.normal(0.0, 2.0, size=int(rng.integers(2, 8))),)
+    w = _stacked_weights(rng)
+    return rng.normal(0.0, 2.0, size=w.size), w
 
 
-def _dann_src_apply(d):
-    src_term, _, g_src, _ = dann_with_grads(d, d)
-    return src_term, {0: g_src}
+def _dann_apply(d, w):
+    value, g = _dann_core(d, w)
+    return value, {0: g}
 
 
-def _dann_tgt_apply(d):
-    _, tgt_term, _, g_tgt = dann_with_grads(d, d)
-    return tgt_term, {0: g_tgt}
-
-
-def _task_sample(rng: np.random.Generator) -> tuple:
+def _labeled_sample(rng: np.random.Generator, width: int = 1) -> tuple:
+    """Scores [n, width * K], 1-based labels in {1..K} and class weights."""
     n, k = _shape(rng)
-    return _scores(rng, n, k), _labels(rng, n, k), _omega(rng, k)
+    return _scores(rng, n, width * k), _labels(rng, n, k), _omega(rng, k)
 
 
 def _task_apply(scores, labels, omega):
-    value, g = loss_task_src(scores, labels, omega)
+    value, g = _picked_log_loss(_softmax(scores), (labels - 1)[:, None], omega[labels - 1])
     return value, {0: g}
+
+
+def _heads_sample(rng: np.random.Generator) -> tuple:
+    n, k = _shape(rng)
+    return rng.normal(0.0, 1.5, size=(int(rng.integers(1, 4)), n, k)), _labels(rng, n, k)
+
+
+def _heads_apply(scores, labels):
+    values, g = _picked_log_loss(_softmax(scores), (labels - 1)[:, None], np.ones(labels.size))
+    return float(values.sum()), {0: g}
 
 
 def _joint_sample(rng: np.random.Generator) -> tuple:
@@ -155,17 +136,12 @@ def _joint_sample(rng: np.random.Generator) -> tuple:
 
 
 def _confuse_tgt_apply(z):
-    value, g = confuse_tgt(z)
+    value, g = _confuse_tgt(_softmax(z))
     return value, {0: g}
 
 
-def _confuse_src_sample(rng: np.random.Generator) -> tuple:
-    n, k = _shape(rng)
-    return _scores(rng, n, 2 * k), _labels(rng, n, k), _omega(rng, k)
-
-
 def _confuse_src_apply(z, labels, omega):
-    value, g = confuse_src(z, labels, omega)
+    value, g = _confuse_src(_softmax(z), labels, omega[labels - 1])
     return value, {0: g}
 
 
@@ -176,23 +152,22 @@ def _discrim_sample(rng: np.random.Generator) -> tuple:
 
 
 def _discrim_apply(z_src, labels, z_tgt, omega):
-    value, g_src, g_tgt = discrim(z_src, labels, z_tgt, omega)
+    value, g_src, g_tgt = _discrim(_softmax(z_src), labels, _softmax(z_tgt), omega[labels - 1])
     return value, {0: g_src, 2: g_tgt}
 
 
 def registered_losses() -> tuple[RegisteredLoss, ...]:
-    """Every loss any trainer feeds to a backward pass."""
+    """Every loss core a training step feeds to a backward pass, in the
+    shapes the steps call it."""
     return (
-        RegisteredLoss("sur_l1_pair", _pair_sample_l1, _wrap_pair(l1_with_grads)),
-        RegisteredLoss("sur_kl_pair", _pair_sample, _wrap_pair(kl_with_grads)),
-        RegisteredLoss("sur_ce_pair", _pair_sample, _wrap_pair(ce_with_grads)),
-        RegisteredLoss("log_loss", _log_loss_sample, _log_loss_apply),
-        RegisteredLoss("mdd_variant_src_term", _mdd_src_sample, _mdd_src_apply),
-        RegisteredLoss("mdd_variant_tgt_term", _mdd_src_sample, _mdd_tgt_apply),
-        RegisteredLoss("dann_src_term", _dann_sample, _dann_src_apply),
-        RegisteredLoss("dann_tgt_term", _dann_sample, _dann_tgt_apply),
-        RegisteredLoss("task_src_weighted", _task_sample, _task_apply),
-        RegisteredLoss("confuse_src", _confuse_src_sample, _confuse_src_apply),
+        RegisteredLoss("pair_core_l1", partial(_pair_sample, apart=True), _pair_apply("l1")),
+        RegisteredLoss("pair_core_kl", _pair_sample, _pair_apply("kl")),
+        RegisteredLoss("pair_core_ce", _pair_sample, _pair_apply("ce")),
+        RegisteredLoss("mdd_variant_core", _pair_sample, _mdd_variant_apply),
+        RegisteredLoss("dann_core", _dann_sample, _dann_apply),
+        RegisteredLoss("picked_log_loss", _labeled_sample, _task_apply),
+        RegisteredLoss("picked_log_loss_heads", _heads_sample, _heads_apply),
+        RegisteredLoss("confuse_src", partial(_labeled_sample, width=2), _confuse_src_apply),
         RegisteredLoss("confuse_tgt", _joint_sample, _confuse_tgt_apply),
         RegisteredLoss("discrim", _discrim_sample, _discrim_apply),
     )

@@ -130,9 +130,20 @@ def _check_label(y: int, k: int) -> int:
     return iy - 1
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """Labels as int64 [n]; a non-integral value is rejected, not truncated.
+    Integer arrays skip the comparison."""
+    a = np.asarray(labels).reshape(-1)
+    if a.dtype.kind not in "biu":
+        a = a.astype(np.float64)
+        if not (np.isfinite(a).all() and (np.trunc(a) == a).all()):
+            raise ValueError("labels must be integers")
+    return a.astype(np.int64, copy=False)
+
+
 def _check_labels(labels, n: int, k: int) -> np.ndarray:
     """1-based labels of n score rows as int64 [n], each in {1..k}."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    y = _integer_labels(labels)
     if y.size != n:
         raise ValueError("got %d labels for %d score rows" % (y.size, n))
     if np.any(y < 1) or np.any(y > k):

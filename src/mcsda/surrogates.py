@@ -12,18 +12,23 @@ manual backprop in the neural stack consumes.
 
 Each of the three pairwise surrogates is written once, as a kernel on
 probability rows [..., K] (`_l1`, `_kl`, `_ce`): it returns the per-row
-values and the per-row probability gradients dV/dp1, dV/dp2, clamping each
-log argument once.  One weighted core, `_pair_core`, sums the rows with row
+values and the per-row probability gradients dV/dp1, dV/dp2, taking each
+guarded log once.  One weighted core, `_pair_core`, sums the rows with row
 weights w and chains the probability gradients through the softmax.  Every
 caller goes through a kernel: `sur_*` (one row), `*_with_grads` (softmax +
 weighted core with w = 1/n), the McDalNet step (the weighted core, through
 `losses.PAIRWISE_CORES`), SymmNets' target confusion (`_ce` between the two
 halves of the joint softmax), the surface slices and the theory suite.
 
-Every logarithm, here, in the SymmNets losses and in the surface slices, is
-guarded by clamping its argument to at least 1e-12 (`_clamped`).  Clamp
-events are counted in a module-level tally (`clamp_count`,
-`reset_clamp_count`) so training metrics can report them per epoch.
+Every log of a probability in the library goes through one guarded log,
+`_guarded_log`, which clamps its argument below at 1e-12 and counts the
+clamped entries in a module-level tally (`clamp_count`,
+`reset_clamp_count`) so training metrics can report them per epoch.  The
+weighted negative log of picked softmax entries is written once too, as
+`_picked_log_loss` (m picks per row): the task losses of every trainer,
+SymmNets' labeled confusion (two picks) and the source half of its domain
+discrimination call it.  The one-vs-rest and domain-head cores keep their
+own gradient forms and share only the guarded log.
 
 Sign convention for the adversarial pairs: each returns
 (source term, target term) separately, and the disagreement loss is source
@@ -73,14 +78,15 @@ def reset_clamp_count() -> int:
     return n
 
 
-def _clamped(x: np.ndarray) -> np.ndarray:
-    """Clamp below at 1e-12 for safe logs, counting how many entries hit it."""
+def _guarded_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guarded log: (log q, q) for q = p clamped below at 1e-12, counting
+    how many entries hit the clamp."""
     global _clamp_events
-    hits = int(np.count_nonzero(x < _EPS))
+    hits = int(np.count_nonzero(p < _EPS))
     if hits:
         _clamp_events += hits
-        return np.maximum(x, _EPS)
-    return x
+        p = np.maximum(p, _EPS)
+    return np.log(p), p
 
 
 def softmax(scores) -> np.ndarray:
@@ -158,17 +164,15 @@ def _l1(p1: np.ndarray, p2: np.ndarray):
 
 def _kl(p1: np.ndarray, p2: np.ndarray):
     """Symmetrized-KL rows (p1 - p2) . (log p1 - log p2) / 2."""
-    c1, c2 = _clamped(p1), _clamped(p2)
-    lr = np.log(c1) - np.log(c2)
-    u1 = 0.5 * (lr + 1.0 - p2 / c1)
-    u2 = 0.5 * (-lr + 1.0 - p1 / c2)
-    return 0.5 * ((p1 - p2) * lr).sum(axis=-1), u1, u2
+    (l1, c1), (l2, c2) = _guarded_log(p1), _guarded_log(p2)
+    u1 = 0.5 * (l1 - l2 + 1.0 - p2 / c1)
+    u2 = 0.5 * (l2 - l1 + 1.0 - p1 / c2)
+    return 0.5 * ((p1 - p2) * (l1 - l2)).sum(axis=-1), u1, u2
 
 
 def _ce(p1: np.ndarray, p2: np.ndarray):
     """Symmetrized cross-entropy rows -(p1 . log p2 + p2 . log p1) / 2."""
-    c1, c2 = _clamped(p1), _clamped(p2)
-    l1, l2 = np.log(c1), np.log(c2)
+    (l1, c1), (l2, c2) = _guarded_log(p1), _guarded_log(p2)
     u1 = 0.5 * (-l2 - p2 / c1)
     u2 = 0.5 * (-l1 - p1 / c2)
     return -0.5 * (p1 * l2 + p2 * l1).sum(axis=-1), u1, u2
@@ -178,7 +182,7 @@ def log_loss(p, y: int) -> float:
     """Negative log probability of the 1-based label y."""
     a = np.asarray(p, dtype=np.float64).reshape(-1)
     i = _check_label(y, a.size)
-    return -float(np.log(_clamped(a[i : i + 1]))[0])
+    return -float(_guarded_log(a[i : i + 1])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +265,22 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != n:
         raise ValueError("got %d weights for %d score rows" % (w.size, n))
-    return _weighted_log_loss(softmax(s), y, w)
+    return _picked_log_loss(softmax(s), (y - 1)[:, None], w)
 
 
-def _weighted_log_loss(p: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """``log_loss_with_grads`` from softmax rows [..., n, K] and checked
-    1-based labels and weights [n].  Leading axes stack heads scored on the
-    same rows; each gets its own value (a float for plain [n, K] rows)."""
-    n = p.shape[-2]
-    rows, cols = np.arange(n), y - 1
-    value = np.dot(-np.log(_clamped(p[..., rows, cols])), w) / n
-    g = p * (w / n)[:, None]
-    g[..., rows, cols] -= w / n
+def _picked_log_loss(p: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """The picked-entry log loss: softmax rows p [..., n, K], m 0-based picks
+    per row c [n, m] and row weights w [n].  Returns
+    sum_i w_i sum_j -log p[i, c_ij] / (m n) and its gradient w.r.t. the
+    scores, p * m w_i / (m n) less w_i / (m n) at each pick.  Leading axes
+    stack heads scored on the same rows; each gets its own value (a float
+    for plain [n, K] rows)."""
+    n, m = c.shape
+    rows = np.arange(n)
+    value = np.dot(-_guarded_log(p[..., rows[:, None], c])[0].sum(axis=-1), w) / (m * n)
+    g = p * (m * w / (m * n))[:, None]
+    for j in range(m):
+        g[..., rows, c[:, j]] -= w / (m * n)
     return (float(value) if value.ndim == 0 else value), g
 
 
@@ -285,8 +293,8 @@ def _mdd_variant_core(c: np.ndarray, p: np.ndarray, w: np.ndarray) -> tuple[floa
     rows = np.arange(p.shape[0])
     pc = p[rows, c]
     src = w > 0
-    q = _clamped(np.where(src, pc, 1.0 - pc))  # the probability under the log
-    value = -float(np.abs(w) @ np.log(q))
+    log_q, q = _guarded_log(np.where(src, pc, 1.0 - pc))  # q: the probability under the log
+    value = -float(np.abs(w) @ log_q)
     g = p.copy()
     g[rows, c] -= 1.0
     g *= np.where(src, w, w * pc / q)[:, None]
@@ -323,7 +331,7 @@ def _dann_core(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     its gradient w.r.t. d."""
     s = sigmoid(d)
     src = w > 0
-    value = -float(np.abs(w) @ np.log(_clamped(np.where(src, s, 1.0 - s))))
+    value = -float(np.abs(w) @ _guarded_log(np.where(src, s, 1.0 - s))[0])
     return value, w * np.where(src, s - 1.0, -s)
 
 

@@ -18,11 +18,17 @@ probabilities) so they compose with the manual backprop:
 * ``symmnets_step``     one simultaneous update: heads descend
   task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
-  without updating them).  It computes each domain's joint softmax once
-  and passes it to the private cores behind ``confuse_src``,
-  ``confuse_tgt`` and ``discrim``, then makes one backward pass per domain
-  that takes the head gradients from one set of score gradients and the
-  feature-map gradients from the other.
+  without updating them).  It checks the source labels once, computes
+  each domain's joint softmax once and passes them to the private cores
+  behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, then makes one
+  backward pass per domain that takes the head gradients from one set of
+  score gradients and the feature-map gradients from the other.
+
+The labeled terms (the task losses, ``confuse_src`` with its two picks per
+row, the source half of ``discrim``) are all the picked-entry log loss,
+``surrogates._picked_log_loss``, which the step calls directly for the
+task losses; the target block term of ``discrim`` takes the guarded log of
+the second-half mass.
 
 Class weights (all ones outside partial mode) re-weight source examples by
 their label; ``partial_weights`` re-estimates them from target predictions
@@ -41,8 +47,8 @@ import numpy as np
 from .divergence import SampleSet, _margin_violations, mcsd_rows
 from .margin import _check_labels
 from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
-from .surrogates import _ce, _chain_softmax, _clamped, _weighted_log_loss, log_loss_with_grads
-from .surrogates import softmax
+from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss
+from .surrogates import log_loss_with_grads, softmax
 
 __all__ = [
     "loss_task_src",
@@ -73,15 +79,11 @@ def _check_omega(omega, k: int) -> np.ndarray:
     return w
 
 
-def _per_example_omega(omega: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return omega[labels - 1]
-
-
 def _checked_labels(labels, n: int, k: int, omega) -> tuple[np.ndarray, np.ndarray]:
     """1-based labels of n joint score rows, checked to lie in the first K,
     and their per-example class weights."""
     y = _check_labels(labels, n, k)
-    return y, _per_example_omega(_check_omega(omega, k), y)
+    return y, _check_omega(omega, k)[y - 1]
 
 
 def _check_joint(z) -> np.ndarray:
@@ -94,9 +96,8 @@ def _check_joint(z) -> np.ndarray:
 def loss_task_src(scores, labels, omega=None) -> tuple[float, np.ndarray]:
     """Weighted source log loss of one head: (1/n) sum_i w_{y_i} (-log p_{y_i})."""
     s = np.asarray(scores, dtype=np.float64)
-    w = _check_omega(omega, s.shape[1])
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    return log_loss_with_grads(s, y, weights=_per_example_omega(w, y))
+    y, w = _checked_labels(labels, s.shape[0], s.shape[1], omega)
+    return log_loss_with_grads(s, y, weights=w)
 
 
 def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
@@ -112,16 +113,9 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
 
 def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """``confuse_src`` from the joint softmax rows and checked labels and
-    per-example weights."""
-    n, k = p.shape[0], p.shape[1] // 2
-    rows = np.arange(n)
-    pa = _clamped(p[rows, y - 1])
-    pb = _clamped(p[rows, y - 1 + k])
-    value = float(np.dot(w, -(np.log(pa) + np.log(pb)))) / (2.0 * n)
-    g = p * (2.0 * w / (2.0 * n))[:, None]
-    g[rows, y - 1] -= w / (2.0 * n)
-    g[rows, y - 1 + k] -= w / (2.0 * n)
-    return value, g
+    per-example weights: the picked-entry log loss at the label's two
+    neurons."""
+    return _picked_log_loss(p, np.stack((y - 1, y - 1 + p.shape[1] // 2), axis=1), w)
 
 
 def confuse_tgt(z) -> tuple[float, np.ndarray]:
@@ -161,11 +155,11 @@ def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
     """``discrim`` from the joint softmax rows of both domains and checked
     source labels and per-example weights."""
     nt, k = pt.shape[0], pt.shape[1] // 2
-    # the weighted log loss over the 2K joint scores; the label check keeps
+    # the picked-entry log loss over the 2K joint scores; the label check keeps
     # labels in the first half
-    src_value, g_src = _weighted_log_loss(ps, y, w)
-    q_tot = _clamped(pt[:, k:].sum(axis=1))
-    tgt_value = float(np.mean(-np.log(q_tot)))
+    src_value, g_src = _picked_log_loss(ps, (y - 1)[:, None], w)
+    log_q, q_tot = _guarded_log(pt[:, k:].sum(axis=1))
+    tgt_value = float(np.mean(-log_q))
     u = np.zeros_like(pt)
     u[:, k:] = -1.0 / q_tot[:, None]
     g_tgt = _chain_softmax(pt, u) / nt
@@ -237,16 +231,17 @@ def symmnets_step(
 
     # heads: task terms (+ discrimination when adversarial); feature map:
     # confusion terms through frozen head weights
-    task_s_val, g_task_s = loss_task_src(cache_s.raw[HEAD_S], src_y, omega)
+    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
+    picks = (y - 1)[:, None]
+    task_s_val, g_task_s = _picked_log_loss(softmax(cache_s.raw[HEAD_S]), picks, w)
     values["task_s"] = task_s_val
     head_grads_src = {HEAD_S: g_task_s}
     if train_task_t:
-        task_t_val, g_task_t = loss_task_src(cache_s.raw[HEAD_T], src_y, omega)
+        task_t_val, g_task_t = _picked_log_loss(softmax(cache_s.raw[HEAD_T]), picks, w)
         values["task_t"] = task_t_val
         head_grads_src[HEAD_T] = g_task_t
     # one joint softmax per domain, shared by the discrimination and
     # confusion terms
-    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
     ps = softmax(zs)
     if adversarial:
         pt = softmax(zt)

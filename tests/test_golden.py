@@ -3,7 +3,7 @@
 Each expected value is the ``float.hex`` of what the library computed when
 the value was recorded, so any change of rounding on these paths fails
 here: the ``pac-report`` JSON on the default moons file, one K=10
-adversarial ascent, short seeded runs of five trainers, short seeded
+adversarial ascent, short seeded runs of all nine trainers, short seeded
 partial and open-set SymmNets runs and the ``theory-check`` report at CLI
 defaults.  Regenerate
 the constants only for a deliberate numeric change, and record that change
@@ -38,7 +38,17 @@ PAC_TERMS = (
     "lhs_target_err",
     "rhs_total",
 )
-RUN_METHODS = ("source_only", "mcdal_kl", "mcdal_mdd_variant", "mcdal_dann", "symmnets_v2")
+RUN_METHODS = (
+    "source_only",
+    "mcdal_l1",
+    "mcdal_kl",
+    "mcdal_ce",
+    "mcdal_mdd_variant",
+    "mcdal_dann",
+    "symmnets_v2",
+    "symmnets_v2_no_Lt",
+    "symmnets_v2_no_adv",
+)
 RUN_MODES = ("partial", "openset")
 
 
@@ -212,6 +222,16 @@ EXPECTED_RUNS = {
         },
         "proxy": None,
     },
+    "mcdal_l1": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "aux_task": "0x1.41de63909f0e2p+0",
+            "disagreement": "-0x1.828141bf2fa00p-17",
+            "task": "0x1.4f5e6cc30d375p-1",
+        },
+        "proxy": "0x1.e1a2d2f825e00p-11",
+    },
     "mcdal_kl": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.c000000000000p-1",
@@ -221,6 +241,16 @@ EXPECTED_RUNS = {
             "task": "0x1.4f5da12da047dp-1",
         },
         "proxy": "0x1.335d7f0756000p-12",
+    },
+    "mcdal_ce": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "aux_task": "0x1.41d3530be4e99p+0",
+            "disagreement": "-0x1.68cac527b47f3p-10",
+            "task": "0x1.4f5dd669aa11bp-1",
+        },
+        "proxy": "0x1.376834f78ec00p-13",
     },
     "mcdal_mdd_variant": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -255,6 +285,31 @@ EXPECTED_RUNS = {
             "task_t": "0x1.495e26b275498p-1",
         },
         "proxy": "0x1.367cdeca1cc28p-8",
+    },
+    "symmnets_v2_no_Lt": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "bound_lhs": "0x1.c98ae0c597a58p-4",
+            "bound_rhs": "0x1.d7e35a3a28482p+1",
+            "confuse_src": "0x1.595c0ea9ae9d8p+0",
+            "confuse_tgt": "0x1.6389537307485p-1",
+            "discrim": "0x1.03bd065ee69c6p+1",
+            "task_s": "0x1.4b6b72d0c9c03p-1",
+        },
+        "proxy": "0x1.1e7e360b4b400p-10",
+    },
+    "symmnets_v2_no_adv": {
+        "source_acc": "0x1.8aaaaaaaaaaabp-1",
+        "target_acc": "0x1.c000000000000p-1",
+        "losses": {
+            "bound_lhs": "0x1.bb73b06102c9dp-5",
+            "bound_rhs": "0x1.ddd491ba05a78p+1",
+            "confuse_src": "0x1.59784722ccf78p+0",
+            "task_s": "0x1.54c032ebd7341p-1",
+            "task_t": "0x1.49528d5d53c8dp-1",
+        },
+        "proxy": "0x1.1c47de059eaf0p-8",
     },
 }
 

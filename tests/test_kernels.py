@@ -11,7 +11,9 @@ split paths are compared against independent arithmetic.
 centering, the per-component disagreement, the violation-matrix diagonal
 and the signed decision margin may each be spelled out in one function
 only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
-symmetrized-CE rows likewise, their kernels in ``mcsda.surrogates``.
+symmetrized-CE rows, the guarded log and the picked-entry log loss
+likewise, their kernels in ``mcsda.surrogates``.  Outside the guarded log,
+the library takes no log but of a constant.
 """
 
 import ast
@@ -482,6 +484,16 @@ KERNEL_RULES = {
         ),
         ("surrogates.py", "_ce"),
     ),
+    # every log but of a constant, and the 1e-12 clamp of its argument
+    "guarded log": (
+        re.compile(r"\blog\((?!\d)|\bmaximum\([^()]*, (_EPS|1e-12)\)"),
+        ("surrogates.py", "_guarded_log"),
+    ),
+    # the log of entries picked by row and column, and their gradient step
+    "picked-entry log loss": (
+        re.compile(r"\] -= \(?\w+ / |log\(\w+\[(\.\.\., )?\w+(\[[^\]]*\])?, \w+"),
+        ("surrogates.py", "_picked_log_loss"),
+    ),
 }
 
 
@@ -551,6 +563,19 @@ class TestOneKernelPerObject:
                 "symmetrized CE",
                 "def s(a, b, ca, cb):\n"
                 "    return _row_dot(a, np.log(cb)) + _row_dot(b, np.log(ca))\n",
+            ),
+            ("guarded log", "def g(q):\n    return np.log(_clamped(q))\n"),
+            ("guarded log", "def g(q):\n    return np.log(np.maximum(q, 1e-12))\n"),
+            ("guarded log", "def g(q):\n    return np.maximum(q, _EPS)\n"),
+            ("guarded log", "def g(p, rows, y):\n    return -np.log(p[rows, y - 1])\n"),
+            ("picked-entry log loss", "def p(g, rows, c, w, n):\n    g[rows, c] -= w / n\n"),
+            (
+                "picked-entry log loss",
+                "def p(g, rows, y, k, w, n):\n    g[rows, y - 1 + k] -= w / (2.0 * n)\n",
+            ),
+            (
+                "picked-entry log loss",
+                "def p(q, rows, c):\n    return -_guarded_log(q[..., rows, c])[0]\n",
             ),
         ],
     )

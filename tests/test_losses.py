@@ -1,31 +1,105 @@
 """Loss registry: admission list, audit behavior, and trainer dispatch."""
 
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
+from mcsda import surrogates, symmnets
+from mcsda.harness import trainers
+from mcsda.harness.config import METHODS, ExperimentConfig
 from mcsda.losses import (
     PAIRWISE_CORES,
-    PAIRWISE_SURROGATES,
     RegisteredLoss,
     finite_difference_audit,
     registered_losses,
 )
-from mcsda.surrogates import ce_with_grads, kl_with_grads, l1_with_grads, softmax
+from mcsda.neural import MlpScorer, SgdMomentum
+from mcsda.synthdata import gen_rotated_moons
 
 EXPECTED_NAMES = {
-    "sur_l1_pair",
-    "sur_kl_pair",
-    "sur_ce_pair",
-    "log_loss",
-    "mdd_variant_src_term",
-    "mdd_variant_tgt_term",
-    "dann_src_term",
-    "dann_tgt_term",
-    "task_src_weighted",
+    "pair_core_l1",
+    "pair_core_kl",
+    "pair_core_ce",
+    "mdd_variant_core",
+    "dann_core",
+    "picked_log_loss",
+    "picked_log_loss_heads",
     "confuse_src",
     "confuse_tgt",
     "discrim",
 }
+
+# every function that returns a loss value with its score gradients and
+# that the steps or the public wrappers call, by its defining module
+LOSS_CORES = {
+    "_pair_core": surrogates,
+    "_picked_log_loss": surrogates,
+    "_mdd_variant_core": surrogates,
+    "_dann_core": surrogates,
+    "_confuse_src": symmnets,
+    "_confuse_tgt": symmnets,
+    "_discrim": symmnets,
+}
+
+
+def registered(name):
+    return next(loss for loss in registered_losses() if loss.name == name)
+
+
+def call_shape(args) -> tuple:
+    """What an audit must share with a core call: the kernel's name, the
+    kind and rank of every array (picks with their width per row) and the
+    signs of the row weights, which come last."""
+    shape = []
+    for a in args:
+        if callable(a):
+            shape.append(a.__name__)
+        elif a.dtype.kind in "iu":
+            shape.append(("picks", a.ndim, a.shape[1:]))
+        else:
+            shape.append(("rows", a.ndim))
+    w = args[-1]
+    if not callable(w) and w.ndim == 1 and w.dtype.kind == "f":
+        shape.append(tuple(np.unique(np.sign(w)).tolist()))
+    return tuple(shape)
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Records (core, call shape) of every loss-core call, wherever the core
+    was imported, including the pairwise table the trainers dispatch."""
+    calls = set()
+
+    def recording(name, core):
+        def wrapper(*args):
+            calls.add((name, call_shape(args)))
+            return core(*args)
+
+        return wrapper
+
+    for name, home in LOSS_CORES.items():
+        core = getattr(home, name)
+        wrapped = recording(name, core)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("mcsda") and vars(mod).get(name) is core:
+                monkeypatch.setattr(mod, name, wrapped)
+        if name == "_pair_core":
+            for key, entry in PAIRWISE_CORES.items():
+                monkeypatch.setitem(PAIRWISE_CORES, key, partial(wrapped, *entry.args))
+    return calls
+
+
+def one_step(method):
+    cfg = ExperimentConfig(method=method, rho=0.7)
+    spec = trainers._method(cfg, 2)
+    model = MlpScorer(2, spec.heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=5)
+    opt = SgdMomentum(model.params(), 0.9, model.lr_multipliers())
+    pair = gen_rotated_moons(40, 30, 30.0, noise_sd=0.05, seed=1)
+    xs, ys, xt = pair.source.points, pair.source.labels, pair.target.points
+    values = spec.step(model, opt, cfg, xs, ys, xt, 0.5, 0.05, np.array([1.0, 0.5]))
+    assert all(np.isfinite(v) for v in values.values())
 
 
 class TestRegistry:
@@ -34,23 +108,22 @@ class TestRegistry:
         assert {l.name for l in losses} == EXPECTED_NAMES
         assert len(losses) == len(EXPECTED_NAMES)
 
-    def test_pairwise_dict_maps_to_surrogate_functions(self):
-        assert PAIRWISE_SURROGATES == {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
-
-    def test_trainers_dispatch_through_registry(self):
-        # the trainer module must consume this exact mapping, not a copy,
-        # and each core must be the one behind the audited public form
-        from mcsda.harness import trainers
-
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trainers_dispatch_through_registry(self, method, core_calls):
+        # the trainer module consumes the registry's pairwise table, not a copy
         assert trainers._PAIRWISE_CORES is PAIRWISE_CORES
-        assert PAIRWISE_CORES.keys() == PAIRWISE_SURROGATES.keys()
-        rng = np.random.default_rng(4)
-        s1, s2 = rng.normal(size=(2, 5, 3))
-        for name, core in PAIRWISE_CORES.items():
-            want = PAIRWISE_SURROGATES[name](s1, s2)
-            got = core(softmax(s1), softmax(s2), np.full(5, 1 / 5))
-            assert got[0] == want[0], name
-            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), name
+        for loss in registered_losses():
+            loss.apply(*loss.sample(np.random.default_rng(3)))
+        audited = set(core_calls)
+        core_calls.clear()
+        one_step(method)
+        assert core_calls, "the step called no loss core"
+        assert core_calls <= audited, sorted(core_calls - audited)
+
+    def test_stacked_entries_cover_both_sign_branches(self):
+        for name in ("pair_core_kl", "mdd_variant_core", "dann_core"):
+            w = registered(name).sample(np.random.default_rng(5))[-1]
+            assert (w > 0).any() and (w < 0).any(), name
 
     @pytest.mark.parametrize("loss", registered_losses(), ids=lambda l: l.name)
     def test_sample_apply_contract(self, loss):
@@ -79,10 +152,10 @@ class TestAudit:
         assert worst <= 1e-5
 
     def test_audit_rejects_broken_gradient(self):
-        good = registered_losses()[1]  # sur_kl_pair
+        good = registered("pair_core_kl")
 
-        def poisoned(s1, s2):
-            value, grads = good.apply(s1, s2)
+        def poisoned(s1, s2, w):
+            value, grads = good.apply(s1, s2, w)
             return value, {0: 2.0 * grads[0], 1: grads[1]}
 
         bad = RegisteredLoss("poisoned", good.sample, poisoned)
@@ -90,6 +163,6 @@ class TestAudit:
             finite_difference_audit(bad, np.random.default_rng(0), n_inputs=2)
 
     def test_audit_reports_worst_error(self):
-        loss = registered_losses()[3]  # log_loss
+        loss = registered("picked_log_loss")
         worst = finite_difference_audit(loss, np.random.default_rng(1), n_inputs=3)
         assert 0.0 <= worst <= 1e-5

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsda.divergence import violation_tensor
+from mcsda.divergence import SampleSet, margin_error, violation_tensor, zero_one_error
 from mcsda.margin import (
     ScoreVector,
     absolute_margin,
@@ -25,6 +25,8 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
+from mcsda.surrogates import log_loss_with_grads
+from mcsda.symmnets import confuse_src
 
 F = [10.0, -5.0, -5.0]
 G = [-5.0, 10.0, -5.0]
@@ -349,6 +351,23 @@ class TestPublicValidation:
     def test_rejects_bad_label(self, name, y):
         with pytest.raises(ValueError):
             PUBLIC[name](y=y)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda y: log_loss_with_grads(np.zeros((2, 3)), y),
+            lambda y: zero_one_error(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]), y),
+            lambda y: margin_error(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]), y, 1.0),
+            lambda y: confuse_src(np.zeros((2, 6)), y),
+            lambda y: SampleSet(np.zeros((2, 1)), y),
+        ],
+        ids=["log_loss_with_grads", "zero_one_error", "margin_error", "confuse_src", "SampleSet"],
+    )
+    def test_batch_labels_must_be_integral(self, call):
+        call(np.array([1.0, 2.0]))  # integral floats are labels
+        for y in ([1.5, 2.0], [1.0, 2.9], [np.nan, 2.0]):
+            with pytest.raises(ValueError, match="integers"):
+                call(y)
 
     @pytest.mark.parametrize("name", TAKES_PAIR)
     def test_rejects_k_mismatch(self, name):

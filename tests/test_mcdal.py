@@ -14,13 +14,21 @@ import pytest
 
 from mcsda.harness import trainers
 from mcsda.harness.config import ExperimentConfig
-from mcsda.losses import PAIRWISE_SURROGATES
 from mcsda.neural import MlpScorer, SgdMomentum, _add_grads, grad_reversal_step
-from mcsda.surrogates import dann_with_grads, log_loss_with_grads, mdd_variant_with_grads
+from mcsda.surrogates import (
+    ce_with_grads,
+    dann_with_grads,
+    kl_with_grads,
+    l1_with_grads,
+    log_loss_with_grads,
+    mdd_variant_with_grads,
+)
 from mcsda.synthdata import gen_rotated_moons
 
 SURROGATES = ("l1", "kl", "ce", "mdd_variant", "dann")
 ZETAS = (0.0, 0.3, 0.55, 0.8, 1.0)  # one per step, zeta = 0 first
+# the public pairwise forms the reference path calls: (s1, s2) -> (value, g1, g2)
+PAIRWISE_WITH_GRADS = {"l1": l1_with_grads, "kl": kl_with_grads, "ce": ce_with_grads}
 
 
 def reference_disagreement(surrogate, raw_s, raw_t):
@@ -32,7 +40,7 @@ def reference_disagreement(surrogate, raw_s, raw_t):
             raw_s["f1"], raw_s["f2"], raw_t["f1"], raw_t["f2"]
         )
         return src_term - tgt_term, {"f2": g_s}, {"f2": -g_t}
-    fn = PAIRWISE_SURROGATES[surrogate]
+    fn = PAIRWISE_WITH_GRADS[surrogate]
     v_s, a1s, a2s = fn(raw_s["f1"], raw_s["f2"])
     v_t, a1t, a2t = fn(raw_t["f1"], raw_t["f2"])
     return v_s - v_t, {"f1": a1s, "f2": a2s}, {"f1": -a1t, "f2": -a2t}

@@ -57,6 +57,8 @@ class TestTaskLoss:
             loss_task_src(np.zeros((1, 3)), [1], omega=[1.0, 1.0])
         with pytest.raises(ValueError):
             loss_task_src(np.zeros((1, 3)), [1], omega=[1.0, -0.1, 1.0])
+        with pytest.raises(ValueError):  # the labels are checked before omega is indexed
+            loss_task_src(np.zeros((2, 3)), [7, 2])
 
 
 class TestConfuseSrc:

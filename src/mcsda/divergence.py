@@ -6,32 +6,38 @@ mean pointwise scoring disagreement on the target and on the source.
 With the pair (f, f) always admissible the divergence is non-negative; it
 satisfies the directed triangle inequality but is not symmetric.
 
-Three routes are provided:
+Three routes are provided, each doing its work once:
 
 * ``mcsd_divergence_exact`` / ``divergence_exact_variant`` enumerate every
   ordered pair of a finite ``ScorerGrid`` (the matrix form, the
-  decision-level form, and its 0/1 saturation).  The matrix form never
-  builds K x K violation matrices: each row of one holds ramp(-f_i) K-1
-  times off the diagonal and ramp(f_i) on it, so ``mcsd_rows`` takes the L1
-  distance of two matrices in O(K) per point;
+  decision-level form, and its 0/1 saturation).  Both share one prologue and
+  one core, ``_exact``.  The matrix form never builds K x K violation
+  matrices: each row of one holds ramp(-f_i) K-1 times off the diagonal and
+  ramp(f_i) on it, so ``_signed_ramps`` ramps -f and f once and
+  ``_rows_from_ramps`` takes the L1 distance of two matrices in O(K) per
+  point;
 * ``mcsd_divergence_adversarial`` runs monotone backtracking gradient
   ascent over two linear heads on frozen features, maximizing a smoothed
   version of the objective (the exact ramp is kinked at 0 and rho, so the
   ascent uses a piecewise-cubic blend in windows of width rho/100 around
-  the kinks).  Its backtracking line search compares smoothed values only;
-  gradients and the exact objective are computed once per accepted step.
-  The reported value is always the exact-ramp objective of the best visited
-  head pair, hence a lower bound on the enumerated supremum;
+  the kinks).  Its passes loop over the two domains, the source with
+  negated masses; ``_smoothed_mcsd`` reduces the smoothed ramps with the
+  exact path's ``_rows_from_ramps``.  The backtracking line search compares
+  smoothed values only; gradients and the exact objective are computed once
+  per accepted step.  The reported value is always the exact-ramp objective
+  of the best visited head pair, hence a lower bound on the enumerated
+  supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
-  of the per-component projections of the grid.
+  of the per-component projections of the grid, summing over fixed slices
+  of the points so that the result does not depend on the BLAS thread count.
 
 ``pac_bound_report`` assembles the finite-sample bound: target 0-1 error
 against source margin error + divergence + scaled complexities + slack
 terms + the best achievable joint margin error.  It evaluates the grid once
 per sample and hands those scores to the cores behind the public
-estimators (``_exact_mcsd``, ``_exact_variant``, ``_rademacher``).  All
-expectations accept explicit point masses so fully enumerated universes
-can be checked exactly.
+estimators (``_exact``, ``_rademacher``) and to ``_candidate_errors``, one
+pass of every candidate's margin and 0-1 errors.  All expectations accept
+explicit point masses so fully enumerated universes can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
 ramp, per-component disagreement, violation matrix, decision margin);
@@ -42,7 +48,7 @@ reference oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,9 +78,6 @@ __all__ = [
     "pac_bound_report",
     "BoundViolation",
 ]
-
-VARIANTS = ("mcsd", "tilde", "hat")
-
 
 class BoundViolation(RuntimeError):
     """A proven inequality failed numerically; indicates an implementation bug."""
@@ -242,9 +245,9 @@ def _pairwise_mcsd_means(scores: np.ndarray, weights: np.ndarray, rho: float) ->
 
     Ramps every candidate once and fills the upper triangle, mirrored below;
     the diagonal is exactly zero.  Each pair's rows are weighted as one
-    1-D dot, as in ``_exact_mean`` and ``margin_error``, so a pair scores
-    the same here as alone: a matrix-vector product rounds differently, a
-    stack of row-vector products does not.
+    1-D dot, as in the ascent's exact objective and ``margin_error``, so a
+    pair scores the same here as alone: a matrix-vector product rounds
+    differently, a stack of row-vector products does not.
     """
     r = _signed_ramps(scores, rho)  # [2, c, n, K]
     c = scores.shape[0]
@@ -268,17 +271,29 @@ def _pairwise_variant_means(
     return _decision_level(margins, rho, variant) @ weights
 
 
-def _sup_over_pairs(mean_src: np.ndarray, mean_tgt: np.ndarray) -> ExactDivergence:
-    objective = mean_tgt - mean_src
-    flat = int(np.argmax(objective))
-    pair = (flat // objective.shape[1], flat % objective.shape[1])
-    return ExactDivergence(
-        value=float(objective[pair]),
-        pair=pair,
-        objective=objective,
-        mean_src=mean_src,
-        mean_tgt=mean_tgt,
+def _exact(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float, variant: str) -> ExactDivergence:
+    """The exact divergence from the grid's evaluated scores [c, n, K] on each
+    side and checked masses and ``rho``: the matrix form ('mcsd') or a
+    decision-level form ('tilde', 'hat')."""
+    mean_src, mean_tgt = (
+        _pairwise_mcsd_means(s, w, rho)
+        if variant == "mcsd"
+        else _pairwise_variant_means(s, w, rho, variant)
+        for s, w in ((ss, ws), (st, wt))
     )
+    objective = mean_tgt - mean_src
+    pair = divmod(int(np.argmax(objective)), objective.shape[1])
+    return ExactDivergence(float(objective[pair]), pair, objective, mean_src, mean_tgt)
+
+
+def _exact_divergence(src, tgt, grid, rho, variant, src_weights, tgt_weights) -> ExactDivergence:
+    """The exact routes' shared prologue: check ``rho`` and the masses, then
+    evaluate the grid once per sample."""
+    rho = _check_rho(rho)
+    src_pts, tgt_pts = _as_points(src), _as_points(tgt)
+    ws = _as_weights(src_weights, src_pts.shape[0])
+    wt = _as_weights(tgt_weights, tgt_pts.shape[0])
+    return _exact(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho, variant)
 
 
 def mcsd_divergence_exact(
@@ -289,17 +304,7 @@ def mcsd_divergence_exact(
 
     Non-negative because identical pairs contribute exactly zero.
     """
-    rho = _check_rho(rho)
-    src_pts, tgt_pts = _as_points(src), _as_points(tgt)
-    ws = _as_weights(src_weights, src_pts.shape[0])
-    wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    return _exact_mcsd(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho)
-
-
-def _exact_mcsd(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float) -> ExactDivergence:
-    """``mcsd_divergence_exact`` from the grid's evaluated scores [c, n, K] on
-    each side and checked masses and ``rho``."""
-    return _sup_over_pairs(_pairwise_mcsd_means(ss, ws, rho), _pairwise_mcsd_means(st, wt, rho))
+    return _exact_divergence(src, tgt, grid, rho, "mcsd", src_weights, tgt_weights)
 
 
 def divergence_exact_variant(
@@ -312,19 +317,9 @@ def divergence_exact_variant(
     tgt_weights=None,
 ) -> ExactDivergence:
     """Exact decision-level divergence ('tilde') or its saturation ('hat')."""
-    rho = _check_rho(rho)
-    src_pts, tgt_pts = _as_points(src), _as_points(tgt)
-    ws = _as_weights(src_weights, src_pts.shape[0])
-    wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    return _exact_variant(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho, variant)
-
-
-def _exact_variant(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float, variant: str):
-    """``divergence_exact_variant`` from evaluated scores, as ``_exact_mcsd``."""
-    return _sup_over_pairs(
-        _pairwise_variant_means(ss, ws, rho, variant),
-        _pairwise_variant_means(st, wt, rho, variant),
-    )
+    if variant not in ("tilde", "hat"):
+        raise ValueError("variant must be 'tilde' or 'hat', got %r" % (variant,))
+    return _exact_divergence(src, tgt, grid, rho, variant, src_weights, tgt_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -405,57 +400,25 @@ def smoothed_ramp(x, rho: float):
     return val.reshape(arr.shape)
 
 
-@dataclass
-class _SmoothedPass:
-    """What the value pass of one domain keeps for the gradient pass and the
-    exact-ramp objective: the ramp argument x = [[a, b], -[a, b]] of the
-    centered scores, its window masks and the differences of the ramped
-    negated (``dn``) and plain (``dp``) scores."""
-
-    x: np.ndarray
-    masks: tuple[np.ndarray, np.ndarray]
-    dn: np.ndarray
-    dp: np.ndarray
-
-
 def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
-    """Per-point smoothed disagreement of centered score batches, and the
-    ``_SmoothedPass`` its gradient needs.
+    """Per-point smoothed disagreement of centered score batches, and a
+    closure that returns its gradients in a and in b.
 
-    Uses the per-component decomposition of the violation-matrix L1 distance.
+    The smoothed ramps are stacked in ``_signed_ramps``' order and reduced by
+    ``_rows_from_ramps``, so outside the kink windows the rows are the exact
+    ``_mcsd_rows``.  The absolute values take subgradient 0 at ties.
     """
-    k = a.shape[1]
     ab = np.stack([a, b])
-    x = np.stack([ab, -ab])
-    ((vpa, vpb), (vna, vnb)), masks = _smoothed_ramp_value(x, rho)
-    dn = vna - vnb
-    dp = vpa - vpb
-    val = _component_disagreement(dn, dp, k).sum(axis=1) / k
-    return val, _SmoothedPass(x, masks, dn, dp)
+    x = np.stack([-ab, ab])
+    r, masks = _smoothed_ramp_value(x, rho)
 
+    def grads() -> tuple[np.ndarray, np.ndarray]:
+        k = a.shape[-1]
+        (gna, gnb), (gpa, gpb) = _smoothed_ramp_slope(x, rho, masks)
+        sn, sp = np.sign(r[:, 0] - r[:, 1])
+        return ((k - 1) * sn * (-gna) + sp * gpa) / k, ((k - 1) * sn * gnb + sp * (-gpb)) / k
 
-def _smoothed_mcsd_grads(p: _SmoothedPass, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``_smoothed_mcsd`` in a and in b, from its value pass; the
-    absolute values take subgradient 0 at ties."""
-    k = p.x.shape[-1]
-    (gpa, gpb), (gna, gnb) = _smoothed_ramp_slope(p.x, rho, p.masks)
-    sn, sp = np.sign(p.dn), np.sign(p.dp)
-    da = ((k - 1) * sn * (-gna) + sp * gpa) / k
-    db = ((k - 1) * sn * gnb + sp * (-gpb)) / k
-    return da, db
-
-
-def _exact_mean(p: _SmoothedPass, rho: float, weights: np.ndarray) -> float:
-    """Exact-ramp mean disagreement of the value pass's head pair.
-
-    The value pass centers ``x @ w.T + b`` as ``linear_scorer`` does; the
-    finiteness check and the second centering are ``ScorerGrid.evaluate``'s,
-    so every point scores bit-identically to the same pair inside a grid.
-    """
-    ab = p.x[0]
-    if not np.isfinite(ab).all():
-        raise ValueError("ascent head pair produced non-finite scores")
-    return float(_mcsd_rows(_center(ab), rho) @ weights)
+    return _rows_from_ramps(r[:, 0], r[:, 1]), grads
 
 
 @dataclass
@@ -521,35 +484,38 @@ def mcsd_divergence_adversarial(
         if [h.shape[:1] for h in heads] != [(k,)] * 4:
             raise ValueError("init heads must have K = %d rows" % k)
 
+    # the source side enters the objective, and so its gradients, negated
+    domains = ((src_pts, -ws), (tgt_pts, wt))
+
     def value_pass(hs):
         w1, b1, w2, b2 = hs
-        a_s = _center(src_pts @ w1.T + b1)
-        a_t = _center(tgt_pts @ w1.T + b1)
-        b_s = _center(src_pts @ w2.T + b2)
-        b_t = _center(tgt_pts @ w2.T + b2)
-        vs, pass_s = _smoothed_mcsd(a_s, b_s, rho)
-        vt, pass_t = _smoothed_mcsd(a_t, b_t, rho)
-        return float(vt @ wt - vs @ ws), (pass_s, pass_t)
+        obj, passes = 0.0, []
+        for pts, w in domains:
+            a, b = _center(pts @ w1.T + b1), _center(pts @ w2.T + b2)
+            rows, grads = _smoothed_mcsd(a, b, rho)
+            obj += rows @ w
+            passes.append((a, b, grads))
+        return float(obj), passes
 
     def gradient_pass(passes):
-        pass_s, pass_t = passes
-        das, dbs = _smoothed_mcsd_grads(pass_s, rho)
-        dat, dbt = _smoothed_mcsd_grads(pass_t, rho)
-        # chain through centering, then the linear map; source side enters
-        # with negative weight
-        das = _center(das) * (-ws[:, None])
-        dat = _center(dat) * wt[:, None]
-        dbs = _center(dbs) * (-ws[:, None])
-        dbt = _center(dbt) * wt[:, None]
-        gw1 = das.T @ src_pts + dat.T @ tgt_pts
-        gb1 = das.sum(axis=0) + dat.sum(axis=0)
-        gw2 = dbs.T @ src_pts + dbt.T @ tgt_pts
-        gb2 = dbs.sum(axis=0) + dbt.sum(axis=0)
-        return [gw1, gb1, gw2, gb2]
+        # chain through centering, then the linear map
+        terms = []
+        for (pts, w), (_, _, grads) in zip(domains, passes):
+            da, db = (_center(g) * w[:, None] for g in grads())
+            terms.append([da.T @ pts, da.sum(axis=0), db.T @ pts, db.sum(axis=0)])
+        return [s + t for s, t in zip(*terms)]
 
     def exact_objective(passes):
-        pass_s, pass_t = passes
-        return _exact_mean(pass_t, rho, wt) - _exact_mean(pass_s, rho, ws)
+        # the value pass centers ``x @ w.T + b`` as ``linear_scorer`` does; the
+        # finiteness check and the second centering are ``ScorerGrid.evaluate``'s,
+        # so every point scores bit-identically to the same pair inside a grid
+        obj = 0.0
+        for (_, w), (a, b, _) in zip(domains, passes):
+            ab = np.stack([a, b])
+            if not np.isfinite(ab).all():
+                raise ValueError("ascent head pair produced non-finite scores")
+            obj += float(_mcsd_rows(_center(ab), rho) @ w)
+        return obj
 
     def snapshot(hs):
         return tuple(np.array(h) for h in hs)
@@ -631,7 +597,10 @@ def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEst
     g = np.moveaxis(evals, 2, 1).reshape(c * k, m)  # component rows
     rng = np.random.default_rng(seed)
     sigma = rng.choice((-1.0, 1.0), size=(int(sigma_draws), m))
-    sups = (sigma @ g.T).max(axis=1)  # [draws]
+    # summed over fixed 128-point slices: one gemm over all m points rounds
+    # differently at one and at two BLAS threads
+    sums = sum(sigma[:, i : i + 128] @ g[:, i : i + 128].T for i in range(0, m, 128))
+    sups = sums.max(axis=1)  # [draws]
     value = float(sups.mean()) / m
     stderr = float(sups.std(ddof=1)) / (np.sqrt(sigma_draws) * m)
     return RademacherEstimate(value=value, stderr=stderr, n_draws=int(sigma_draws))
@@ -664,6 +633,21 @@ def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     y = _check_labels(labels, *s.shape)
     wrong = (np.argmax(s, axis=1) + 1 != y).astype(np.float64)
     return float(wrong @ _as_weights(weights, s.shape[0]))
+
+
+def _candidate_errors(scores: np.ndarray, labels, rho: float, weights: np.ndarray):
+    """Margin errors and 0-1 errors [c] of every candidate of the evaluated
+    scores [c, n, K] under checked point masses.
+
+    One 1-D dot per candidate, so each rounds like ``margin_error`` and
+    ``zero_one_error``: a batched matrix-vector product would not.
+    """
+    y = _check_labels(labels, *scores.shape[-2:])
+    wrong = (np.argmax(scores, axis=-1) + 1 != y).astype(np.float64)
+    return tuple(
+        np.array([p @ weights for p in per_point])
+        for per_point in (_margin_violations(scores, y, rho), wrong)
+    )
 
 
 @dataclass
@@ -700,31 +684,8 @@ class PacBoundReport:
     per_candidate: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "rho": self.rho,
-            "delta": self.delta,
-            "k": self.k,
-            "n_src": self.n_src,
-            "n_tgt": self.n_tgt,
-            "selected": self.selected,
-            "src_margin_err": self.src_margin_err,
-            "divergence": self.divergence,
-            "rademacher_src": self.rademacher_src,
-            "rademacher_tgt": self.rademacher_tgt,
-            "rademacher_src_stderr": self.rademacher_src_stderr,
-            "rademacher_tgt_stderr": self.rademacher_tgt_stderr,
-            "rad_src_multiplier": self.rad_src_multiplier,
-            "rad_tgt_multiplier": self.rad_tgt_multiplier,
-            "slack_src": self.slack_src,
-            "slack_tgt": self.slack_tgt,
-            "lambda": self.lambda_joint,
-            "lhs_target_err": self.lhs_target_err,
-            "rhs_total": self.rhs_total,
-            "holds": self.holds,
-            "holds_for_all": self.holds_for_all,
-            "per_candidate": self.per_candidate,
-        }
-        return out
+        fields = {"lambda" if k == "lambda_joint" else k: v for k, v in asdict(self).items()}
+        return {"schema_version": 1, **fields}
 
 
 def pac_bound_report(
@@ -754,14 +715,11 @@ def pac_bound_report(
     scores_src = grid.evaluate(src.points)
     scores_tgt = grid.evaluate(tgt.points)
 
-    # one dot per candidate, as in margin_error: a batched matrix-vector
-    # product would round differently
     w_s, w_t = _as_weights(None, n_s), _as_weights(None, n_t)
-    src_errs = np.array([p @ w_s for p in _margin_violations(scores_src, src.labels, rho)])
-    tgt_errs = np.array([p @ w_t for p in _margin_violations(scores_tgt, tgt.labels, rho)])
-    lhs = np.array([zero_one_error(scores_tgt[i], tgt.labels) for i in range(len(grid))])
+    src_errs, _ = _candidate_errors(scores_src, src.labels, rho, w_s)
+    tgt_errs, lhs = _candidate_errors(scores_tgt, tgt.labels, rho, w_t)
 
-    div = _exact_mcsd(scores_src, scores_tgt, w_s, w_t, rho)
+    div = _exact(scores_src, scores_tgt, w_s, w_t, rho, "mcsd")
     rad_s = _rademacher(scores_src, sigma_draws, seed)
     rad_t = _rademacher(scores_tgt, sigma_draws, seed + 1)
 

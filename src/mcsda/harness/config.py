@@ -26,8 +26,6 @@ METHODS = (
 
 SURROGATES = ("l1", "kl", "ce", "mdd_variant", "dann")
 
-_EVAL_HEADS = ("auto", "f", "fs", "ft")
-
 
 @dataclass
 class ExperimentConfig:
@@ -36,9 +34,11 @@ class ExperimentConfig:
     ``seed`` drives model initialization and batch shuffling; the dataset
     carries its own seed.  ``zeta`` and ``xi`` follow the annealed
     adversarial weight when left at None (the default coupling), or stay at
-    a fixed float when set.  ``eval_head`` 'auto' resolves to the task head
-    for the minimax trainers and to the target-path head for the symmetric
-    trainer (source-path head for the no-target-task ablation).
+    a fixed float when set.  ``eval_head`` is 'auto' or a head the method
+    builds: 'f' for source-only and the minimax trainers, 'fs' or 'ft' for
+    the symmetric trainers.  'auto' resolves to 'f', and for the symmetric
+    trainers to the target-path head 'ft' (source-path head 'fs' for the
+    no-target-task ablation).
     """
 
     method: str = "source_only"
@@ -71,8 +71,12 @@ class ExperimentConfig:
             )
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
-        if self.eval_head not in _EVAL_HEADS:
-            raise ValueError("eval_head must be one of %r" % (_EVAL_HEADS,))
+        heads = ("fs", "ft") if self.method.startswith("symmnets") else ("f",)
+        if self.eval_head not in ("auto",) + heads:
+            raise ValueError(
+                "eval_head of %s must be 'auto' or one of %r, got %r"
+                % (self.method, heads, self.eval_head)
+            )
         for name, v in (("zeta", self.zeta), ("xi", self.xi)):
             if v is not None and not 0.0 <= float(v) <= 1.0:
                 raise ValueError("%s must lie in [0, 1] when fixed, got %r" % (name, v))

@@ -56,18 +56,16 @@ import numpy as np
 from ..divergence import (
     SampleSet,
     ScorerGrid,
-    _exact_mcsd,
-    _exact_variant,
+    _candidate_errors,
+    _exact,
     _margin_violations,
     _mcsd_rows,
     divergence_exact_variant,
     linear_scorer,
-    margin_error,
     mcsd_divergence_adversarial,
     mcsd_divergence_exact,
     pac_bound_report,
     rademacher_estimate,
-    zero_one_error,
 )
 from ..margin import (
     _absolute_margin,
@@ -574,21 +572,13 @@ def _universe_bound_gaps(u: ToyUniverse) -> dict[str, float]:
     serves every error and all three divergences.
     """
     scores = u.grid.evaluate(u.points)
-    n_cand = len(u.grid)
-    src_errs = np.array(
-        [margin_error(scores[i], u.labels, u.rho, u.p_mass) for i in range(n_cand)]
-    )
-    tgt_errs = np.array(
-        [margin_error(scores[i], u.labels, u.rho, u.q_mass) for i in range(n_cand)]
-    )
-    tgt_01 = np.array([zero_one_error(scores[i], u.labels, u.q_mass) for i in range(n_cand)])
+    src_errs, _ = _candidate_errors(scores, u.labels, u.rho, u.p_mass)
+    tgt_errs, tgt_01 = _candidate_errors(scores, u.labels, u.rho, u.q_mass)
     lam = float(np.min(src_errs + tgt_errs))
     gaps = {}
-    d_matrix = _exact_mcsd(scores, scores, u.p_mass, u.q_mass, u.rho).value
-    gaps["matrix"] = float(np.max(tgt_01 - (src_errs + d_matrix + lam)))
-    for variant in ("tilde", "hat"):
-        d_var = _exact_variant(scores, scores, u.p_mass, u.q_mass, u.rho, variant).value
-        gaps[variant] = float(np.max(tgt_01 - (src_errs + d_var + lam)))
+    for name, variant in (("matrix", "mcsd"), ("tilde", "tilde"), ("hat", "hat")):
+        div = _exact(scores, scores, u.p_mass, u.q_mass, u.rho, variant).value
+        gaps[name] = float(np.max(tgt_01 - (src_errs + div + lam)))
     return gaps
 
 

@@ -336,9 +336,8 @@ def _method(cfg: ExperimentConfig, k: int) -> _Method:
     if cfg.surrogate is not None:
         heads = {"f": (k, True), "f1": (k, True), "f2": (k, True)}
         return _Method(heads, _mcdal_step, "f", ("f1", "f2"))
-    eval_head = {"f": HEAD_S, "fs": HEAD_S, "ft": HEAD_T}[cfg.resolve_eval_head()]
     heads = {HEAD_S: (k, True), HEAD_T: (k, True)}
-    return _Method(heads, _symmnets_step, eval_head, (HEAD_S, HEAD_T), modes=True)
+    return _Method(heads, _symmnets_step, cfg.resolve_eval_head(), (HEAD_S, HEAD_T), modes=True)
 
 
 def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:

@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, mcsd_rows
-from .margin import _check_labels
+from .margin import _check_labels, _integer_labels
 from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
 from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss
 from .surrogates import log_loss_with_grads, softmax
@@ -331,10 +331,11 @@ class OpensetEval:
 
 def eval_openset(pred_labels, true_labels, k_shared: int) -> OpensetEval:
     """Mean per-class accuracies; classes absent from the truth are flagged."""
-    pred = np.asarray(pred_labels, dtype=np.int64).reshape(-1)
-    true = np.asarray(true_labels, dtype=np.int64).reshape(-1)
+    pred, true = _integer_labels(pred_labels), _integer_labels(true_labels)
     if pred.size != true.size:
         raise ValueError("prediction/label lengths differ")
+    if np.any(pred < 1) or np.any(true < 1):
+        raise ValueError("labels are 1-based")
     per_class: dict[int, float] = {}
     missing: list[int] = []
     for c in range(1, k_shared + 2):

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .divergence import SampleSet
+from .margin import _integer_labels
 
 __all__ = [
     "DomainPair",
@@ -64,11 +65,13 @@ class DomainPair:
             raise ValueError("source sample must be labeled")
         if self.target.labels is not None:
             raise ValueError("target labels go through eval_target_labels only")
-        lab = np.asarray(self._target_labels, dtype=np.int64).reshape(-1)
+        lab = _integer_labels(self._target_labels)
         if lab.size != self.target.n:
             raise ValueError(
                 "got %d hidden labels for %d target points" % (lab.size, self.target.n)
             )
+        if lab.min() < 1:
+            raise ValueError("hidden labels are 1-based; found %d" % lab.min())
         object.__setattr__(self, "_target_labels", lab)
         k = int(self.meta.get("k", 0))
         if k < 2:

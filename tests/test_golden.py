@@ -5,16 +5,22 @@ the value was recorded, so any change of rounding on these paths fails
 here: the ``pac-report`` JSON on the default moons file, one K=10
 adversarial ascent, short seeded runs of all nine trainers, short seeded
 partial and open-set SymmNets runs and the ``theory-check`` report at CLI
-defaults.  Regenerate
+defaults.  The ``pac-report`` file must also have the same bytes at one and
+at two BLAS threads.  Regenerate
 the constants only for a deliberate numeric change, and record that change
 in CHANGES.md.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcsda
 from mcsda.divergence import mcsd_divergence_adversarial
 from mcsda.harness.cli import main
 from mcsda.harness.config import ExperimentConfig
@@ -178,7 +184,7 @@ EXPECTED_PAC = {
         ["0x1.efb4674395c88p-1", "0x1.206d3a06d3a06p-2", "0x1.66972d59d5d97p+2"],
         ["0x1.a7815a5299d2ap-1", "0x1.ae147ae147ae1p-2", "0x1.5d90cbbbb65abp+2"],
     ],
-    "sha256": "923beaa65a84da417959d4b53d48cebb79a6e1bb34f3ffe45bbfe7de6e8733ca",
+    "sha256": "58503260a05946b38a2371f5ba972a9eb58bc9bc10b78de8018de20e5e2bf4b9",
 }
 
 EXPECTED_ASCENT = {
@@ -357,6 +363,25 @@ EXPECTED_MODE_RUNS = {
 
 def test_pac_report_on_default_moons_file(tmp_path):
     assert pac_report_values(tmp_path) == EXPECTED_PAC
+
+
+def test_pac_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The golden ``pac-report`` in exactly two processes, at one and at two
+    OpenBLAS threads: the files must be byte-identical."""
+    data = tmp_path / "moons.csv"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    src = str(Path(mcsda.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("pac%s.json" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + path if path else src
+        argv = ["pac-report", "--data", str(data), "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "mcsda", *argv], env=env, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == EXPECTED_PAC["sha256"]
 
 
 def test_k10_ascent():

@@ -224,6 +224,9 @@ class TestConfig:
             {"epochs": 0},
             {"batch_size": 0},
             {"eval_head": "g"},
+            {"method": "mcdal_kl", "eval_head": "ft"},
+            {"method": "source_only", "eval_head": "fs"},
+            {"method": "symmnets_v2", "eval_head": "f"},
             {"zeta": 1.5},
             {"xi": -0.1},
             {"nu": 0.0},
@@ -594,11 +597,18 @@ class TestCli:
         runs = tmp_path / "runs"
         unknown_key, invalid_value = {"epochz": 3}, {"epochs": 0}
         non_finite = {"method": "mcdal_kl", "rho": float("nan"), "outdir": str(runs)}
-        for bad in (unknown_key, invalid_value, non_finite):
+        # a head the method does not build
+        foreign_head = {"method": "symmnets_v2", "eval_head": "f", "outdir": str(runs)}
+        for bad in (unknown_key, invalid_value, non_finite, foreign_head):
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps(bad))
             rc = main(["train", "--data", str(blobs_csv), "--config", str(cfg_path)])
             assert rc == 2
+            out = capsys.readouterr().out.strip().splitlines()
+            assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
+        for method, head in (("mcdal_kl", "ft"), ("source_only", "fs")):
+            argv = ["--method", method, "--eval-head", head, "--outdir", str(runs)]
+            assert main(["train", "--data", str(blobs_csv), *argv]) == 2
             out = capsys.readouterr().out.strip().splitlines()
             assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
         assert not runs.exists()

@@ -29,7 +29,9 @@ from mcsda.divergence import (
     SampleSet,
     ScorerGrid,
     _margin_violations,
+    _mcsd_rows,
     _pairwise_mcsd_means,
+    _smoothed_mcsd,
     _smoothed_ramp_slope,
     _smoothed_ramp_value,
     linear_scorer,
@@ -367,6 +369,21 @@ class TestStackedAscent:
         want_val, want_der = eager_smoothed_ramp_and_grad(x, rho)
         assert np.array_equal(val, want_val)
         assert np.array_equal(_smoothed_ramp_slope(x, rho, masks), want_der)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_smoothed_rows_are_exact_outside_the_kink_windows(self, k):
+        rho, h = 0.7, 0.7 / 200.0
+        rng = np.random.default_rng(60 + k)
+        a, b = _center(rng.normal(scale=2.0 * rho, size=(2, 400, k)))
+        b[::4] = a[::4]  # ties
+        # the ramps see +-a and +-b, so keep rows with no entry within h of 0
+        # or of +-rho
+        far = (np.abs(a) >= h) & (np.abs(np.abs(a) - rho) >= h)
+        far &= (np.abs(b) >= h) & (np.abs(np.abs(b) - rho) >= h)
+        keep = far.all(axis=1)
+        assert keep.sum() > 300
+        rows, _ = _smoothed_mcsd(a[keep], b[keep], rho)
+        assert np.array_equal(rows, _mcsd_rows(np.stack([a[keep], b[keep]]), rho))
 
 
 class TestMarginViolations:

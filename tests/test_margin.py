@@ -26,7 +26,8 @@ from mcsda.margin import (
     violation_matrix,
 )
 from mcsda.surrogates import log_loss_with_grads
-from mcsda.symmnets import confuse_src
+from mcsda.symmnets import confuse_src, eval_openset
+from mcsda.synthdata import DomainPair
 
 F = [10.0, -5.0, -5.0]
 G = [-5.0, 10.0, -5.0]
@@ -360,8 +361,17 @@ class TestPublicValidation:
             lambda y: margin_error(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]), y, 1.0),
             lambda y: confuse_src(np.zeros((2, 6)), y),
             lambda y: SampleSet(np.zeros((2, 1)), y),
+            lambda y: eval_openset(y, [1, 2], 2),
+            lambda y: eval_openset([1, 2], y, 2),
+            lambda y: DomainPair(
+                SampleSet(np.zeros((2, 1)), [1, 2]), SampleSet(np.zeros((2, 1))), "closed",
+                {"k": 3}, y,
+            ),
         ],
-        ids=["log_loss_with_grads", "zero_one_error", "margin_error", "confuse_src", "SampleSet"],
+        ids=[
+            "log_loss_with_grads", "zero_one_error", "margin_error", "confuse_src", "SampleSet",
+            "eval_openset_pred", "eval_openset_true", "DomainPair_hidden",
+        ],
     )
     def test_batch_labels_must_be_integral(self, call):
         call(np.array([1.0, 2.0]))  # integral floats are labels

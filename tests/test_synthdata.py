@@ -229,6 +229,9 @@ class TestDomainPairContract:
             DomainPair(src, tgt, "closed", {"k": 2, "k_shared": 2}, np.array([1, 2, 3]))
         with pytest.raises(ValueError):
             DomainPair(src, tgt, "weird", {"k": 2, "k_shared": 2}, np.array([1, 1, 2]))
+        for hidden in ([0, 1, 2], [1, -3, 2]):  # hidden labels are 1-based too
+            with pytest.raises(ValueError, match="1-based"):
+                DomainPair(src, tgt, "closed", {"k": 2, "k_shared": 2}, np.array(hidden))
 
 
 class TestCsvRoundTrip:

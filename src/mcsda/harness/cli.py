@@ -5,24 +5,28 @@ Five subcommands: ``gen-data`` writes a synthetic domain pair to CSV,
 brute-force verification suite, ``surface`` dumps a disagreement surface,
 and ``pac-report`` assembles the finite-sample bound on a data file.
 
-Exit codes: 0 on success, 2 when a theory check or bound fails or the
-training config is bad, 3 when training does not converge.  Argument
-defaults mirror the library defaults; ``train`` can also read a JSON
-config file, with explicit command-line flags taking precedence over file
-values.
+Exit codes: 0 on success; 2 on a bad argument (argparse's usage error,
+also for out-of-range numbers and missing mode flags), a bad training
+config or config file (``BAD CONFIG``), a missing or malformed data file
+(``BAD DATA``), or a failed theory check or bound; 3 when training does
+not converge.
+Argument defaults mirror the library defaults; ``train`` can also read a
+JSON config file, with explicit command-line flags taking precedence over
+file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from ..divergence import BoundViolation, SampleSet, ScorerGrid, linear_scorer, pac_bound_report
 from ..synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial, read_csv, write_csv
-from .config import METHODS, ExperimentConfig
+from .config import EVAL_HEADS, METHODS, ExperimentConfig
 from .surface import SURFACE_MEASURES, emit_surface_grid
 from .theory import run_theory_checks
 from .trainers import run_experiment
@@ -36,6 +40,30 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _number(kind: type, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` value of at least ``low`` (above
+    it when ``strict``); argparse turns a rejection into exit 2."""
+
+    def parse(text: str):
+        v = kind(text)
+        if not (math.isfinite(v) and (v > low if strict else v >= low)):
+            bound = ("above %s" if strict else "at least %s") % low
+            raise argparse.ArgumentTypeError("must be finite and %s, got %s" % (bound, text))
+        return v
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _read_data(path):
+    """The domain pair in a data file, or None after a ``BAD DATA`` line."""
+    try:
+        return read_csv(path)
+    except (OSError, KeyError, ValueError) as exc:  # KeyError: a manifest key is missing
+        print("BAD DATA: %s" % exc)
+        return None
 
 
 def _cmd_gen_data(args) -> int:
@@ -54,11 +82,11 @@ def _cmd_gen_data(args) -> int:
         )
     if args.mode == "partial":
         if not args.kept:
-            raise SystemExit("--kept is required for partial mode")
+            args.error("--kept is required for partial mode")
         pair = make_partial(pair, _int_list(args.kept))
     elif args.mode == "openset":
         if not (args.shared and args.src_extra and args.tgt_extra):
-            raise SystemExit("--shared, --src-extra and --tgt-extra are required for openset mode")
+            args.error("--shared, --src-extra and --tgt-extra are required for openset mode")
         pair = make_openset(
             pair, _int_list(args.shared), _int_list(args.src_extra), _int_list(args.tgt_extra)
         )
@@ -87,9 +115,13 @@ _TRAIN_OVERRIDES = (
 
 def _cmd_train(args) -> int:
     data: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                data = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing file or malformed JSON
+        print("BAD CONFIG: %s" % exc)
+        return 2
     for name in _TRAIN_OVERRIDES:
         value = getattr(args, name)
         if value is not None:
@@ -100,13 +132,14 @@ def _cmd_train(args) -> int:
         data["schedules"] = sched
     if args.zeta_on_adversary:
         data["zeta_on_adversary"] = True
-    data.setdefault("method", "source_only")
     try:
         cfg = ExperimentConfig.from_json(data)
     except (TypeError, ValueError) as exc:
         print("BAD CONFIG: %s" % exc)
         return 2
-    pair = read_csv(args.data)
+    pair = _read_data(args.data)
+    if pair is None:
+        return 2
     try:
         result = run_experiment(pair, cfg)
     except ArithmeticError as exc:  # the per-step disagreement bound
@@ -170,7 +203,9 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_pac_report(args) -> int:
-    pair = read_csv(args.data)
+    pair = _read_data(args.data)
+    if pair is None:
+        return 2
     tgt = SampleSet(pair.target.points, pair.eval_target_labels())
     rng = np.random.default_rng(args.seed)
     spread = max(float(pair.source.points.std()), 1e-6)
@@ -232,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--shared", default=None, help="openset: shared classes, e.g. 1,2,3")
     g.add_argument("--src-extra", default=None, help="openset: source-only classes")
     g.add_argument("--tgt-extra", default=None, help="openset: target-only (unknown) classes")
-    g.set_defaults(func=_cmd_gen_data)
+    g.set_defaults(func=_cmd_gen_data, error=g.error)
 
     t = sub.add_parser("train", help="run one experiment on a data CSV")
     t.add_argument("--data", required=True)
@@ -247,23 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--nu", type=float, default=None)
     t.add_argument("--eta0", type=float, default=None, help="base learning rate")
     t.add_argument("--aux-task-weight", type=float, dest="aux_task_weight", default=None)
-    t.add_argument("--eval-head", choices=("auto", "f", "fs", "ft"), dest="eval_head", default=None)
+    t.add_argument("--eval-head", choices=EVAL_HEADS, dest="eval_head", default=None)
     t.add_argument("--zeta-on-adversary", action="store_true", dest="zeta_on_adversary")
     t.add_argument("--outdir", default=None)
     t.set_defaults(func=_cmd_train)
 
     c = sub.add_parser("theory-check", help="run the brute-force verification suite")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--trials", type=int, default=2000)
-    c.add_argument("--universes", type=int, default=20)
+    c.add_argument("--trials", type=_number(int, 1), default=2000)
+    c.add_argument("--universes", type=_number(int, 1), default=20)
     c.add_argument("--out", default=None, help="optional JSON report path")
     c.set_defaults(func=_cmd_theory_check)
 
     s = sub.add_parser("surface", help="dump one disagreement surface to CSV")
     s.add_argument("--out", required=True)
     s.add_argument("--which", choices=SURFACE_MEASURES, required=True)
-    s.add_argument("--rho", type=float, required=True)
-    s.add_argument("--resolution", type=int, default=121)
+    s.add_argument("--rho", type=_number(float, 0, strict=True), required=True)
+    s.add_argument("--resolution", type=_number(int, 2), default=121)
     s.add_argument("--span", type=float, default=15.0)
     s.add_argument("--fixed", default="10,-5,-5", help="pinned scores, comma separated")
     s.add_argument("--direction", choices=("fix_first", "fix_second"), default="fix_first")
@@ -271,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pac-report", help="finite-sample bound report on a data CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=_number(float, 0, strict=True), default=1.0)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--grid-size", type=int, dest="grid_size", default=12)
-    p.add_argument("--sigma-draws", type=int, dest="sigma_draws", default=2000)
+    p.add_argument("--grid-size", type=_number(int, 1), dest="grid_size", default=12)
+    p.add_argument("--sigma-draws", type=_number(int, 2), dest="sigma_draws", default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=_cmd_pac_report)

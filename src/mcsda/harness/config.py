@@ -1,4 +1,15 @@
-"""Run configuration and the per-epoch metrics schema."""
+"""Run configuration, the method table and the per-epoch metrics schema.
+
+``METHOD_ROWS`` states each of the nine training methods once, as data: its
+family (source-only, McDalNet or SymmNets), the heads it builds in
+initialization order with their widths (K, the class count, except the
+scalar domain head of the binary surrogate), the heads it may evaluate with
+('auto' picks the first), the head pair of its divergence proxy and the
+constants its family's step takes (the McDalNet surrogate, the SymmNets
+ablation switches).  ``METHODS``, ``SURROGATES``, the config's eval-head
+check and the CLI's choices are read off the table; the trainers map each
+family to its step function.
+"""
 
 from __future__ import annotations
 
@@ -9,22 +20,66 @@ import numbers
 from dataclasses import dataclass, field
 
 from ..neural import Schedules
+from ..symmnets import HEAD_S, HEAD_T
 
-__all__ = ["METHODS", "SURROGATES", "ExperimentConfig", "MetricsRecord"]
+__all__ = ["Family", "MethodRow", "METHOD_ROWS", "METHODS", "SURROGATES", "EVAL_HEADS"]
+__all__ += ["ExperimentConfig", "MetricsRecord"]
 
-METHODS = (
-    "source_only",
-    "mcdal_l1",
-    "mcdal_kl",
-    "mcdal_ce",
-    "mcdal_mdd_variant",
-    "mcdal_dann",
-    "symmnets_v2",
-    "symmnets_v2_no_Lt",
-    "symmnets_v2_no_adv",
-)
 
-SURROGATES = ("l1", "kl", "ce", "mdd_variant", "dann")
+@dataclass(frozen=True)
+class Family:
+    """What every method of one family shares."""
+
+    name: str
+    options: tuple[str, ...] = ()  # ExperimentConfig fields the step takes as keywords
+    uses_zeta: bool = True  # the step takes, and the record shows, the adversarial weight
+    modes: bool = False  # partial re-weighting and open-set sampling apply
+
+
+SOURCE_ONLY = Family("source_only", uses_zeta=False)
+MCDAL = Family("mcdal", ("aux_task_weight", "zeta_on_adversary"))
+SYMMNETS = Family("symmnets", ("rho",), modes=True)
+
+
+@dataclass(frozen=True)
+class MethodRow:
+    """One training method; a head width of None means K."""
+
+    family: Family
+    heads: tuple[tuple[str, int | None], ...]
+    eval_heads: tuple[str, ...]
+    proxy: tuple[str, str] | None  # head pair of the divergence proxy
+    constants: dict = field(default_factory=dict)  # keywords of the family's step
+
+    def head_widths(self, k: int) -> dict[str, int]:
+        """The ``MlpScorer`` head spec for K classes."""
+        return {name: k if width is None else width for name, width in self.heads}
+
+
+def _mcdal(surrogate: str, heads=(("f", None), ("f1", None), ("f2", None)), proxy=("f1", "f2")):
+    return MethodRow(MCDAL, heads, ("f",), proxy, {"surrogate": surrogate})
+
+
+def _symmnets(eval_heads: tuple[str, str], **switches) -> MethodRow:
+    heads = ((HEAD_S, None), (HEAD_T, None))
+    return MethodRow(SYMMNETS, heads, eval_heads, (HEAD_S, HEAD_T), switches)
+
+
+METHOD_ROWS = {
+    "source_only": MethodRow(SOURCE_ONLY, (("f", None),), ("f",), None),
+    "mcdal_l1": _mcdal("l1"),
+    "mcdal_kl": _mcdal("kl"),
+    "mcdal_ce": _mcdal("ce"),
+    "mcdal_mdd_variant": _mcdal("mdd_variant"),
+    "mcdal_dann": _mcdal("dann", heads=(("f", None), ("d", 1)), proxy=None),
+    "symmnets_v2": _symmnets((HEAD_T, HEAD_S), adversarial=True, train_task_t=True),
+    "symmnets_v2_no_Lt": _symmnets((HEAD_S, HEAD_T), adversarial=True, train_task_t=False),
+    "symmnets_v2_no_adv": _symmnets((HEAD_T, HEAD_S), adversarial=False, train_task_t=True),
+}
+
+METHODS = tuple(METHOD_ROWS)
+SURROGATES = tuple(r.constants["surrogate"] for r in METHOD_ROWS.values() if r.family is MCDAL)
+EVAL_HEADS = ("auto",) + tuple(sorted({h for r in METHOD_ROWS.values() for h in r.eval_heads}))
 
 
 @dataclass
@@ -71,7 +126,7 @@ class ExperimentConfig:
             )
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
-        heads = ("fs", "ft") if self.method.startswith("symmnets") else ("f",)
+        heads = METHOD_ROWS[self.method].eval_heads
         if self.eval_head not in ("auto",) + heads:
             raise ValueError(
                 "eval_head of %s must be 'auto' or one of %r, got %r"
@@ -91,19 +146,12 @@ class ExperimentConfig:
 
     @property
     def surrogate(self) -> str | None:
-        """The surrogate implied by a minimax method name, else None."""
-        if self.method.startswith("mcdal_"):
-            return self.method[len("mcdal_") :]
-        return None
+        """The surrogate of a minimax method, else None."""
+        return METHOD_ROWS[self.method].constants.get("surrogate")
 
     def resolve_eval_head(self) -> str:
-        if self.eval_head != "auto":
-            return self.eval_head
-        if self.method == "symmnets_v2_no_Lt":
-            return "fs"
-        if self.method.startswith("symmnets"):
-            return "ft"
-        return "f"
+        auto = self.eval_head == "auto"
+        return METHOD_ROWS[self.method].eval_heads[0] if auto else self.eval_head
 
     def to_json(self) -> dict:
         out = dataclasses.asdict(self)

@@ -9,9 +9,12 @@ epoch-end accuracies and divergence proxy, and one metrics record per
 epoch appended to a JSON Lines stream.  Target labels are touched only
 through the evaluation accessor.
 
-What differs by method is a small table entry (``_method``): the heads to
-build, a step function that updates the model on one batch and returns its
-loss values, the evaluation head and the head pair of the divergence proxy.
+What differs by method is its row of ``config.METHOD_ROWS``: the heads to
+build, the evaluation head, the head pair of the divergence proxy and the
+constants of its family's step.  ``_family_step`` maps each of the three
+families to its step function.  A step returns one batch's loss values and
+merged parameter gradients; the epoch loop makes the one optimizer update
+and gives the one verdict on non-finite losses.
 
 * ``source_only``        task head on source data, nothing else;
 * ``mcdal_*``            minimax surrogate trainers: the task head and two
@@ -28,11 +31,11 @@ loss values, the evaluation head and the head pair of the divergence proxy.
 
 Every step checks its forward scores before any loss, and the partial-mode
 class-weight forward checks its scores before the weights; a batch with
-non-finite scores is not stepped, the epoch is flagged and the run stops
-with a note.  A run that stops that way, or whose target accuracy stays
-below 1.5x chance over the second half of training (second-half mean or
-final epoch), is marked not converged; callers map that onto the CLI exit
-code.
+non-finite scores returns no gradients and is not stepped, the epoch is
+flagged and the run stops with a note.  A run that stops that way, or
+whose target accuracy stays below 1.5x chance over the second half of
+training (second-half mean or final epoch), is marked not converged;
+callers map that onto the CLI exit code.
 """
 
 from __future__ import annotations
@@ -40,40 +43,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..divergence import mcsd_rows
 from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
 from ..margin import _check_labels
-from ..neural import (
-    MlpScorer,
-    SgdMomentum,
-    _replacing,
-    center_scores,
-    lambda_schedule,
-    lr_schedule,
-)
-from ..surrogates import (
-    _dann_core,
-    _mdd_variant_core,
-    _picked_log_loss,
-    _softmax,
-    log_loss_with_grads,
-    reset_clamp_count,
-)
-from ..symmnets import (
-    HEAD_S,
-    HEAD_T,
-    eval_openset,
-    openset_sampler,
-    partial_weights,
-    symmnets_step,
-)
+from ..neural import MlpScorer, SgdMomentum, _replacing, lambda_schedule, lr_schedule
+from ..surrogates import _dann_core, _mdd_variant_core, _picked_log_loss, _softmax
+from ..surrogates import log_loss_with_grads, reset_clamp_count
+from ..symmnets import HEAD_T, _head_disagreement, eval_openset, openset_sampler
+from ..symmnets import partial_weights, symmnets_step
 from ..synthdata import DomainPair
-from .config import ExperimentConfig, MetricsRecord
+from .config import METHOD_ROWS, ExperimentConfig, MetricsRecord
 
 __all__ = ["RunResult", "run_experiment"]
 
@@ -128,9 +112,7 @@ def _epoch_batches(
 
 
 def _mean_losses(step_losses: list[dict[str, float]]) -> dict[str, float]:
-    if not step_losses:
-        return {}
-    keys = step_losses[0].keys()
+    keys = step_losses[0] if step_losses else ()
     return {k: float(np.mean([d[k] for d in step_losses])) for k in keys}
 
 
@@ -139,13 +121,10 @@ def _mcsd_gap(
 ) -> float | None:
     """Target-minus-source mean disagreement of two heads, exact ramp, from
     full-data head outputs; None when those outputs are not finite."""
+    if not all(np.isfinite(raw[h]).all() for raw in (tgt, src) for h in heads):
+        return None
     a, b = heads
-    means = []
-    for raw in (tgt, src):
-        if not (np.isfinite(raw[a]).all() and np.isfinite(raw[b]).all()):
-            return None
-        means.append(float(mcsd_rows(center_scores(raw[a]), center_scores(raw[b]), rho).mean()))
-    return means[0] - means[1]
+    return _head_disagreement(tgt[a], tgt[b], rho)[0] - _head_disagreement(src[a], src[b], rho)[0]
 
 
 class _Recorder:
@@ -207,47 +186,34 @@ def _finalize(
     )
     if run_dir is not None:
         model.save(run_dir / "model.ckpt")
+        summary = {k: v for k, v in vars(result).items() if k not in ("metrics", "model", "omega")}
         with _replacing(run_dir / "result.json", "w") as fh:
-            json.dump(
-                {
-                    "method": result.method,
-                    "seed": result.seed,
-                    "converged": result.converged,
-                    "final_source_acc": result.final_source_acc,
-                    "final_target_acc": result.final_target_acc,
-                    "os_all": result.os_all,
-                    "os_shared": result.os_shared,
-                    "unknown_acc": result.unknown_acc,
-                    "notes": result.notes,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
     return result
 
 
 # ---------------------------------------------------------------------------
-# Per-method steps.  Each takes (model, optimizer, cfg, source batch, source
-# labels, target batch, zeta, lr, omega), updates the model once and returns
-# its loss values; a batch with non-finite scores returns a NaN loss and
-# leaves the parameters as they were.  Library functions are called by their
-# module-level names, so a patched name takes effect on the next step.
+# Per-family steps.  Each takes (model, source batch, source labels, target
+# batch, adversarial weight, class weights) and its row's keywords, and
+# returns its loss values and merged parameter gradients; a batch with
+# non-finite scores returns a NaN loss and no gradients.  Library functions
+# are called by their module-level names, so a patched name takes effect on
+# the next run.
 # ---------------------------------------------------------------------------
 
 
-def _source_only_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
+def _source_only_step(model, xs, ys, xt, zeta, omega):
     """Task head trained on source labels only; the adaptation baseline."""
     cache = model.forward(xs, heads=("f",))
     if not _finite(cache.raw):
-        return {"task": float("nan")}
+        return {"task": float("nan")}, None
     value, g = log_loss_with_grads(cache.raw["f"], ys)
     score_grads = {"f": g}
-    opt.step(model.backward(cache, score_grads, score_grads), lr)
-    return {"task": value}
+    return {"task": value}, model.backward(cache, score_grads, score_grads)
 
 
-def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
+def _mcdal_step(model, xs, ys, xt, zeta, omega, *, surrogate, aux_task_weight, zeta_on_adversary):
     """Minimax surrogate step: one forward and one backward of the stacked
     batch [xs; xt].
 
@@ -263,81 +229,48 @@ def _mcdal_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float
     cache = model.forward(np.concatenate((xs, xt)))
     raw = cache.raw
     if not _finite(raw):
-        return {"task": float("nan")}
+        return {"task": float("nan")}, None
     n, k = raw["f"].shape
-    wide = ("f",) if cfg.surrogate == "dann" else ("f", "f1", "f2")
+    wide = tuple(h for h in raw if raw[h].shape[1] == k)  # built K wide: f, then f1, f2
     probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
-    trained = wide if cfg.aux_task_weight > 0 else ("f",)
+    trained = wide if aux_task_weight > 0 else ("f",)
     picks = (_check_labels(ys, ns, k) - 1)[:, None]
     values, g = _picked_log_loss(probs[: len(trained), :ns], picks, np.ones(ns))
     task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
     task[:, :ns] = g
-    task[1:] *= cfg.aux_task_weight
+    task[1:] *= aux_task_weight
 
     w = np.full(n, 1.0 / ns)
     w[ns:] = -1.0 / (n - ns)
-    if cfg.surrogate == "dann":
+    if surrogate == "dann":
         disagreement, g_d = _dann_core(raw["d"][:, 0], w)
         dis = {"d": g_d[:, None]}
-    elif cfg.surrogate == "mdd_variant":
+    elif surrogate == "mdd_variant":
         disagreement, g_2 = _mdd_variant_core(np.argmax(raw["f1"], axis=1), probs[2], w)
         dis = {"f2": g_2}
     else:
-        disagreement, g_1, g_2 = _PAIRWISE_CORES[cfg.surrogate](probs[1], probs[2], w)
+        disagreement, g_1, g_2 = _PAIRWISE_CORES[surrogate](probs[1], probs[2], w)
         dis = {"f1": g_1, "f2": g_2}
 
-    c = zeta if cfg.zeta_on_adversary else 1.0
+    c = zeta if zeta_on_adversary else 1.0
     head_grads = dict(zip(trained, task))
     psi_grads = dict(head_grads)
     for h, d in dis.items():
         t = head_grads.get(h, 0.0)
         head_grads[h] = t + c * d
         psi_grads[h] = t - zeta * d
-    opt.step(model.backward(cache, head_grads, psi_grads), lr)
-    aux = cfg.aux_task_weight * float(values[1] + values[2]) if len(trained) > 1 else 0.0
-    return {"task": float(values[0]), "aux_task": aux, "disagreement": disagreement}
+    aux = aux_task_weight * float(values[1] + values[2]) if len(trained) > 1 else 0.0
+    values = {"task": float(values[0]), "aux_task": aux, "disagreement": disagreement}
+    return values, model.backward(cache, head_grads, psi_grads)
 
 
-def _symmnets_step(model, opt, cfg, xs, ys, xt, zeta, lr, omega) -> dict[str, float]:
-    """Symmetric two-head step; ``symmnets_v2_no_Lt`` drops the target-path
-    task loss and ``symmnets_v2_no_adv`` keeps only the labeled confusion for
-    the feature map and the task losses for the heads."""
-    return symmnets_step(
-        model,
-        opt,
-        xs,
-        ys,
-        xt,
-        lam=zeta,
-        lr=lr,
-        omega=omega,
-        adversarial=cfg.method != "symmnets_v2_no_adv",
-        train_task_t=cfg.method != "symmnets_v2_no_Lt",
-        rho=cfg.rho,
-    )
-
-
-@dataclass(frozen=True)
-class _Method:
-    heads: dict[str, tuple[int, bool]]  # head name -> (width, centered)
-    step: Callable[..., dict[str, float]]
-    eval_head: str
-    proxy: tuple[str, str] | None  # head pair of the divergence proxy
-    uses_zeta: bool = True  # the step takes, and the record shows, the adversarial weight
-    modes: bool = False  # partial re-weighting and open-set sampling apply
-
-
-def _method(cfg: ExperimentConfig, k: int) -> _Method:
-    """The table entry of the configured method for K-class heads."""
-    if cfg.method == "source_only":
-        return _Method({"f": (k, True)}, _source_only_step, "f", None, uses_zeta=False)
-    if cfg.surrogate == "dann":
-        return _Method({"f": (k, True), "d": (1, False)}, _mcdal_step, "f", None)
-    if cfg.surrogate is not None:
-        heads = {"f": (k, True), "f1": (k, True), "f2": (k, True)}
-        return _Method(heads, _mcdal_step, "f", ("f1", "f2"))
-    heads = {HEAD_S: (k, True), HEAD_T: (k, True)}
-    return _Method(heads, _symmnets_step, cfg.resolve_eval_head(), (HEAD_S, HEAD_T), modes=True)
+def _family_step(cfg: ExperimentConfig) -> Callable[..., tuple[dict, dict | None]]:
+    """The step of the configured method's family, its row's constants and
+    the config fields the family reads bound as keywords."""
+    row = METHOD_ROWS[cfg.method]
+    steps = {"source_only": _source_only_step, "mcdal": _mcdal_step, "symmnets": symmnets_step}
+    options = {name: getattr(cfg, name) for name in row.family.options}
+    return partial(steps[row.family.name], **row.constants, **options)
 
 
 def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
@@ -348,26 +281,22 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
     source batches from the super-class-oversampling sampler (the heads
     already have the pair's K_shared + 1 outputs).
     """
-    spec = _method(cfg, pair.k)
-    mode = pair.mode if spec.modes else "closed"
+    row = METHOD_ROWS[cfg.method]
+    step = _family_step(cfg)
+    eval_head = cfg.resolve_eval_head()
+    mode = pair.mode if row.family.modes else "closed"
     init_seed, shuffle_seed, sampler_seed = _seeds(cfg)
     model = MlpScorer(
-        pair.source.points.shape[1],
-        spec.heads,
-        hidden=cfg.hidden,
-        feature_dim=cfg.feature_dim,
-        seed=init_seed,
+        pair.source.points.shape[1], row.head_widths(pair.k), cfg.hidden, cfg.feature_dim, init_seed
     )
     opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
     rng = np.random.default_rng(shuffle_seed)
     xs, ys = pair.source.points, pair.source.labels
     xt, yt = pair.target.points, pair.eval_target_labels()
-    sampler = (
-        openset_sampler(pair.source, cfg.nu, cfg.batch_size, seed=sampler_seed)
-        if mode == "openset"
-        else None
-    )
-    eval_heads = tuple(dict.fromkeys((spec.eval_head,) + (spec.proxy or ())))
+    sampler = None
+    if mode == "openset":
+        sampler = openset_sampler(pair.source, cfg.nu, cfg.batch_size, seed=sampler_seed)
+    eval_heads = tuple(dict.fromkeys((eval_head,) + (row.proxy or ())))
     omega = np.ones(pair.k)
     os_fields: dict[str, float | None] = {"os_all": None, "os_shared": None, "unknown_acc": None}
     notes: list[str] = []
@@ -379,7 +308,7 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
             p = epoch / cfg.epochs
             lr = lr_schedule(p, cfg.schedules)
             lam = lambda_schedule(p, cfg.schedules)
-            zeta = (lam if cfg.zeta is None else cfg.zeta) if spec.uses_zeta else None
+            zeta = (lam if cfg.zeta is None else cfg.zeta) if row.family.uses_zeta else None
             xi = None
             nan_flag = False
             if mode == "partial":
@@ -393,9 +322,9 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
             )
             step_losses = []
             for idx_s, idx_t in batches:
-                values = spec.step(
-                    model, opt, cfg, xs[idx_s], ys[idx_s], xt[idx_t], zeta, lr, omega
-                )
+                values, grads = step(model, xs[idx_s], ys[idx_s], xt[idx_t], zeta, omega)
+                if grads is not None:
+                    opt.step(grads, lr)
                 if not all(np.isfinite(v) for v in values.values()):
                     nan_flag = True
                     break
@@ -403,12 +332,8 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
             src = model.forward(xs, heads=eval_heads).raw
             tgt = model.forward(xt, heads=eval_heads).raw
             if mode == "openset":
-                ev = eval_openset(np.argmax(tgt[spec.eval_head], axis=1) + 1, yt, pair.k_shared)
-                os_fields = {
-                    "os_all": ev.os_all,
-                    "os_shared": ev.os_shared,
-                    "unknown_acc": ev.unknown_acc,
-                }
+                ev = eval_openset(np.argmax(tgt[eval_head], axis=1) + 1, yt, pair.k_shared)
+                os_fields = {name: getattr(ev, name) for name in os_fields}
             recorder.add(
                 MetricsRecord(
                     epoch=epoch,
@@ -419,10 +344,10 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                     zeta=zeta,
                     xi=xi,
                     losses=_mean_losses(step_losses),
-                    source_acc=_accuracy(src[spec.eval_head], ys),
-                    target_acc=_accuracy(tgt[spec.eval_head], yt),
+                    source_acc=_accuracy(src[eval_head], ys),
+                    target_acc=_accuracy(tgt[eval_head], yt),
                     divergence_proxy=(
-                        None if spec.proxy is None else _mcsd_gap(src, tgt, spec.proxy, cfg.rho)
+                        None if row.proxy is None else _mcsd_gap(src, tgt, row.proxy, cfg.rho)
                     ),
                     clamp_events=reset_clamp_count(),
                     omega=[float(w) for w in omega] if mode == "partial" else None,
@@ -435,13 +360,6 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                 break
     finally:
         recorder.close()
-    return _finalize(
-        cfg,
-        pair,
-        model,
-        recorder.records,
-        run_dir,
-        omega=omega if mode == "partial" else None,
-        notes=notes,
-        **os_fields,
-    )
+    omega = omega if mode == "partial" else None
+    records = recorder.records
+    return _finalize(cfg, pair, model, records, run_dir, omega=omega, notes=notes, **os_fields)

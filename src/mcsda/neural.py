@@ -2,10 +2,12 @@
 
 The experiments only need a fixed architecture: a feature map psi made of
 affine layers each followed by tanh, and one or more linear heads on top of
-the shared features.  Scoring heads are centered (scores minus their row
-mean) before any margin computation; softmax-based losses are shift
-invariant, so their gradients are taken with respect to the raw head
-outputs and already sum to zero per row.
+the shared features, each given by its name and output width.  ``forward``
+returns raw head outputs; scores are centered (minus their row mean) before
+any margin computation, by ``scorer`` and by the callers of
+``center_scores``.  Softmax-based losses are shift invariant, so their
+gradients are taken with respect to the raw head outputs and already sum to
+zero per row.
 
 Gradients flow through an explicit cache (inputs, per-layer activations,
 head outputs).  ``MlpScorer.backward`` takes two maps from head name to
@@ -18,7 +20,8 @@ gradient-reversal layer as data: a McDalNet step forwards source and target
 as one stacked batch and makes one backward, with the disagreement
 gradients reversed and scaled by zeta in the feature-map map only.
 ``grad_reversal_step`` routes already-computed parameter gradients by name
-instead; the tests keep it as the reference for that step.
+instead and returns them for the optimizer; the tests keep it as the
+reference for that step.
 
 Optimization is plain SGD with momentum (v <- m v + g; theta <- theta -
 lr * v), a per-parameter learning-rate multiplier (heads train at 10x the
@@ -124,13 +127,6 @@ def _add_grads(
 
 
 @dataclass
-class _Head:
-    w: np.ndarray  # [out, in]
-    b: np.ndarray  # [out]
-    center: bool
-
-
-@dataclass
 class ForwardCache:
     """Everything backward() needs from one forward pass."""
 
@@ -162,7 +158,7 @@ def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
 class MlpScorer:
     """tanh MLP feature map with named linear heads.
 
-    ``heads`` maps a head name to (out_dim, center).  Parameters live in an
+    ``heads`` maps a head name to its output width.  Parameters live in an
     ordered dict keyed ``psi{i}.w`` / ``psi{i}.b`` / ``head:{name}.w`` /
     ``head:{name}.b`` so optimizers and checkpoints can address them flatly.
     """
@@ -170,7 +166,7 @@ class MlpScorer:
     def __init__(
         self,
         in_dim: int,
-        heads: Mapping[str, tuple[int, bool]],
+        heads: Mapping[str, int],
         hidden: tuple[int, ...] = (32, 32),
         feature_dim: int = 16,
         seed: int = 0,
@@ -186,10 +182,8 @@ class MlpScorer:
         dims = (self.in_dim,) + self.hidden + (self.feature_dim,)
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             self._psi.append(_uniform_init(rng, d_out, d_in))
-        self._heads: dict[str, _Head] = {}
-        for name, (out_dim, center) in heads.items():
-            w, b = _uniform_init(rng, int(out_dim), self.feature_dim)
-            self._heads[name] = _Head(w, b, bool(center))
+        # each psi layer and head is a (w [out, in], b [out]) pair
+        self._heads = {n: _uniform_init(rng, int(d), self.feature_dim) for n, d in heads.items()}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -198,7 +192,7 @@ class MlpScorer:
         return tuple(self._heads)
 
     def head_dim(self, name: str) -> int:
-        return self._heads[name].w.shape[0]
+        return self._heads[name][0].shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
         """Live parameter arrays, keyed; mutate in place to update the model."""
@@ -206,9 +200,9 @@ class MlpScorer:
         for i, (w, b) in enumerate(self._psi):
             out["psi%d.w" % i] = w
             out["psi%d.b" % i] = b
-        for name, head in self._heads.items():
-            out["head:%s.w" % name] = head.w
-            out["head:%s.b" % name] = head.b
+        for name, (w, b) in self._heads.items():
+            out["head:%s.w" % name] = w
+            out["head:%s.b" % name] = b
         return out
 
     def lr_multipliers(self) -> dict[str, float]:
@@ -232,7 +226,7 @@ class MlpScorer:
             a = np.tanh(a @ w.T + b)
             acts.append(a)
         names = self.head_names if heads is None else tuple(heads)
-        raw = {name: a @ self._heads[name].w.T + self._heads[name].b for name in names}
+        raw = {name: a @ self._heads[name][0].T + self._heads[name][1] for name in names}
         return ForwardCache(x=x, acts=acts, raw=raw)
 
     def backward(
@@ -258,7 +252,7 @@ class MlpScorer:
             return grads
         dfeat = np.zeros_like(feats)
         for name, g in psi_grads.items():
-            dfeat += _score_grad(cache, name, g) @ self._heads[name].w
+            dfeat += _score_grad(cache, name, g) @ self._heads[name][0]
         for i in range(len(self._psi) - 1, -1, -1):
             a = cache.acts[i]
             prev = cache.x if i == 0 else cache.acts[i - 1]
@@ -283,7 +277,9 @@ class MlpScorer:
 
     def save(self, path) -> None:
         """JSON header line plus little-endian float64 parameter block,
-        written to a temporary file and then moved onto ``path``."""
+        written to a temporary file and then moved onto ``path``.  ``load``
+        also reads headers whose heads carry a ``center`` key, which is
+        ignored."""
         params = self.params()
         header = {
             "format": "mcsda-mlp-v1",
@@ -291,10 +287,7 @@ class MlpScorer:
             "in_dim": self.in_dim,
             "hidden": list(self.hidden),
             "feature_dim": self.feature_dim,
-            "heads": [
-                {"name": n, "out_dim": h.w.shape[0], "center": h.center}
-                for n, h in self._heads.items()
-            ],
+            "heads": [{"name": n, "out_dim": w.shape[0]} for n, (w, _) in self._heads.items()],
             "param_order": list(params),
         }
         with _replacing(path) as fh:
@@ -311,7 +304,7 @@ class MlpScorer:
             raise ValueError("unrecognized checkpoint header: %r" % header.get("format"))
         model = cls(
             in_dim=header["in_dim"],
-            heads={h["name"]: (h["out_dim"], h["center"]) for h in header["heads"]},
+            heads={h["name"]: h["out_dim"] for h in header["heads"]},
             hidden=tuple(header["hidden"]),
             feature_dim=header["feature_dim"],
             seed=header["seed"],
@@ -362,22 +355,20 @@ class SgdMomentum:
 
 def grad_reversal_step(
     model: MlpScorer,
-    optimizer: SgdMomentum,
     task_grads: Mapping[str, np.ndarray],
     disagreement_grads: Mapping[str, np.ndarray],
     zeta: float,
-    lr: float,
     adversary_heads: tuple[str, ...],
     zeta_on_adversary: bool = False,
 ) -> dict[str, np.ndarray]:
-    """One simultaneous minimax update.
+    """The gradients of one simultaneous minimax update.
 
     Adversary head parameters descend the disagreement loss (they sharpen
     the source/target gap); the feature map receives the task gradient
     minus zeta times the disagreement gradient (the reversed signal); every
     other head sees only its task gradient.  With ``zeta_on_adversary`` the
     adversary side is scaled by zeta as well instead of staying unscaled.
-    Returns the effective gradients that were applied.
+    Returns the effective gradients, one per parameter, for the optimizer.
     """
     adv_prefixes = tuple("head:%s." % name for name in adversary_heads)
     eff: dict[str, np.ndarray] = {}
@@ -393,5 +384,4 @@ def grad_reversal_step(
                 g = g - zeta * d
             # task heads ignore the disagreement term entirely
         eff[name] = g
-    optimizer.step(eff, lr)
     return eff

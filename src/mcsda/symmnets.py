@@ -15,14 +15,16 @@ probabilities) so they compose with the manual backprop:
 * ``confuse_src``       labeled confusion on the 2K joint softmax;
 * ``confuse_tgt``       unlabeled symmetric confusion on the joint softmax;
 * ``discrim``           joint-softmax domain discrimination;
-* ``symmnets_step``     one simultaneous update: heads descend
-  task + discrimination, the feature map descends
+* ``symmnets_step``     the gradients of one simultaneous update: heads
+  descend task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
   without updating them).  It checks the source labels once, computes
   each domain's joint softmax once and passes them to the private cores
   behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, then makes one
   backward pass per domain that takes the head gradients from one set of
-  score gradients and the feature-map gradients from the other.
+  score gradients and the feature-map gradients from the other.  It
+  returns the loss values and the merged parameter gradients; the caller
+  makes the optimizer update.
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
@@ -45,8 +47,8 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, mcsd_rows
-from .margin import _check_labels, _integer_labels
-from .neural import MlpScorer, SgdMomentum, _add_grads, center_scores
+from .margin import _check_labels
+from .neural import MlpScorer, _add_grads, center_scores
 from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss
 from .surrogates import log_loss_with_grads, softmax
 
@@ -171,29 +173,34 @@ def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
     return {HEAD_S: g[:, :k], HEAD_T: g[:, k:]}
 
 
+def _head_disagreement(raw_a, raw_b, rho: float) -> tuple[float, np.ndarray]:
+    """Mean pointwise disagreement of two heads' scores [n, K], each row
+    centered, and the centered pair [2, n, K]."""
+    c = center_scores(np.asarray([raw_a, raw_b], dtype=float))
+    return float(mcsd_rows(c[0], c[1], rho).mean()), c
+
+
 def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, float]:
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
-    c = center_scores(np.asarray([raw_s, raw_t], dtype=float))
-    lhs = float(mcsd_rows(c[0], c[1], rho).mean())
+    lhs, c = _head_disagreement(raw_s, raw_t, rho)
     err_s, err_t = _margin_violations(c, labels, rho)
     return lhs, float(err_s.mean()) + float(err_t.mean())
 
 
 def symmnets_step(
     model: MlpScorer,
-    optimizer: SgdMomentum,
     src_x: np.ndarray,
     src_y: np.ndarray,
     tgt_x: np.ndarray,
     lam: float,
-    lr: float,
     omega=None,
     adversarial: bool = True,
     train_task_t: bool = True,
     rho: float | None = None,
-) -> dict[str, float]:
-    """One simultaneous update of heads and feature map.
+) -> tuple[dict[str, float], dict[str, np.ndarray] | None]:
+    """Loss values and parameter gradients of one simultaneous update of
+    heads and feature map.
 
     Heads descend task losses plus (when adversarial) the discrimination
     term, with gradients stopped at the features.  The feature map descends
@@ -203,11 +210,11 @@ def symmnets_step(
     separately: source task + discrimination to the heads and confuse_src to
     the feature map, then target discrimination to the heads and lambda
     times confuse_tgt to the feature map (the target pass only when
-    adversarial).  Returns the loss values for metrics; with ``rho`` given
-    it also reports (and enforces) the per-step bound of the mean head
-    disagreement by the sum of the two source margin errors.  A batch whose
-    scores are not finite is not stepped: the parameters keep their values
-    and ``task_s`` is NaN.
+    adversarial).  Returns the loss values for metrics and the merged
+    parameter gradients; with ``rho`` given the values also report (and the
+    step enforces) the per-step bound of the mean head disagreement by the
+    sum of the two source margin errors.  A batch whose scores are not
+    finite returns ``task_s`` NaN and no gradients.
     """
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
@@ -216,8 +223,8 @@ def symmnets_step(
     k = model.head_dim(HEAD_S)
     if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
         # the losses reject non-finite scores; report a NaN step without
-        # touching the parameters, so the caller flags the run
-        return {"task_s": float("nan")}
+        # gradients, so the caller neither steps nor goes on
+        return {"task_s": float("nan")}, None
 
     values: dict[str, float] = {}
     if rho is not None:
@@ -256,8 +263,7 @@ def symmnets_step(
         values["confuse_tgt"] = conf_t_val
         tgt_grads = model.backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k))
         _add_grads(grads, tgt_grads)
-    optimizer.step(grads, lr)
-    return values
+    return values, grads
 
 
 def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
@@ -330,12 +336,10 @@ class OpensetEval:
 
 
 def eval_openset(pred_labels, true_labels, k_shared: int) -> OpensetEval:
-    """Mean per-class accuracies; classes absent from the truth are flagged."""
-    pred, true = _integer_labels(pred_labels), _integer_labels(true_labels)
-    if pred.size != true.size:
-        raise ValueError("prediction/label lengths differ")
-    if np.any(pred < 1) or np.any(true < 1):
-        raise ValueError("labels are 1-based")
+    """Mean per-class accuracies; classes absent from the truth are flagged.
+    Both label arrays must lie in {1..K_shared + 1}."""
+    true = _check_labels(true_labels, np.size(true_labels), k_shared + 1)
+    pred = _check_labels(pred_labels, true.size, k_shared + 1)
     per_class: dict[int, float] = {}
     missing: list[int] = []
     for c in range(1, k_shared + 2):

@@ -319,7 +319,8 @@ def write_csv(pair: DomainPair, path) -> None:
 
 
 def read_csv(path) -> DomainPair:
-    """Rebuild a DomainPair written by write_csv (requires the manifest)."""
+    """Rebuild a DomainPair written by write_csv (requires the manifest).  A
+    missing file raises OSError; a malformed CSV raises ValueError."""
     path = Path(path)
     mpath = manifest_path(path)
     if not mpath.exists():
@@ -328,12 +329,14 @@ def read_csv(path) -> DomainPair:
         manifest = json.load(fh)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[-2:] != ["label", "domain"] or not header[0].startswith("x"):
             raise ValueError("unrecognized CSV header: %r" % header)
         d = len(header) - 2
         src_pts, src_lab, tgt_pts, tgt_lab = [], [], [], []
         for row in reader:
+            if len(row) != d + 2:
+                raise ValueError("line %d: %d fields, not %d" % (reader.line_num, len(row), d + 2))
             coords = [float(v) for v in row[:d]]
             lab = int(row[d])
             domain = row[d + 1]

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -86,13 +87,24 @@ def ascent_values() -> dict:
 
 
 def run_values(method: str) -> dict:
-    """Final accuracies, last-epoch losses and divergence proxy of a short
-    seeded mini-batch run on a small moons pair (rho = 0.7, as above)."""
+    """Final accuracies, last-epoch losses, divergence proxy and trained
+    parameters of a short seeded mini-batch run on a small moons pair
+    (rho = 0.7, as above)."""
     pair = gen_rotated_moons(96, 96, 30.0, noise_sd=0.05, seed=0)
     cfg = ExperimentConfig(
         method=method, rho=0.7, epochs=3, batch_size=32, seed=0, schedules=Schedules(eta0=0.05)
     )
     return run_summary(run_experiment(pair, cfg))
+
+
+def params_digest(model) -> str:
+    """sha256 of the parameter block ``MlpScorer.save`` writes after its
+    header line: every trained weight, bit for bit."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.ckpt"
+        model.save(path)
+        block = path.read_bytes().split(b"\n", 1)[1]
+    return hashlib.sha256(block).hexdigest()
 
 
 def run_summary(res) -> dict:
@@ -102,6 +114,7 @@ def run_summary(res) -> dict:
         "target_acc": res.final_target_acc.hex(),
         "losses": {k: v.hex() for k, v in sorted(last.losses.items())},
         "proxy": None if last.divergence_proxy is None else last.divergence_proxy.hex(),
+        "params": params_digest(res.model),
     }
 
 
@@ -227,6 +240,7 @@ EXPECTED_RUNS = {
             "task": "0x1.5053e660d1c64p-1",
         },
         "proxy": None,
+        "params": "732a973b7780861a197385ea2723dc30c836aa06d974e16e0ac33d23044143dd",
     },
     "mcdal_l1": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -237,6 +251,7 @@ EXPECTED_RUNS = {
             "task": "0x1.4f5e6cc30d375p-1",
         },
         "proxy": "0x1.e1a2d2f825e00p-11",
+        "params": "becb7853e9b3cba48bb3752612c41edf5d3aac7ea335181e1663c5fe3aa23259",
     },
     "mcdal_kl": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -247,6 +262,7 @@ EXPECTED_RUNS = {
             "task": "0x1.4f5da12da047dp-1",
         },
         "proxy": "0x1.335d7f0756000p-12",
+        "params": "8f219f3745fa4a067a133412f79d08ce22f9f8270ad3825ad5c8918325bee16d",
     },
     "mcdal_ce": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -257,6 +273,7 @@ EXPECTED_RUNS = {
             "task": "0x1.4f5dd669aa11bp-1",
         },
         "proxy": "0x1.376834f78ec00p-13",
+        "params": "6b372f5db5275e00588a10f3e7e849d69e3dbbdc7e2dfd3254e8f7746104096e",
     },
     "mcdal_mdd_variant": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -267,6 +284,7 @@ EXPECTED_RUNS = {
             "task": "0x1.4f6bd22aa6825p-1",
         },
         "proxy": "-0x1.299408af423a8p-8",
+        "params": "4a37282a45d4d5b71a9d6019b4fa55d335d2ae7a9d8a582ea8a79bd934d28aa0",
     },
     "mcdal_dann": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -277,6 +295,7 @@ EXPECTED_RUNS = {
             "task": "0x1.5056a1056b317p-1",
         },
         "proxy": None,
+        "params": "83970dc70d4af6ac566ed494c12c80fe146de3d52f523ef58bf529d85416925b",
     },
     "symmnets_v2": {
         "source_acc": "0x1.8aaaaaaaaaaabp-1",
@@ -291,6 +310,7 @@ EXPECTED_RUNS = {
             "task_t": "0x1.495e26b275498p-1",
         },
         "proxy": "0x1.367cdeca1cc28p-8",
+        "params": "29736f1c8d7277c2f66312068cf89722e71dca008e2d4ac7b3f5da232cdde9ec",
     },
     "symmnets_v2_no_Lt": {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
@@ -304,6 +324,7 @@ EXPECTED_RUNS = {
             "task_s": "0x1.4b6b72d0c9c03p-1",
         },
         "proxy": "0x1.1e7e360b4b400p-10",
+        "params": "986b46c2ee13608846e24b80b849c35c1e632d87a6fde67a3661748897865623",
     },
     "symmnets_v2_no_adv": {
         "source_acc": "0x1.8aaaaaaaaaaabp-1",
@@ -316,6 +337,7 @@ EXPECTED_RUNS = {
             "task_t": "0x1.49528d5d53c8dp-1",
         },
         "proxy": "0x1.1c47de059eaf0p-8",
+        "params": "a50c055b68c3acca6a588a7f403a984e316e752f025943ceadc568e40b3fe4d8",
     },
 }
 
@@ -334,6 +356,7 @@ EXPECTED_MODE_RUNS = {
             "task_t": "0x1.1e0817623178ep-6",
         },
         "proxy": "0x1.4153e97b70ddfp-6",
+        "params": "7c460dfb6b22b48b0ae1a415d1ef3495d776fdb732e7f427c219a2df520a7761",
         "target_accs": ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"],
         "omega": [
             "0x1.f18df6f26de37p-1",
@@ -355,6 +378,7 @@ EXPECTED_MODE_RUNS = {
             "task_t": "0x1.cce46ac6db458p-3",
         },
         "proxy": "-0x1.2376ea4d2ebccp-4",
+        "params": "3cb22ce05ed930de24ce1ae3f094bdbe9d07e636930bad740bc5ab50cd685dda",
         "target_accs": ["0x1.5f92c5f92c5f9p-1", "0x1.70a3d70a3d70ap-1", "0x1.999999999999ap-1"],
         "open_set": ["0x1.b99999999999ap-1", "0x1.eeeeeeeeeeeefp-1", "0x1.199999999999ap-1"],
     },

@@ -9,6 +9,7 @@ account for most of this file's runtime.
 import importlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from mcsda.harness import trainers
 from mcsda.harness.cli import main
-from mcsda.harness.config import METHODS, ExperimentConfig, MetricsRecord
+from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
 from mcsda.divergence import ScorerGrid, mcsd_divergence_adversarial
 from mcsda.harness.theory import (
@@ -35,7 +36,7 @@ from mcsda.margin import (
 )
 from mcsda.neural import MlpScorer, Schedules, lambda_schedule, lr_schedule
 from mcsda.surrogates import clamp_count, reset_clamp_count, softmax, sur_ce, sur_kl, sur_l1
-from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, read_csv
+from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, manifest_path, read_csv
 
 CHECK_NAMES = {
     "ramp_properties",
@@ -423,11 +424,11 @@ class TestTrainerRuns:
         real_step = trainers.symmnets_step
         seen = {}
 
-        def nan_batch_step(model, optimizer, src_x, *args, **kwargs):
+        def nan_batch_step(model, src_x, *args, **kwargs):
             seen.setdefault("before", {k: v.copy() for k, v in model.params().items()})
             bad = src_x.copy()
             bad[0, 0] = np.nan
-            return real_step(model, optimizer, bad, *args, **kwargs)
+            return real_step(model, bad, *args, **kwargs)
 
         monkeypatch.setattr(trainers, "symmnets_step", nan_batch_step)
         cfg = ExperimentConfig(method="symmnets_v2", epochs=3, seed=0, outdir=str(tmp_path))
@@ -503,7 +504,8 @@ class TestTrainerRuns:
         saved = MlpScorer.load(run_dir / "model.ckpt").params()
         assert all(np.isfinite(v).all() for v in saved.values())
         # the one full batch held the point, so no step was taken
-        init = MlpScorer(2, trainers._method(cfg, pair.k).heads, seed=trainers._seeds(cfg)[0])
+        heads = METHOD_ROWS[method].head_widths(pair.k)
+        init = MlpScorer(2, heads, seed=trainers._seeds(cfg)[0])
         for name, value in init.params().items():
             assert np.array_equal(saved[name], value), name
 
@@ -569,6 +571,50 @@ class TestCli:
                     "--generator", "blobs", "--mode", "partial",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "{out}", "--generator", "blobs", "--mode", "partial"],
+            ["gen-data", "--out", "{out}", "--mode", "openset", "--shared", "1,2"],
+            ["train", "--data", "{missing}", "--outdir", "{out}"],
+            ["pac-report", "--data", "{missing}", "--out", "{out}"],
+            ["train", "--data", "{truncated}", "--outdir", "{out}"],
+            ["train", "--data", "{data}", "--config", "{missing}", "--outdir", "{out}"],
+            ["train", "--data", "{data}", "--config", "{truncated}", "--outdir", "{out}"],
+            ["pac-report", "--data", "{truncated}", "--out", "{out}"],
+            ["pac-report", "--data", "{keyless}", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--grid-size", "0", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--sigma-draws", "1", "--out", "{out}"],
+            ["theory-check", "--trials", "0", "--out", "{out}"],
+            ["surface", "--out", "{out}", "--which", "hat", "--rho", "0"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-{}") for a in argv if a not in ("--out", "{out}")),
+    )
+    def test_failure_paths_exit_2(self, argv, blobs_csv, tmp_path, capsys):
+        # a file cut inside its fourth data row, next to an intact manifest
+        truncated = tmp_path / "truncated.csv"
+        lines = blobs_csv.read_text().splitlines(keepends=True)
+        truncated.write_text("".join(lines[:4]) + lines[4][:8])
+        shutil.copy(manifest_path(blobs_csv), manifest_path(truncated))
+        # an intact file whose manifest lacks the class count
+        keyless = tmp_path / "keyless.csv"
+        shutil.copy(blobs_csv, keyless)
+        manifest = json.loads(manifest_path(blobs_csv).read_text())
+        del manifest["k"]
+        manifest_path(keyless).write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        files = {"data": blobs_csv, "missing": tmp_path / "missing.csv", "truncated": truncated}
+        files["keyless"] = keyless
+        argv = [a.format(out=out, **files) for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_train_exit_codes(self, blobs_csv, tmp_path):
         rc = main(

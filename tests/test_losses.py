@@ -8,14 +8,14 @@ import pytest
 
 from mcsda import surrogates, symmnets
 from mcsda.harness import trainers
-from mcsda.harness.config import METHODS, ExperimentConfig
+from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig
 from mcsda.losses import (
     PAIRWISE_CORES,
     RegisteredLoss,
     finite_difference_audit,
     registered_losses,
 )
-from mcsda.neural import MlpScorer, SgdMomentum
+from mcsda.neural import MlpScorer
 from mcsda.synthdata import gen_rotated_moons
 
 EXPECTED_NAMES = {
@@ -93,13 +93,12 @@ def core_calls(monkeypatch):
 
 def one_step(method):
     cfg = ExperimentConfig(method=method, rho=0.7)
-    spec = trainers._method(cfg, 2)
-    model = MlpScorer(2, spec.heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=5)
-    opt = SgdMomentum(model.params(), 0.9, model.lr_multipliers())
+    heads = METHOD_ROWS[method].head_widths(2)
+    model = MlpScorer(2, heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=5)
     pair = gen_rotated_moons(40, 30, 30.0, noise_sd=0.05, seed=1)
     xs, ys, xt = pair.source.points, pair.source.labels, pair.target.points
-    values = spec.step(model, opt, cfg, xs, ys, xt, 0.5, 0.05, np.array([1.0, 0.5]))
-    assert all(np.isfinite(v) for v in values.values())
+    values, grads = trainers._family_step(cfg)(model, xs, ys, xt, 0.5, np.array([1.0, 0.5]))
+    assert all(np.isfinite(v) for v in values.values()) and grads
 
 
 class TestRegistry:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mcsda.harness import trainers
-from mcsda.harness.config import ExperimentConfig
+from mcsda.harness.config import METHOD_ROWS, ExperimentConfig
 from mcsda.neural import MlpScorer, SgdMomentum, _add_grads, grad_reversal_step
 from mcsda.surrogates import (
     ce_with_grads,
@@ -64,16 +64,25 @@ def reference_step(model, opt, cfg, xs, ys, xt, zeta, lr):
     disc_grads = _add_grads(
         model.backward(cache_s, g_src, g_src), model.backward(cache_t, g_tgt, g_tgt)
     )
-    grad_reversal_step(
-        model, opt, task_grads, disc_grads, zeta, lr, adversary, cfg.zeta_on_adversary
+    opt.step(
+        grad_reversal_step(model, task_grads, disc_grads, zeta, adversary, cfg.zeta_on_adversary),
+        lr,
     )
     return {"task": task_val, "aux_task": aux_val, "disagreement": disagreement}
 
 
 def fresh(cfg):
-    spec = trainers._method(cfg, 2)
-    model = MlpScorer(2, spec.heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=5)
+    heads = METHOD_ROWS[cfg.method].head_widths(2)
+    model = MlpScorer(2, heads, hidden=cfg.hidden, feature_dim=cfg.feature_dim, seed=5)
     return model, SgdMomentum(model.params(), 0.9, model.lr_multipliers())
+
+
+def stacked_step(model, opt, cfg, xs, ys, xt, zeta, lr):
+    """The trainers' McDalNet step, then the optimizer update the epoch
+    loop makes; returns the loss values."""
+    values, grads = trainers._family_step(cfg)(model, xs, ys, xt, zeta, None)
+    opt.step(grads, lr)
+    return values
 
 
 def batches(steps=len(ZETAS), ns=32, nt=27):
@@ -97,7 +106,7 @@ def test_stacked_step_matches_reference(surrogate, zeta_on_adversary, aux_task_w
     model, opt = fresh(cfg)
     ref_model, ref_opt = fresh(cfg)
     for zeta, (xs, ys, xt) in zip(ZETAS, batches()):
-        got = trainers._mcdal_step(model, opt, cfg, xs, ys, xt, zeta, 0.05, None)
+        got = stacked_step(model, opt, cfg, xs, ys, xt, zeta, 0.05)
         want = reference_step(ref_model, ref_opt, cfg, xs, ys, xt, zeta, 0.05)
         assert got.keys() == want.keys()
         for key in want:
@@ -128,5 +137,5 @@ def test_one_forward_and_one_backward_per_step(surrogate, monkeypatch):
     cfg = ExperimentConfig(method="mcdal_" + surrogate)
     model, opt = fresh(cfg)
     xs, ys, xt = next(batches(1))
-    trainers._mcdal_step(model, opt, cfg, xs, ys, xt, 0.5, 0.05, None)
+    stacked_step(model, opt, cfg, xs, ys, xt, 0.5, 0.05)
     assert calls == {"forward": 1, "backward": 1}

@@ -1,6 +1,7 @@
 """Neural stack: backprop audited against finite differences, schedules and
 optimizer against closed forms, checkpoints against bitwise roundtrips."""
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def composed_grads(model, x):
 
 class TestBackward:
     def test_finite_difference_audit(self):
-        model = MlpScorer(2, {"f": (3, True), "d": (1, False)}, hidden=(3,), feature_dim=2, seed=5)
+        model = MlpScorer(2, {"f": 3, "d": 1}, hidden=(3,), feature_dim=2, seed=5)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 2))
         grads = composed_grads(model, x)
@@ -56,7 +57,7 @@ class TestBackward:
     def test_tiny_network_closed_form(self):
         # 1-d chain: feats = tanh(x), head = c * feats; dL/dc = tanh(x),
         # d(head)/d(psi w) = c (1 - tanh(x)^2) x for unit upstream gradient
-        model = MlpScorer(1, {"f": (1, False)}, hidden=(), feature_dim=1, seed=0)
+        model = MlpScorer(1, {"f": 1}, hidden=(), feature_dim=1, seed=0)
         params = model.params()
         params["psi0.w"][...] = 1.0
         params["psi0.b"][...] = 0.0
@@ -73,7 +74,7 @@ class TestBackward:
         assert grads["psi0.b"][0] == pytest.approx(2.0 * (1 - t * t), abs=1e-12)
 
     def test_zero_input_kills_first_weight_gradient(self):
-        model = MlpScorer(2, {"f": (2, True)}, hidden=(), feature_dim=3, seed=1)
+        model = MlpScorer(2, {"f": 2}, hidden=(), feature_dim=3, seed=1)
         x = np.zeros((5, 2))
         cache = model.forward(x)
         g = {"f": np.ones((5, 2))}
@@ -82,7 +83,7 @@ class TestBackward:
         assert np.any(grads["psi0.b"] != 0.0)
 
     def test_split_maps_route_heads_and_psi_separately(self):
-        model = MlpScorer(2, {"f": (2, True), "d": (1, False)}, hidden=(2,), feature_dim=2,
+        model = MlpScorer(2, {"f": 2, "d": 1}, hidden=(2,), feature_dim=2,
                           seed=2)
         rng = np.random.default_rng(3)
         cache = model.forward(rng.normal(size=(3, 2)))
@@ -105,7 +106,7 @@ class TestBackward:
             assert np.array_equal(psi[name], plain_a[name]), name
 
     def test_gradient_shape_check(self):
-        model = MlpScorer(2, {"f": (2, True)}, seed=3)
+        model = MlpScorer(2, {"f": 2}, seed=3)
         cache = model.forward(np.ones((3, 2)))
         bad = {"f": np.ones((4, 2))}
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestSgdMomentum:
         assert d_head == pytest.approx(10.0 * d_psi, abs=1e-15)
 
     def test_model_lr_multipliers(self):
-        model = MlpScorer(2, {"f": (2, True)}, seed=0)
+        model = MlpScorer(2, {"f": 2}, seed=0)
         mult = model.lr_multipliers()
         assert mult["head:f.w"] == HEAD_LR_MULT
         assert mult["psi0.w"] == 1.0
@@ -193,7 +194,7 @@ class TestSgdMomentum:
 
 class TestGradReversal:
     def _setup(self):
-        model = MlpScorer(2, {"f": (2, True), "f1": (2, True)}, hidden=(), feature_dim=2, seed=4)
+        model = MlpScorer(2, {"f": 2, "f1": 2}, hidden=(), feature_dim=2, seed=4)
         opt = SgdMomentum(model.params(), momentum=0.0)
         task = {"head:f.w": np.full((2, 2), 1.0), "psi0.w": np.full((2, 2), 2.0)}
         disc = {"head:f1.w": np.full((2, 2), 3.0), "head:f.w": np.full((2, 2), 5.0),
@@ -202,7 +203,7 @@ class TestGradReversal:
 
     def test_effective_gradient_routing(self):
         model, opt, task, disc = self._setup()
-        eff = grad_reversal_step(model, opt, task, disc, zeta=0.5, lr=1e-9, adversary_heads=("f1",))
+        eff = grad_reversal_step(model, task, disc, zeta=0.5, adversary_heads=("f1",))
         # adversary head descends the disagreement term unscaled
         np.testing.assert_allclose(eff["head:f1.w"], 3.0)
         # feature map sees task minus zeta * disagreement
@@ -212,14 +213,15 @@ class TestGradReversal:
 
     def test_zeta_on_adversary(self):
         model, opt, task, disc = self._setup()
-        eff = grad_reversal_step(model, opt, task, disc, zeta=0.5, lr=1e-9,
+        eff = grad_reversal_step(model, task, disc, zeta=0.5,
                                  adversary_heads=("f1",), zeta_on_adversary=True)
         np.testing.assert_allclose(eff["head:f1.w"], 0.5 * 3.0)
 
     def test_zeta_zero_is_plain_task_step(self):
         model, opt, task, disc = self._setup()
         before = {k: v.copy() for k, v in model.params().items()}
-        eff = grad_reversal_step(model, opt, task, disc, zeta=0.0, lr=0.1, adversary_heads=("f1",))
+        eff = grad_reversal_step(model, task, disc, zeta=0.0, adversary_heads=("f1",))
+        opt.step(eff, 0.1)
         np.testing.assert_allclose(eff["psi0.w"], task["psi0.w"])
         moved = before["psi0.w"] - model.params()["psi0.w"]
         np.testing.assert_allclose(moved, 0.1 * task["psi0.w"], atol=1e-15)
@@ -227,7 +229,7 @@ class TestGradReversal:
     def test_two_parameter_finite_difference(self):
         # scalar minimax toy: task = 0.5 a^2, disagreement = a * c with c the
         # adversary weight; the feature parameter must receive a - zeta * c
-        model = MlpScorer(1, {"f": (1, False), "f1": (1, False)}, hidden=(), feature_dim=1, seed=6)
+        model = MlpScorer(1, {"f": 1, "f1": 1}, hidden=(), feature_dim=1, seed=6)
         params = model.params()
         a0, c0 = 0.7, 0.3
         params["psi0.w"][...] = a0
@@ -235,8 +237,7 @@ class TestGradReversal:
         zeta = 0.25
         task = {"psi0.w": np.array([[a0]])}
         disc = {"psi0.w": np.array([[c0]]), "head:f1.w": np.array([[a0]])}
-        opt = SgdMomentum(params, momentum=0.0)
-        eff = grad_reversal_step(model, opt, task, disc, zeta=zeta, lr=1.0, adversary_heads=("f1",))
+        eff = grad_reversal_step(model, task, disc, zeta=zeta, adversary_heads=("f1",))
         assert eff["psi0.w"][0, 0] == pytest.approx(a0 - zeta * c0, abs=1e-12)
         assert eff["head:f1.w"][0, 0] == pytest.approx(a0, abs=1e-12)
 
@@ -253,7 +254,7 @@ class TestCenteredScores:
         np.testing.assert_allclose(center_scores(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
 
     def test_scorer_callable_centers(self):
-        model = MlpScorer(2, {"f": (3, True)}, seed=7)
+        model = MlpScorer(2, {"f": 3}, seed=7)
         s = model.scorer("f")(np.ones((4, 2)))
         np.testing.assert_allclose(s.sum(axis=1), 0.0, atol=1e-12)
         with pytest.raises(KeyError):
@@ -262,7 +263,7 @@ class TestCenteredScores:
 
 class TestCheckpointAndDeterminism:
     def test_roundtrip_bitwise(self, tmp_path):
-        model = MlpScorer(3, {"f": (4, True), "d": (1, False)}, hidden=(5,), feature_dim=3, seed=9)
+        model = MlpScorer(3, {"f": 4, "d": 1}, hidden=(5,), feature_dim=3, seed=9)
         path = tmp_path / "model.ckpt"
         model.save(path)
         clone = MlpScorer.load(path)
@@ -271,8 +272,27 @@ class TestCheckpointAndDeterminism:
         x = np.random.default_rng(1).normal(size=(6, 3))
         np.testing.assert_array_equal(model.forward(x).raw["f"], clone.forward(x).raw["f"])
 
+    def test_header_with_center_key_loads(self, tmp_path):
+        # checkpoints once recorded an unused per-head "center" flag; the
+        # key is ignored and the parameter block reads as before
+        model = MlpScorer(3, {"f": 4, "d": 1}, hidden=(5,), feature_dim=3, seed=9)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        header_line, block = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert [set(h) for h in header["heads"]] == [{"name", "out_dim"}] * 2
+        for h in header["heads"]:
+            h["center"] = h["name"] == "f"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + block)
+        clone = MlpScorer.load(path)
+        assert clone.head_names == ("f", "d") and clone.head_dim("d") == 1
+        for name, p in model.params().items():
+            assert np.array_equal(p, clone.params()[name])
+        clone.save(path)
+        assert path.read_bytes().split(b"\n", 1)[1] == block
+
     def test_truncated_payload_rejected(self, tmp_path):
-        model = MlpScorer(2, {"f": (2, True)}, seed=0)
+        model = MlpScorer(2, {"f": 2}, seed=0)
         path = tmp_path / "model.ckpt"
         model.save(path)
         blob = path.read_bytes()
@@ -287,7 +307,7 @@ class TestCheckpointAndDeterminism:
             MlpScorer.load(path)
 
     def test_same_seed_same_model(self):
-        a = MlpScorer(2, {"f": (3, True)}, seed=11)
-        b = MlpScorer(2, {"f": (3, True)}, seed=11)
+        a = MlpScorer(2, {"f": 3}, seed=11)
+        b = MlpScorer(2, {"f": 3}, seed=11)
         for name, p in a.params().items():
             assert np.array_equal(p, b.params()[name])

@@ -31,7 +31,16 @@ BIG = 20.0
 
 
 def two_head_model(k, seed=0, in_dim=2):
-    return MlpScorer(in_dim, {HEAD_S: (k, True), HEAD_T: (k, True)}, seed=seed)
+    return MlpScorer(in_dim, {HEAD_S: k, HEAD_T: k}, seed=seed)
+
+
+def stepped(model, opt, *args, lr, **kwargs):
+    """``symmnets_step`` followed by the optimizer update it leaves to its
+    caller; returns the loss values."""
+    values, grads = symmnets_step(model, *args, **kwargs)
+    if grads is not None:
+        opt.step(grads, lr)
+    return values
 
 
 class TestTaskLoss:
@@ -184,7 +193,7 @@ class TestSymmnetsStep:
                                lr_multipliers=self.model.lr_multipliers())
 
     def test_values_keys_and_bound(self):
-        vals = symmnets_step(self.model, self.opt, self.pair.source.points,
+        vals = stepped(self.model, self.opt, self.pair.source.points,
                              self.pair.source.labels, self.pair.target.points,
                              lam=0.5, lr=0.01, rho=1.0)
         for key in ("task_s", "task_t", "discrim", "confuse_src", "confuse_tgt",
@@ -193,18 +202,18 @@ class TestSymmnetsStep:
         assert vals["bound_lhs"] <= vals["bound_rhs"] + 1e-9
 
     def test_ablation_drops_terms(self):
-        vals = symmnets_step(self.model, self.opt, self.pair.source.points,
+        vals = stepped(self.model, self.opt, self.pair.source.points,
                              self.pair.source.labels, self.pair.target.points,
                              lam=0.5, lr=0.01, adversarial=False)
         assert "discrim" not in vals and "confuse_tgt" not in vals
-        vals2 = symmnets_step(self.model, self.opt, self.pair.source.points,
+        vals2 = stepped(self.model, self.opt, self.pair.source.points,
                               self.pair.source.labels, self.pair.target.points,
                               lam=0.5, lr=0.01, train_task_t=False)
         assert "task_t" not in vals2
 
     def test_bound_enforced_every_step_of_short_run(self):
         for _ in range(40):
-            vals = symmnets_step(self.model, self.opt, self.pair.source.points,
+            vals = stepped(self.model, self.opt, self.pair.source.points,
                                  self.pair.source.labels, self.pair.target.points,
                                  lam=0.8, lr=0.02, rho=1.0)
             assert vals["bound_lhs"] <= vals["bound_rhs"] + 1e-9
@@ -213,9 +222,9 @@ class TestSymmnetsStep:
         before = {k: v.copy() for k, v in self.model.params().items()}
         bad = self.pair.source.points.copy()
         bad[0, 0] = np.nan
-        vals = symmnets_step(self.model, self.opt, bad, self.pair.source.labels,
-                             self.pair.target.points, lam=0.5, lr=0.01, rho=1.0)
-        assert not all(np.isfinite(v) for v in vals.values())
+        vals, grads = symmnets_step(self.model, bad, self.pair.source.labels,
+                                    self.pair.target.points, lam=0.5, rho=1.0)
+        assert not all(np.isfinite(v) for v in vals.values()) and grads is None
         for k, v in self.model.params().items():
             assert np.array_equal(before[k], v), k
 
@@ -230,7 +239,7 @@ class TestSymmnetsStep:
 
         monkeypatch.setattr(surrogates, "softmax", counting)
         monkeypatch.setattr(symmnets, "softmax", counting)
-        symmnets_step(self.model, self.opt, self.pair.source.points,
+        stepped(self.model, self.opt, self.pair.source.points,
                       self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01,
                       adversarial=adversarial, rho=1.0)
         assert len(counted) == calls
@@ -250,13 +259,13 @@ class TestSymmnetsStep:
             return backward(model, cache, *args, **kwargs)
 
         monkeypatch.setattr(MlpScorer, "backward", counting)
-        symmnets_step(self.model, self.opt, xs, self.pair.source.labels, xt, lam=0.5,
+        stepped(self.model, self.opt, xs, self.pair.source.labels, xt, lam=0.5,
                       lr=0.01, adversarial=adversarial, rho=1.0)
         assert counted == ["source", "target"][:calls]
 
     def test_parameters_move(self):
         before = {k: v.copy() for k, v in self.model.params().items()}
-        symmnets_step(self.model, self.opt, self.pair.source.points,
+        stepped(self.model, self.opt, self.pair.source.points,
                       self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01)
         moved = [not np.array_equal(before[k], v) for k, v in self.model.params().items()]
         assert all(moved)
@@ -268,7 +277,7 @@ class TestTaskTrainingEarnsMargins:
         model = two_head_model(3, seed=0)
         opt = SgdMomentum(model.params(), momentum=0.9, lr_multipliers=model.lr_multipliers())
         for _ in range(200):
-            symmnets_step(model, opt, pair.source.points, pair.source.labels,
+            stepped(model, opt, pair.source.points, pair.source.labels,
                           pair.target.points, lam=0.0, lr=0.02, adversarial=False)
         scores = center_scores(model.forward(pair.source.points, heads=(HEAD_S,)).raw[HEAD_S])
         assert margin_error(scores, pair.source.labels, 0.5) < 0.01
@@ -418,3 +427,12 @@ class TestEvalOpenset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_openset([1, 2], [1], k_shared=2)
+
+    @pytest.mark.parametrize(
+        "pred, true",
+        [([1, 7], [1, 7]), ([1, 7], [1, 2]), ([1, 2], [1, 7]), ([0, 1], [1, 1]), ([1.5, 1], [1, 1])],
+    )
+    def test_labels_outside_the_classes_are_rejected(self, pred, true):
+        # K_shared = 2, so labels lie in {1, 2, 3}; none is dropped unseen
+        with pytest.raises(ValueError):
+            eval_openset(pred, true, k_shared=2)

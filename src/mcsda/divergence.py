@@ -13,20 +13,24 @@ Three routes are provided, each doing its work once:
   decision-level form, and its 0/1 saturation).  Both share one prologue and
   one core, ``_exact``.  The matrix form never builds K x K violation
   matrices: each row of one holds ramp(-f_i) K-1 times off the diagonal and
-  ramp(f_i) on it, so ``_signed_ramps`` ramps -f and f once and
-  ``_rows_from_ramps`` takes the L1 distance of two matrices in O(K) per
-  point;
+  ramp(f_i) on it, so ``_signed_ramps`` ramps -f and f with one division
+  and no copy of -f, and ``_rows_from_ramps`` takes the L1 distance of two
+  matrices in O(K) per point;
 * ``mcsd_divergence_adversarial`` runs monotone backtracking gradient
   ascent over two linear heads on frozen features, maximizing a smoothed
   version of the objective (the exact ramp is kinked at 0 and rho, so the
   ascent uses a piecewise-cubic blend in windows of width rho/100 around
-  the kinks).  Its passes loop over the two domains, the source with
-  negated masses; ``_smoothed_mcsd`` reduces the smoothed ramps with the
-  exact path's ``_rows_from_ramps``.  The backtracking line search compares
-  smoothed values only; gradients and the exact objective are computed once
-  per accepted step.  The reported value is always the exact-ramp objective
-  of the best visited head pair, hence a lower bound on the enumerated
-  supremum;
+  the kinks).  Its passes run over the stacked source and target rows, the
+  source with negated masses, and sum over points per domain: a value pass
+  is two centered matmuls and one ``_smoothed_mcsd`` call.  That
+  call starts from ``_signed_ramps``, finds both kink windows from |f|,
+  patches them with one Hermite call (``_smoothed_signed_ramps``, which
+  the public ``smoothed_ramp`` shares) and reduces the smoothed ramps with
+  the exact path's ``_rows_from_ramps``.  The backtracking line search
+  compares smoothed values only; gradients and the exact objective are
+  computed once per accepted step.  The reported value is always the
+  exact-ramp objective of the best visited head pair, hence a lower bound on
+  the enumerated supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
   of the per-component projections of the grid, summing over fixed slices
   of the points so that the result does not depend on the BLAS thread count.
@@ -40,8 +44,8 @@ pass of every candidate's margin and 0-1 errors.  All expectations accept
 explicit point masses so fully enumerated universes can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
-ramp, per-component disagreement, violation matrix, decision margin);
-public functions check ``rho`` and their scores once, at entry.
+ramp and its clamp, per-component disagreement, violation matrix, decision
+margin); public functions check ``rho`` and their scores once, at entry.
 ``violation_tensor`` and the single-vector ``margin`` functions stay as
 reference oracles.
 """
@@ -55,7 +59,7 @@ import numpy as np
 
 from .margin import _absolute_margin, _center, _check_labels, _check_rho, _component_disagreement
 from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _ramp
-from .margin import _integer_labels, _violation_matrix
+from .margin import _integer_labels, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -189,10 +193,16 @@ def violation_tensor(scores, rho: float) -> np.ndarray:
     return _violation_matrix(_finite_ramp_argument(scores), rho)
 
 
-def _signed_ramps(s: np.ndarray, rho: float) -> np.ndarray:
+def _signed_ramps(s: np.ndarray, rho) -> np.ndarray:
     """[2, ..., K]: ramp(-s), the K-1 off-diagonal entries of each violation
-    row, stacked over ramp(s), its diagonal entry."""
-    return _ramp(np.stack([-s, s]), rho)
+    row, stacked over ramp(s), its diagonal entry, for ``s`` of at least one
+    axis.  One division serves both: in IEEE arithmetic (-s)/rho = -(s/rho)
+    and 1 - (-q) = 1 + q, so each half is ``_ramp`` of -s or s bit for bit."""
+    q = s / rho
+    u = np.empty((2,) + q.shape)
+    np.add(1.0, q, out=u[0])
+    np.subtract(1.0, q, out=u[1])
+    return _ramp_clamp(u, out=u)
 
 
 def _rows_from_ramps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -365,56 +375,60 @@ def _hermite_slope(x, a, b, va, sa, vb, sb):
     ) / h
 
 
-def _smoothed_ramp_value(x, rho: float):
-    """C1 blend of the ramp: exact outside the kink windows, cubic inside.
+def _smoothed_signed_ramps(s: np.ndarray, rho: float):
+    """C1 blend of ``_signed_ramps`` of finite ``s`` (at least one axis) at a
+    checked scalar ``rho``: exact outside the kink windows, cubic inside.
+    Returns the ramps and a closure that returns their slopes in the ramps'
+    arguments -s and s.
 
-    Returns the values and the two window masks, which ``_smoothed_ramp_slope``
-    reuses at the same ``x``.
+    Both windows are found from |s| once.  The zero window |s| < h holds on
+    both sides; in the rho window ||s| - rho| < h only the side whose
+    argument is +|s| lies.  One Hermite call, with per-entry nodes, patches
+    every window entry, and the slopes replay the same entries.
     """
-    x = np.asarray(x, dtype=np.float64)
+    r = _signed_ramps(s, rho)
     h, nodes = _hermite_nodes(rho)
-    val = _ramp(x, rho)
-    masks = (np.abs(x) < h, np.abs(x - rho) < h)
-    for mask, node in zip(masks, nodes):
-        if np.any(mask):
-            val[mask] = _hermite_value(x[mask], *node)
-    return val, masks
+    flat = s.reshape(-1)
+    mag = np.abs(flat)
+    zero = np.flatnonzero(mag < h)
+    kink = np.flatnonzero(np.abs(mag - rho) < h)
+    idx = np.concatenate([zero, zero + flat.size, kink + flat.size * (flat[kink] > 0.0)])
+    x = np.concatenate([-flat[zero], flat[zero], mag[kink]])
+    node = np.repeat(nodes, [2 * zero.size, kink.size], axis=0).T
+    np.put(r, idx, _hermite_value(x, *node))
 
+    def slopes() -> np.ndarray:
+        # outside the windows a ramp is linear exactly where 0 < r < 1; the
+        # product with the mask, plus 0.0, is -1/rho there and +0.0 elsewhere
+        der = ((r > 0.0) & (r < 1.0)) * (-1.0 / rho) + 0.0
+        np.put(der, idx, _hermite_slope(x, *node))
+        return der
 
-def _smoothed_ramp_slope(x: np.ndarray, rho: float, masks) -> np.ndarray:
-    """Derivative of the smoothed ramp at ``x``, given its window masks."""
-    _, nodes = _hermite_nodes(rho)
-    der = np.where((x > 0.0) & (x < rho), -1.0 / rho, 0.0)
-    for mask, node in zip(masks, nodes):
-        if np.any(mask):
-            der[mask] = _hermite_slope(x[mask], *node)
-    return der
+    return r, slopes
 
 
 def smoothed_ramp(x, rho: float):
     """Value of the C1-smoothed ramp used inside the adversarial estimator."""
     arr = _finite_ramp_argument(x)
-    val, _ = _smoothed_ramp_value(arr.reshape(-1), _check_rho(rho))
+    r, _ = _smoothed_signed_ramps(arr.reshape(-1), _check_rho(rho))
     if np.isscalar(x) or arr.ndim == 0:
-        return float(val[0])
-    return val.reshape(arr.shape)
+        return float(r[1, 0])
+    return r[1].reshape(arr.shape)
 
 
 def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
     """Per-point smoothed disagreement of centered score batches, and a
     closure that returns its gradients in a and in b.
 
-    The smoothed ramps are stacked in ``_signed_ramps``' order and reduced by
+    The smoothed ramps come in ``_signed_ramps``' order and are reduced by
     ``_rows_from_ramps``, so outside the kink windows the rows are the exact
     ``_mcsd_rows``.  The absolute values take subgradient 0 at ties.
     """
-    ab = np.stack([a, b])
-    x = np.stack([-ab, ab])
-    r, masks = _smoothed_ramp_value(x, rho)
+    r, slopes = _smoothed_signed_ramps(np.stack([a, b]), rho)
 
     def grads() -> tuple[np.ndarray, np.ndarray]:
         k = a.shape[-1]
-        (gna, gnb), (gpa, gpb) = _smoothed_ramp_slope(x, rho, masks)
+        (gna, gnb), (gpa, gpb) = slopes()
         sn, sp = np.sign(r[:, 0] - r[:, 1])
         return ((k - 1) * sn * (-gna) + sp * gpa) / k, ((k - 1) * sn * gnb + sp * (-gpb)) / k
 
@@ -455,16 +469,23 @@ def mcsd_divergence_adversarial(
     tolerance; ascent that stalls sets ``converged`` / ``warning`` instead of
     raising.  The returned ``value`` is the exact-ramp objective of the best
     visited pair and therefore never exceeds the supremum over any family
-    containing the visited pairs.
+    containing the visited pairs.  ``steps`` must be a non-negative integer
+    and ``step_size`` a positive finite real; both are checked before any
+    pass.
 
     The line search compares values only: each trial runs the value pass
-    (score matmuls, centering, smoothed ramps, weighted objective), and the
-    gradient pass and the exact-ramp objective run once per accepted step,
-    from the centered scores and ramp intermediates the trial's value pass
-    kept.
+    (score matmuls, centering, smoothed ramps, weighted objective) over the
+    stacked rows of both domains, and the gradient pass and the exact-ramp
+    objective run once per accepted step, from the centered scores and ramp
+    intermediates the trial's value pass kept.
     """
     if k < 2:
         raise ValueError("K must be >= 2, got %d" % k)
+    if int(steps) != steps or steps < 0:
+        raise ValueError("steps must be a non-negative integer, got %r" % (steps,))
+    step_size = float(step_size)
+    if not np.isfinite(step_size) or step_size <= 0.0:
+        raise ValueError("step_size must be a positive finite real, got %r" % step_size)
     rho = _check_rho(rho)
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
@@ -484,46 +505,48 @@ def mcsd_divergence_adversarial(
         if [h.shape[:1] for h in heads] != [(k,)] * 4:
             raise ValueError("init heads must have K = %d rows" % k)
 
-    # the source side enters the objective, and so its gradients, negated
-    domains = ((src_pts, -ws), (tgt_pts, wt))
+    # both domains' rows in one stack; the source side enters the objective,
+    # and so its gradients, negated.  Sums over points run per domain, so each
+    # rounds as it would over that domain alone.
+    n_s = src_pts.shape[0]
+    pts = np.concatenate([src_pts, tgt_pts])
+    w = np.concatenate([-ws, wt])
+    domains = (slice(None, n_s), slice(n_s, None))
+
+    def weighted(rows):
+        return sum((float(rows[dom] @ w[dom]) for dom in domains), 0.0)
 
     def value_pass(hs):
         w1, b1, w2, b2 = hs
-        obj, passes = 0.0, []
-        for pts, w in domains:
-            a, b = _center(pts @ w1.T + b1), _center(pts @ w2.T + b2)
-            rows, grads = _smoothed_mcsd(a, b, rho)
-            obj += rows @ w
-            passes.append((a, b, grads))
-        return float(obj), passes
+        a, b = _center(pts @ w1.T + b1), _center(pts @ w2.T + b2)
+        rows, grads = _smoothed_mcsd(a, b, rho)
+        return weighted(rows), (a, b, grads)
 
-    def gradient_pass(passes):
+    def gradient_pass(kept):
         # chain through centering, then the linear map
-        terms = []
-        for (pts, w), (_, _, grads) in zip(domains, passes):
-            da, db = (_center(g) * w[:, None] for g in grads())
-            terms.append([da.T @ pts, da.sum(axis=0), db.T @ pts, db.sum(axis=0)])
+        da, db = (_center(g) * w[:, None] for g in kept[2]())
+        terms = [
+            [da[dom].T @ pts[dom], da[dom].sum(axis=0), db[dom].T @ pts[dom], db[dom].sum(axis=0)]
+            for dom in domains
+        ]
         return [s + t for s, t in zip(*terms)]
 
-    def exact_objective(passes):
+    def exact_objective(kept):
         # the value pass centers ``x @ w.T + b`` as ``linear_scorer`` does; the
         # finiteness check and the second centering are ``ScorerGrid.evaluate``'s,
         # so every point scores bit-identically to the same pair inside a grid
-        obj = 0.0
-        for (_, w), (a, b, _) in zip(domains, passes):
-            ab = np.stack([a, b])
-            if not np.isfinite(ab).all():
-                raise ValueError("ascent head pair produced non-finite scores")
-            obj += float(_mcsd_rows(_center(ab), rho) @ w)
-        return obj
+        ab = np.stack(kept[:2])
+        if not np.isfinite(ab).all():
+            raise ValueError("ascent head pair produced non-finite scores")
+        return weighted(_mcsd_rows(_center(ab), rho))
 
     def snapshot(hs):
         return tuple(np.array(h) for h in hs)
 
-    cur, passes = value_pass(heads)
-    grads = gradient_pass(passes)
+    cur, kept = value_pass(heads)
+    grads = gradient_pass(kept)
     result = AdversarialDivergence(
-        value=exact_objective(passes),
+        value=exact_objective(kept),
         best_heads=snapshot(heads),
         final_heads=snapshot(heads),
         trajectory=[cur],
@@ -534,11 +557,11 @@ def mcsd_divergence_adversarial(
         gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         if gnorm < 1e-12:
             break
-        eta = float(step_size)
+        eta = step_size
         accepted = False
         for _ in range(40):
             trial = [h + eta * g for h, g in zip(heads, grads)]
-            trial_obj, passes = value_pass(trial)
+            trial_obj, kept = value_pass(trial)
             if trial_obj >= cur - 1e-12:
                 accepted = True
                 break
@@ -546,10 +569,10 @@ def mcsd_divergence_adversarial(
         if not accepted:
             stalled = True
             break
-        heads, cur, grads = trial, trial_obj, gradient_pass(passes)
+        heads, cur, grads = trial, trial_obj, gradient_pass(kept)
         result.trajectory.append(cur)
         result.visited.append(snapshot(heads))
-        exact = exact_objective(passes)
+        exact = exact_objective(kept)
         if exact > result.value:
             result.value = exact
             result.best_heads = snapshot(heads)

@@ -42,14 +42,18 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _number(kind: type, low, strict: bool = False):
+def _number(kind: type, low, strict: bool = False, below=None):
     """An argparse type: a finite ``kind`` value of at least ``low`` (above
-    it when ``strict``); argparse turns a rejection into exit 2."""
+    it when ``strict``) and, when given, below ``below``; argparse turns a
+    rejection into exit 2."""
 
     def parse(text: str):
         v = kind(text)
-        if not (math.isfinite(v) and (v > low if strict else v >= low)):
+        in_range = (v > low if strict else v >= low) and (below is None or v < below)
+        if not (math.isfinite(v) and in_range):
             bound = ("above %s" if strict else "at least %s") % low
+            if below is not None:
+                bound += " and below %s" % below
             raise argparse.ArgumentTypeError("must be finite and %s, got %s" % (bound, text))
         return v
 
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pac-report", help="finite-sample bound report on a data CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--rho", type=_number(float, 0, strict=True), default=1.0)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=_number(float, 0, strict=True, below=1), default=0.05)
     p.add_argument("--grid-size", type=_number(int, 1), dest="grid_size", default=12)
     p.add_argument("--sigma-draws", type=_number(int, 2), dest="sigma_draws", default=2000)
     p.add_argument("--seed", type=int, default=0)

@@ -30,12 +30,14 @@ finiteness and K-mismatch checks), and then computes with private kernels
 that trust them, so no input is centered or checked twice within one call.
 Each object has one kernel, which ``divergence``, ``neural`` and the
 surface dumps call on batches too:
-``_center``, ``_ramp``, ``_absolute_margin``, ``_violation_matrix`` with
-``_matrix_disagreement`` (the K x K form of the pointwise disagreement),
-``_component_disagreement`` (K-1)|dn| + |dp|, ``_decision_margin`` with
-``_decision_level`` (its ramp at rho/2, 'tilde', or 0/1 saturation, 'hat')
-and ``_relative_margin``.  The kernels broadcast a per-row ``rho``, which
-the theory suite uses to test its lemmas on whole batches of draws.
+``_center``, ``_ramp`` with its clamp ``_ramp_clamp`` (which
+``divergence._signed_ramps`` shares), ``_absolute_margin``,
+``_violation_matrix`` with ``_matrix_disagreement`` (the K x K form of the
+pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp|,
+``_decision_margin`` with ``_decision_level`` (its ramp at rho/2, 'tilde',
+or 0/1 saturation, 'hat') and ``_relative_margin``.  The kernels
+broadcast a per-row ``rho``, which the theory suite uses to test its lemmas
+on whole batches of draws.
 ``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
 the O(K) kernels in ``divergence``.
 """
@@ -158,12 +160,16 @@ def _finite_ramp_argument(x) -> np.ndarray:
     return arr
 
 
-def _ramp(x, rho: float):
-    """Ramp formula for finite ``x`` and a checked ``rho``.
-
-    ``1 - x/rho`` is never -0.0, so the two-sided clamp equals ``np.clip``.
+def _ramp_clamp(u, out=None):
+    """The ramp's linear piece ``u = 1 - x/rho`` cut to [0, 1], into ``out``
+    when given.  ``u`` is never -0.0, so the two-sided clamp equals ``np.clip``.
     """
-    return np.minimum(np.maximum(1.0 - x / rho, 0.0), 1.0)
+    return np.minimum(np.maximum(u, 0.0, out=out), 1.0, out=out)
+
+
+def _ramp(x, rho: float):
+    """Ramp formula for finite ``x`` and a checked ``rho``."""
+    return _ramp_clamp(1.0 - x / rho)
 
 
 def ramp_loss(x, rho: float):

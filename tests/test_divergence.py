@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from mcsda import divergence
 from mcsda.divergence import (
     AdversarialDivergence,
     BoundViolation,
@@ -305,6 +306,26 @@ class TestAdversarialEstimator:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             mcsd_divergence_adversarial(self.src, self.tgt, k=1, rho=1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"steps": -3},
+            {"steps": 2.5},
+            {"step_size": 0.0},
+            {"step_size": -1.0},
+            {"step_size": float("nan")},
+            {"step_size": float("inf")},
+        ],
+        ids=lambda bad: "%s=%s" % next(iter(bad.items())),
+    )
+    def test_steps_and_step_size_are_checked_before_any_pass(self, bad, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a value pass ran")
+
+        monkeypatch.setattr(divergence, "_smoothed_mcsd", no_pass)
+        with pytest.raises(ValueError):
+            mcsd_divergence_adversarial(self.src, self.tgt, k=2, rho=1.0, **bad)
 
 
 class TestRademacher:

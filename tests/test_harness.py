@@ -586,6 +586,9 @@ class TestCli:
             ["pac-report", "--data", "{keyless}", "--out", "{out}"],
             ["pac-report", "--data", "{data}", "--grid-size", "0", "--out", "{out}"],
             ["pac-report", "--data", "{data}", "--sigma-draws", "1", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--delta", "0", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--delta", "1", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--delta", "nan", "--out", "{out}"],
             ["theory-check", "--trials", "0", "--out", "{out}"],
             ["surface", "--out", "{out}", "--which", "hat", "--rho", "0"],
         ],

@@ -7,8 +7,8 @@ and slopes together, full gradients for every line-search trial and a grid
 evaluation for every accepted pair's exact objective.  So the batched and
 split paths are compared against independent arithmetic.
 
-``TestOneKernelPerObject`` scans the library source: the ramp, the row
-centering, the per-component disagreement, the violation-matrix diagonal
+``TestOneKernelPerObject`` scans the library source: the ramp clamp, the
+row centering, the per-component disagreement, the violation-matrix diagonal
 and the signed decision margin may each be spelled out in one function
 only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
 symmetrized-CE rows, the guarded log and the picked-entry log loss
@@ -31,9 +31,9 @@ from mcsda.divergence import (
     _margin_violations,
     _mcsd_rows,
     _pairwise_mcsd_means,
+    _signed_ramps,
     _smoothed_mcsd,
-    _smoothed_ramp_slope,
-    _smoothed_ramp_value,
+    _smoothed_signed_ramps,
     linear_scorer,
     margin_error,
     mcsd_divergence_adversarial,
@@ -42,7 +42,7 @@ from mcsda.divergence import (
     pac_bound_report,
     violation_tensor,
 )
-from mcsda.margin import _absolute_margin, _center, absolute_margin, source_margin_loss
+from mcsda.margin import _absolute_margin, _center, _ramp, absolute_margin, source_margin_loss
 from mcsda.symmnets import disagreement_bound_gap
 from mcsda.synthdata import gen_gauss_blobs
 
@@ -70,6 +70,37 @@ def score_pairs(k, rho):
     b = np.concatenate([b, kink_scores(rng, 100, k, rho), np.zeros((5, k))])
     b[::4] = a[::4]  # ties: identical rows
     return a, b
+
+
+def planted_kinks(rng, shape, rho):
+    """Scores of ``shape`` with about half their entries on the ramp kinks,
+    the window edges and inside the windows, both signs and both zeros."""
+    h = rho / 200.0
+    s = rng.normal(scale=2.0 * rho, size=shape)
+    edges = np.array([0.0, -0.0, rho, -rho, h, -h, rho - h, rho + h, h - rho, -h - rho])
+    inside = np.concatenate([rng.uniform(-h, h, size=20), rho + rng.uniform(-h, h, size=20)])
+    planted = np.concatenate([edges, inside, -inside])
+    pick = rng.random(shape) < 0.5
+    s[pick] = rng.choice(planted, size=int(pick.sum()))
+    return s
+
+
+def assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSignedRamps:
+    @pytest.mark.parametrize("rho", [0.5, 0.7, 1.0])
+    def test_one_division_equals_the_ramp_of_both_signs(self, rho):
+        s = planted_kinks(np.random.default_rng(80), (3, 50, 4), rho)
+        assert_bitwise(_signed_ramps(s, rho), _ramp(np.stack([-s, s]), rho))
+
+    def test_per_row_rho_broadcasts(self):
+        rng = np.random.default_rng(81)
+        rho = rng.uniform(0.2, 2.0, size=(60, 1))
+        s = planted_kinks(rng, (60, 5), 1.0) * rho
+        assert_bitwise(_signed_ramps(s, rho), _ramp(np.stack([-s, s]), rho))
 
 
 class TestMcsdRows:
@@ -365,10 +396,29 @@ class TestStackedAscent:
                 [0.0, rho, -h, h, rho - h, rho + h],
             ]
         ).reshape(2, 2, -1)
-        val, masks = _smoothed_ramp_value(x, rho)
-        want_val, want_der = eager_smoothed_ramp_and_grad(x, rho)
-        assert np.array_equal(val, want_val)
-        assert np.array_equal(_smoothed_ramp_slope(x, rho, masks), want_der)
+        r, slopes = _smoothed_signed_ramps(x, rho)
+        der = slopes()
+        for side, arg in enumerate((-x, x)):
+            want_val, want_der = eager_smoothed_ramp_and_grad(arg, rho)
+            assert np.array_equal(r[side], want_val)
+            assert np.array_equal(der[side], want_der)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_two_domain_stack_matches_four_calls(self, k, rho):
+        # the ascent's stacked [src; tgt] rows, kinks planted in both domains
+        rng = np.random.default_rng(90 + k)
+        a, b = (
+            np.concatenate([planted_kinks(rng, (70, k), rho), planted_kinks(rng, (50, k), rho)])
+            for _ in range(2)
+        )
+        b[::5] = a[::5]  # ties
+        rows, grads = _smoothed_mcsd(a, b, rho)
+        want_rows, want_da, want_db = four_call_smoothed_mcsd_and_grads(a, b, rho)
+        assert_bitwise(rows, want_rows)
+        da, db = grads()
+        assert_bitwise(da, want_da)
+        assert_bitwise(db, want_db)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_smoothed_rows_are_exact_outside_the_kink_windows(self, k):
@@ -454,8 +504,11 @@ SRC = Path(mcsda.__file__).resolve().parent
 # contain it, as (path under src/mcsda, function name))
 KERNEL_RULES = {
     "ramp clamp": (
-        re.compile(r"\bclip\(1\b|\bmaximum\(1(\.0)? - .* / rho\b"),
-        ("margin.py", "_ramp"),
+        re.compile(
+            r"\bclip\((1\b|\w+, 0(\.0)?, 1\b)|\bmaximum\(1(\.0)? - .* / rho\b"
+            r"|\bminimum\((np\.)?maximum\("
+        ),
+        ("margin.py", "_ramp_clamp"),
     ),
     "row-mean subtraction": (
         re.compile(
@@ -553,6 +606,8 @@ class TestOneKernelPerObject:
         [
             ("ramp clamp", "def r(x, rho):\n    return np.clip(1.0 - x / rho, 0.0, 1.0)\n"),
             ("ramp clamp", "def r(x, rho):\n    return np.maximum(1.0 - x / rho, 0.0)\n"),
+            ("ramp clamp", "def r(q):\n    return np.minimum(np.maximum(1.0 + q, 0.0), 1.0)\n"),
+            ("ramp clamp", "def r(u):\n    return np.clip(u, 0.0, 1.0, out=u)\n"),
             ("row-mean subtraction", "def c(z):\n    return z - z.mean(axis=1, keepdims=True)\n"),
             ("row-mean subtraction", "def c(a):\n    a -= a.sum() / a.size\n"),
             ("per-component disagreement", "def p(k, d):\n    return (k - 1) * np.abs(d[0])\n"),

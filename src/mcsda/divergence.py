@@ -130,9 +130,22 @@ def _as_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != n:
         raise ValueError("got %d weights for %d points" % (w.size, n))
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    # a NaN mass fails every comparison, so finiteness is checked first
+    if not np.isfinite(w).all() or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be a probability vector")
     return w
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; a non-integral value is
+    rejected, not truncated."""
+    try:
+        ok = int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
+        ok = False
+    if not ok:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return int(value)
 
 
 def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -157,10 +170,8 @@ class ScorerGrid:
     def __init__(self, scorers: Sequence[Callable[[np.ndarray], np.ndarray]], k: int) -> None:
         if len(scorers) == 0:
             raise ValueError("a scorer grid needs at least one candidate")
-        if k < 2:
-            raise ValueError("K must be >= 2, got %d" % k)
         self.scorers = list(scorers)
-        self.k = int(k)
+        self.k = _check_count(k, "K", 2)
 
     def __len__(self) -> int:
         return len(self.scorers)
@@ -275,7 +286,7 @@ def _pairwise_variant_means(
 
     Pair (i, j) plays (f', f''): the margin of f_j's decision component is
     signed by agreement with f_i's decision, then passed through the ramp at
-    rho/2 (``tilde``) or the saturation indicator at rho (``hat``).
+    rho/2 (``tilde``) or the saturation indicator of a margin <= 0 (``hat``).
     """
     margins = _decision_margin(scores[:, None], scores[None, :])  # [i, j, n]
     return _decision_level(margins, rho, variant) @ weights
@@ -479,10 +490,8 @@ def mcsd_divergence_adversarial(
     objective run once per accepted step, from the centered scores and ramp
     intermediates the trial's value pass kept.
     """
-    if k < 2:
-        raise ValueError("K must be >= 2, got %d" % k)
-    if int(steps) != steps or steps < 0:
-        raise ValueError("steps must be a non-negative integer, got %r" % (steps,))
+    k = _check_count(k, "K", 2)
+    steps = _check_count(steps, "steps", 0)
     step_size = float(step_size)
     if not np.isfinite(step_size) or step_size <= 0.0:
         raise ValueError("step_size must be a positive finite real, got %r" % step_size)
@@ -553,7 +562,7 @@ def mcsd_divergence_adversarial(
         visited=[snapshot(heads)],
     )
     stalled = False
-    for _ in range(int(steps)):
+    for _ in range(steps):
         gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         if gnorm < 1e-12:
             break
@@ -614,19 +623,18 @@ def rademacher_estimate(
 
 def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEstimate:
     """``rademacher_estimate`` from the grid's evaluated scores [c, m, K]."""
-    if sigma_draws < 2:
-        raise ValueError("need at least 2 sigma draws, got %d" % sigma_draws)
+    sigma_draws = _check_count(sigma_draws, "sigma_draws", 2)
     c, m, k = evals.shape
     g = np.moveaxis(evals, 2, 1).reshape(c * k, m)  # component rows
     rng = np.random.default_rng(seed)
-    sigma = rng.choice((-1.0, 1.0), size=(int(sigma_draws), m))
+    sigma = rng.choice((-1.0, 1.0), size=(sigma_draws, m))
     # summed over fixed 128-point slices: one gemm over all m points rounds
     # differently at one and at two BLAS threads
     sums = sum(sigma[:, i : i + 128] @ g[:, i : i + 128].T for i in range(0, m, 128))
     sups = sums.max(axis=1)  # [draws]
     value = float(sups.mean()) / m
     stderr = float(sups.std(ddof=1)) / (np.sqrt(sigma_draws) * m)
-    return RademacherEstimate(value=value, stderr=stderr, n_draws=int(sigma_draws))
+    return RademacherEstimate(value=value, stderr=stderr, n_draws=sigma_draws)
 
 
 def _margin_violations(scores, labels, rho: float) -> np.ndarray:

@@ -6,16 +6,30 @@ returns a CheckResult with the worst observed violation.  Tolerances are
 float-rounding allowances, not statistical slack: all statements checked
 here are theorems, so any real violation is an implementation bug.
 
-The seven pointwise checks run in two phases.  Phase one makes the
-generator calls of a per-trial loop, in that loop's order, and stacks the
-instances into arrays grouped by K (by (K, rho) for Proposition 3); each
-raw score draw is centered per group with ``margin._center``, which rounds
-like the per-draw ``s - s.mean()``.  Phase two tests each statement with
-one batched call per group, through the kernels that compute the bound and
-the training proxy, with a per-trial rho broadcast as a column:
+Every check fails closed on NaN: each reported worst case, and each pass
+rule over several of them, is one NaN-sticky max, ``_worst`` (Python's
+``max`` would drop a NaN), and every other pass condition is a comparison
+that a NaN makes false.
+
+The seven pointwise checks each state four things and share the rest.  A
+one-instance ``draw(rng)``, which ``_draws`` runs ``trials`` times from one
+seeded generator (``_prop3_draws`` sweeps (K, rho) in one stream).  A
+batched statement, which the grouped runner ``_pointwise`` calls once per
+group of stacked draws (by K; by (K, rho) for Proposition 3); it centers
+each raw score draw with ``margin._center``, which rounds like the per-draw
+``s - s.mean()``, and returns per-row measures and batched values.  A
+single-vector replay, through which the runner passes the first 64 draws:
+the public functions (``ramp_loss``, ``absolute_margin``,
+``mcsd_pointwise``, ``phi_distance``, ``source_margin_loss``,
+``mcsd_tilde/hat_pointwise``, ``softmax``, ``sur_*``) on the draw, centered
+by the replay itself; their largest difference from the batched values is
+``single_vector_gap``, and a gap above 1e-12 fails the check.  And a pass
+rule.  The statements call the kernels that compute the bound and the
+training proxy, with a per-trial rho broadcast as a column:
 
 * ``check_ramp``: ``margin._ramp``;
-* ``check_margin_decision``: ``margin._absolute_margin``;
+* ``check_margin_decision``: ``margin._absolute_margin`` (a row whose
+  margins are not numbers is a violation);
 * ``check_prop3_identity``: K times the violation-matrix form
   ``margin._matrix_disagreement`` against the per-component sum of
   ``phi_distance``;
@@ -25,24 +39,19 @@ the training proxy, with a per-trial rho broadcast as a column:
   kernel ``divergence.mcsd_rows``, which must meet the same tolerances;
   margin losses from ``divergence._margin_violations``;
 * ``check_variant_lemmas``: ``margin._decision_margin`` and
-  ``_decision_level``, with the same margin losses;
+  ``_decision_level`` ('tilde', the ramp at rho/2; 'hat', the indicator of
+  a decision margin <= 0), with the same margin losses;
 * ``check_surrogate_identities``: batched ``softmax`` and the kernels
   ``surrogates._l1``, ``_kl`` and ``_ce``, whose rows the McDalNet step,
   SymmNets' target confusion and the surfaces sum.
-
-Like the single-vector scores the public API re-centers, the batched
-kernels see each instance centered once more.  The first 64 draws of each
-of these checks also go through the public single-vector functions
-(``ramp_loss``, ``absolute_margin``, ``mcsd_pointwise``, ``phi_distance``,
-``source_margin_loss``, ``mcsd_tilde/hat_pointwise``, ``softmax``,
-``sur_*``); a gap above 1e-12 fails the check and is reported as
-``single_vector_gap``.
 
 The enumerated-universe checks build finite worlds (a handful of points
 with explicit source and target masses, a grid of bounded linear scorers
 as the whole hypothesis space) where suprema and the best joint predictor
 are computed by exhaustion, letting the three distribution-level bounds be
-checked with no estimation error.  Each universe's grid is evaluated once.
+checked with no estimation error.  They and the divergence properties reach
+the three divergence forms by one path, ``_three_forms``:
+``divergence._exact`` over scores evaluated once per sample.
 """
 
 from __future__ import annotations
@@ -56,11 +65,12 @@ import numpy as np
 from ..divergence import (
     SampleSet,
     ScorerGrid,
+    _as_weights,
     _candidate_errors,
+    _check_count,
     _exact,
     _margin_violations,
     _mcsd_rows,
-    divergence_exact_variant,
     linear_scorer,
     mcsd_divergence_adversarial,
     mcsd_divergence_exact,
@@ -144,9 +154,21 @@ class TheoryReport:
             fh.write("\n")
 
 
+def _worst(*parts) -> float:
+    """Largest entry of ``parts`` (numbers or arrays of any shape); a NaN
+    anywhere is the result, so it fails every tolerance it is held to."""
+    return float(np.max(np.concatenate([np.ravel(p) for p in parts])))
+
+
 # ---------------------------------------------------------------------------
-# Phase one: the generator calls of each pointwise check, grouped.
+# The pointwise scaffold: one draw loop, one grouped runner.
 # ---------------------------------------------------------------------------
+
+
+def _draws(seed: int, trials: int, draw: Callable) -> list[tuple]:
+    """``trials`` one-instance draws, in order, from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return [draw(rng) for _ in range(trials)]
 
 
 def _raw_scores(rng: np.random.Generator, k: int, rho: float) -> np.ndarray:
@@ -154,6 +176,51 @@ def _raw_scores(rng: np.random.Generator, k: int, rho: float) -> np.ndarray:
     is their ``_center``."""
     scale = rho * (0.2, 1.0, 3.0)[rng.integers(3)]
     return rng.uniform(-2.0 * scale, 2.0 * scale, size=k)
+
+
+def _ramp_draw(rng: np.random.Generator) -> tuple:
+    """(rho, x, y)."""
+    rho = float(rng.uniform(0.1, 10.0))
+    x, y = rng.uniform(-3 * rho, 3 * rho, size=2)
+    return rho, x, y
+
+
+def _decision_draw(rng: np.random.Generator) -> tuple:
+    """(K, raw scores, label), at rho = 1."""
+    k = int(rng.integers(2, 7))
+    return k, _raw_scores(rng, k, 1.0), int(rng.integers(1, k + 1))
+
+
+def _lemma_draw(rng: np.random.Generator) -> tuple:
+    """(K, rho, raw scores f, raw scores f', label)."""
+    k = int(rng.integers(2, 7))
+    rho = float(rng.uniform(0.2, 5.0))
+    return k, rho, _raw_scores(rng, k, rho), _raw_scores(rng, k, rho), int(rng.integers(1, k + 1))
+
+
+def _metric_draw(rng: np.random.Generator) -> tuple:
+    """(K, rho, three raw score draws)."""
+    k = int(rng.integers(2, 7))
+    rho = float(rng.uniform(0.2, 5.0))
+    return (k, rho) + tuple(_raw_scores(rng, k, rho) for _ in range(3))
+
+
+def _surrogate_draw(rng: np.random.Generator) -> tuple:
+    """(K, three raw logit draws)."""
+    k = int(rng.integers(2, 7))
+    return (k,) + tuple(rng.normal(0, 2, size=k) for _ in range(3))
+
+
+def _prop3_draws(seed: int, trials: int, ks, rhos) -> list[tuple]:
+    """(K, rho, raw scores, raw scores), ``trials`` per (K, rho), swept in
+    one stream."""
+    rng = np.random.default_rng(seed)
+    return [
+        (k, rho, _raw_scores(rng, k, rho), _raw_scores(rng, k, rho))
+        for k in ks
+        for rho in rhos
+        for _ in range(trials)
+    ]
 
 
 def _grouped(draws: list[tuple], key: Callable = lambda d: d[0]):
@@ -168,91 +235,34 @@ def _grouped(draws: list[tuple], key: Callable = lambda d: d[0]):
     return {g: tuple(np.array(col) for col in zip(*r)) for g, r in rows.items()}, where
 
 
-def _ramp_draws(seed: int, trials: int) -> list[tuple]:
-    """(rho, x, y) per trial."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        rho = float(rng.uniform(0.1, 10.0))
-        x, y = rng.uniform(-3 * rho, 3 * rho, size=2)
-        draws.append((rho, x, y))
-    return draws
+def _pointwise(draws: list[tuple], statement: Callable, replay: Callable, key=lambda d: d[0]):
+    """The grouped runner of the pointwise checks.
 
-
-def _decision_draws(seed: int, trials: int) -> list[tuple]:
-    """(K, raw scores, label) per trial, at rho = 1."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        k = int(rng.integers(2, 7))
-        f = _raw_scores(rng, k, 1.0)
-        draws.append((k, f, int(rng.integers(1, k + 1))))
-    return draws
-
-
-def _prop3_draws(seed: int, trials: int, ks, rhos) -> list[tuple]:
-    """(K, rho, raw scores, raw scores), ``trials`` per (K, rho)."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for k in ks:
-        for rho in rhos:
-            for _ in range(trials):
-                draws.append((k, rho, _raw_scores(rng, k, rho), _raw_scores(rng, k, rho)))
-    return draws
-
-
-def _lemma_draws(seed: int, trials: int) -> list[tuple]:
-    """(K, rho, raw scores f, raw scores f', label) per trial."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        k = int(rng.integers(2, 7))
-        rho = float(rng.uniform(0.2, 5.0))
-        f, fp = _raw_scores(rng, k, rho), _raw_scores(rng, k, rho)
-        draws.append((k, rho, f, fp, int(rng.integers(1, k + 1))))
-    return draws
-
-
-def _metric_draws(seed: int, trials: int) -> list[tuple]:
-    """(K, rho, three raw score draws) per trial."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        k = int(rng.integers(2, 7))
-        rho = float(rng.uniform(0.2, 5.0))
-        draws.append((k, rho) + tuple(_raw_scores(rng, k, rho) for _ in range(3)))
-    return draws
-
-
-def _surrogate_draws(seed: int, trials: int) -> list[tuple]:
-    """(K, three raw logit draws) per trial."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        k = int(rng.integers(2, 7))
-        draws.append((k,) + tuple(rng.normal(0, 2, size=k) for _ in range(3)))
-    return draws
-
-
-# ---------------------------------------------------------------------------
-# Phase two: pointwise identities and inequalities, one batch per group.
-# ---------------------------------------------------------------------------
-
-
-def _single_vector_gap(where, batched: dict, single: Callable) -> float:
-    """Largest |single-vector - batched| value over the first 64 draws.
-
-    ``batched[group]`` holds a group's batched results, each indexed by row;
-    ``single(group, row)`` computes the same results for one draw with the
-    public single-vector functions.
+    ``statement(group, *columns)`` tests a statement on one group's stacked
+    draws and returns its measures (a dict of arrays over the group's rows)
+    and its batched values (arrays indexed by row).  ``replay(draw)``
+    recomputes those values for one draw with the public single-vector
+    functions.  Returns every measure concatenated over the groups, and the
+    single-vector gap: the largest |replayed - batched| value over the first
+    64 draws.
     """
-    gap = 0.0
-    for g, i in where[:_SINGLE_VECTOR_DRAWS]:
-        for got, want in zip(single(g, i), batched[g], strict=True):
-            diff = float(np.max(np.abs(np.subtract(got, want[i]))))
-            if not diff <= gap:  # a NaN difference sticks and fails the check
-                gap = diff
-    return gap
+    groups, where = _grouped(draws, key)
+    measures, values = {}, {}
+    for g, columns in groups.items():
+        found, values[g] = statement(g, *columns)
+        for name, rows in found.items():
+            measures.setdefault(name, []).append(np.ravel(rows))
+    diffs = [
+        np.abs(np.subtract(got, want[i]))
+        for draw, (g, i) in zip(draws[:_SINGLE_VECTOR_DRAWS], where)
+        for got, want in zip(replay(draw), values[g], strict=True)
+    ]
+    return {name: np.concatenate(parts) for name, parts in measures.items()}, _worst(0.0, *diffs)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise identities and inequalities.
+# ---------------------------------------------------------------------------
 
 
 def _disagreements(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -266,45 +276,44 @@ def _disagreements(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def check_ramp(seed: int, trials: int) -> CheckResult:
     """Range, exact kinks, monotonicity and the 1/rho Lipschitz property."""
-    groups, where = _grouped(_ramp_draws(seed, trials), key=lambda d: None)
-    rho, x, y = groups[None]
-    vx, vy, v0, vr = _ramp(np.stack([x, y, np.zeros_like(x), rho]), rho)
-    ok = bool(np.all((0.0 <= vx) & (vx <= 1.0)))
-    ok &= bool(np.all(((vx >= vy) == (x <= y)) | (vx == vy)))
-    ok &= bool(np.all((v0 == 1.0) & (vr == 0.0)))
-    worst_lip = max(0.0, (np.abs(vx - vy) - np.abs(x - y) / rho).max())
 
-    def single(g, i):
-        return [ramp_loss(v, rho[i]) for v in (x[i], y[i], 0.0, rho[i])]
+    def statement(_, rho, x, y):
+        vx, vy, v0, vr = _ramp(np.stack([x, y, np.zeros_like(x), rho]), rho)
+        ok = (0.0 <= vx) & (vx <= 1.0) & (((vx >= vy) == (x <= y)) | (vx == vy))
+        ok &= (v0 == 1.0) & (vr == 0.0)
+        return {"ok": ok, "lipschitz": np.abs(vx - vy) - np.abs(x - y) / rho}, (vx, vy, v0, vr)
 
-    gap = _single_vector_gap(where, {None: (vx, vy, v0, vr)}, single)
-    passed = ok and worst_lip <= 1e-12 and gap <= 1e-12
+    def replay(draw):
+        rho, x, y = draw
+        return [ramp_loss(v, rho) for v in (x, y, 0.0, rho)]
+
+    m, gap = _pointwise(_draws(seed, trials, _ramp_draw), statement, replay, key=lambda d: None)
+    worst_lip = _worst(m["lipschitz"], 0.0)
     return CheckResult(
         "ramp_properties",
-        passed,
+        bool(m["ok"].all()) and _worst(worst_lip, gap) <= 1e-12,
         {"worst_lipschitz_excess": worst_lip, "single_vector_gap": gap},
     )
 
 
 def check_margin_decision(seed: int, trials: int) -> CheckResult:
     """All absolute margins >= 0 with one > 0 forces the argmax decision."""
-    groups, where = _grouped(_decision_draws(seed, trials))
-    violations = 0
-    inputs, batched = {}, {}
-    for k, (_, f, y) in groups.items():
-        s = _center(f)
-        c = _center(s)
+
+    def statement(_, __, f, y):
+        c = _center(_center(f))
         mu = _absolute_margin(c, y - 1)
         dec = c.argmax(axis=-1) + 1
         forced = np.all(mu >= 0, axis=-1) & np.any(mu > 0, axis=-1)
-        violations += int(np.count_nonzero(forced & (dec != y)))
-        inputs[k], batched[k] = (s, y), (mu, dec)
+        # a row whose margins are not numbers is a violation, not a pass
+        return {"violated": (forced & (dec != y)) | np.isnan(mu).any(axis=-1)}, (mu, dec)
 
-    def single(k, i):
-        s, y = inputs[k]
-        return absolute_margin(s[i], y[i]), argmax_label(s[i])
+    def replay(draw):
+        _, f, y = draw
+        s = _center(f)
+        return absolute_margin(s, y), argmax_label(s)
 
-    gap = _single_vector_gap(where, batched, single)
+    m, gap = _pointwise(_draws(seed, trials, _decision_draw), statement, replay)
+    violations = int(np.count_nonzero(m["violated"]))
     return CheckResult(
         "margin_decision_property",
         violations == 0 and gap <= 1e-12,
@@ -325,22 +334,23 @@ def check_prop3_identity(
     ``mutant_rho_scale`` deliberately corrupts the per-component side's
     margin width; anything but 1.0 must make this check fail.
     """
-    groups, where = _grouped(_prop3_draws(seed, trials, ks, rhos), key=lambda d: d[:2])
-    worst = 0.0
-    inputs, batched = {}, {}
-    for (k, rho), (_, _, f1, f2) in groups.items():
+
+    def statement(group, _, __, f1, f2):
+        k, rho = group
         s1, s2 = _center(f1), _center(f2)
         lhs = k * _matrix_disagreement(_center(s1), _center(s2), rho)
         rhs = np.sum(phi_distance(s1, s2, rho * mutant_rho_scale, k), axis=-1)
-        worst = max(worst, np.abs(lhs - rhs).max())
-        inputs[k, rho], batched[k, rho] = (s1, s2), (lhs, rhs)
+        return {"gap": np.abs(lhs - rhs)}, (lhs, rhs)
 
-    def single(g, i):
-        (k, rho), (s1, s2) = g, inputs[g]
-        phi = phi_distance(s1[i], s2[i], rho * mutant_rho_scale, k)
-        return k * mcsd_pointwise(s1[i], s2[i], rho), np.sum(phi)
+    def replay(draw):
+        k, rho, f1, f2 = draw
+        s1, s2 = _center(f1), _center(f2)
+        phi = phi_distance(s1, s2, rho * mutant_rho_scale, k)
+        return k * mcsd_pointwise(s1, s2, rho), np.sum(phi)
 
-    gap = _single_vector_gap(where, batched, single)
+    draws = _prop3_draws(seed, trials, ks, rhos)
+    m, gap = _pointwise(draws, statement, replay, key=lambda d: d[:2])
+    worst = _worst(m["gap"], 0.0)
     return CheckResult(
         "per_component_identity",
         worst <= tol and gap <= 1e-12,
@@ -354,13 +364,12 @@ def check_prop3_identity(
 
 
 def _lemma_batch(rho, f, fp, y):
-    """Per group of lemma draws: the instances, the scores the kernels see,
-    the margin losses of both scorers and the 0-1 error of f."""
-    s, sp = _center(f), _center(fp)
-    c, cp = _center(s), _center(sp)
+    """Per group of lemma draws: the scores the kernels see, the margin
+    losses of both scorers and the 0-1 error of f."""
+    c, cp = _center(_center(f)), _center(_center(fp))
     lf, lfp = _margin_violations(np.stack([c, cp]), y, rho[:, None])
     err = (c.argmax(axis=-1) + 1 != y).astype(np.float64)
-    return (s, sp), (c, cp), (lf, lfp), err
+    return (c, cp), (lf, lfp), err
 
 
 def check_pointwise_lemmas(seed: int, trials: int) -> CheckResult:
@@ -371,30 +380,25 @@ def check_pointwise_lemmas(seed: int, trials: int) -> CheckResult:
     two margin losses.  The reported excesses are the violation-matrix
     form's; the O(K) kernel must meet the same tolerance.
     """
-    groups, where = _grouped(_lemma_draws(seed, trials))
-    worst_a = worst_b = worst_kernel = -np.inf
-    inputs, batched = {}, {}
-    for k, (_, rho, f, fp, y) in groups.items():
-        (s, sp), (c, cp), (lf, lfp), err = _lemma_batch(rho, f, fp, y)
-        m = _disagreements(c, cp, rho[:, None])
-        excess_a, excess_b = err - lfp - m, m - lf - lfp
-        worst_a = max(worst_a, excess_a[0].max())
-        worst_b = max(worst_b, excess_b[0].max())
-        worst_kernel = max(worst_kernel, excess_a[1].max(), excess_b[1].max())
-        inputs[k] = (s, sp, rho, y)
-        batched[k] = (m[0], m[1], lf, lfp, err)
 
-    def single(k, i):
-        s, sp, rho, y = (v[i] for v in inputs[k])
+    def statement(_, __, rho, f, fp, y):
+        (c, cp), (lf, lfp), err = _lemma_batch(rho, f, fp, y)
+        m = _disagreements(c, cp, rho[:, None])
+        a, b = err - lfp - m, m - lf - lfp
+        return {"a": a[0], "b": b[0], "kernel": (a[1], b[1])}, (m[0], m[1], lf, lfp, err)
+
+    def replay(draw):
+        _, rho, f, fp, y = draw
+        s, sp = _center(f), _center(fp)
         m = mcsd_pointwise(s, sp, rho)
         err = 1.0 if argmax_label(s) != y else 0.0
         return m, m, source_margin_loss(s, y, rho), source_margin_loss(sp, y, rho), err
 
-    gap = _single_vector_gap(where, batched, single)
-    passed = max(worst_a, worst_b, worst_kernel, gap) <= 1e-12
+    m, gap = _pointwise(_draws(seed, trials, _lemma_draw), statement, replay)
+    worst_a, worst_b = _worst(m["a"]), _worst(m["b"])
     return CheckResult(
         "pointwise_lemmas",
-        passed,
+        _worst(worst_a, worst_b, m["kernel"], gap) <= 1e-12,
         {"worst_excess_a": worst_a, "worst_excess_b": worst_b, "single_vector_gap": gap},
     )
 
@@ -402,24 +406,20 @@ def check_pointwise_lemmas(seed: int, trials: int) -> CheckResult:
 def check_variant_lemmas(seed: int, trials: int) -> CheckResult:
     """Decision-level analogues of the pointwise lemmas, plus structure:
     the saturated form is 0/1 and implies the ramped form equals 1."""
-    groups, where = _grouped(_lemma_draws(seed, trials))
-    worst = -np.inf
-    structure_ok = True
-    inputs, batched = {}, {}
-    for k, (_, rho, f, fp, y) in groups.items():
-        (s, sp), (c, cp), (lf, lfp), err = _lemma_batch(rho, f, fp, y)
+
+    def statement(_, __, rho, f, fp, y):
+        (c, cp), (lf, lfp), err = _lemma_batch(rho, f, fp, y)
         margins = _decision_margin(c, cp)
         tilde = _decision_level(margins, rho, "tilde")
         hat = _decision_level(margins, rho, "hat")
-        for v in (tilde, hat):
-            worst = max(worst, (err - lfp - v).max(), (v - lf - lfp).max())
-        structure_ok &= bool(np.all((hat == 0.0) | (hat == 1.0)))
-        structure_ok &= bool(np.all((hat != 1.0) | (tilde == 1.0)))
-        inputs[k] = (s, sp, rho, y)
-        batched[k] = (tilde, hat, lf, lfp)
+        v = np.stack([tilde, hat])
+        structure = ((hat == 0.0) | (hat == 1.0)) & ((hat != 1.0) | (tilde == 1.0))
+        excess = (err - lfp - v, v - lf - lfp)
+        return {"excess": excess, "structure": structure}, (tilde, hat, lf, lfp)
 
-    def single(k, i):
-        s, sp, rho, y = (v[i] for v in inputs[k])
+    def replay(draw):
+        _, rho, f, fp, y = draw
+        s, sp = _center(f), _center(fp)
         return (
             mcsd_tilde_pointwise(s, sp, rho),
             mcsd_hat_pointwise(s, sp, rho),
@@ -427,10 +427,12 @@ def check_variant_lemmas(seed: int, trials: int) -> CheckResult:
             source_margin_loss(sp, y, rho),
         )
 
-    gap = _single_vector_gap(where, batched, single)
+    m, gap = _pointwise(_draws(seed, trials, _lemma_draw), statement, replay)
+    worst = _worst(m["excess"])
+    structure_ok = bool(m["structure"].all())
     return CheckResult(
         "decision_level_lemmas",
-        structure_ok and worst <= 1e-12 and gap <= 1e-12,
+        structure_ok and _worst(worst, gap) <= 1e-12,
         {"worst_excess": worst, "structure_ok": structure_ok, "single_vector_gap": gap},
     )
 
@@ -440,36 +442,29 @@ def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
     triangle inequality, and bounded by K.  The reported triangle excess is
     the violation-matrix form's; the O(K) kernel must meet the same
     tolerances."""
-    groups, where = _grouped(_metric_draws(seed, trials))
-    worst_tri = worst_kernel = -np.inf
-    ok = True
-    inputs, batched = {}, {}
-    for k, (_, rho, *raw) in groups.items():
-        s1, s2, s3 = (_center(f) for f in raw)
-        c1, c2, c3 = (_center(s) for s in (s1, s2, s3))
+
+    def statement(k, _, rho, *raw):
+        c1, c2, c3 = (_center(_center(f)) for f in raw)
         # pairs (1, 2), (2, 1), (1, 3), (2, 3), (1, 1)
         d = _disagreements(
             np.stack([c1, c2, c1, c2, c1]), np.stack([c2, c1, c3, c3, c1]), rho[:, None]
         )
         d12, d21, d13, d23, d11 = np.moveaxis(d, 1, 0)
-        ok &= bool(np.all(np.abs(d12 - d21) <= 1e-15))
-        ok &= bool(np.all((-1e-15 <= d12) & (d12 <= k)))
-        ok &= bool(np.all(d11 == 0.0))
+        ok = (np.abs(d12 - d21) <= 1e-15) & (-1e-15 <= d12) & (d12 <= k) & (d11 == 0.0)
         excess = d13 - d12 - d23
-        worst_tri = max(worst_tri, excess[0].max())
-        worst_kernel = max(worst_kernel, excess[1].max())
-        inputs[k] = (s1, s2, s3, rho)
-        batched[k] = tuple(d.reshape(10, -1))
+        return {"ok": ok, "triangle": excess[0], "kernel": excess[1]}, tuple(d.reshape(10, -1))
 
-    def single(k, i):
-        s1, s2, s3, rho = (v[i] for v in inputs[k])
+    def replay(draw):
+        _, rho, *raw = draw
+        s1, s2, s3 = (_center(f) for f in raw)
         pairs = ((s1, s2), (s2, s1), (s1, s3), (s2, s3), (s1, s1))
         return [mcsd_pointwise(a, b, rho) for a, b in pairs] * 2
 
-    gap = _single_vector_gap(where, batched, single)
+    m, gap = _pointwise(_draws(seed, trials, _metric_draw), statement, replay)
+    worst_tri = _worst(m["triangle"])
     return CheckResult(
         "pointwise_metric_properties",
-        ok and max(worst_tri, worst_kernel, gap) <= 1e-12,
+        bool(m["ok"].all()) and _worst(worst_tri, m["kernel"], gap) <= 1e-12,
         {"worst_triangle_excess": worst_tri, "single_vector_gap": gap},
     )
 
@@ -477,29 +472,24 @@ def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
 def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
     """Cross-entropy / KL / entropy identity, ordering, L1 structure, and
     witnesses that the symmetrized KL and CE are not metrics."""
-    groups, where = _grouped(_surrogate_draws(seed, trials))
-    worst_identity = 0.0
-    ok = True
-    inputs, batched = {}, {}
-    for k, (_, *logits) in groups.items():
+
+    def statement(k, _, *logits):
         p1, p2, p3 = softmax(np.stack(logits))
         kl, ce = _kl(p1, p2)[0], _ce(p1, p2)[0]
         l12, l21, l13, l23 = _l1(np.stack([p1, p2, p1, p2]), np.stack([p2, p1, p3, p3]))[0]
         ent1, ent2 = (-(p * _guarded_log(p)[0]).sum(axis=-1) for p in (p1, p2))
-        worst_identity = max(worst_identity, np.abs(ce - (kl + 0.5 * (ent1 + ent2))).max())
-        ok &= bool(np.all((ce >= kl - 1e-12) & (kl - 1e-12 >= -1e-12)))
-        ok &= bool(np.all(np.abs(l12 - l21) <= 1e-15))
-        ok &= bool(np.all(l13 <= l12 + l23 + 1e-12))
-        ok &= bool(np.all((0.0 <= l12) & (l12 <= 2.0 / k + 1e-15)))
-        inputs[k] = logits
-        batched[k] = (p1, p2, p3, kl, ce, l12, l21, l13, l23)
+        ok = (ce >= kl - 1e-12) & (kl - 1e-12 >= -1e-12) & (np.abs(l12 - l21) <= 1e-15)
+        ok &= (l13 <= l12 + l23 + 1e-12) & (0.0 <= l12) & (l12 <= 2.0 / k + 1e-15)
+        identity = np.abs(ce - (kl + 0.5 * (ent1 + ent2)))
+        return {"ok": ok, "identity": identity}, (p1, p2, p3, kl, ce, l12, l21, l13, l23)
 
-    def single(k, i):
-        p1, p2, p3 = (softmax(z[i]) for z in inputs[k])
+    def replay(draw):
+        p1, p2, p3 = (softmax(z) for z in draw[1:])
         pairs = ((p1, p2), (p2, p1), (p1, p3), (p2, p3))
         return [p1, p2, p3, sur_kl(p1, p2), sur_ce(p1, p2)] + [sur_l1(a, b) for a, b in pairs]
 
-    gap = _single_vector_gap(where, batched, single)
+    m, gap = _pointwise(_draws(seed, trials, _surrogate_draw), statement, replay)
+    worst_identity = _worst(m["identity"], 0.0)
     # quadratic-at-zero divergences overshoot the direct route through a
     # nearby midpoint; a peaked midpoint does the same for the CE form
     p, q, r = np.array([0.4, 0.6]), np.array([0.5, 0.5]), np.array([0.6, 0.4])
@@ -508,10 +498,10 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
     qc = np.array([0.998, 0.002])
     rc = np.array([0.001, 0.999])
     ce_violation = sur_ce(pc, rc) - sur_ce(pc, qc) - sur_ce(qc, rc)
-    ok &= kl_violation > 0 and ce_violation > 0
+    witnessed = kl_violation > 0 and ce_violation > 0
     return CheckResult(
         "surrogate_identities",
-        ok and worst_identity <= 1e-12 and gap <= 1e-12,
+        bool(m["ok"].all()) and witnessed and _worst(worst_identity, gap) <= 1e-12,
         {
             "worst_identity_gap": worst_identity,
             "kl_triangle_violation": float(kl_violation),
@@ -524,6 +514,15 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Enumerated universes for the distribution-level bounds.
 # ---------------------------------------------------------------------------
+
+_FORMS = (("matrix", "mcsd"), ("tilde", "tilde"), ("hat", "hat"))
+
+
+def _three_forms(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float) -> dict[str, float]:
+    """The exact divergence in its matrix, 'tilde' and 'hat' forms, from the
+    grid's scores [c, n, K] on each side, evaluated once per sample, and
+    checked masses."""
+    return {name: _exact(ss, st, ws, wt, rho, variant).value for name, variant in _FORMS}
 
 
 @dataclass
@@ -575,26 +574,22 @@ def _universe_bound_gaps(u: ToyUniverse) -> dict[str, float]:
     src_errs, _ = _candidate_errors(scores, u.labels, u.rho, u.p_mass)
     tgt_errs, tgt_01 = _candidate_errors(scores, u.labels, u.rho, u.q_mass)
     lam = float(np.min(src_errs + tgt_errs))
-    gaps = {}
-    for name, variant in (("matrix", "mcsd"), ("tilde", "tilde"), ("hat", "hat")):
-        div = _exact(scores, scores, u.p_mass, u.q_mass, u.rho, variant).value
-        gaps[name] = float(np.max(tgt_01 - (src_errs + div + lam)))
-    return gaps
+    divs = _three_forms(scores, scores, u.p_mass, u.q_mass, u.rho)
+    return {name: _worst(tgt_01 - (src_errs + div + lam)) for name, div in divs.items()}
 
 
 def check_bound_universes(seed: int, n_universes: int) -> CheckResult:
     """Every enumerated universe satisfies all three distribution bounds."""
-    worst = {"matrix": -np.inf, "tilde": -np.inf, "hat": -np.inf}
     rhos = (0.5, 1.0, 5.0)
-    for i in range(n_universes):
-        u = build_universe(seed + i, rho=rhos[i % len(rhos)])
-        for name, gap in _universe_bound_gaps(u).items():
-            worst[name] = max(worst[name], gap)
-    passed = all(v <= 1e-9 for v in worst.values())
+    gaps = [
+        _universe_bound_gaps(build_universe(seed + i, rho=rhos[i % len(rhos)]))
+        for i in range(n_universes)
+    ]
+    worst = {"worst_excess_" + name: _worst(*(g[name] for g in gaps)) for name, _ in _FORMS}
     return CheckResult(
         "enumerated_universe_bounds",
-        passed,
-        {"worst_excess_" + k: v for k, v in worst.items()} | {"n_universes": n_universes},
+        _worst(*worst.values()) <= 1e-9,
+        worst | {"n_universes": n_universes},
     )
 
 
@@ -608,26 +603,23 @@ def check_divergence_properties(seed: int) -> CheckResult:
         for _ in range(8)
     ]
     grid = ScorerGrid(scorers, k)
-    worst_tri = -np.inf
-    worst_neg = np.inf
-    best_asym = 0.0
-    forms: list[tuple[str, Callable]] = [
-        ("matrix", lambda a, b: mcsd_divergence_exact(a, b, grid, 1.0).value),
-        ("tilde", lambda a, b: divergence_exact_variant(a, b, grid, 1.0, "tilde").value),
-        ("hat", lambda a, b: divergence_exact_variant(a, b, grid, 1.0, "hat").value),
-    ]
+    values, triangle, asymmetry = [], [], []
     for _ in range(6):
-        sets = [
-            SampleSet(rng.normal(rng.uniform(-2, 2, size=2), 1.0, size=(int(rng.integers(4, 12)), 2)))
-            for _ in range(3)
-        ]
-        for _, fn in forms:
-            dab, dba = fn(sets[0], sets[1]), fn(sets[1], sets[0])
-            dbc = fn(sets[1], sets[2])
-            dac = fn(sets[0], sets[2])
-            worst_neg = min(worst_neg, dab, dba, dbc, dac)
-            worst_tri = max(worst_tri, dac - dab - dbc)
-            best_asym = max(best_asym, abs(dab - dba))
+        samples = []
+        for _ in range(3):
+            pts = rng.normal(rng.uniform(-2, 2, size=2), 1.0, size=(int(rng.integers(4, 12)), 2))
+            samples.append((grid.evaluate(pts), _as_weights(None, len(pts))))
+        a, b, c = samples
+        dab, dba, dbc, dac = (
+            _three_forms(s, t, ws, wt, 1.0) for (s, ws), (t, wt) in ((a, b), (b, a), (b, c), (a, c))
+        )
+        for name, _ in _FORMS:
+            values += [dab[name], dba[name], dbc[name], dac[name]]
+            triangle.append(dac[name] - dab[name] - dbc[name])
+            asymmetry.append(abs(dab[name] - dba[name]))
+    worst_neg = -_worst(np.negative(values))
+    worst_tri = _worst(triangle)
+    best_asym = _worst(asymmetry, 0.0)
     passed = worst_neg >= -1e-12 and worst_tri <= 1e-9 and best_asym > 1e-9
     return CheckResult(
         "divergence_properties",
@@ -724,16 +716,10 @@ def check_rademacher(seed: int) -> CheckResult:
 def check_schedules() -> CheckResult:
     """Closed forms of both schedules on the 11-point grid, plus endpoints."""
     s = Schedules()
-    worst = 0.0
-    for i in range(11):
-        p = i / 10.0
-        lr_ref = s.eta0 * np.exp(-s.beta * np.log1p(s.alpha * p))
-        lam_ref = np.tanh(s.gamma * p / 2.0)
-        worst = max(
-            worst,
-            abs(lr_schedule(p, s) - lr_ref),
-            abs(lambda_schedule(p, s) - lam_ref),
-        )
+    grid = [i / 10.0 for i in range(11)]
+    gaps = [abs(lr_schedule(p, s) - s.eta0 * np.exp(-s.beta * np.log1p(s.alpha * p))) for p in grid]
+    gaps += [abs(lambda_schedule(p, s) - np.tanh(s.gamma * p / 2.0)) for p in grid]
+    worst = _worst(gaps, 0.0)
     ok = abs(lr_schedule(0.0, s) - 0.01) <= 1e-15 and abs(lambda_schedule(0.0, s)) <= 1e-15
     return CheckResult("schedule_closed_forms", worst <= 1e-12 and ok, {"worst_gap": worst})
 
@@ -742,10 +728,8 @@ def run_theory_checks(
     seed: int = 0, trials: int = 2000, n_universes: int = 20
 ) -> TheoryReport:
     """Run the whole suite; every check must pass on a correct build."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %r" % trials)
-    if n_universes < 1:
-        raise ValueError("n_universes must be >= 1, got %r" % n_universes)
+    trials = _check_count(trials, "trials", 1)
+    n_universes = _check_count(n_universes, "n_universes", 1)
     checks = [
         check_ramp(seed, trials),
         check_margin_decision(seed + 1, trials),

@@ -35,9 +35,9 @@ surface dumps call on batches too:
 ``_violation_matrix`` with ``_matrix_disagreement`` (the K x K form of the
 pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp|,
 ``_decision_margin`` with ``_decision_level`` (its ramp at rho/2, 'tilde',
-or 0/1 saturation, 'hat') and ``_relative_margin``.  The kernels
-broadcast a per-row ``rho``, which the theory suite uses to test its lemmas
-on whole batches of draws.
+or its 0/1 saturation, the indicator of a margin <= 0, 'hat') and
+``_relative_margin``.  The kernels broadcast a per-row ``rho``, which the
+theory suite uses to test its lemmas on whole batches of draws.
 ``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
 the O(K) kernels in ``divergence``.
 """
@@ -286,7 +286,9 @@ def _decision_margin(dec: np.ndarray, other: np.ndarray) -> np.ndarray:
 def _decision_level(margins: np.ndarray, rho, variant: str) -> np.ndarray:
     """Decision-level disagreement of decision margins at a checked ``rho``
     (broadcastable against them): the ramp at width rho/2 ('tilde') or the
-    0/1 saturation of the ramp at rho ('hat')."""
+    indicator of a margin <= 0 ('hat'), the 0/1 saturation of any ramp.
+    Testing ``ramp(m, rho) == 1`` instead would call a positive margin below
+    rho * 2**-53 saturated, since 1 - m/rho rounds to 1 there."""
     if variant == "tilde":
         half = rho / 2.0
         # the half width is checked too: it underflows to 0 for the smallest rho
@@ -294,7 +296,7 @@ def _decision_level(margins: np.ndarray, rho, variant: str) -> np.ndarray:
             raise ValueError("margin width rho/2 underflows to 0 for rho = %r" % (rho,))
         return _ramp(margins, half)
     if variant == "hat":
-        return (_ramp(margins, rho) == 1.0).astype(np.float64)
+        return (margins <= 0.0).astype(np.float64)
     raise ValueError("variant must be 'tilde' or 'hat', got %r" % variant)
 
 
@@ -311,8 +313,8 @@ def mcsd_tilde_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
 def mcsd_hat_pointwise(f1: ScoresLike, f2: ScoresLike, rho: float) -> float:
     """0/1 saturation of the decision-level disagreement.
 
-    1.0 exactly when the full-width ramp of mu_{h2}(f2, h1) saturates at 1,
-    i.e. when that margin is <= 0; otherwise 0.0.
+    1.0 exactly when the margin mu_{h2}(f2, h1) is <= 0, where every ramp
+    of it saturates at 1; otherwise 0.0.
     """
     margin = _decision_margin(*_same_k(f1, f2))
     return float(_decision_level(margin, _check_rho(rho), "hat"))

@@ -262,9 +262,14 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     s = _as_batch(scores)
     n, k = s.shape
     y = _check_labels(labels, n, k)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != n:
-        raise ValueError("got %d weights for %d score rows" % (w.size, n))
+    if weights is None:
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if w.size != n:
+            raise ValueError("got %d weights for %d score rows" % (w.size, n))
+        if not (np.isfinite(w).all() and (w >= 0.0).all()):
+            raise ValueError("weights must be non-negative and finite")
     return _picked_log_loss(softmax(s), (y - 1)[:, None], w)
 
 

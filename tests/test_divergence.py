@@ -36,6 +36,7 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
+from mcsda.surrogates import log_loss_with_grads
 from mcsda.synthdata import gen_rotated_moons
 
 
@@ -393,6 +394,58 @@ class TestErrorFunctionals:
         for error in (zero_one_error, lambda s, y: margin_error(s, y, 1.0)):
             with pytest.raises(ValueError):
                 error(np.zeros((3, 2)), labels)
+
+
+PTS3 = np.array([[0.0, 1.0], [1.0, -0.5], [-1.0, 0.3]])
+GRID3 = random_grid(np.random.default_rng(9), 3, k=2, d=2)
+SCORES3 = np.array([[1.0, -1.0], [-0.5, 0.5], [0.2, -0.2]])
+F3, G3 = GRID3.scorers[:2]
+
+
+class TestMassesAndCounts:
+    """Masses and weights must be finite and non-negative, never passed on
+    as a NaN result; counts must be integers, never truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: empirical_mcsd(PTS3, F3, G3, 1.0, weights=w),
+            lambda w: mcsd_divergence_exact(PTS3, PTS3, GRID3, 1.0, src_weights=w),
+            lambda w: mcsd_divergence_exact(PTS3, PTS3, GRID3, 1.0, tgt_weights=w),
+            lambda w: divergence_exact_variant(PTS3, PTS3, GRID3, 1.0, "hat", src_weights=w),
+            lambda w: mcsd_divergence_adversarial(PTS3, PTS3, 2, 1.0, steps=1, src_weights=w),
+            lambda w: mcsd_divergence_adversarial(PTS3, PTS3, 2, 1.0, steps=1, tgt_weights=w),
+            lambda w: margin_error(SCORES3, [1, 2, 1], 1.0, weights=w),
+            lambda w: zero_one_error(SCORES3, [1, 2, 1], weights=w),
+            lambda w: log_loss_with_grads(SCORES3, [1, 2, 1], weights=w),
+        ],
+        ids=[
+            "empirical_mcsd", "exact_src", "exact_tgt", "variant", "adversarial_src",
+            "adversarial_tgt", "margin_error", "zero_one_error", "log_loss_with_grads",
+        ],
+    )
+    def test_rejects_non_finite_and_negative_masses(self, call):
+        call([0.5, 0.25, 0.25])
+        for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-0.5, 1.0, 0.5]):
+            with pytest.raises(ValueError):
+                call(bad)
+
+    @pytest.mark.parametrize("bad", [2.9, 3.5, 1, 0, np.nan, np.inf, "3"])
+    def test_sigma_draws_must_be_an_integer_of_at_least_2(self, bad):
+        with pytest.raises(ValueError, match="sigma_draws"):
+            rademacher_estimate(PTS3, GRID3, sigma_draws=bad)
+
+    @pytest.mark.parametrize("bad", [3.7, 2.5, 1, np.nan])
+    def test_grid_k_must_be_an_integer_of_at_least_2(self, bad):
+        with pytest.raises(ValueError, match="K must"):
+            ScorerGrid(GRID3.scorers, bad)
+
+    def test_integral_counts_are_taken_as_ints(self):
+        est = rademacher_estimate(PTS3, GRID3, sigma_draws=3.0, seed=4)
+        assert est == rademacher_estimate(PTS3, GRID3, sigma_draws=3, seed=4)
+        assert type(est.n_draws) is int
+        assert ScorerGrid(GRID3.scorers, 2.0).k == 2
+        assert type(ScorerGrid(GRID3.scorers, np.int64(2)).k) is int
 
 
 class TestPacBoundReport:

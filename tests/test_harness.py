@@ -73,6 +73,10 @@ class TestTheorySuite:
             run_theory_checks(trials=0)
         with pytest.raises(ValueError):
             run_theory_checks(n_universes=0)
+        with pytest.raises(ValueError, match="trials"):
+            run_theory_checks(trials=2.5)
+        with pytest.raises(ValueError, match="n_universes"):
+            run_theory_checks(n_universes=1.5)
 
     def test_ascent_warning_reaches_the_report(self):
         # same data and budget as the check itself

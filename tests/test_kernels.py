@@ -156,7 +156,8 @@ class TestPairwiseMeans:
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_each_pair_rounds_as_one_dot_of_its_rows(self, k):
-        # as ``_exact_mean`` and ``margin_error`` weight a single pair's rows
+        # as the per-pair dot in ``_exact`` and ``margin_error`` weight a
+        # single pair's rows
         rng = np.random.default_rng(50 + k)
         scores = _center(rng.normal(scale=2.0, size=(6, 300, k)))
         w = rng.random(300)

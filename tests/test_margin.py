@@ -7,7 +7,7 @@ was written; they pin exact values, not implementation echoes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsda.divergence import SampleSet, margin_error, violation_tensor, zero_one_error
@@ -229,6 +229,9 @@ class TestDecisionVariants:
 
     @settings(max_examples=200)
     @given(scores_strategy(3), scores_strategy(3), st.sampled_from([0.5, 1.0, 5.0]))
+    # a decision margin of 1.48e-16: 1 - m/rho rounds to 1 at rho = 5, and
+    # not at the tilde width rho/2, so 'hat' must not be read off the ramp
+    @example([-1.0, -1.0, 0.0], [-2.22e-16, -2.22e-16, 0.0], 5.0)
     def test_hat_binary_and_dominates_tilde(self, a, b, rho):
         hat = mcsd_hat_pointwise(a, b, rho)
         tilde = mcsd_tilde_pointwise(a, b, rho)

@@ -7,6 +7,7 @@ statements' per-trial form reads: every batched check must see exactly
 their draws, centered to the same bits.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from mcsda import divergence, margin, surrogates
 from mcsda.divergence import ScorerGrid
 from mcsda.harness import theory
+from mcsda.harness.cli import main
 from mcsda.margin import _center
 
 
@@ -99,12 +101,12 @@ def oracle_surrogates(seed, trials):
 # run_theory_checks passes at CLI defaults
 DRAWS = {
     "check_ramp": (
-        lambda s: theory._grouped(theory._ramp_draws(s, 2000), key=lambda d: None),
+        lambda s: theory._grouped(theory._draws(s, 2000, theory._ramp_draw), key=lambda d: None),
         lambda s: oracle_ramp(s, 2000),
         (),
     ),
     "check_margin_decision": (
-        lambda s: theory._grouped(theory._decision_draws(s, 2000)),
+        lambda s: theory._grouped(theory._draws(s, 2000, theory._decision_draw)),
         lambda s: oracle_margin_decision(s, 2000),
         (1,),
     ),
@@ -116,22 +118,22 @@ DRAWS = {
         (2, 3),
     ),
     "check_pointwise_lemmas": (
-        lambda s: theory._grouped(theory._lemma_draws(s, 2000)),
+        lambda s: theory._grouped(theory._draws(s, 2000, theory._lemma_draw)),
         lambda s: oracle_lemmas(s, 2000),
         (2, 3),
     ),
     "check_variant_lemmas": (
-        lambda s: theory._grouped(theory._lemma_draws(s, 2000)),
+        lambda s: theory._grouped(theory._draws(s, 2000, theory._lemma_draw)),
         lambda s: oracle_lemmas(s, 2000),
         (2, 3),
     ),
     "check_mcsd_metric": (
-        lambda s: theory._grouped(theory._metric_draws(s, 2000)),
+        lambda s: theory._grouped(theory._draws(s, 2000, theory._metric_draw)),
         lambda s: oracle_metric(s, 2000),
         (2, 3, 4),
     ),
     "check_surrogate_identities": (
-        lambda s: theory._grouped(theory._surrogate_draws(s, 500)),
+        lambda s: theory._grouped(theory._draws(s, 500, theory._surrogate_draw)),
         lambda s: oracle_surrogates(s, 500),
         (),
     ),
@@ -230,6 +232,147 @@ class TestMutants:
         assert res.details["single_vector_gap"] > 1e-12
 
 
+def nan_in_batches(fn):
+    """``fn`` with a NaN in the last entry of its result (of its first part
+    when it returns a tuple) whenever that result holds more than 64
+    entries.  Such a call is batched, and its last entry is the last row of
+    a group of more than 64 rows, a draw the single-vector replay never
+    sees; the single-vector calls return at most K entries untouched."""
+
+    def mutant(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        first = out[0] if isinstance(out, tuple) else out
+        if np.size(first) > 64:
+            first = np.array(first, dtype=np.float64)
+            first.reshape(-1)[-1] = np.nan
+            return (first,) + out[1:] if isinstance(out, tuple) else first
+        return out
+
+    return mutant
+
+
+def nan_on_first_vector(fn):
+    """``fn`` with NaN for its result on its first call that returns a
+    single vector or scalar; every later call is untouched."""
+    calls = []
+
+    def mutant(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if np.ndim(out) <= 1 and not calls:
+            calls.append(1)
+            return np.multiply(out, np.nan)
+        return out
+
+    return mutant
+
+
+def nan_hat_divergence(fn):
+    """``divergence._exact`` with a NaN value for the 'hat' form."""
+
+    def mutant(ss, st, ws, wt, rho, variant):
+        res = fn(ss, st, ws, wt, rho, variant)
+        return dataclasses.replace(res, value=np.nan) if variant == "hat" else res
+
+    return mutant
+
+
+def nan_schedule_midway(fn):
+    """A schedule that returns NaN at progress 0.5, between the endpoints."""
+    return lambda p, s: np.nan if p == 0.5 else fn(p, s)
+
+
+BATCHED_KERNELS = [
+    ("check_ramp", "_ramp"),
+    ("check_margin_decision", "_center"),
+    ("check_margin_decision", "_absolute_margin"),
+    ("check_prop3_identity", "_matrix_disagreement"),
+    ("check_prop3_identity", "phi_distance"),
+    ("check_pointwise_lemmas", "_center"),
+    ("check_pointwise_lemmas", "_margin_violations"),
+    ("check_pointwise_lemmas", "_matrix_disagreement"),
+    ("check_pointwise_lemmas", "_mcsd_rows"),
+    ("check_variant_lemmas", "_center"),
+    ("check_variant_lemmas", "_margin_violations"),
+    ("check_variant_lemmas", "_decision_margin"),
+    ("check_variant_lemmas", "_decision_level"),
+    ("check_mcsd_metric", "_center"),
+    ("check_mcsd_metric", "_matrix_disagreement"),
+    ("check_mcsd_metric", "_mcsd_rows"),
+    ("check_surrogate_identities", "softmax"),
+    ("check_surrogate_identities", "_kl"),
+    ("check_surrogate_identities", "_ce"),
+    ("check_surrogate_identities", "_l1"),
+    ("check_surrogate_identities", "_guarded_log"),
+]
+
+SINGLE_VECTOR_FUNCTIONS = [
+    ("check_ramp", "ramp_loss"),
+    ("check_margin_decision", "absolute_margin"),
+    ("check_margin_decision", "argmax_label"),
+    ("check_prop3_identity", "mcsd_pointwise"),
+    ("check_prop3_identity", "phi_distance"),
+    ("check_pointwise_lemmas", "mcsd_pointwise"),
+    ("check_pointwise_lemmas", "source_margin_loss"),
+    ("check_variant_lemmas", "mcsd_tilde_pointwise"),
+    ("check_variant_lemmas", "mcsd_hat_pointwise"),
+    ("check_variant_lemmas", "source_margin_loss"),
+    ("check_mcsd_metric", "mcsd_pointwise"),
+    ("check_surrogate_identities", "sur_kl"),
+    ("check_surrogate_identities", "sur_ce"),
+    ("check_surrogate_identities", "sur_l1"),
+]
+
+
+class TestFailsClosedOnNaN:
+    """A NaN anywhere fails its check: the reductions keep it, and the
+    single-vector gap does not overwrite it with a later difference."""
+
+    @pytest.mark.parametrize("check, name", BATCHED_KERNELS)
+    def test_nan_past_the_replayed_draws_fails_the_check(self, monkeypatch, check, name):
+        assert run_check(check).passed
+        monkeypatch.setattr(theory, name, nan_in_batches(getattr(theory, name)))
+        res = run_check(check)
+        assert not res.passed
+        # the NaN rows lie past the first 64 draws, so the replay cannot see them
+        assert res.details["single_vector_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("check, name", SINGLE_VECTOR_FUNCTIONS)
+    def test_nan_from_a_single_vector_function_fails_the_check(self, monkeypatch, check, name):
+        monkeypatch.setattr(theory, name, nan_on_first_vector(getattr(theory, name)))
+        res = run_check(check)
+        assert not res.passed
+        assert np.isnan(res.details["single_vector_gap"])
+
+    @pytest.mark.parametrize("name", ["lr_schedule", "lambda_schedule"])
+    def test_nan_from_a_schedule_fails_the_check(self, monkeypatch, name):
+        monkeypatch.setattr(theory, name, nan_schedule_midway(getattr(theory, name)))
+        res = theory.check_schedules()
+        assert not res.passed
+        assert np.isnan(res.details["worst_gap"])
+
+    def test_nan_divergence_fails_the_universe_and_property_checks(self, monkeypatch):
+        for mod in (theory, divergence):
+            monkeypatch.setattr(mod, "_exact", nan_hat_divergence(divergence._exact))
+        universes = theory.check_bound_universes(7, 3)
+        assert not universes.passed
+        assert np.isnan(universes.details["worst_excess_hat"])
+        assert not theory.check_divergence_properties(8).passed
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            ("_margin_violations", nan_in_batches),
+            ("source_margin_loss", nan_on_first_vector),
+            ("lr_schedule", nan_schedule_midway),
+            ("_exact", nan_hat_divergence),
+        ],
+    )
+    def test_theory_check_exits_2(self, monkeypatch, capsys, name, mutant):
+        monkeypatch.setattr(theory, name, mutant(getattr(theory, name)))
+        assert main(["theory-check", "--trials", "400", "--universes", "3"]) == 2
+        assert "THEORY CHECKS FAILED" in capsys.readouterr().out
+
+
 class TestReport:
     def test_ascent_value_never_exceeds_the_enumeration_without_slack(self):
         # the ascent scores its pair with the same 1-D row dot as the grid
@@ -258,3 +401,16 @@ class TestReport:
             u = theory.build_universe(i, rho=rho)
             theory._universe_bound_gaps(u)
             assert calls == [len(u.points)]
+
+    def test_divergence_properties_evaluate_each_sample_once(self, monkeypatch):
+        # six sample triples, each scored once for all three forms
+        calls = []
+        evaluate = ScorerGrid.evaluate
+
+        def counted(grid, points):
+            calls.append(len(points))
+            return evaluate(grid, points)
+
+        monkeypatch.setattr(ScorerGrid, "evaluate", counted)
+        assert theory.check_divergence_properties(8).passed
+        assert len(calls) == 18

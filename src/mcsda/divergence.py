@@ -45,7 +45,9 @@ explicit point masses so fully enumerated universes can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
 ramp and its clamp, per-component disagreement, violation matrix, decision
-margin); public functions check ``rho`` and their scores once, at entry.
+margin); public functions check ``rho``, their scores and their labels
+once, at entry, and the private cores (``_margin_violations`` among them)
+check nothing.
 ``violation_tensor`` and the single-vector ``margin`` functions stay as
 reference oracles.
 """
@@ -244,10 +246,11 @@ def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
 
 def empirical_mcsd(sample, f1, f2, rho: float, weights=None) -> float:
     """Mean pointwise scoring disagreement of two scorers over a sample."""
+    rho = _check_rho(rho)
     pts = _as_points(sample)
     grid = ScorerGrid([f1, f2], k=np.asarray(f1(pts[:1])).shape[-1])
-    s = grid.evaluate(pts)
-    return float(mcsd_rows(s[0], s[1], rho) @ _as_weights(weights, pts.shape[0]))
+    # the grid checks the scores and centers them: [2, n, K], the kernel's pair
+    return float(_mcsd_rows(grid.evaluate(pts), rho) @ _as_weights(weights, pts.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -637,22 +640,22 @@ def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEst
     return RademacherEstimate(value=value, stderr=stderr, n_draws=sigma_draws)
 
 
-def _margin_violations(scores, labels, rho: float) -> np.ndarray:
+def _margin_violations(scores: np.ndarray, y: np.ndarray, rho) -> np.ndarray:
     """Per-point sum of ramped absolute margins: scores [..., n, K] -> [..., n].
 
     The absolute margin of component k is +f_k at the 1-based label and -f_k
     elsewhere; ``margin.source_margin_loss`` is the single-point oracle.
-    Checks the labels; the scores and ``rho`` are checked by the callers.
+    Like every kernel it checks nothing: the callers hold finite float
+    scores, a checked ``rho`` and labels ``y`` [n] from ``_check_labels``.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_labels(labels, *s.shape[-2:])
-    return _ramp(_absolute_margin(s, y - 1), rho).sum(axis=-1)
+    return _ramp(_absolute_margin(scores, y - 1), rho).sum(axis=-1)
 
 
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
     rho = _check_rho(rho)
-    per_point = _margin_violations(_finite_ramp_argument(scores), labels, rho)
+    s = _finite_ramp_argument(scores)
+    per_point = _margin_violations(s, _check_labels(labels, *s.shape[-2:]), rho)
     return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 

@@ -6,10 +6,13 @@ brute-force verification suite, ``surface`` dumps a disagreement surface,
 and ``pac-report`` assembles the finite-sample bound on a data file.
 
 Exit codes: 0 on success; 2 on a bad argument (argparse's usage error,
-also for out-of-range numbers and missing mode flags), a bad training
-config or config file (``BAD CONFIG``), a missing or malformed data file
-(``BAD DATA``), or a failed theory check or bound; 3 when training does
-not converge.
+also for out-of-range numbers and missing mode flags, or ``BAD ARGUMENT``
+when ``gen-data`` or ``surface`` rejects a combination of values, before
+any file is written), a bad training config or config file
+(``BAD CONFIG``), a missing or malformed data file (``BAD DATA``), or a
+failed theory check or bound; 3 when training does not converge.  Notes
+(``note: ...``) follow a result: why a run stopped, or a theory check's
+warning, such as an ascent still improving at its step budget.
 Argument defaults mirror the library defaults; ``train`` can also read a
 JSON config file, with explicit command-line flags taking precedence over
 file values.
@@ -25,6 +28,7 @@ import sys
 import numpy as np
 
 from ..divergence import BoundViolation, SampleSet, ScorerGrid, linear_scorer, pac_bound_report
+from ..neural import _write_json
 from ..synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial, read_csv, write_csv
 from .config import EVAL_HEADS, METHODS, ExperimentConfig
 from .surface import SURFACE_MEASURES, emit_surface_grid
@@ -70,7 +74,8 @@ def _read_data(path):
         return None
 
 
-def _cmd_gen_data(args) -> int:
+def _generate(args):
+    """The domain pair ``gen-data`` asks for."""
     if args.generator == "moons":
         pair = gen_rotated_moons(
             args.n_src, args.n_tgt, args.angle, noise_sd=args.noise, seed=args.seed
@@ -94,6 +99,15 @@ def _cmd_gen_data(args) -> int:
         pair = make_openset(
             pair, _int_list(args.shared), _int_list(args.src_extra), _int_list(args.tgt_extra)
         )
+    return pair
+
+
+def _cmd_gen_data(args) -> int:
+    try:
+        pair = _generate(args)
+    except ValueError as exc:  # a value the generators reject
+        print("BAD ARGUMENT: %s" % exc)
+        return 2
     write_csv(pair, args.out)
     print(
         "wrote %s (%s, k=%d, k_shared=%d, %d source / %d target points)"
@@ -174,6 +188,9 @@ def _cmd_theory_check(args) -> int:
         print("%-32s %s" % (check.name, "PASS" if check.passed else "FAIL"))
         if not check.passed:
             print("    %s" % json.dumps(check.details, sort_keys=True, default=str))
+        for key, value in check.details.items():
+            if key.endswith("_warning") and value is not None:
+                print("note: %s: %s" % (check.name, value))
     if args.out:
         report.write(args.out)
         print("report written to %s" % args.out)
@@ -182,14 +199,18 @@ def _cmd_theory_check(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    grid = emit_surface_grid(
-        args.which,
-        args.rho,
-        resolution=args.resolution,
-        span=args.span,
-        fixed=tuple(_float_list(args.fixed)),
-        direction=args.direction,
-    )
+    try:
+        grid = emit_surface_grid(
+            args.which,
+            args.rho,
+            resolution=args.resolution,
+            span=args.span,
+            fixed=tuple(_float_list(args.fixed)),
+            direction=args.direction,
+        )
+    except ValueError as exc:
+        print("BAD ARGUMENT: %s" % exc)
+        return 2
     grid.write_csv(args.out)
     print(
         "wrote %s (%s, rho=%g, %dx%d values in [%g, %g])"
@@ -235,9 +256,7 @@ def _cmd_pac_report(args) -> int:
         print("BOUND VIOLATED: %s" % exc)
         return 2
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, report.to_json())
         print("report written to %s" % args.out)
     print(
         "target_err=%.4f <= rhs=%.4f (divergence=%.4f, lambda=%.4f, holds=%s)"
@@ -257,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--generator", choices=("moons", "blobs"), default="moons")
     g.add_argument("--mode", choices=("closed", "partial", "openset"), default="closed")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_number(int, 0), default=0)
     g.add_argument("--n-src", type=int, default=600, help="moons: source sample size")
     g.add_argument("--n-tgt", type=int, default=600, help="moons: target sample size")
     g.add_argument("--angle", type=float, default=30.0, help="moons: target rotation, degrees")
@@ -292,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_train)
 
     c = sub.add_parser("theory-check", help="run the brute-force verification suite")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_number(int, 0), default=0)
     c.add_argument("--trials", type=_number(int, 1), default=2000)
     c.add_argument("--universes", type=_number(int, 1), default=20)
     c.add_argument("--out", default=None, help="optional JSON report path")
@@ -314,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_number(float, 0, strict=True, below=1), default=0.05)
     p.add_argument("--grid-size", type=_number(int, 1), dest="grid_size", default=12)
     p.add_argument("--sigma-draws", type=_number(int, 2), dest="sigma_draws", default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=_cmd_pac_report)
     return parser

@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from ..neural import Schedules
+from ..neural import Schedules, _write_json
 from ..symmnets import HEAD_S, HEAD_T
 
 __all__ = ["Family", "MethodRow", "METHOD_ROWS", "METHODS", "SURROGATES", "EVAL_HEADS"]
@@ -163,9 +163,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
 
 @dataclass

@@ -7,13 +7,15 @@ measures share the slice, which makes their level sets directly comparable:
 the matrix form, its two decision-level variants, the three probability
 surrogates, and the single-component decision-margin ramp.
 
-Evaluation is batched over the whole grid with the kernels of
-``mcsda.margin`` (centering, decision margin, relative margin, ramp),
-``mcsda.divergence.mcsd_rows`` and the surrogate kernels of
-``mcsda.surrogates`` (``_l1``, ``_kl``, ``_ce``, which the per-point
-``sur_*`` share).  ``mcsd_pointwise`` serves as an independent oracle for
-spot checks; the independent surrogate oracles live in the tests
-(``kl_oracle`` in ``tests/test_surrogates.py`` and the inline formulas of
+Evaluation is batched over the whole grid.  ``emit_surface_grid`` checks
+its arguments and the centered scores once, at entry, and then calls only
+kernels: those of ``mcsda.margin`` (centering, decision margin, relative
+margin, ramp), ``mcsda.divergence._mcsd_rows`` (the kernel behind
+``mcsd_rows``), the unchecked ``surrogates._softmax`` and the surrogate
+kernels ``_l1``, ``_kl`` and ``_ce``, which the per-point ``sur_*`` share.
+``mcsd_pointwise`` serves as an independent oracle for spot checks; the
+independent surrogate oracles live in the tests (``kl_oracle`` in
+``tests/test_surrogates.py`` and the inline formulas of
 ``test_log_surfaces_clamp_through_the_counted_guard``).
 """
 
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..divergence import mcsd_rows
+from ..divergence import _mcsd_rows
 from ..margin import _center, _check_rho, _decision_level, _decision_margin, _ramp
 from ..margin import _relative_margin
-from ..surrogates import _ce, _kl, _l1, softmax
+from ..surrogates import _ce, _kl, _l1, _softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
 
@@ -79,15 +81,16 @@ def emit_surface_grid(
         raise ValueError("the pinned scorer output must have three components")
     axis = np.linspace(-span, span, resolution)
     aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    var = np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        fx, var = _center(fx), _center(np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3))
+    # a non-finite score, or one that overflows when centered, is not finite here
     if not (np.isfinite(fx).all() and np.isfinite(var).all()):
         raise ValueError("surface scores must be finite")
-    fx, var = _center(fx), _center(var)
     fixed_batch = np.broadcast_to(fx, var.shape)
     first, second = (fixed_batch, var) if direction == "fix_first" else (var, fixed_batch)
 
     if which == "mcsd":
-        vals = mcsd_rows(first, second, rho)
+        vals = _mcsd_rows(np.stack([first, second]), rho)
     elif which in ("tilde", "hat"):
         vals = _decision_level(_decision_margin(first, second), rho, which)
     elif which == "md":
@@ -95,6 +98,6 @@ def emit_surface_grid(
         vals = _ramp(_relative_margin(second, first.argmax(axis=1)), rho)
     else:
         kernel = {"l1": _l1, "kl": _kl, "ce": _ce}[which]
-        vals = kernel(softmax(first), softmax(second))[0]
+        vals = kernel(_softmax(first), _softmax(second))[0]
     values = vals.reshape(resolution, resolution)
     return SurfaceGrid(which, float(rho), tuple(fx), direction, axis, axis, values)

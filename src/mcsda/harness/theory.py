@@ -23,27 +23,32 @@ the public functions (``ramp_loss``, ``absolute_margin``,
 ``mcsd_pointwise``, ``phi_distance``, ``source_margin_loss``,
 ``mcsd_tilde/hat_pointwise``, ``softmax``, ``sur_*``) on the draw, centered
 by the replay itself; their largest difference from the batched values is
-``single_vector_gap``, and a gap above 1e-12 fails the check.  And a pass
-rule.  The statements call the kernels that compute the bound and the
-training proxy, with a per-trial rho broadcast as a column:
+``single_vector_gap``, and a gap above 1e-12 fails the check.  A public
+function that raises ``ValueError`` in a replay (its checks reject a NaN
+that a kernel returned, say) fails the check too, with ``single_vector_gap``
+NaN and a ``replay_error`` detail that names the function and the draw.
+And a pass rule, from which the runner builds the check's result.  The
+statements call the kernels that compute the bound and the training proxy,
+never a validating public function, so a NaN reaches the pass rule instead
+of raising; a per-trial rho is broadcast as a column:
 
 * ``check_ramp``: ``margin._ramp``;
 * ``check_margin_decision``: ``margin._absolute_margin`` (a row whose
   margins are not numbers is a violation);
 * ``check_prop3_identity``: K times the violation-matrix form
   ``margin._matrix_disagreement`` against the per-component sum of
-  ``phi_distance``;
+  ``margin._phi_distance``, the kernel behind ``phi_distance``;
 * ``check_pointwise_lemmas`` and ``check_mcsd_metric``: the pointwise
   disagreement both as the violation-matrix form, which rounds like
   ``mcsd_pointwise`` and gives the reported worst case, and as the O(K)
-  kernel ``divergence.mcsd_rows``, which must meet the same tolerances;
+  kernel ``divergence._mcsd_rows``, which must meet the same tolerances;
   margin losses from ``divergence._margin_violations``;
 * ``check_variant_lemmas``: ``margin._decision_margin`` and
   ``_decision_level`` ('tilde', the ramp at rho/2; 'hat', the indicator of
   a decision margin <= 0), with the same margin losses;
-* ``check_surrogate_identities``: batched ``softmax`` and the kernels
-  ``surrogates._l1``, ``_kl`` and ``_ce``, whose rows the McDalNet step,
-  SymmNets' target confusion and the surfaces sum.
+* ``check_surrogate_identities``: the batched ``surrogates._softmax`` and
+  the kernels ``surrogates._l1``, ``_kl`` and ``_ce``, whose rows the
+  McDalNet step, SymmNets' target confusion and the surfaces sum.
 
 The enumerated-universe checks build finite worlds (a handful of points
 with explicit source and target masses, a grid of bounded linear scorers
@@ -56,7 +61,7 @@ the three divergence forms by one path, ``_three_forms``:
 
 from __future__ import annotations
 
-import json
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,6 +88,7 @@ from ..margin import (
     _decision_level,
     _decision_margin,
     _matrix_disagreement,
+    _phi_distance,
     _ramp,
     absolute_margin,
     argmax_label,
@@ -93,8 +99,8 @@ from ..margin import (
     ramp_loss,
     source_margin_loss,
 )
-from ..neural import Schedules, lambda_schedule, lr_schedule
-from ..surrogates import _ce, _guarded_log, _kl, _l1, softmax, sur_ce, sur_kl, sur_l1
+from ..neural import Schedules, _write_json, lambda_schedule, lr_schedule
+from ..surrogates import _ce, _guarded_log, _kl, _l1, _softmax, softmax, sur_ce, sur_kl, sur_l1
 from ..synthdata import gen_gauss_blobs
 
 __all__ = [
@@ -149,9 +155,7 @@ class TheoryReport:
         }
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
 
 def _worst(*parts) -> float:
@@ -235,29 +239,60 @@ def _grouped(draws: list[tuple], key: Callable = lambda d: d[0]):
     return {g: tuple(np.array(col) for col in zip(*r)) for g, r in rows.items()}, where
 
 
-def _pointwise(draws: list[tuple], statement: Callable, replay: Callable, key=lambda d: d[0]):
+def _raiser(exc: BaseException, replay: Callable) -> str:
+    """The function that ``replay`` called when ``exc`` was raised, or
+    ``replay`` itself when it raised the error."""
+    frames = [frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    for caller, callee in zip(frames, frames[1:]):
+        if caller is replay.__code__:
+            return callee.co_name
+    return "replay"
+
+
+def _pointwise(
+    name: str,
+    draws: list[tuple],
+    statement: Callable,
+    replay: Callable,
+    rule: Callable,
+    key=lambda d: d[0],
+) -> CheckResult:
     """The grouped runner of the pointwise checks.
 
     ``statement(group, *columns)`` tests a statement on one group's stacked
     draws and returns its measures (a dict of arrays over the group's rows)
     and its batched values (arrays indexed by row).  ``replay(draw)``
     recomputes those values for one draw with the public single-vector
-    functions.  Returns every measure concatenated over the groups, and the
-    single-vector gap: the largest |replayed - batched| value over the first
-    64 draws.
+    functions.  ``rule(measures, gap)`` returns whether the check passed
+    and its details, from every measure concatenated over the groups and
+    the single-vector gap: the largest |replayed - batched| value over the
+    first 64 draws.
+
+    A ``ValueError`` raised in a replay (a public function rejecting a
+    value that the batched path let through, say a NaN) fails the check:
+    the gap is NaN and ``replay_error`` in the details names the function
+    and the draw.
     """
     groups, where = _grouped(draws, key)
     measures, values = {}, {}
     for g, columns in groups.items():
         found, values[g] = statement(g, *columns)
-        for name, rows in found.items():
-            measures.setdefault(name, []).append(np.ravel(rows))
-    diffs = [
-        np.abs(np.subtract(got, want[i]))
-        for draw, (g, i) in zip(draws[:_SINGLE_VECTOR_DRAWS], where)
-        for got, want in zip(replay(draw), values[g], strict=True)
-    ]
-    return {name: np.concatenate(parts) for name, parts in measures.items()}, _worst(0.0, *diffs)
+        for measure, rows in found.items():
+            measures.setdefault(measure, []).append(np.ravel(rows))
+    diffs, error = [], None
+    for i, (draw, (g, row)) in enumerate(zip(draws[:_SINGLE_VECTOR_DRAWS], where)):
+        try:
+            replayed = replay(draw)
+        except ValueError as exc:
+            error = "%s raised on draw %d: %s" % (_raiser(exc, replay), i, exc)
+            break
+        pairs = zip(replayed, values[g], strict=True)
+        diffs += [np.abs(np.subtract(got, want[row])) for got, want in pairs]
+    gap = float("nan") if error else _worst(0.0, *diffs)
+    passed, details = rule({m: np.concatenate(parts) for m, parts in measures.items()}, gap)
+    if error:
+        details["replay_error"] = error
+    return CheckResult(name, passed and not error, details)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +322,13 @@ def check_ramp(seed: int, trials: int) -> CheckResult:
         rho, x, y = draw
         return [ramp_loss(v, rho) for v in (x, y, 0.0, rho)]
 
-    m, gap = _pointwise(_draws(seed, trials, _ramp_draw), statement, replay, key=lambda d: None)
-    worst_lip = _worst(m["lipschitz"], 0.0)
-    return CheckResult(
-        "ramp_properties",
-        bool(m["ok"].all()) and _worst(worst_lip, gap) <= 1e-12,
-        {"worst_lipschitz_excess": worst_lip, "single_vector_gap": gap},
-    )
+    def rule(m, gap):
+        worst_lip = _worst(m["lipschitz"], 0.0)
+        passed = bool(m["ok"].all()) and _worst(worst_lip, gap) <= 1e-12
+        return passed, {"worst_lipschitz_excess": worst_lip, "single_vector_gap": gap}
+
+    draws = _draws(seed, trials, _ramp_draw)
+    return _pointwise("ramp_properties", draws, statement, replay, rule, key=lambda d: None)
 
 
 def check_margin_decision(seed: int, trials: int) -> CheckResult:
@@ -312,13 +347,13 @@ def check_margin_decision(seed: int, trials: int) -> CheckResult:
         s = _center(f)
         return absolute_margin(s, y), argmax_label(s)
 
-    m, gap = _pointwise(_draws(seed, trials, _decision_draw), statement, replay)
-    violations = int(np.count_nonzero(m["violated"]))
-    return CheckResult(
-        "margin_decision_property",
-        violations == 0 and gap <= 1e-12,
-        {"violations": violations, "single_vector_gap": gap},
-    )
+    def rule(m, gap):
+        violations = int(np.count_nonzero(m["violated"]))
+        details = {"violations": violations, "single_vector_gap": gap}
+        return violations == 0 and gap <= 1e-12, details
+
+    draws = _draws(seed, trials, _decision_draw)
+    return _pointwise("margin_decision_property", draws, statement, replay, rule)
 
 
 def check_prop3_identity(
@@ -339,7 +374,7 @@ def check_prop3_identity(
         k, rho = group
         s1, s2 = _center(f1), _center(f2)
         lhs = k * _matrix_disagreement(_center(s1), _center(s2), rho)
-        rhs = np.sum(phi_distance(s1, s2, rho * mutant_rho_scale, k), axis=-1)
+        rhs = np.sum(_phi_distance(s1, s2, rho * mutant_rho_scale, k), axis=-1)
         return {"gap": np.abs(lhs - rhs)}, (lhs, rhs)
 
     def replay(draw):
@@ -348,19 +383,17 @@ def check_prop3_identity(
         phi = phi_distance(s1, s2, rho * mutant_rho_scale, k)
         return k * mcsd_pointwise(s1, s2, rho), np.sum(phi)
 
-    draws = _prop3_draws(seed, trials, ks, rhos)
-    m, gap = _pointwise(draws, statement, replay, key=lambda d: d[:2])
-    worst = _worst(m["gap"], 0.0)
-    return CheckResult(
-        "per_component_identity",
-        worst <= tol and gap <= 1e-12,
-        {
+    def rule(m, gap):
+        worst = _worst(m["gap"], 0.0)
+        return worst <= tol and gap <= 1e-12, {
             "worst_abs_gap": worst,
             "tol": tol,
             "mutant_rho_scale": mutant_rho_scale,
             "single_vector_gap": gap,
-        },
-    )
+        }
+
+    draws = _prop3_draws(seed, trials, ks, rhos)
+    return _pointwise("per_component_identity", draws, statement, replay, rule, key=lambda d: d[:2])
 
 
 def _lemma_batch(rho, f, fp, y):
@@ -394,13 +427,13 @@ def check_pointwise_lemmas(seed: int, trials: int) -> CheckResult:
         err = 1.0 if argmax_label(s) != y else 0.0
         return m, m, source_margin_loss(s, y, rho), source_margin_loss(sp, y, rho), err
 
-    m, gap = _pointwise(_draws(seed, trials, _lemma_draw), statement, replay)
-    worst_a, worst_b = _worst(m["a"]), _worst(m["b"])
-    return CheckResult(
-        "pointwise_lemmas",
-        _worst(worst_a, worst_b, m["kernel"], gap) <= 1e-12,
-        {"worst_excess_a": worst_a, "worst_excess_b": worst_b, "single_vector_gap": gap},
-    )
+    def rule(m, gap):
+        worst_a, worst_b = _worst(m["a"]), _worst(m["b"])
+        details = {"worst_excess_a": worst_a, "worst_excess_b": worst_b, "single_vector_gap": gap}
+        return _worst(worst_a, worst_b, m["kernel"], gap) <= 1e-12, details
+
+    draws = _draws(seed, trials, _lemma_draw)
+    return _pointwise("pointwise_lemmas", draws, statement, replay, rule)
 
 
 def check_variant_lemmas(seed: int, trials: int) -> CheckResult:
@@ -427,14 +460,14 @@ def check_variant_lemmas(seed: int, trials: int) -> CheckResult:
             source_margin_loss(sp, y, rho),
         )
 
-    m, gap = _pointwise(_draws(seed, trials, _lemma_draw), statement, replay)
-    worst = _worst(m["excess"])
-    structure_ok = bool(m["structure"].all())
-    return CheckResult(
-        "decision_level_lemmas",
-        structure_ok and _worst(worst, gap) <= 1e-12,
-        {"worst_excess": worst, "structure_ok": structure_ok, "single_vector_gap": gap},
-    )
+    def rule(m, gap):
+        worst = _worst(m["excess"])
+        structure_ok = bool(m["structure"].all())
+        details = {"worst_excess": worst, "structure_ok": structure_ok, "single_vector_gap": gap}
+        return structure_ok and _worst(worst, gap) <= 1e-12, details
+
+    draws = _draws(seed, trials, _lemma_draw)
+    return _pointwise("decision_level_lemmas", draws, statement, replay, rule)
 
 
 def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
@@ -460,13 +493,13 @@ def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
         pairs = ((s1, s2), (s2, s1), (s1, s3), (s2, s3), (s1, s1))
         return [mcsd_pointwise(a, b, rho) for a, b in pairs] * 2
 
-    m, gap = _pointwise(_draws(seed, trials, _metric_draw), statement, replay)
-    worst_tri = _worst(m["triangle"])
-    return CheckResult(
-        "pointwise_metric_properties",
-        bool(m["ok"].all()) and _worst(worst_tri, m["kernel"], gap) <= 1e-12,
-        {"worst_triangle_excess": worst_tri, "single_vector_gap": gap},
-    )
+    def rule(m, gap):
+        worst_tri = _worst(m["triangle"])
+        passed = bool(m["ok"].all()) and _worst(worst_tri, m["kernel"], gap) <= 1e-12
+        return passed, {"worst_triangle_excess": worst_tri, "single_vector_gap": gap}
+
+    draws = _draws(seed, trials, _metric_draw)
+    return _pointwise("pointwise_metric_properties", draws, statement, replay, rule)
 
 
 def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
@@ -474,7 +507,7 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
     witnesses that the symmetrized KL and CE are not metrics."""
 
     def statement(k, _, *logits):
-        p1, p2, p3 = softmax(np.stack(logits))
+        p1, p2, p3 = _softmax(np.stack(logits))
         kl, ce = _kl(p1, p2)[0], _ce(p1, p2)[0]
         l12, l21, l13, l23 = _l1(np.stack([p1, p2, p1, p2]), np.stack([p2, p1, p3, p3]))[0]
         ent1, ent2 = (-(p * _guarded_log(p)[0]).sum(axis=-1) for p in (p1, p2))
@@ -488,27 +521,27 @@ def check_surrogate_identities(seed: int, trials: int) -> CheckResult:
         pairs = ((p1, p2), (p2, p1), (p1, p3), (p2, p3))
         return [p1, p2, p3, sur_kl(p1, p2), sur_ce(p1, p2)] + [sur_l1(a, b) for a, b in pairs]
 
-    m, gap = _pointwise(_draws(seed, trials, _surrogate_draw), statement, replay)
-    worst_identity = _worst(m["identity"], 0.0)
-    # quadratic-at-zero divergences overshoot the direct route through a
-    # nearby midpoint; a peaked midpoint does the same for the CE form
-    p, q, r = np.array([0.4, 0.6]), np.array([0.5, 0.5]), np.array([0.6, 0.4])
-    kl_violation = sur_kl(p, r) - sur_kl(p, q) - sur_kl(q, r)
-    pc = np.array([0.999, 0.001])
-    qc = np.array([0.998, 0.002])
-    rc = np.array([0.001, 0.999])
-    ce_violation = sur_ce(pc, rc) - sur_ce(pc, qc) - sur_ce(qc, rc)
-    witnessed = kl_violation > 0 and ce_violation > 0
-    return CheckResult(
-        "surrogate_identities",
-        bool(m["ok"].all()) and witnessed and _worst(worst_identity, gap) <= 1e-12,
-        {
+    def rule(m, gap):
+        worst_identity = _worst(m["identity"], 0.0)
+        # quadratic-at-zero divergences overshoot the direct route through a
+        # nearby midpoint; a peaked midpoint does the same for the CE form
+        p, q, r = np.array([0.4, 0.6]), np.array([0.5, 0.5]), np.array([0.6, 0.4])
+        kl_violation = sur_kl(p, r) - sur_kl(p, q) - sur_kl(q, r)
+        pc = np.array([0.999, 0.001])
+        qc = np.array([0.998, 0.002])
+        rc = np.array([0.001, 0.999])
+        ce_violation = sur_ce(pc, rc) - sur_ce(pc, qc) - sur_ce(qc, rc)
+        witnessed = kl_violation > 0 and ce_violation > 0
+        passed = bool(m["ok"].all()) and witnessed and _worst(worst_identity, gap) <= 1e-12
+        return passed, {
             "worst_identity_gap": worst_identity,
             "kl_triangle_violation": float(kl_violation),
             "ce_triangle_violation": float(ce_violation),
             "single_vector_gap": gap,
-        },
-    )
+        }
+
+    draws = _draws(seed, trials, _surrogate_draw)
+    return _pointwise("surrogate_identities", draws, statement, replay, rule)
 
 
 # ---------------------------------------------------------------------------

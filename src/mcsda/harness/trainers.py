@@ -16,7 +16,8 @@ families to its step function.  A step returns one batch's loss values and
 merged parameter gradients; the epoch loop makes the one optimizer update
 and gives the one verdict on non-finite losses.
 
-* ``source_only``        task head on source data, nothing else;
+* ``source_only``        task head on source data, nothing else: one
+  softmax and the picked-entry log loss, the McDalNet step's task term;
 * ``mcdal_*``            minimax surrogate trainers: the task head and two
   auxiliary heads (or one scalar domain head for the binary surrogate),
   coupled through one simultaneous gradient-reversal update per step.  A
@@ -29,18 +30,20 @@ and gives the one verdict on non-finite losses.
   family re-weights classes on partial pairs and draws source batches from
   the super-class-oversampling sampler on open-set pairs.
 
-Every step checks its forward scores before any loss, and the partial-mode
-class-weight forward checks its scores before the weights; a batch with
-non-finite scores returns no gradients and is not stepped, the epoch is
-flagged and the run stops with a note.  A run that stops that way, or
-whose target accuracy stays below 1.5x chance over the second half of
-training (second-half mean or final epoch), is marked not converged;
-callers map that onto the CLI exit code.
+Every step checks its forward scores and its source labels once, before
+any loss, and then calls only private kernels (``_softmax``, the loss cores,
+the SymmNets bound core), never a public function that would check them
+again.  The partial-mode class-weight forward checks its scores before the
+weights, and the epoch proxy checks its full-data outputs before calling
+``symmnets._head_disagreement``.  A batch with non-finite scores returns no
+gradients and is not stepped, the epoch is flagged and the run stops with a
+note.  A run that stops that way, or whose target accuracy stays below 1.5x
+chance over the second half of training (second-half mean or final epoch),
+is marked not converged; callers map that onto the CLI exit code.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -51,10 +54,10 @@ import numpy as np
 
 from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
 from ..margin import _check_labels
-from ..neural import MlpScorer, SgdMomentum, _replacing, lambda_schedule, lr_schedule
+from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _dann_core, _mdd_variant_core, _picked_log_loss, _softmax
-from ..surrogates import log_loss_with_grads, reset_clamp_count
-from ..symmnets import HEAD_T, _head_disagreement, eval_openset, openset_sampler
+from ..surrogates import reset_clamp_count
+from ..symmnets import HEAD_T, _head_disagreement, _head_pair, eval_openset, openset_sampler
 from ..symmnets import partial_weights, symmnets_step
 from ..synthdata import DomainPair
 from .config import METHOD_ROWS, ExperimentConfig, MetricsRecord
@@ -120,11 +123,13 @@ def _mcsd_gap(
     src: dict[str, np.ndarray], tgt: dict[str, np.ndarray], heads: tuple[str, str], rho: float
 ) -> float | None:
     """Target-minus-source mean disagreement of two heads, exact ramp, from
-    full-data head outputs; None when those outputs are not finite."""
+    full-data head outputs at the config's checked ``rho``; None when those
+    outputs are not finite."""
     if not all(np.isfinite(raw[h]).all() for raw in (tgt, src) for h in heads):
         return None
     a, b = heads
-    return _head_disagreement(tgt[a], tgt[b], rho)[0] - _head_disagreement(src[a], src[b], rho)[0]
+    tgt_mean, src_mean = (_head_disagreement(_head_pair(r[a], r[b]), rho) for r in (tgt, src))
+    return tgt_mean - src_mean
 
 
 class _Recorder:
@@ -187,9 +192,7 @@ def _finalize(
     if run_dir is not None:
         model.save(run_dir / "model.ckpt")
         summary = {k: v for k, v in vars(result).items() if k not in ("metrics", "model", "omega")}
-        with _replacing(run_dir / "result.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_json(run_dir / "result.json", summary)
     return result
 
 
@@ -204,11 +207,17 @@ def _finalize(
 
 
 def _source_only_step(model, xs, ys, xt, zeta, omega):
-    """Task head trained on source labels only; the adaptation baseline."""
+    """Task head trained on source labels only; the adaptation baseline.
+
+    Like the McDalNet step, it checks its scores' finiteness and the labels
+    and calls the unchecked softmax and the picked-entry log loss, which
+    ``log_loss_with_grads`` would have checked again."""
     cache = model.forward(xs, heads=("f",))
     if not _finite(cache.raw):
         return {"task": float("nan")}, None
-    value, g = log_loss_with_grads(cache.raw["f"], ys)
+    n, k = cache.raw["f"].shape
+    picks = (_check_labels(ys, n, k) - 1)[:, None]
+    value, g = _picked_log_loss(_softmax(cache.raw["f"]), picks, np.ones(n))
     score_grads = {"f": g}
     return {"task": value}, model.backward(cache, score_grads, score_grads)
 

@@ -24,19 +24,23 @@ Conventions, fixed across the package:
 * score vectors are projected onto the sum-to-zero hyperplane by
   subtracting the mean at construction time.
 
-Each public function validates its arguments once, at entry (``as_scores``,
-``_check_rho``, ``_check_label`` and its batch form ``_check_labels``, the
-finiteness and K-mismatch checks), and then computes with private kernels
-that trust them, so no input is centered or checked twice within one call.
-Each object has one kernel, which ``divergence``, ``neural`` and the
-surface dumps call on batches too:
+The package's rule: each public function validates its arguments once, at
+entry (``as_scores``, ``_check_rho``, ``_check_label`` and its batch form
+``_check_labels``, the finiteness and K-mismatch checks), and then computes
+with private kernels that trust them, so no input is centered or checked
+twice within one call.  Code that holds checked data (a training step, a
+surface, a theory statement) calls the kernels too, never a public function
+that would check the data again.  Each object has one kernel, which
+``divergence``, ``neural``, the trainers, the surface dumps and the theory
+suite call on batches too:
 ``_center``, ``_ramp`` with its clamp ``_ramp_clamp`` (which
 ``divergence._signed_ramps`` shares), ``_absolute_margin``,
 ``_violation_matrix`` with ``_matrix_disagreement`` (the K x K form of the
-pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp|,
-``_decision_margin`` with ``_decision_level`` (its ramp at rho/2, 'tilde',
-or its 0/1 saturation, the indicator of a margin <= 0, 'hat') and
-``_relative_margin``.  The kernels broadcast a per-row ``rho``, which the
+pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp| with
+``_phi_distance`` (the same from the two score components, the kernel
+behind ``phi_distance``), ``_decision_margin`` with ``_decision_level``
+(its ramp at rho/2, 'tilde', or its 0/1 saturation, the indicator of a
+margin <= 0, 'hat') and ``_relative_margin``.  The kernels broadcast a per-row ``rho``, which the
 theory suite uses to test its lemmas on whole batches of draws.
 ``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
 the O(K) kernels in ``divergence``.
@@ -339,15 +343,19 @@ def phi_distance(a, b, rho: float, k: int):
     if k < 2:
         raise ValueError("phi_distance needs K >= 2, got %d" % k)
     rho = _check_rho(rho)
-    xa, xb = _finite_ramp_argument(a), _finite_ramp_argument(b)
-    out = _component_disagreement(
-        _ramp(np.negative(xa), rho) - _ramp(np.negative(xb), rho),
-        _ramp(xa, rho) - _ramp(xb, rho),
-        k,
-    )
+    out = _phi_distance(_finite_ramp_argument(a), _finite_ramp_argument(b), rho, k)
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out
+
+
+def _phi_distance(a: np.ndarray, b: np.ndarray, rho, k: int) -> np.ndarray:
+    """``phi_distance`` of finite float arrays at a checked ``rho`` (broadcastable
+    against them) and K >= 2: the per-component disagreement of the ramps of
+    -a, -b and a, b."""
+    return _component_disagreement(
+        _ramp(np.negative(a), rho) - _ramp(np.negative(b), rho), _ramp(a, rho) - _ramp(b, rho), k
+    )
 
 
 def source_margin_loss(f: ScoresLike, y: int, rho: float) -> float:

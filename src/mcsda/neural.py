@@ -116,6 +116,15 @@ def _replacing(path, mode: str = "wb"):
         raise
 
 
+def _write_json(path, obj) -> None:
+    """``obj`` as JSON indented by two spaces plus a newline, written through
+    ``_replacing``: the one writer of every JSON file the package leaves (run
+    configs, run summaries, theory and bound reports)."""
+    with _replacing(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _add_grads(
     into: dict[str, np.ndarray], more: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:

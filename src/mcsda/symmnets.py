@@ -18,13 +18,17 @@ probabilities) so they compose with the manual backprop:
 * ``symmnets_step``     the gradients of one simultaneous update: heads
   descend task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
-  without updating them).  It checks the source labels once, computes
-  each domain's joint softmax once and passes them to the private cores
-  behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, then makes one
-  backward pass per domain that takes the head gradients from one set of
-  score gradients and the feature-map gradients from the other.  It
-  returns the loss values and the merged parameter gradients; the caller
-  makes the optimizer update.
+  without updating them).  It checks its scores' finiteness, the source
+  labels and ``rho`` once, at the top, and from there calls only private
+  kernels: the unchecked ``surrogates._softmax`` for the two task softmaxes
+  and each domain's joint softmax, which it passes to the private cores
+  behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, and the bound
+  core ``_bound_sides`` (which the public ``disagreement_bound_gap`` wraps
+  in its checks) for the per-step bound.  It then makes one backward pass
+  per domain that takes the head gradients from one set of score gradients
+  and the feature-map gradients from the other.  It returns the loss values
+  and the merged parameter gradients; the caller makes the optimizer
+  update.
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
@@ -46,10 +50,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import SampleSet, _margin_violations, mcsd_rows
-from .margin import _check_labels
+from .divergence import SampleSet, _margin_violations, _mcsd_rows
+from .margin import _check_labels, _check_rho, _finite_ramp_argument
 from .neural import MlpScorer, _add_grads, center_scores
-from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss
+from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
 from .surrogates import log_loss_with_grads, softmax
 
 __all__ = [
@@ -173,19 +177,32 @@ def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
     return {HEAD_S: g[:, :k], HEAD_T: g[:, k:]}
 
 
-def _head_disagreement(raw_a, raw_b, rho: float) -> tuple[float, np.ndarray]:
-    """Mean pointwise disagreement of two heads' scores [n, K], each row
-    centered, and the centered pair [2, n, K]."""
-    c = center_scores(np.asarray([raw_a, raw_b], dtype=float))
-    return float(mcsd_rows(c[0], c[1], rho).mean()), c
+def _head_pair(raw_a, raw_b) -> np.ndarray:
+    """Two heads' scores [n, K] stacked [2, n, K], each row centered."""
+    return center_scores(np.asarray([raw_a, raw_b], dtype=float))
+
+
+def _head_disagreement(c: np.ndarray, rho) -> float:
+    """Mean pointwise disagreement of a centered head pair c [2, n, K] of
+    finite scores at a checked ``rho``: the step bound's left side and each
+    domain's term of the epoch proxy."""
+    return float(_mcsd_rows(c, rho).mean())
+
+
+def _bound_sides(c: np.ndarray, y: np.ndarray, rho) -> tuple[float, float]:
+    """The per-step bound's two sides from a centered head pair c [2, n, K]
+    of finite scores, checked 1-based labels y [n] and a checked ``rho``:
+    the mean head disagreement and the sum of the two mean margin errors."""
+    err_s, err_t = _margin_violations(c, y, rho)
+    return _head_disagreement(c, rho), float(err_s.mean()) + float(err_t.mean())
 
 
 def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, float]:
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
-    lhs, c = _head_disagreement(raw_s, raw_t, rho)
-    err_s, err_t = _margin_violations(c, labels, rho)
-    return lhs, float(err_s.mean()) + float(err_t.mean())
+    rho = _check_rho(rho)
+    c = _finite_ramp_argument(_head_pair(raw_s, raw_t))
+    return _bound_sides(c, _check_labels(labels, *c.shape[-2:]), rho)
 
 
 def symmnets_step(
@@ -226,9 +243,12 @@ def symmnets_step(
         # gradients, so the caller neither steps nor goes on
         return {"task_s": float("nan")}, None
 
+    # the scores are finite; the labels and rho are checked here, once
+    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
     values: dict[str, float] = {}
     if rho is not None:
-        lhs, rhs = disagreement_bound_gap(cache_s.raw[HEAD_S], cache_s.raw[HEAD_T], src_y, rho)
+        c = _head_pair(cache_s.raw[HEAD_S], cache_s.raw[HEAD_T])
+        lhs, rhs = _bound_sides(c, y, _check_rho(rho))
         if lhs > rhs + 1e-9:
             raise ArithmeticError(
                 "disagreement bound violated on a source batch: %.12g > %.12g" % (lhs, rhs)
@@ -238,20 +258,19 @@ def symmnets_step(
 
     # heads: task terms (+ discrimination when adversarial); feature map:
     # confusion terms through frozen head weights
-    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
     picks = (y - 1)[:, None]
-    task_s_val, g_task_s = _picked_log_loss(softmax(cache_s.raw[HEAD_S]), picks, w)
+    task_s_val, g_task_s = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
     values["task_s"] = task_s_val
     head_grads_src = {HEAD_S: g_task_s}
     if train_task_t:
-        task_t_val, g_task_t = _picked_log_loss(softmax(cache_s.raw[HEAD_T]), picks, w)
+        task_t_val, g_task_t = _picked_log_loss(_softmax(cache_s.raw[HEAD_T]), picks, w)
         values["task_t"] = task_t_val
         head_grads_src[HEAD_T] = g_task_t
     # one joint softmax per domain, shared by the discrimination and
     # confusion terms
-    ps = softmax(zs)
+    ps = _softmax(zs)
     if adversarial:
-        pt = softmax(zt)
+        pt = _softmax(zt)
         disc_val, g_disc_s, g_disc_t = _discrim(ps, y, pt, w)
         values["discrim"] = disc_val
         _add_grads(head_grads_src, _by_head(g_disc_s, k))

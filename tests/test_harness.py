@@ -6,20 +6,22 @@ oversampling on open-set pairs) on frozen toy designs; together they
 account for most of this file's runtime.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcsda.harness import trainers
+from mcsda.harness import theory, trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
-from mcsda.divergence import ScorerGrid, mcsd_divergence_adversarial
+from mcsda.divergence import ScorerGrid, empirical_mcsd, linear_scorer, mcsd_divergence_adversarial
 from mcsda.harness.theory import (
     check_adversarial_estimator,
     check_prop3_identity,
@@ -34,7 +36,7 @@ from mcsda.margin import (
     ramp_loss,
     relative_margin,
 )
-from mcsda.neural import MlpScorer, Schedules, lambda_schedule, lr_schedule
+from mcsda.neural import MlpScorer, Schedules, _write_json, lambda_schedule, lr_schedule
 from mcsda.surrogates import clamp_count, reset_clamp_count, softmax, sur_ce, sur_kl, sur_l1
 from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, manifest_path, read_csv
 
@@ -528,6 +530,28 @@ class TestTrainerRuns:
         saved = MlpScorer.load(run_dir / "model.ckpt").params()
         assert all(np.isfinite(v).all() for v in saved.values())
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path, bad: _write_json(path, {"ok": 1, "bad": bad}),
+            lambda path, bad: theory.TheoryReport(
+                0, [theory.CheckResult("c", True, {"bad": bad})]
+            ).write(path),
+        ],
+        ids=["write_json", "theory_report"],
+    )
+    def test_json_dump_that_raises_midway_leaves_no_file(self, write, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            write(path, object())
+        assert list(tmp_path.iterdir()) == []
+        # an earlier file under the final name is left whole
+        _write_json(path, {"ok": 1})
+        with pytest.raises(TypeError):
+            write(path, object())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == '{\n  "ok": 1\n}\n'
+
     def test_every_method_name_dispatches(self):
         pair = _easy_pair()
         for method in METHODS:
@@ -595,6 +619,17 @@ class TestCli:
             ["pac-report", "--data", "{data}", "--delta", "nan", "--out", "{out}"],
             ["theory-check", "--trials", "0", "--out", "{out}"],
             ["surface", "--out", "{out}", "--which", "hat", "--rho", "0"],
+            ["gen-data", "--out", "{out}", "--seed", "-1"],
+            ["theory-check", "--seed", "-1", "--out", "{out}"],
+            ["pac-report", "--data", "{data}", "--seed", "-1", "--out", "{out}"],
+            # values the library rejects: one BAD ARGUMENT line
+            ["gen-data", "--out", "{out}", "--generator", "blobs", "--k", "1"],
+            ["gen-data", "--out", "{out}", "--mode", "partial", "--kept", "1,2"],
+            ["gen-data", "--out", "{out}", "--generator", "blobs", "--shift", "1,2,3"],
+            ["gen-data", "--out", "{out}", "--noise", "-1"],
+            ["gen-data", "--out", "{out}", "--n-src", "1"],
+            ["surface", "--out", "{out}", "--which", "mcsd", "--rho", "1", "--fixed", "1,2"],
+            ["surface", "--out", "{out}", "--which", "mcsd", "--rho", "1", "--span", "nan"],
         ],
         ids=lambda argv: "-".join(a.strip("-{}") for a in argv if a not in ("--out", "{out}")),
     )
@@ -621,6 +656,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert "Traceback" not in captured.out + captured.err
+        # argparse's usage error goes to stderr; every other path prints one line
+        lines = captured.out.splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("BAD ")), lines
         assert not out.exists()
 
     def test_train_exit_codes(self, blobs_csv, tmp_path):
@@ -741,6 +779,21 @@ class TestCli:
         assert "all checks passed" in out
         assert json.loads(report.read_text())["all_passed"] is True
 
+    def test_theory_check_prints_warnings_as_notes(self, capsys, monkeypatch):
+        warning = "ascent still improving after 80 steps"
+        ascent = theory.mcsd_divergence_adversarial
+
+        def warned(*args, **kwargs):
+            return dataclasses.replace(ascent(*args, **kwargs), warning=warning)
+
+        argv = ["theory-check", "--trials", "100", "--universes", "2"]
+        assert main(argv) == 0
+        assert "note:" not in capsys.readouterr().out
+        monkeypatch.setattr(theory, "mcsd_divergence_adversarial", warned)
+        assert main(argv) == 0
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == ["note: adversarial_estimator: " + warning]
+
     def test_surface_cli(self, tmp_path):
         path = tmp_path / "hat.csv"
         rc = main(
@@ -783,6 +836,62 @@ class TestCli:
         assert rc == 0
         pair = read_csv(blobs_csv)
         assert calls == [pair.source.n, pair.target.n]
+
+
+GUARDED = ("softmax", "log_loss_with_grads", "mcsd_rows", "phi_distance", "disagreement_bound_gap")
+
+
+def _raise_on_public_checks(monkeypatch):
+    """Replace each validating public function in GUARDED by a raising stub in
+    every mcsda module that binds it."""
+
+    def stub(name):
+        def raising(*args, **kwargs):
+            raise AssertionError("%s called on data that is already checked" % name)
+
+        return raising
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("mcsda"):
+            for name in GUARDED:
+                if name in vars(mod):
+                    monkeypatch.setattr(mod, name, stub(name))
+
+
+class TestChecksAtThePublicEdge:
+    """Code that holds checked data calls kernels, not the public functions
+    that would check the data again, and computes the same values."""
+
+    @staticmethod
+    def exercise() -> list:
+        pair = _easy_pair()
+        xs, ys, xt = pair.source.points[:24], pair.source.labels[:24], pair.target.points[:24]
+        d = xs.shape[1]
+        out = []
+        for method in METHODS:
+            cfg = ExperimentConfig(method=method, rho=2.0)  # SymmNets steps bind rho
+            model = MlpScorer(d, METHOD_ROWS[method].head_widths(pair.k), seed=0)
+            values, grads = trainers._family_step(cfg)(model, xs, ys, xt, 0.5, np.ones(pair.k))
+            if METHOD_ROWS[method].family.name == "symmnets":
+                assert {"bound_lhs", "bound_rhs"} <= set(values)
+            out += list(values.values()) + list(grads.values())
+        heads = METHOD_ROWS["symmnets_v2"].proxy
+        model = MlpScorer(d, METHOD_ROWS["symmnets_v2"].head_widths(pair.k), seed=1)
+        src, tgt = (model.forward(s.points, heads=heads).raw for s in (pair.source, pair.target))
+        out.append(trainers._mcsd_gap(src, tgt, heads, 2.0))
+        out += [emit_surface_grid(which, 5.0, resolution=9).values for which in SURFACE_MEASURES]
+        rng = np.random.default_rng(2)
+        f1, f2 = (linear_scorer(rng.normal(size=(3, d)), rng.normal(size=3)) for _ in range(2))
+        out.append(empirical_mcsd(pair.source.points, f1, f2, 1.0))
+        return out
+
+    def test_checked_paths_run_on_kernels_with_the_same_values(self, monkeypatch):
+        want = self.exercise()
+        _raise_on_public_checks(monkeypatch)
+        got = self.exercise()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestBenchmarkTracing:

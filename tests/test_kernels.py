@@ -467,9 +467,9 @@ class TestMarginViolations:
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
-            _margin_violations(np.zeros((2, 5, 3)), [1, 2, 3, 4, 1], 1.0)
+            margin_error(np.zeros((2, 5, 3)), [1, 2, 3, 4, 1], 1.0)
         with pytest.raises(ValueError):
-            _margin_violations(np.zeros((5, 3)), [1, 2], 1.0)
+            margin_error(np.zeros((5, 3)), [1, 2], 1.0)
 
     def test_pac_report_keeps_per_candidate_margin_error(self):
         rng = np.random.default_rng(22)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from mcsda import surrogates, symmnets
+from mcsda import symmnets
 from mcsda.divergence import SampleSet, empirical_mcsd, margin_error
 from mcsda.neural import MlpScorer, SgdMomentum, center_scores
-from mcsda.surrogates import clamp_count, reset_clamp_count, softmax
+from mcsda.surrogates import _softmax, clamp_count, reset_clamp_count, softmax
 from mcsda.symmnets import (
     HEAD_S,
     HEAD_T,
@@ -235,10 +235,9 @@ class TestSymmnetsStep:
 
         def counting(scores):
             counted.append(np.shape(scores))
-            return softmax(scores)
+            return _softmax(scores)
 
-        monkeypatch.setattr(surrogates, "softmax", counting)
-        monkeypatch.setattr(symmnets, "softmax", counting)
+        monkeypatch.setattr(symmnets, "_softmax", counting)
         stepped(self.model, self.opt, self.pair.source.points,
                       self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01,
                       adversarial=adversarial, rho=1.0)

@@ -285,8 +285,9 @@ BATCHED_KERNELS = [
     ("check_ramp", "_ramp"),
     ("check_margin_decision", "_center"),
     ("check_margin_decision", "_absolute_margin"),
+    ("check_prop3_identity", "_center"),
     ("check_prop3_identity", "_matrix_disagreement"),
-    ("check_prop3_identity", "phi_distance"),
+    ("check_prop3_identity", "_phi_distance"),
     ("check_pointwise_lemmas", "_center"),
     ("check_pointwise_lemmas", "_margin_violations"),
     ("check_pointwise_lemmas", "_matrix_disagreement"),
@@ -298,7 +299,7 @@ BATCHED_KERNELS = [
     ("check_mcsd_metric", "_center"),
     ("check_mcsd_metric", "_matrix_disagreement"),
     ("check_mcsd_metric", "_mcsd_rows"),
-    ("check_surrogate_identities", "softmax"),
+    ("check_surrogate_identities", "_softmax"),
     ("check_surrogate_identities", "_kl"),
     ("check_surrogate_identities", "_ce"),
     ("check_surrogate_identities", "_l1"),
@@ -317,6 +318,7 @@ SINGLE_VECTOR_FUNCTIONS = [
     ("check_variant_lemmas", "mcsd_hat_pointwise"),
     ("check_variant_lemmas", "source_margin_loss"),
     ("check_mcsd_metric", "mcsd_pointwise"),
+    ("check_surrogate_identities", "softmax"),
     ("check_surrogate_identities", "sur_kl"),
     ("check_surrogate_identities", "sur_ce"),
     ("check_surrogate_identities", "sur_l1"),
@@ -343,6 +345,13 @@ class TestFailsClosedOnNaN:
         assert not res.passed
         assert np.isnan(res.details["single_vector_gap"])
 
+    def test_replay_error_names_the_function_and_the_draw(self, monkeypatch):
+        # the NaN probabilities of the first replayed draw reach sur_kl,
+        # whose check rejects them
+        monkeypatch.setattr(theory, "softmax", nan_on_first_vector(theory.softmax))
+        error = run_check("check_surrogate_identities").details["replay_error"]
+        assert error.startswith("sur_kl raised on draw 0: not a probability vector")
+
     @pytest.mark.parametrize("name", ["lr_schedule", "lambda_schedule"])
     def test_nan_from_a_schedule_fails_the_check(self, monkeypatch, name):
         monkeypatch.setattr(theory, name, nan_schedule_midway(getattr(theory, name)))
@@ -362,6 +371,7 @@ class TestFailsClosedOnNaN:
         "name, mutant",
         [
             ("_margin_violations", nan_in_batches),
+            ("_center", nan_in_batches),
             ("source_margin_loss", nan_on_first_vector),
             ("lr_schedule", nan_schedule_midway),
             ("_exact", nan_hat_divergence),

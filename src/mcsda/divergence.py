@@ -45,9 +45,10 @@ explicit point masses so fully enumerated universes can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
 ramp and its clamp, per-component disagreement, violation matrix, decision
-margin); public functions check ``rho``, their scores and their labels
-once, at entry, and the private cores (``_margin_violations`` among them)
-check nothing.
+margin); public functions check ``rho``, their counts, scores and labels
+once, at entry, with ``margin``'s checkers, and the private cores
+(``_margin_violations`` among them) check nothing and take the 0-based
+classes that ``margin._check_labels`` returns.
 ``violation_tensor`` and the single-vector ``margin`` functions stay as
 reference oracles.
 """
@@ -59,9 +60,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _center, _check_labels, _check_rho, _component_disagreement
-from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _ramp
-from .margin import _integer_labels, _ramp_clamp, _violation_matrix
+from .margin import _absolute_margin, _center, _check_count, _check_labels, _check_real, _check_rho
+from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
+from .margin import _finite_ramp_argument, _integer_labels, _ramp, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -129,25 +130,10 @@ def _as_weights(weights, n: int) -> np.ndarray:
     """Coerce point masses; defaults to the uniform empirical distribution."""
     if weights is None:
         return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != n:
-        raise ValueError("got %d weights for %d points" % (w.size, n))
-    # a NaN mass fails every comparison, so finiteness is checked first
-    if not np.isfinite(w).all() or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    w = _check_weights(weights, n, "weights")
+    if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be a probability vector")
     return w
-
-
-def _check_count(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; a non-integral value is
-    rejected, not truncated."""
-    try:
-        ok = int(value) == value and value >= least
-    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
-        ok = False
-    if not ok:
-        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
-    return int(value)
 
 
 def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -495,9 +481,7 @@ def mcsd_divergence_adversarial(
     """
     k = _check_count(k, "K", 2)
     steps = _check_count(steps, "steps", 0)
-    step_size = float(step_size)
-    if not np.isfinite(step_size) or step_size <= 0.0:
-        raise ValueError("step_size must be a positive finite real, got %r" % step_size)
+    step_size = _check_real(step_size, "step_size", 0.0, open_low=True)
     rho = _check_rho(rho)
     src_pts, tgt_pts = _as_points(src), _as_points(tgt)
     ws = _as_weights(src_weights, src_pts.shape[0])
@@ -643,12 +627,13 @@ def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEst
 def _margin_violations(scores: np.ndarray, y: np.ndarray, rho) -> np.ndarray:
     """Per-point sum of ramped absolute margins: scores [..., n, K] -> [..., n].
 
-    The absolute margin of component k is +f_k at the 1-based label and -f_k
+    The absolute margin of component k is +f_k at the class and -f_k
     elsewhere; ``margin.source_margin_loss`` is the single-point oracle.
     Like every kernel it checks nothing: the callers hold finite float
-    scores, a checked ``rho`` and labels ``y`` [n] from ``_check_labels``.
+    scores, a checked ``rho`` and 0-based classes ``y`` [n] from
+    ``_check_labels``.
     """
-    return _ramp(_absolute_margin(scores, y - 1), rho).sum(axis=-1)
+    return _ramp(_absolute_margin(scores, y), rho).sum(axis=-1)
 
 
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
@@ -665,7 +650,7 @@ def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     if s.ndim != 2:
         raise ValueError("expected scores of shape [n, K], got %r" % (s.shape,))
     y = _check_labels(labels, *s.shape)
-    wrong = (np.argmax(s, axis=1) + 1 != y).astype(np.float64)
+    wrong = (np.argmax(s, axis=1) != y).astype(np.float64)
     return float(wrong @ _as_weights(weights, s.shape[0]))
 
 
@@ -677,7 +662,7 @@ def _candidate_errors(scores: np.ndarray, labels, rho: float, weights: np.ndarra
     ``zero_one_error``: a batched matrix-vector product would not.
     """
     y = _check_labels(labels, *scores.shape[-2:])
-    wrong = (np.argmax(scores, axis=-1) + 1 != y).astype(np.float64)
+    wrong = (np.argmax(scores, axis=-1) != y).astype(np.float64)
     return tuple(
         np.array([p @ weights for p in per_point])
         for per_point in (_margin_violations(scores, y, rho), wrong)
@@ -741,8 +726,7 @@ def pac_bound_report(
     """
     if src.labels is None or tgt.labels is None:
         raise ValueError("bound report needs labels on both samples")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1), got %r" % delta)
+    delta = _check_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     rho = _check_rho(rho)
     k = grid.k
     n_s, n_t = src.n, tgt.n

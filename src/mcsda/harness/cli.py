@@ -6,11 +6,12 @@ brute-force verification suite, ``surface`` dumps a disagreement surface,
 and ``pac-report`` assembles the finite-sample bound on a data file.
 
 Exit codes: 0 on success; 2 on a bad argument (argparse's usage error,
-also for out-of-range numbers and missing mode flags, or ``BAD ARGUMENT``
-when ``gen-data`` or ``surface`` rejects a combination of values, before
-any file is written), a bad training config or config file
-(``BAD CONFIG``), a missing or malformed data file (``BAD DATA``), or a
-failed theory check or bound; 3 when training does not converge.  Notes
+also for out-of-range numbers and missing mode flags; ``BAD ARGUMENT``
+when ``gen-data`` or ``surface`` rejects a combination of values, or when
+an output path cannot be written, with no file left under its name), a
+bad training config or config file (``BAD CONFIG``), a missing or
+malformed data file or sidecar (``BAD DATA``), or a failed theory check or
+bound; 3 when training does not converge.  Notes
 (``note: ...``) follow a result: why a run stopped, or a theory check's
 warning, such as an ascent still improving at its step budget.
 Argument defaults mirror the library defaults; ``train`` can also read a
@@ -28,6 +29,7 @@ import sys
 import numpy as np
 
 from ..divergence import BoundViolation, SampleSet, ScorerGrid, linear_scorer, pac_bound_report
+from ..margin import _check_count, _check_real
 from ..neural import _write_json
 from ..synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial, read_csv, write_csv
 from .config import EVAL_HEADS, METHODS, ExperimentConfig
@@ -47,19 +49,19 @@ def _float_list(text: str) -> list[float]:
 
 
 def _number(kind: type, low, strict: bool = False, below=None):
-    """An argparse type: a finite ``kind`` value of at least ``low`` (above
-    it when ``strict``) and, when given, below ``below``; argparse turns a
-    rejection into exit 2."""
+    """An argparse type: ``margin``'s checker for ``kind`` on the parsed
+    value, at least ``low`` (above it when ``strict``) and, when given, below
+    ``below``; argparse turns a rejection into exit 2."""
 
     def parse(text: str):
         v = kind(text)
-        in_range = (v > low if strict else v >= low) and (below is None or v < below)
-        if not (math.isfinite(v) and in_range):
-            bound = ("above %s" if strict else "at least %s") % low
-            if below is not None:
-                bound += " and below %s" % below
-            raise argparse.ArgumentTypeError("must be finite and %s, got %s" % (bound, text))
-        return v
+        try:
+            if kind is int:
+                return _check_count(v, "value", low)
+            high = math.inf if below is None else below
+            return _check_real(v, "value", low, high, open_low=strict, open_high=below is not None)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = kind.__name__
     return parse
@@ -341,7 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # the commands catch their reads, so this is an output that cannot be
+        # written: ``--out``, or for ``train`` a path in its run directory
+        path = getattr(args, "out", None) or exc.filename
+        print("BAD ARGUMENT: cannot write %s: %s" % (path, exc.strerror or exc))
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
+from ..margin import _check_count, _check_real
 from ..neural import Schedules, _write_json
 from ..symmnets import HEAD_S, HEAD_T
 
@@ -116,16 +115,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError("method must be one of %r, got %r" % (METHODS, self.method))
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite, got %r" % self.rho)
-        sizes = (self.epochs, self.batch_size, self.full_batch_limit, self.feature_dim)
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in sizes + tuple(self.hidden)):
-            raise ValueError(
-                "epochs, batch_size, full_batch_limit, feature_dim and hidden widths"
-                " must be positive integers"
-            )
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
+        _check_real(self.rho, "rho", 0.0, open_low=True)
+        for name in ("epochs", "batch_size", "full_batch_limit", "feature_dim"):
+            setattr(self, name, _check_count(getattr(self, name), name, 1))
+        self.seed = _check_count(self.seed, "seed", 0)
+        self.hidden = tuple(_check_count(h, "hidden widths", 1) for h in self.hidden)
         heads = METHOD_ROWS[self.method].eval_heads
         if self.eval_head not in ("auto",) + heads:
             raise ValueError(
@@ -133,14 +127,10 @@ class ExperimentConfig:
                 % (self.method, heads, self.eval_head)
             )
         for name, v in (("zeta", self.zeta), ("xi", self.xi)):
-            if v is not None and not 0.0 <= float(v) <= 1.0:
-                raise ValueError("%s must lie in [0, 1] when fixed, got %r" % (name, v))
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError("nu must be positive and finite, got %r" % self.nu)
-        if not math.isfinite(self.aux_task_weight):
-            raise ValueError("aux_task_weight must be finite, got %r" % self.aux_task_weight)
-        if isinstance(self.hidden, list):
-            self.hidden = tuple(self.hidden)
+            if v is not None:
+                _check_real(v, name, 0.0, 1.0)
+        _check_real(self.nu, "nu", 0.0, open_low=True)
+        _check_real(self.aux_task_weight, "aux_task_weight")
         if isinstance(self.schedules, dict):
             self.schedules = Schedules(**self.schedules)
 

@@ -8,7 +8,8 @@ the matrix form, its two decision-level variants, the three probability
 surrogates, and the single-component decision-margin ramp.
 
 Evaluation is batched over the whole grid.  ``emit_surface_grid`` checks
-its arguments and the centered scores once, at entry, and then calls only
+its arguments (``resolution`` and ``rho`` with ``margin``'s checkers) and
+the centered scores once, at entry, and then calls only
 kernels: those of ``mcsda.margin`` (centering, decision margin, relative
 margin, ramp), ``mcsda.divergence._mcsd_rows`` (the kernel behind
 ``mcsd_rows``), the unchecked ``surrogates._softmax`` and the surrogate
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..divergence import _mcsd_rows
-from ..margin import _center, _check_rho, _decision_level, _decision_margin, _ramp
-from ..margin import _relative_margin
+from ..margin import _center, _check_count, _check_rho, _decision_level, _decision_margin
+from ..margin import _ramp, _relative_margin
+from ..neural import _replacing
 from ..surrogates import _ce, _kl, _l1, _softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
@@ -48,7 +50,7 @@ class SurfaceGrid:
     values: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with _replacing(path, "w") as fh:
             fh.write("a,b,value\n")
             for i, a in enumerate(self.a_grid):
                 for j, b in enumerate(self.b_grid):
@@ -73,8 +75,7 @@ def emit_surface_grid(
         raise ValueError(f"unknown surface measure {which!r}")
     if direction not in ("fix_first", "fix_second"):
         raise ValueError("direction must be 'fix_first' or 'fix_second'")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = _check_count(resolution, "resolution", 2)
     rho = _check_rho(rho)
     fx = np.asarray(fixed, dtype=float)
     if fx.shape != (3,):

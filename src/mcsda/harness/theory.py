@@ -72,7 +72,6 @@ from ..divergence import (
     ScorerGrid,
     _as_weights,
     _candidate_errors,
-    _check_count,
     _exact,
     _margin_violations,
     _mcsd_rows,
@@ -85,6 +84,7 @@ from ..divergence import (
 from ..margin import (
     _absolute_margin,
     _center,
+    _check_count,
     _decision_level,
     _decision_margin,
     _matrix_disagreement,
@@ -398,9 +398,10 @@ def check_prop3_identity(
 
 def _lemma_batch(rho, f, fp, y):
     """Per group of lemma draws: the scores the kernels see, the margin
-    losses of both scorers and the 0-1 error of f."""
+    losses of both scorers (at the 0-based classes of the drawn labels)
+    and the 0-1 error of f."""
     c, cp = _center(_center(f)), _center(_center(fp))
-    lf, lfp = _margin_violations(np.stack([c, cp]), y, rho[:, None])
+    lf, lfp = _margin_violations(np.stack([c, cp]), y - 1, rho[:, None])
     err = (c.argmax(axis=-1) + 1 != y).astype(np.float64)
     return (c, cp), (lf, lfp), err
 

@@ -39,7 +39,9 @@ weights, and the epoch proxy checks its full-data outputs before calling
 gradients and is not stepped, the epoch is flagged and the run stops with a
 note.  A run that stops that way, or whose target accuracy stays below 1.5x
 chance over the second half of training (second-half mean or final epoch),
-is marked not converged; callers map that onto the CLI exit code.
+is marked not converged; callers map that onto the CLI exit code.  The
+label check returns the loss cores' 0-based picks; accuracies compare
+1-based labels.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def _source_only_step(model, xs, ys, xt, zeta, omega):
     if not _finite(cache.raw):
         return {"task": float("nan")}, None
     n, k = cache.raw["f"].shape
-    picks = (_check_labels(ys, n, k) - 1)[:, None]
+    picks = _check_labels(ys, n, k)[:, None]
     value, g = _picked_log_loss(_softmax(cache.raw["f"]), picks, np.ones(n))
     score_grads = {"f": g}
     return {"task": value}, model.backward(cache, score_grads, score_grads)
@@ -243,7 +245,7 @@ def _mcdal_step(model, xs, ys, xt, zeta, omega, *, surrogate, aux_task_weight, z
     wide = tuple(h for h in raw if raw[h].shape[1] == k)  # built K wide: f, then f1, f2
     probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
     trained = wide if aux_task_weight > 0 else ("f",)
-    picks = (_check_labels(ys, ns, k) - 1)[:, None]
+    picks = _check_labels(ys, ns, k)[:, None]
     values, g = _picked_log_loss(probs[: len(trained), :ns], picks, np.ones(ns))
     task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
     task[:, :ns] = g

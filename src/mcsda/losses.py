@@ -15,9 +15,11 @@ finite-difference tests of their own.
 
 ``apply`` returns the scalar value and a dict mapping input positions to
 gradients; positions absent from the dict (labels, weights, reference
-scores that only pick argmax classes) are not differentiated.  Samplers
-stay clear of the measure-zero kink sets (probability ties for the L1
-surrogate) where one-sided subgradients are returned by convention.
+scores that only pick argmax classes) are not differentiated.  Labels are
+the 0-based classes the steps hold past ``margin._check_labels``; the
+samplers draw them with ``rng.integers(0, k)``.  Samplers stay clear of the
+measure-zero kink sets (probability ties for the L1 surrogate) where
+one-sided subgradients are returned by convention.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _shape(rng: np.random.Generator) -> tuple[int, int]:
 
 
 def _labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    return rng.integers(1, k + 1, size=n)
+    return rng.integers(0, k, size=n)
 
 
 def _omega(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -110,13 +112,13 @@ def _dann_apply(d, w):
 
 
 def _labeled_sample(rng: np.random.Generator, width: int = 1) -> tuple:
-    """Scores [n, width * K], 1-based labels in {1..K} and class weights."""
+    """Scores [n, width * K], 0-based classes in {0..K-1} and class weights."""
     n, k = _shape(rng)
     return _scores(rng, n, width * k), _labels(rng, n, k), _omega(rng, k)
 
 
 def _task_apply(scores, labels, omega):
-    value, g = _picked_log_loss(_softmax(scores), (labels - 1)[:, None], omega[labels - 1])
+    value, g = _picked_log_loss(_softmax(scores), labels[:, None], omega[labels])
     return value, {0: g}
 
 
@@ -126,7 +128,7 @@ def _heads_sample(rng: np.random.Generator) -> tuple:
 
 
 def _heads_apply(scores, labels):
-    values, g = _picked_log_loss(_softmax(scores), (labels - 1)[:, None], np.ones(labels.size))
+    values, g = _picked_log_loss(_softmax(scores), labels[:, None], np.ones(labels.size))
     return float(values.sum()), {0: g}
 
 
@@ -141,7 +143,7 @@ def _confuse_tgt_apply(z):
 
 
 def _confuse_src_apply(z, labels, omega):
-    value, g = _confuse_src(_softmax(z), labels, omega[labels - 1])
+    value, g = _confuse_src(_softmax(z), labels, omega[labels])
     return value, {0: g}
 
 
@@ -152,7 +154,7 @@ def _discrim_sample(rng: np.random.Generator) -> tuple:
 
 
 def _discrim_apply(z_src, labels, z_tgt, omega):
-    value, g_src, g_tgt = _discrim(_softmax(z_src), labels, _softmax(z_tgt), omega[labels - 1])
+    value, g_src, g_tgt = _discrim(_softmax(z_src), labels, _softmax(z_tgt), omega[labels])
     return value, {0: g_src, 2: g_tgt}
 
 

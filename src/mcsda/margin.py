@@ -19,35 +19,43 @@ training.
 
 Conventions, fixed across the package:
 
-* labels are 1-based at API boundaries and 0-based internally;
+* labels are 1-based where data enter or leave (samples, data files,
+  ``argmax_label``, reports) and 0-based past ``_check_labels`` (and its
+  one-label form ``_check_label``), which returns the classes that the
+  kernels and training steps take;
 * argmax ties resolve to the lowest index;
 * score vectors are projected onto the sum-to-zero hyperplane by
   subtracting the mean at construction time.
 
-The package's rule: each public function validates its arguments once, at
-entry (``as_scores``, ``_check_rho``, ``_check_label`` and its batch form
-``_check_labels``, the finiteness and K-mismatch checks), and then computes
-with private kernels that trust them, so no input is centered or checked
-twice within one call.  Code that holds checked data (a training step, a
-surface, a theory statement) calls the kernels too, never a public function
-that would check the data again.  Each object has one kernel, which
-``divergence``, ``neural``, the trainers, the surface dumps and the theory
-suite call on batches too:
-``_center``, ``_ramp`` with its clamp ``_ramp_clamp`` (which
+This module holds the package's one checker per kind of input, each naming
+the parameter it rejects in a ``ValueError``: ``_check_count`` (an integer
+of at least some value; an integral float is taken, a fractional one
+rejected), ``_check_real`` (a finite real in an interval, each end open or
+closed; ``_check_rho`` is its margin-width case), ``_check_weights`` and
+``_check_labels``.  The package's rule: each public function validates its
+arguments once, at entry (these checkers, ``as_scores``, the finiteness and
+K-mismatch checks), and then computes with private kernels that trust them,
+so no input is centered or checked twice within one call.  Code that holds
+checked data (a training step, a surface, a theory statement) calls the
+kernels too, never a public function that would check the data again.  Each
+object has one kernel, which ``divergence``, ``neural``, the trainers, the
+surface dumps and the theory suite call on batches too: ``_center``,
+``_ramp`` with its clamp ``_ramp_clamp`` (which
 ``divergence._signed_ramps`` shares), ``_absolute_margin``,
 ``_violation_matrix`` with ``_matrix_disagreement`` (the K x K form of the
 pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp| with
 ``_phi_distance`` (the same from the two score components, the kernel
 behind ``phi_distance``), ``_decision_margin`` with ``_decision_level``
 (its ramp at rho/2, 'tilde', or its 0/1 saturation, the indicator of a
-margin <= 0, 'hat') and ``_relative_margin``.  The kernels broadcast a per-row ``rho``, which the
-theory suite uses to test its lemmas on whole batches of draws.
-``mcsd_pointwise`` and ``source_margin_loss`` stay independent oracles of
-the O(K) kernels in ``divergence``.
+margin <= 0, 'hat') and ``_relative_margin``.  The kernels broadcast a
+per-row ``rho``, which the theory suite uses to test its lemmas on whole
+batches of draws.  ``mcsd_pointwise`` and ``source_margin_loss`` stay
+independent oracles of the O(K) kernels in ``divergence``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -121,19 +129,48 @@ def as_scores(f: ScoresLike) -> np.ndarray:
     return _centered(f)
 
 
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; a non-integral value is
+    rejected, not truncated."""
+    try:
+        ok = int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
+        ok = False
+    if not ok:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return int(value)
+
+
+def _check_real(value, name: str, low=-math.inf, high=math.inf, *, open_low=False, open_high=False):
+    """``value`` as a finite float between ``low`` and ``high``, each end
+    included unless its ``open_*`` flag is set; non-numbers (strings among
+    them), NaN and infinities are rejected."""
+    try:
+        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    in_range = (x > low if open_low else x >= low) and (x < high if open_high else x <= high)
+    if not (math.isfinite(x) and in_range):
+        left = "(" if open_low or low == -math.inf else "["
+        right = ")" if open_high or high == math.inf else "]"
+        raise ValueError(
+            "%s must be a finite real in %s%g, %g%s, got %r" % (name, left, low, high, right, value)
+        )
+    return x
+
+
 def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise ValueError("margin width rho must be a positive finite real, got %r" % rho)
-    return rho
+    """The margin width: a positive finite real."""
+    return _check_real(rho, "rho", 0.0, open_low=True)
 
 
-def _check_label(y: int, k: int) -> int:
-    """Validate a 1-based label against K classes; return the 0-based index."""
-    iy = int(y)
-    if iy != y or not 1 <= iy <= k:
-        raise ValueError("label %r outside {1..%d}" % (y, k))
-    return iy - 1
+def _check_weights(w, n: int, name: str) -> np.ndarray:
+    """``w`` as n non-negative finite float weights [n]."""
+    a = np.asarray(w, dtype=np.float64).reshape(-1)
+    # a NaN weight fails every comparison, so finiteness is checked first
+    if a.size != n or not (np.isfinite(a).all() and (a >= 0.0).all()):
+        raise ValueError("%s must be %d non-negative finite weights" % (name, n))
+    return a
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -148,13 +185,19 @@ def _integer_labels(labels) -> np.ndarray:
 
 
 def _check_labels(labels, n: int, k: int) -> np.ndarray:
-    """1-based labels of n score rows as int64 [n], each in {1..k}."""
+    """1-based labels of n score rows, each in {1..k}, as 0-based classes:
+    int64 [n] in {0..k-1}."""
     y = _integer_labels(labels)
     if y.size != n:
         raise ValueError("got %d labels for %d score rows" % (y.size, n))
     if np.any(y < 1) or np.any(y > k):
         raise ValueError("labels outside {1..%d}" % k)
-    return y
+    return y - 1
+
+
+def _check_label(y: int, k: int) -> int:
+    """One 1-based label in {1..k} as its 0-based class."""
+    return int(_check_labels(y, 1, k)[0])
 
 
 def _finite_ramp_argument(x) -> np.ndarray:
@@ -339,9 +382,7 @@ def phi_distance(a, b, rho: float, k: int):
     the entrywise L1 distance of their violation matrices exactly.
     Vectorized over ``a`` and ``b``.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError("phi_distance needs K >= 2, got %d" % k)
+    k = _check_count(k, "K", 2)
     rho = _check_rho(rho)
     out = _phi_distance(_finite_ramp_argument(a), _finite_ramp_argument(b), rho, k)
     if np.isscalar(a) and np.isscalar(b):

@@ -32,7 +32,6 @@ and the adversarial weight.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .margin import _center
+from .margin import _center, _check_count, _check_real
 
 __all__ = [
     "Schedules",
@@ -68,30 +67,20 @@ class Schedules:
     momentum: float = 0.9
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.eta0, self.alpha, self.beta, self.gamma)):
-            raise ValueError("schedule constants must be finite: %r" % (self,))
-        if self.eta0 <= 0 or self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
-            raise ValueError("schedule constants out of range: %r" % (self,))
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1), got %r" % self.momentum)
-
-
-def _check_progress(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("training progress must lie in [0, 1], got %r" % p)
-    return p
+        for name, open_low in (("eta0", True), ("alpha", False), ("beta", False), ("gamma", True)):
+            _check_real(getattr(self, name), name, 0.0, open_low=open_low)
+        _check_real(self.momentum, "momentum", 0.0, 1.0, open_high=True)
 
 
 def lr_schedule(p: float, s: Schedules) -> float:
     """Annealed learning rate eta0 / (1 + alpha p)^beta at progress p in [0,1]."""
-    p = _check_progress(p)
+    p = _check_real(p, "p", 0.0, 1.0)
     return s.eta0 / (1.0 + s.alpha * p) ** s.beta
 
 
 def lambda_schedule(p: float, s: Schedules) -> float:
     """Adversarial weight 2 / (1 + exp(-gamma p)) - 1, ramping 0 -> 1."""
-    p = _check_progress(p)
+    p = _check_real(p, "p", 0.0, 1.0)
     return 2.0 / (1.0 + np.exp(-s.gamma * p)) - 1.0
 
 
@@ -101,14 +90,15 @@ center_scores = _center
 
 
 @contextmanager
-def _replacing(path, mode: str = "wb"):
+def _replacing(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file next to ``path`` and move it onto ``path`` once
     the block completes; if the block raises, remove it instead, so a crash
-    mid-write never leaves a truncated file under the final name."""
+    mid-write never leaves a truncated file under the final name.  Every
+    file the package writes whole goes through it."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -180,19 +170,18 @@ class MlpScorer:
         feature_dim: int = 16,
         seed: int = 0,
     ) -> None:
-        if in_dim < 1 or feature_dim < 1 or any(h < 1 for h in hidden):
-            raise ValueError("layer widths must be positive")
-        self.in_dim = int(in_dim)
-        self.hidden = tuple(int(h) for h in hidden)
-        self.feature_dim = int(feature_dim)
-        self.seed = int(seed)
+        self.in_dim = _check_count(in_dim, "in_dim", 1)
+        self.hidden = tuple(_check_count(h, "hidden widths", 1) for h in hidden)
+        self.feature_dim = _check_count(feature_dim, "feature_dim", 1)
+        self.seed = _check_count(seed, "seed", 0)
+        heads = {name: _check_count(d, "head widths", 1) for name, d in heads.items()}
         rng = np.random.default_rng(self.seed)
         self._psi: list[tuple[np.ndarray, np.ndarray]] = []
         dims = (self.in_dim,) + self.hidden + (self.feature_dim,)
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             self._psi.append(_uniform_init(rng, d_out, d_in))
         # each psi layer and head is a (w [out, in], b [out]) pair
-        self._heads = {n: _uniform_init(rng, int(d), self.feature_dim) for n, d in heads.items()}
+        self._heads = {n: _uniform_init(rng, d, self.feature_dim) for n, d in heads.items()}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -306,22 +295,27 @@ class MlpScorer:
 
     @classmethod
     def load(cls, path) -> "MlpScorer":
+        """The model ``save`` wrote to ``path``; a header or payload unlike
+        the ones ``save`` writes raises ValueError."""
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
             blob = fh.read()
-        if header.get("format") != "mcsda-mlp-v1":
-            raise ValueError("unrecognized checkpoint header: %r" % header.get("format"))
-        model = cls(
-            in_dim=header["in_dim"],
-            heads={h["name"]: h["out_dim"] for h in header["heads"]},
-            hidden=tuple(header["hidden"]),
-            feature_dim=header["feature_dim"],
-            seed=header["seed"],
-        )
-        params = model.params()
+        try:
+            if header["format"] != "mcsda-mlp-v1":
+                raise ValueError("unrecognized checkpoint format: %r" % (header["format"],))
+            model = cls(
+                in_dim=header["in_dim"],
+                heads={h["name"]: h["out_dim"] for h in header["heads"]},
+                hidden=tuple(header["hidden"]),
+                feature_dim=header["feature_dim"],
+                seed=header["seed"],
+            )
+            params = model.params()
+            layout = [params[name] for name in header["param_order"]]
+        except (KeyError, TypeError) as exc:  # not an object, a missing key, a null, ...
+            raise ValueError("malformed checkpoint header: %r" % (exc,)) from exc
         offset = 0
-        for name in header["param_order"]:
-            p = params[name]
+        for p in layout:
             chunk = np.frombuffer(blob, dtype="<f8", count=p.size, offset=offset)
             p[...] = chunk.reshape(p.shape)
             offset += p.size * 8
@@ -343,16 +337,13 @@ class SgdMomentum:
         momentum: float = 0.9,
         lr_multipliers: Mapping[str, float] | None = None,
     ) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1), got %r" % momentum)
+        self.momentum = _check_real(momentum, "momentum", 0.0, 1.0, open_high=True)
         self._params = dict(params)
-        self.momentum = float(momentum)
         self._mult = dict(lr_multipliers or {})
         self._vel = {name: np.zeros_like(p) for name, p in self._params.items()}
 
     def step(self, grads: Mapping[str, np.ndarray], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive, got %r" % lr)
+        lr = _check_real(lr, "lr", 0.0, open_low=True)
         for name, g in grads.items():
             if name not in self._params:
                 raise KeyError("gradient for unknown parameter %r" % name)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .margin import _check_label, _check_labels
+from .margin import _check_label, _check_labels, _check_weights
 
 __all__ = [
     "softmax",
@@ -262,15 +262,8 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     s = _as_batch(scores)
     n, k = s.shape
     y = _check_labels(labels, n, k)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.size != n:
-            raise ValueError("got %d weights for %d score rows" % (w.size, n))
-        if not (np.isfinite(w).all() and (w >= 0.0).all()):
-            raise ValueError("weights must be non-negative and finite")
-    return _picked_log_loss(softmax(s), (y - 1)[:, None], w)
+    w = np.ones(n) if weights is None else _check_weights(weights, n, "weights")
+    return _picked_log_loss(softmax(s), y[:, None], w)
 
 
 def _picked_log_loss(p: np.ndarray, c: np.ndarray, w: np.ndarray):

@@ -36,6 +36,11 @@ row, the source half of ``discrim``) are all the picked-entry log loss,
 task losses; the target block term of ``discrim`` takes the guarded log of
 the second-half mass.
 
+The public functions take 1-based labels and check them, their constants
+and class weights with ``margin``'s checkers; the private cores
+(``_confuse_src``, ``_discrim``, ``_bound_sides``) and the step's picks
+take the 0-based classes that ``margin._check_labels`` returns.
+
 Class weights (all ones outside partial mode) re-weight source examples by
 their label; ``partial_weights`` re-estimates them from target predictions
 once per epoch.  Open-set pairs arrive with K_shared + 1 classes, so the
@@ -51,10 +56,11 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, _mcsd_rows
-from .margin import _check_labels, _check_rho, _finite_ramp_argument
+from .margin import _check_count, _check_labels, _check_real, _check_rho, _check_weights
+from .margin import _finite_ramp_argument
 from .neural import MlpScorer, _add_grads, center_scores
-from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
-from .surrogates import log_loss_with_grads, softmax
+from .surrogates import _as_batch, _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
+from .surrogates import softmax
 
 __all__ = [
     "loss_task_src",
@@ -76,20 +82,11 @@ HEAD_S = "fs"
 HEAD_T = "ft"
 
 
-def _check_omega(omega, k: int) -> np.ndarray:
-    if omega is None:
-        return np.ones(k)
-    w = np.asarray(omega, dtype=np.float64).reshape(-1)
-    if w.size != k or np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("omega must be K non-negative finite weights")
-    return w
-
-
 def _checked_labels(labels, n: int, k: int, omega) -> tuple[np.ndarray, np.ndarray]:
-    """1-based labels of n joint score rows, checked to lie in the first K,
-    and their per-example class weights."""
+    """The 0-based classes of n score rows' 1-based labels, checked to lie
+    in the first K, and their per-example weights (``omega`` None: ones)."""
     y = _check_labels(labels, n, k)
-    return y, _check_omega(omega, k)[y - 1]
+    return y, (np.ones(k) if omega is None else _check_weights(omega, k, "omega"))[y]
 
 
 def _check_joint(z) -> np.ndarray:
@@ -101,9 +98,9 @@ def _check_joint(z) -> np.ndarray:
 
 def loss_task_src(scores, labels, omega=None) -> tuple[float, np.ndarray]:
     """Weighted source log loss of one head: (1/n) sum_i w_{y_i} (-log p_{y_i})."""
-    s = np.asarray(scores, dtype=np.float64)
-    y, w = _checked_labels(labels, s.shape[0], s.shape[1], omega)
-    return log_loss_with_grads(s, y, weights=w)
+    s = _as_batch(scores)
+    y, w = _checked_labels(labels, *s.shape, omega)
+    return _picked_log_loss(softmax(s), y[:, None], w)
 
 
 def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
@@ -118,10 +115,10 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
 
 
 def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """``confuse_src`` from the joint softmax rows and checked labels and
-    per-example weights: the picked-entry log loss at the label's two
+    """``confuse_src`` from the joint softmax rows, 0-based classes y and
+    per-example weights: the picked-entry log loss at the class's two
     neurons."""
-    return _picked_log_loss(p, np.stack((y - 1, y - 1 + p.shape[1] // 2), axis=1), w)
+    return _picked_log_loss(p, np.stack((y, y + p.shape[1] // 2), axis=1), w)
 
 
 def confuse_tgt(z) -> tuple[float, np.ndarray]:
@@ -158,12 +155,12 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
 
 
 def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
-    """``discrim`` from the joint softmax rows of both domains and checked
-    source labels and per-example weights."""
+    """``discrim`` from the joint softmax rows of both domains, 0-based
+    source classes y and per-example weights."""
     nt, k = pt.shape[0], pt.shape[1] // 2
     # the picked-entry log loss over the 2K joint scores; the label check keeps
-    # labels in the first half
-    src_value, g_src = _picked_log_loss(ps, (y - 1)[:, None], w)
+    # classes in the first half
+    src_value, g_src = _picked_log_loss(ps, y[:, None], w)
     log_q, q_tot = _guarded_log(pt[:, k:].sum(axis=1))
     tgt_value = float(np.mean(-log_q))
     u = np.zeros_like(pt)
@@ -191,7 +188,7 @@ def _head_disagreement(c: np.ndarray, rho) -> float:
 
 def _bound_sides(c: np.ndarray, y: np.ndarray, rho) -> tuple[float, float]:
     """The per-step bound's two sides from a centered head pair c [2, n, K]
-    of finite scores, checked 1-based labels y [n] and a checked ``rho``:
+    of finite scores, 0-based classes y [n] and a checked ``rho``:
     the mean head disagreement and the sum of the two mean margin errors."""
     err_s, err_t = _margin_violations(c, y, rho)
     return _head_disagreement(c, rho), float(err_s.mean()) + float(err_t.mean())
@@ -258,7 +255,7 @@ def symmnets_step(
 
     # heads: task terms (+ discrimination when adversarial); feature map:
     # confusion terms through frozen head weights
-    picks = (y - 1)[:, None]
+    picks = y[:, None]
     task_s_val, g_task_s = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
     values["task_s"] = task_s_val
     head_grads_src = {HEAD_S: g_task_s}
@@ -291,8 +288,7 @@ def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
     omega_k = mean_j p^t_k(x_j), rescaled to peak 1 and blended with the
     all-ones vector: xi * omega/max(omega) + (1 - xi).
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1], got %r" % xi)
+    xi = _check_real(xi, "xi", 0.0, 1.0)
     p = softmax(np.asarray(tgt_scores_t, dtype=np.float64))
     if p.ndim != 2:
         raise ValueError("expected a batch of target scores")
@@ -302,8 +298,7 @@ def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
 
 def openset_class_probs(k_shared: int, nu: float) -> np.ndarray:
     """Class-draw probabilities: shared classes weight 1, super class weight nu."""
-    if nu <= 0:
-        raise ValueError("nu must be positive, got %r" % nu)
+    nu = _check_real(nu, "nu", 0.0, open_low=True)
     w = np.ones(k_shared + 1)
     w[-1] = nu
     return w / w.sum()
@@ -321,8 +316,7 @@ def openset_sampler(
     """
     if sample.labels is None:
         raise ValueError("open-set sampling needs labeled data")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    batch_size = _check_count(batch_size, "batch_size", 1)
     labels = sample.labels
     k_total = int(labels.max())
     by_class = [np.flatnonzero(labels == c) for c in range(1, k_total + 1)]
@@ -359,14 +353,14 @@ def eval_openset(pred_labels, true_labels, k_shared: int) -> OpensetEval:
     Both label arrays must lie in {1..K_shared + 1}."""
     true = _check_labels(true_labels, np.size(true_labels), k_shared + 1)
     pred = _check_labels(pred_labels, true.size, k_shared + 1)
-    per_class: dict[int, float] = {}
+    per_class: dict[int, float] = {}  # keyed by 1-based label
     missing: list[int] = []
-    for c in range(1, k_shared + 2):
+    for c in range(k_shared + 1):
         mask = true == c
         if not mask.any():
-            missing.append(c)
+            missing.append(c + 1)
             continue
-        per_class[c] = float(np.mean(pred[mask] == c))
+        per_class[c + 1] = float(np.mean(pred[mask] == c))
     shared_accs = [per_class[c] for c in range(1, k_shared + 1) if c in per_class]
     all_accs = list(per_class.values())
     return OpensetEval(

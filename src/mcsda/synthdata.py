@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .divergence import SampleSet
-from .margin import _integer_labels
+from .margin import _check_count, _check_real
+from .neural import _replacing, _write_json
 
 __all__ = [
     "DomainPair",
@@ -65,27 +66,17 @@ class DomainPair:
             raise ValueError("source sample must be labeled")
         if self.target.labels is not None:
             raise ValueError("target labels go through eval_target_labels only")
-        lab = _integer_labels(self._target_labels)
-        if lab.size != self.target.n:
-            raise ValueError(
-                "got %d hidden labels for %d target points" % (lab.size, self.target.n)
-            )
-        if lab.min() < 1:
-            raise ValueError("hidden labels are 1-based; found %d" % lab.min())
+        # the hidden labels pass the checks of a labeled target sample
+        lab = SampleSet(self.target.points, self._target_labels).labels
         object.__setattr__(self, "_target_labels", lab)
-        k = int(self.meta.get("k", 0))
-        if k < 2:
-            raise ValueError("meta['k'] must be >= 2")
+        k = _check_count(self.meta.get("k"), "k", 2)
         if self.source.labels.max() > k or lab.max() > k:
             raise ValueError("labels exceed the declared class count %d" % k)
         if self.mode == "openset":
             # the heads are built at the pair's width, K_shared + 1
-            k_shared = int(self.meta.get("k_shared", 0))
-            if k_shared < 2 or k != k_shared + 1:
-                raise ValueError(
-                    "open-set pairs need k_shared >= 2 and k == k_shared + 1, got k=%d, "
-                    "k_shared=%d" % (k, k_shared)
-                )
+            k_shared = _check_count(self.meta.get("k_shared"), "k_shared", 2)
+            if k != k_shared + 1:
+                raise ValueError("open-set k must be k_shared + 1, got %d, %d" % (k, k_shared))
 
     @property
     def k(self) -> int:
@@ -123,10 +114,8 @@ def gen_rotated_moons(
     n_src: int, n_tgt: int, angle_deg: float, noise_sd: float = 0.1, seed: int = 0
 ) -> DomainPair:
     """Two-moons source; target is an independent draw rotated by angle_deg."""
-    if n_src < 2 or n_tgt < 2:
-        raise ValueError("need at least 2 points per domain")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    n_src, n_tgt = _check_count(n_src, "n_src", 2), _check_count(n_tgt, "n_tgt", 2)
+    _check_real(noise_sd, "noise_sd", 0.0)
     rng = np.random.default_rng(seed)
     src_pts, src_lab = _moons_sample(rng, n_src, noise_sd)
     tgt_pts, tgt_lab = _moons_sample(rng, n_tgt, noise_sd)
@@ -164,10 +153,9 @@ def gen_gauss_blobs(
     radius: float = 4.0,
 ) -> DomainPair:
     """K isotropic Gaussian blobs on a ring; target means shifted by a vector."""
-    if k < 2:
-        raise ValueError("need K >= 2 classes, got %d" % k)
-    if n_per_class < 1:
-        raise ValueError("need at least one point per class")
+    k = _check_count(k, "K", 2)
+    n_per_class = _check_count(n_per_class, "n_per_class", 1)
+    std = _check_real(std, "std", 0.0)
     shift = np.asarray(shift_vector, dtype=np.float64).reshape(-1)
     if shift.size != 2:
         raise ValueError("shift_vector must have 2 components")
@@ -187,13 +175,13 @@ def gen_gauss_blobs(
     meta = {
         "generator": "blobs",
         "seed": int(seed),
-        "k": int(k),
-        "k_shared": int(k),
+        "k": k,
+        "k_shared": k,
         "params": {
-            "k": int(k),
-            "n_per_class": int(n_per_class),
+            "k": k,
+            "n_per_class": n_per_class,
             "shift_vector": shift.tolist(),
-            "std": float(std),
+            "std": std,
             "radius": float(radius),
         },
     }
@@ -296,7 +284,7 @@ def write_csv(pair: DomainPair, path) -> None:
     path = Path(path)
     d = pair.source.points.shape[1]
     header = ["x%d" % (i + 1) for i in range(d)] + ["label", "domain"]
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for pts, labels, domain in (
@@ -313,20 +301,21 @@ def write_csv(pair: DomainPair, path) -> None:
         "generator": pair.meta.get("generator"),
         "params": pair.meta.get("params", {}),
     }
-    with open(manifest_path(path), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path(path), manifest)
 
 
 def read_csv(path) -> DomainPair:
     """Rebuild a DomainPair written by write_csv (requires the manifest).  A
-    missing file raises OSError; a malformed CSV raises ValueError."""
+    missing file raises OSError, a malformed CSV or manifest ValueError (a
+    manifest without a key KeyError)."""
     path = Path(path)
     mpath = manifest_path(path)
     if not mpath.exists():
         raise FileNotFoundError("missing manifest sidecar %s" % mpath)
     with open(mpath) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest %s must hold a JSON object, got %r" % (mpath, manifest))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -351,8 +340,8 @@ def read_csv(path) -> DomainPair:
     meta = {
         "generator": manifest.get("generator"),
         "seed": manifest.get("seed"),
-        "k": manifest["k"],
-        "k_shared": manifest["k_shared"],
+        "k": _check_count(manifest["k"], "k", 2),
+        "k_shared": _check_count(manifest["k_shared"], "k_shared", 1),
         "params": manifest.get("params", {}),
     }
     return DomainPair(

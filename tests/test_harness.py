@@ -116,6 +116,17 @@ def _var(a, b):
 
 
 class TestSurfaces:
+    def test_write_that_raises_midway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "surface.csv"
+        grid = emit_surface_grid("mcsd", 1.0, resolution=3)
+        grid.write_csv(path)
+        before = path.read_bytes()
+        # one row of values for three a-values: the second row fails
+        short = dataclasses.replace(grid, which="hat", values=grid.values[:1])
+        with pytest.raises(IndexError):
+            short.write_csv(path)
+        assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+
     def test_zero_at_the_pinned_scorer(self):
         # probe == reference: every disagreement measure vanishes except the
         # cross-entropy form, which bottoms out at the reference's entropy
@@ -223,6 +234,12 @@ class TestConfig:
             zeta=0.3,
         )
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    def test_integral_sizes_are_stored_as_ints(self):
+        cfg = ExperimentConfig(epochs=3.0, batch_size=np.int64(16), seed=2.0, hidden=[8.0, 4])
+        assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.hidden) == (3, 16, 2, (8, 4))
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed) + cfg.hidden)
+        assert json.loads(json.dumps(cfg.to_json()))["epochs"] == 3
 
     def test_validation(self):
         for kwargs in (
@@ -660,6 +677,49 @@ class TestCli:
         lines = captured.out.splitlines()
         assert lines == [] or (len(lines) == 1 and lines[0].startswith("BAD ")), lines
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "{out}"],
+            ["surface", "--out", "{out}", "--which", "mcsd", "--rho", "1", "--resolution", "3"],
+            ["pac-report", "--data", "{data}", "--sigma-draws", "20", "--out", "{out}"],
+            ["theory-check", "--trials", "100", "--universes", "1", "--out", "{out}"],
+            ["train", "--data", "{data}", "--epochs", "1", "--outdir", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_exits_2(self, argv, blobs_csv, tmp_path, capsys):
+        # nothing can be created below a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "out"
+        before = sorted(tmp_path.iterdir())
+        rc = main([a.format(out=out, data=blobs_csv) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.out + captured.err
+        last = captured.out.splitlines()[-1]
+        assert last.startswith("BAD ARGUMENT: cannot write %s" % out), last
+        assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["train", "pac-report"])
+    @pytest.mark.parametrize(
+        "manifest",
+        [[], "str", {"k": None}, {"k": 3.5}, {"k_shared": None}],
+        ids=["list", "string", "null_k", "fractional_k", "null_k_shared"],
+    )
+    def test_malformed_sidecar_is_bad_data(self, command, manifest, blobs_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        shutil.copy(blobs_csv, bad)
+        if isinstance(manifest, dict):
+            manifest = json.loads(manifest_path(blobs_csv).read_text()) | manifest
+        manifest_path(bad).write_text(json.dumps(manifest))
+        rc = main([command, "--data", str(bad)] + (["--epochs", "1"] if command == "train" else []))
+        captured = capsys.readouterr()
+        assert rc == 2 and "Traceback" not in captured.out + captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("BAD DATA: "), lines
 
     def test_train_exit_codes(self, blobs_csv, tmp_path):
         rc = main(

@@ -444,7 +444,8 @@ class TestMarginViolations:
         scores -= scores.mean(axis=-1, keepdims=True)
         scores[0, :10] = kink_scores(rng, 10, 3, 1.0)
         labels = rng.integers(1, 4, size=30)
-        per_point = _margin_violations(scores, labels, 1.0)
+        # the kernel takes the 0-based classes that ``_check_labels`` returns
+        per_point = _margin_violations(scores, labels - 1, 1.0)
         assert per_point.shape == (4, 30)
         for c in range(4):
             for i in range(30):

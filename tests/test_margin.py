@@ -11,8 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsda.divergence import SampleSet, margin_error, violation_tensor, zero_one_error
+from mcsda.harness.surface import emit_surface_grid
 from mcsda.margin import (
     ScoreVector,
+    _check_count,
+    _check_labels,
+    _check_real,
+    _check_weights,
     absolute_margin,
     argmax_label,
     as_scores,
@@ -25,9 +30,10 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
+from mcsda.neural import MlpScorer, SgdMomentum
 from mcsda.surrogates import log_loss_with_grads
-from mcsda.symmnets import confuse_src, eval_openset
-from mcsda.synthdata import DomainPair
+from mcsda.symmnets import confuse_src, eval_openset, openset_class_probs, openset_sampler
+from mcsda.synthdata import DomainPair, gen_gauss_blobs, gen_rotated_moons
 
 F = [10.0, -5.0, -5.0]
 G = [-5.0, 10.0, -5.0]
@@ -413,3 +419,76 @@ class TestMcsdPointwiseAgainstTensor:
         assert np.all(got[::5] == 0.0)
         for i in range(0, len(a), 7):
             assert np.abs(violation_matrix(a[i], rho) - ta[i]).max() <= 1e-12
+
+
+class TestCheckers:
+    """One checker per kind of input: counts, reals, weight vectors, labels."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "1.0", None, [1.0, 2.0], 10**400])
+    def test_real_rejects_non_finite_values_and_non_numbers(self, value):
+        with pytest.raises(ValueError, match=r"^width must be a finite real in \(-inf, inf\)"):
+            _check_real(value, "width")
+
+    def test_real_interval_ends(self):
+        assert _check_real(0, "x", 0.0, 1.0) == 0.0 and type(_check_real(1, "x", 0.0, 1.0)) is float
+        assert _check_real(np.float64(0.5), "x", 0.0, 1.0, open_low=True, open_high=True) == 0.5
+        with pytest.raises(ValueError, match=r"^x must be a finite real in \(0, 1\], got 0.0$"):
+            _check_real(0.0, "x", 0.0, 1.0, open_low=True)
+        with pytest.raises(ValueError, match=r"^x must be a finite real in \[0, 1\), got 1.0$"):
+            _check_real(1.0, "x", 0.0, 1.0, open_high=True)
+
+    def test_count_takes_integral_values_and_rejects_the_rest(self):
+        assert _check_count(3.0, "n", 1) == 3 and type(_check_count(3.0, "n", 1)) is int
+        assert _check_count(np.int64(0), "n", 0) == 0
+        for bad in (2.5, np.nan, np.inf, "3", None, 0):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+                _check_count(bad, "n", 1)
+
+    def test_weights(self):
+        np.testing.assert_array_equal(_check_weights([0, 2], 2, "w"), [0.0, 2.0])
+        for bad in ([1.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="^w must be 2 non-negative finite weights"):
+                _check_weights(bad, 2, "w")
+
+    def test_labels_leave_the_check_zero_based(self):
+        y = _check_labels([1, 3, 2.0], 3, 3)
+        assert y.dtype == np.int64
+        np.testing.assert_array_equal(y, [0, 2, 1])
+
+
+def _sgd_step(lr):
+    param = np.zeros(2)
+    try:
+        SgdMomentum({"w": param}).step({"w": np.ones(2)}, lr=lr)
+    finally:
+        assert np.array_equal(param, np.zeros(2))  # a rejected step leaves the parameters
+
+
+# inputs that some hand-written range checks used to accept or reject with
+# a TypeError; each goes through a checker now, with the parameter's name
+FORMERLY_UNCHECKED = {
+    "sgd_lr_nan": (lambda: _sgd_step(np.nan), "lr"),
+    "sgd_lr_inf": (lambda: _sgd_step(np.inf), "lr"),
+    "openset_nu_nan": (lambda: openset_class_probs(3, np.nan), "nu"),
+    "openset_nu_inf": (lambda: openset_class_probs(3, np.inf), "nu"),
+    "phi_distance_fractional_k": (lambda: phi_distance(0.5, -0.5, 1.0, 2.5), "K"),
+    "mlp_fractional_width": (lambda: MlpScorer(2, {"f": 2}, hidden=(2.5,)), "hidden"),
+    "blobs_negative_std": (lambda: gen_gauss_blobs(3, 5, (1.0, 0.5), std=-1.0), "std"),
+    "moons_fractional_count": (lambda: gen_rotated_moons(2.5, 10, 30.0), "n_src"),
+    "surface_fractional_resolution": (
+        lambda: emit_surface_grid("mcsd", 1.0, resolution=2.5),
+        "resolution",
+    ),
+    "sampler_fractional_batch": (
+        lambda: openset_sampler(SampleSet(np.zeros((3, 2)), [1, 2, 3]), 2.0, 2.5),
+        "batch_size",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FORMERLY_UNCHECKED)
+def test_each_input_kind_is_checked_and_named(case):
+    call, name = FORMERLY_UNCHECKED[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(name + " "), str(info.value)

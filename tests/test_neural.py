@@ -306,6 +306,33 @@ class TestCheckpointAndDeterminism:
         with pytest.raises(ValueError):
             MlpScorer.load(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: [],
+            lambda h: "mcsda-mlp-v1",
+            lambda h: {k: v for k, v in h.items() if k != "in_dim"},
+            lambda h: h | {"in_dim": None},
+            lambda h: h | {"hidden": None},
+            lambda h: h | {"heads": [1]},
+            lambda h: h | {"heads": [{"name": "f"}]},
+            lambda h: h | {"param_order": h["param_order"] + ["psi9.w"]},
+            lambda h: h | {"param_order": [["psi0.w"]]},
+        ],
+        ids=[
+            "list", "string", "no_in_dim", "null_in_dim", "null_hidden", "head_not_object",
+            "head_without_width", "unknown_parameter", "unhashable_parameter",
+        ],
+    )
+    def test_malformed_header_raises_value_error(self, edit, tmp_path):
+        path = tmp_path / "model.ckpt"
+        MlpScorer(2, {"f": 2}, hidden=(3,), seed=0).save(path)
+        header_line, block = path.read_bytes().split(b"\n", 1)
+        header = edit(json.loads(header_line))
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + block)
+        with pytest.raises(ValueError):
+            MlpScorer.load(path)
+
     def test_same_seed_same_model(self):
         a = MlpScorer(2, {"f": 3}, seed=11)
         b = MlpScorer(2, {"f": 3}, seed=11)

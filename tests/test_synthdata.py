@@ -258,6 +258,19 @@ class TestCsvRoundTrip:
         assert back.k_shared == 2
         assert set(back.eval_target_labels().tolist()) == {1, 2}
 
+    def test_write_that_raises_midway_leaves_the_old_files(self, tmp_path, monkeypatch):
+        path = tmp_path / "pair.csv"
+        write_csv(gen_rotated_moons(10, 10, 0.0, seed=0), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other = gen_rotated_moons(10, 10, 0.0, seed=1)
+        # the third target row fails, after the header, the source rows and
+        # two target rows
+        labels = np.array([1, 2, None] + [1] * 7, dtype=object)
+        monkeypatch.setattr(other, "eval_target_labels", lambda: labels)
+        with pytest.raises(TypeError):
+            write_csv(other, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_missing_manifest(self, tmp_path):
         pair = gen_rotated_moons(10, 10, 0.0, seed=0)
         path = tmp_path / "pair.csv"

@@ -27,10 +27,10 @@ Three routes are provided, each doing its work once:
   patches them with one Hermite call (``_smoothed_signed_ramps``, which
   the public ``smoothed_ramp`` shares) and reduces the smoothed ramps with
   the exact path's ``_rows_from_ramps``.  The backtracking line search
-  compares smoothed values only; gradients and the exact objective are
-  computed once per accepted step.  The reported value is always the
-  exact-ramp objective of the best visited head pair, hence a lower bound on
-  the enumerated supremum;
+  compares smoothed values only; one record step, at the start and at each
+  accepted step, computes gradients and the exact objective.  The reported
+  value is the exact-ramp objective of the best visited head pair, hence a
+  lower bound on the enumerated supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
   of the per-component projections of the grid, summing over fixed slices
   of the points so that the result does not depend on the BLAS thread count.
@@ -437,7 +437,8 @@ def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
 
 @dataclass
 class AdversarialDivergence:
-    """Outcome of the gradient-ascent lower bound."""
+    """Outcome of the gradient-ascent lower bound; ``best_heads``,
+    ``final_heads`` and ``visited`` may share arrays."""
 
     value: float  # exact-ramp objective of the best visited head pair
     best_heads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -464,20 +465,23 @@ def mcsd_divergence_adversarial(
 ) -> AdversarialDivergence:
     """Backtracking gradient ascent over two linear heads on frozen features.
 
-    Maximizes the smoothed target-minus-source disagreement.  The smoothed
-    objective is non-decreasing along the trajectory up to the line-search
-    tolerance; ascent that stalls sets ``converged`` / ``warning`` instead of
-    raising.  The returned ``value`` is the exact-ramp objective of the best
-    visited pair and therefore never exceeds the supremum over any family
-    containing the visited pairs.  ``steps`` must be a non-negative integer
-    and ``step_size`` a positive finite real; both are checked before any
-    pass.
+    Maximizes the smoothed target-minus-source disagreement.  Each step takes
+    the first trial eta = ``step_size`` * 0.5**i, i < 40, whose smoothed
+    value is at least the current one minus 1e-12.  The ascent stops at a
+    gradient norm below 1e-12, when no trial is taken, or after ``steps``
+    steps; it sets ``converged=False`` and a ``warning`` instead of raising
+    when no trial is taken at the start point, or when the budget runs out at
+    a gradient norm above 1e-6.  The returned ``value`` is the exact-ramp
+    objective of the best visited pair and therefore never exceeds the
+    supremum over any family containing the visited pairs.  ``steps`` must be
+    a non-negative integer and ``step_size`` a positive finite real; both are
+    checked before any pass.
 
     The line search compares values only: each trial runs the value pass
     (score matmuls, centering, smoothed ramps, weighted objective) over the
-    stacked rows of both domains, and the gradient pass and the exact-ramp
-    objective run once per accepted step, from the centered scores and ramp
-    intermediates the trial's value pass kept.
+    stacked rows of both domains.  One record step, at the start point and
+    at each taken trial, runs the gradient pass and the exact-ramp objective
+    from the centered scores and ramp intermediates the value pass kept.
     """
     k = _check_count(k, "K", 2)
     steps = _check_count(steps, "steps", 0)
@@ -490,14 +494,14 @@ def mcsd_divergence_adversarial(
     if init is None:
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(d)
-        heads = [
+        heads = (
             rng.uniform(-bound, bound, size=(k, d)),
             np.zeros(k),
             rng.uniform(-bound, bound, size=(k, d)),
             np.zeros(k),
-        ]
+        )
     else:
-        heads = [np.array(h, dtype=np.float64) for h in init]
+        heads = tuple(np.array(h, dtype=np.float64) for h in init)
         if [h.shape[:1] for h in heads] != [(k,)] * 4:
             raise ValueError("init heads must have K = %d rows" % k)
 
@@ -536,51 +540,43 @@ def mcsd_divergence_adversarial(
             raise ValueError("ascent head pair produced non-finite scores")
         return weighted(_mcsd_rows(_center(ab), rho))
 
-    def snapshot(hs):
-        return tuple(np.array(h) for h in hs)
+    trajectory, visited, best = [], [], None
 
-    cur, kept = value_pass(heads)
-    grads = gradient_pass(kept)
-    result = AdversarialDivergence(
-        value=exact_objective(kept),
-        best_heads=snapshot(heads),
-        final_heads=snapshot(heads),
-        trajectory=[cur],
-        visited=[snapshot(heads)],
-    )
-    stalled = False
-    for _ in range(steps):
-        gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        if gnorm < 1e-12:
-            break
-        eta = step_size
-        accepted = False
-        for _ in range(40):
-            trial = [h + eta * g for h, g in zip(heads, grads)]
-            trial_obj, kept = value_pass(trial)
-            if trial_obj >= cur - 1e-12:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        heads, cur, grads = trial, trial_obj, gradient_pass(kept)
-        result.trajectory.append(cur)
-        result.visited.append(snapshot(heads))
+    def visit(hs, value, kept):
+        # record a pair the ascent stands on; heads are never written in
+        # place, so the records share arrays instead of copying them
+        nonlocal best
+        grads = gradient_pass(kept)
         exact = exact_objective(kept)
-        if exact > result.value:
-            result.value = exact
-            result.best_heads = snapshot(heads)
-    else:
-        if np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > 1e-6:
-            result.converged = False
-            result.warning = "ascent still improving after %d steps" % steps
-    result.final_heads = snapshot(heads)
-    if stalled and len(result.trajectory) < 2:
-        result.converged = False
-        result.warning = "line search could not improve the smoothed objective"
-    return result
+        if not visited or exact > best[0]:
+            best = exact, hs
+        trajectory.append(value)
+        visited.append(hs)
+        return grads
+
+    grads = visit(heads, *value_pass(heads))
+    warning = None
+    # iteration ``step`` starts after ``step`` accepted steps; the last one
+    # only reads the gradient norm
+    for step in range(steps + 1):
+        gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        if gnorm < 1e-12 or step == steps:
+            if gnorm > 1e-6:
+                warning = "ascent still improving after %d steps" % steps
+            break
+        for i in range(40):
+            eta = step_size * 0.5**i
+            trial = tuple(h + eta * g for h, g in zip(heads, grads))
+            value, kept = value_pass(trial)
+            if value >= trajectory[-1] - 1e-12:
+                break
+        else:
+            if step == 0:
+                warning = "line search could not improve the smoothed objective"
+            break
+        heads = trial
+        grads = visit(heads, value, kept)
+    return AdversarialDivergence(*best, heads, trajectory, visited, warning is None, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +632,24 @@ def _margin_violations(scores: np.ndarray, y: np.ndarray, rho) -> np.ndarray:
     return _ramp(_absolute_margin(scores, y), rho).sum(axis=-1)
 
 
+def _score_rows(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError("scores must have shape [n, K], got %r" % (s.shape,))
+    return s
+
+
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
     rho = _check_rho(rho)
-    s = _finite_ramp_argument(scores)
-    per_point = _margin_violations(s, _check_labels(labels, *s.shape[-2:]), rho)
+    s = _finite_ramp_argument(_score_rows(scores))
+    per_point = _margin_violations(s, _check_labels(labels, *s.shape), rho)
     return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 
 def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     """Expected argmax misclassification under point masses (ties: lowest index)."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError("expected scores of shape [n, K], got %r" % (s.shape,))
+    s = _score_rows(scores)
     y = _check_labels(labels, *s.shape)
     wrong = (np.argmax(s, axis=1) != y).astype(np.float64)
     return float(wrong @ _as_weights(weights, s.shape[0]))

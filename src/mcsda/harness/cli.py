@@ -8,15 +8,17 @@ and ``pac-report`` assembles the finite-sample bound on a data file.
 Exit codes: 0 on success; 2 on a bad argument (argparse's usage error,
 also for out-of-range numbers and missing mode flags; ``BAD ARGUMENT``
 when ``gen-data`` or ``surface`` rejects a combination of values, or when
-an output path cannot be written, with no file left under its name), a
-bad training config or config file (``BAD CONFIG``), a missing or
-malformed data file or sidecar (``BAD DATA``), or a failed theory check or
-bound; 3 when training does not converge.  Notes
+an output path cannot be written, with no file left under its name and,
+for ``theory-check``, no check run), a bad training config or config file
+(``BAD CONFIG``, with no run directory made: no such file, bad JSON, not a
+JSON object, or a field unknown, out of range or of the wrong type), a
+missing or malformed data file or sidecar (``BAD DATA``), or a failed
+theory check or bound; 3 when training does not converge.  Notes
 (``note: ...``) follow a result: why a run stopped, or a theory check's
 warning, such as an ascent still improving at its step budget.
 Argument defaults mirror the library defaults; ``train`` can also read a
-JSON config file, with explicit command-line flags taking precedence over
-file values.
+JSON config file, whose values the flags given override (``--eta0`` the
+one in its ``schedules``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import argparse
 import json
 import math
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -118,43 +123,22 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-_TRAIN_OVERRIDES = (
-    "method",
-    "rho",
-    "epochs",
-    "batch_size",
-    "seed",
-    "zeta",
-    "xi",
-    "nu",
-    "aux_task_weight",
-    "eval_head",
-    "outdir",
-)
-
-
 def _cmd_train(args) -> int:
-    data: dict = {}
+    # the parser suppresses the defaults of the config flags, so ``args``
+    # holds exactly the flags given, and those beat the file's values
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
     try:
+        data = {}
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
-    except (OSError, ValueError) as exc:  # a missing file or malformed JSON
-        print("BAD CONFIG: %s" % exc)
-        return 2
-    for name in _TRAIN_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.eta0 is not None:
-        sched = dict(data.get("schedules", {}))
-        sched["eta0"] = args.eta0
-        data["schedules"] = sched
-    if args.zeta_on_adversary:
-        data["zeta_on_adversary"] = True
-    try:
-        cfg = ExperimentConfig.from_json(data)
-    except (TypeError, ValueError) as exc:
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold a JSON object, got %s" % type(data).__name__)
+        schedules = data.get("schedules", {})
+        if "eta0" in args and isinstance(schedules, dict):  # else the config rejects it
+            flags["schedules"] = {**schedules, "eta0": args.eta0}
+        cfg = ExperimentConfig.from_json({**data, **flags})
+    except (OSError, TypeError, ValueError) as exc:  # OSError: a missing file
         print("BAD CONFIG: %s" % exc)
         return 2
     pair = _read_data(args.data)
@@ -185,6 +169,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_theory_check(args) -> int:
+    if args.out:  # an unwritable report path fails now, not after the suite
+        if Path(args.out).is_dir():
+            raise IsADirectoryError("Is a directory")
+        tempfile.TemporaryFile(dir=Path(args.out).parent).close()
     report = run_theory_checks(seed=args.seed, trials=args.trials, n_universes=args.universes)
     for check in report.checks:
         print("%-32s %s" % (check.name, "PASS" if check.passed else "FAIL"))
@@ -294,22 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tgt-extra", default=None, help="openset: target-only (unknown) classes")
     g.set_defaults(func=_cmd_gen_data, error=g.error)
 
-    t = sub.add_parser("train", help="run one experiment on a data CSV")
+    t = sub.add_parser(
+        "train", help="run one experiment on a data CSV", argument_default=argparse.SUPPRESS
+    )
     t.add_argument("--data", required=True)
     t.add_argument("--config", default=None, help="JSON config; flags below override it")
-    t.add_argument("--method", choices=METHODS, default=None)
-    t.add_argument("--rho", type=float, default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--zeta", type=float, default=None)
-    t.add_argument("--xi", type=float, default=None)
-    t.add_argument("--nu", type=float, default=None)
-    t.add_argument("--eta0", type=float, default=None, help="base learning rate")
-    t.add_argument("--aux-task-weight", type=float, dest="aux_task_weight", default=None)
-    t.add_argument("--eval-head", choices=EVAL_HEADS, dest="eval_head", default=None)
+    t.add_argument("--method", choices=METHODS)
+    t.add_argument("--rho", type=float)
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch-size", type=int, dest="batch_size")
+    t.add_argument("--seed", type=int)
+    t.add_argument("--zeta", type=float)
+    t.add_argument("--xi", type=float)
+    t.add_argument("--nu", type=float)
+    t.add_argument("--eta0", type=float, help="base learning rate")
+    t.add_argument("--aux-task-weight", type=float, dest="aux_task_weight")
+    t.add_argument("--eval-head", choices=EVAL_HEADS, dest="eval_head")
     t.add_argument("--zeta-on-adversary", action="store_true", dest="zeta_on_adversary")
-    t.add_argument("--outdir", default=None)
+    t.add_argument("--outdir")
     t.set_defaults(func=_cmd_train)
 
     c = sub.add_parser("theory-check", help="run the brute-force verification suite")

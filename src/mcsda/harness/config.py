@@ -131,8 +131,14 @@ class ExperimentConfig:
                 _check_real(v, name, 0.0, 1.0)
         _check_real(self.nu, "nu", 0.0, open_low=True)
         _check_real(self.aux_task_weight, "aux_task_weight")
+        if not isinstance(self.zeta_on_adversary, bool):
+            raise ValueError("zeta_on_adversary must be a bool, got %r" % (self.zeta_on_adversary,))
+        if not (self.outdir is None or isinstance(self.outdir, str)):
+            raise ValueError("outdir must be a string, got %r" % (self.outdir,))
         if isinstance(self.schedules, dict):
             self.schedules = Schedules(**self.schedules)
+        elif not isinstance(self.schedules, Schedules):
+            raise ValueError("schedules must be an object, got %r" % (self.schedules,))
 
     @property
     def surrogate(self) -> str | None:

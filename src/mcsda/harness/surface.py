@@ -8,8 +8,8 @@ the matrix form, its two decision-level variants, the three probability
 surrogates, and the single-component decision-margin ramp.
 
 Evaluation is batched over the whole grid.  ``emit_surface_grid`` checks
-its arguments (``resolution`` and ``rho`` with ``margin``'s checkers) and
-the centered scores once, at entry, and then calls only
+its arguments (``resolution``, ``rho`` and ``span`` with ``margin``'s
+checkers) and the centered scores once, at entry, and then calls only
 kernels: those of ``mcsda.margin`` (centering, decision margin, relative
 margin, ramp), ``mcsda.divergence._mcsd_rows`` (the kernel behind
 ``mcsd_rows``), the unchecked ``surrogates._softmax`` and the surrogate
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..divergence import _mcsd_rows
-from ..margin import _center, _check_count, _check_rho, _decision_level, _decision_margin
-from ..margin import _ramp, _relative_margin
+from ..margin import _center, _check_count, _check_real, _check_rho, _decision_level
+from ..margin import _decision_margin, _ramp, _relative_margin
 from ..neural import _replacing
 from ..surrogates import _ce, _kl, _l1, _softmax
 
@@ -77,6 +77,7 @@ def emit_surface_grid(
         raise ValueError("direction must be 'fix_first' or 'fix_second'")
     resolution = _check_count(resolution, "resolution", 2)
     rho = _check_rho(rho)
+    span = _check_real(span, "span", 0.0, open_low=True)
     fx = np.asarray(fixed, dtype=float)
     if fx.shape != (3,):
         raise ValueError("the pinned scorer output must have three components")

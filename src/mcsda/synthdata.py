@@ -116,6 +116,7 @@ def gen_rotated_moons(
     """Two-moons source; target is an independent draw rotated by angle_deg."""
     n_src, n_tgt = _check_count(n_src, "n_src", 2), _check_count(n_tgt, "n_tgt", 2)
     _check_real(noise_sd, "noise_sd", 0.0)
+    _check_real(angle_deg, "angle_deg")
     rng = np.random.default_rng(seed)
     src_pts, src_lab = _moons_sample(rng, n_src, noise_sd)
     tgt_pts, tgt_lab = _moons_sample(rng, n_tgt, noise_sd)
@@ -155,8 +156,8 @@ def gen_gauss_blobs(
     """K isotropic Gaussian blobs on a ring; target means shifted by a vector."""
     k = _check_count(k, "K", 2)
     n_per_class = _check_count(n_per_class, "n_per_class", 1)
-    std = _check_real(std, "std", 0.0)
-    shift = np.asarray(shift_vector, dtype=np.float64).reshape(-1)
+    std, radius = _check_real(std, "std", 0.0), _check_real(radius, "radius")
+    shift = np.array([_check_real(v, "shift_vector") for v in np.ravel(shift_vector)])
     if shift.size != 2:
         raise ValueError("shift_vector must have 2 components")
     rng = np.random.default_rng(seed)
@@ -182,7 +183,7 @@ def gen_gauss_blobs(
             "n_per_class": n_per_class,
             "shift_vector": shift.tolist(),
             "std": std,
-            "radius": float(radius),
+            "radius": radius,
         },
     }
     return DomainPair(

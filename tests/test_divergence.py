@@ -328,6 +328,35 @@ class TestAdversarialEstimator:
         with pytest.raises(ValueError):
             mcsd_divergence_adversarial(self.src, self.tgt, k=2, rho=1.0, **bad)
 
+    @pytest.mark.parametrize("good_passes", [1, 2], ids=["at_start", "after_one_step"])
+    def test_stalled_line_search(self, good_passes, monkeypatch):
+        # after ``good_passes`` value passes every trial scores 100 lower on
+        # the target rows, so the line search halves its step 40 times in vain
+        # (the first trial at the default step size is accepted on this pair)
+        smoothed, n_src, passes = divergence._smoothed_mcsd, len(self.src), []
+
+        def worse_later(a, b, rho):
+            rows, grads = smoothed(a, b, rho)
+            passes.append(None)
+            if len(passes) > good_passes:
+                rows = np.concatenate([rows[:n_src], rows[n_src:] - 100.0])
+            return rows, grads
+
+        monkeypatch.setattr(divergence, "_smoothed_mcsd", worse_later)
+        res = mcsd_divergence_adversarial(self.src, self.tgt, k=2, rho=1.0, steps=10, seed=0)
+        assert len(passes) == good_passes + 40
+        assert len(res.trajectory) == len(res.visited) == good_passes
+        for got, want in zip(res.final_heads, res.visited[-1]):
+            assert np.array_equal(got, want)
+        if good_passes == 1:  # no step was accepted
+            warning = "line search could not improve the smoothed objective"
+            assert (res.converged, res.warning) == (False, warning)
+            pair = [linear_scorer(*res.final_heads[:2]), linear_scorer(*res.final_heads[2:])]
+            exact = mcsd_divergence_exact(self.src, self.tgt, ScorerGrid(pair, k=2), 1.0)
+            assert res.value == exact.objective[0, 1]
+        else:
+            assert (res.converged, res.warning) == (True, None)
+
 
 class TestRademacher:
     def test_sign_family_against_independent_mc(self):

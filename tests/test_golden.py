@@ -3,12 +3,12 @@
 Each expected value is the ``float.hex`` of what the library computed when
 the value was recorded, so any change of rounding on these paths fails
 here: the ``pac-report`` JSON on the default moons file, one K=10
-adversarial ascent, short seeded runs of all nine trainers, short seeded
-partial and open-set SymmNets runs and the ``theory-check`` report at CLI
-defaults.  The ``pac-report`` file must also have the same bytes at one and
-at two BLAS threads.  Regenerate
-the constants only for a deliberate numeric change, and record that change
-in CHANGES.md.
+adversarial ascent, short seeded runs of all nine trainers on full batches
+and on shuffled mini-batches, short seeded partial and open-set SymmNets
+runs and the ``theory-check`` report at CLI defaults.  The ``pac-report``
+file must also have the same bytes at one and at two BLAS threads.
+Regenerate the constants only for a deliberate numeric change, and record
+that change in CHANGES.md.
 """
 
 import hashlib
@@ -86,13 +86,21 @@ def ascent_values() -> dict:
     return {"value": res.value.hex(), "trajectory": [v.hex() for v in res.trajectory]}
 
 
-def run_values(method: str) -> dict:
+def run_values(method: str, full_batch_limit: int = 512) -> dict:
     """Final accuracies, last-epoch losses, divergence proxy and trained
-    parameters of a short seeded mini-batch run on a small moons pair
-    (rho = 0.7, as above)."""
+    parameters of a short seeded run on a small moons pair (rho = 0.7, as
+    above).  Its 96-point domains take one full batch per epoch at the
+    default ``full_batch_limit``; at 32 they take three shuffled 32-point
+    mini-batches per epoch, the path of longer runs on larger data."""
     pair = gen_rotated_moons(96, 96, 30.0, noise_sd=0.05, seed=0)
     cfg = ExperimentConfig(
-        method=method, rho=0.7, epochs=3, batch_size=32, seed=0, schedules=Schedules(eta0=0.05)
+        method=method,
+        rho=0.7,
+        epochs=3,
+        batch_size=32,
+        full_batch_limit=full_batch_limit,
+        seed=0,
+        schedules=Schedules(eta0=0.05),
     )
     return run_summary(run_experiment(pair, cfg))
 
@@ -342,6 +350,116 @@ EXPECTED_RUNS = {
 }
 
 
+EXPECTED_MINIBATCH_RUNS = {
+    "source_only": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "task": "0x1.f74473ef0dba5p-2",
+        },
+        "proxy": None,
+        "params": "84874cfa6d39a7f8fed6f9c58c734a36720cd241c7c44647049e1d4ca824fbc4",
+    },
+    "mcdal_l1": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "aux_task": "0x1.99dc801f62560p-1",
+            "disagreement": "-0x1.3603bfe2c0551p-9",
+            "task": "0x1.a35aed4db4a9fp-2",
+        },
+        "proxy": "0x1.8ec6113be7a34p-7",
+        "params": "e98026233bcb9091696ef20f55e66ccde77cf3c9df89a041e0f72b54dfb8e317",
+    },
+    "mcdal_kl": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "aux_task": "0x1.995f442afcf47p-1",
+            "disagreement": "0x1.72326875367e3p-12",
+            "task": "0x1.a31f42519d77cp-2",
+        },
+        "proxy": "0x1.316bc3e87e5b4p-8",
+        "params": "00de81f5a8fb3b8778e55d5557b63e8ddb649f3b37d934d53629a982f8f3b584",
+    },
+    "mcdal_ce": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "aux_task": "0x1.9780948863f63p-1",
+            "disagreement": "-0x1.77acf7b193a31p-5",
+            "task": "0x1.a4f9c85bdd820p-2",
+        },
+        "proxy": "0x1.9cb49635a69e8p-9",
+        "params": "587f12da6c7a93ff7270db1ffa5de9966ffbc35e50d5975e1d3d292a4ccbbec4",
+    },
+    "mcdal_mdd_variant": {
+        "source_acc": "0x1.a000000000000p-1",
+        "target_acc": "0x1.d000000000000p-1",
+        "losses": {
+            "aux_task": "0x1.9e79973ae5460p-1",
+            "disagreement": "0x1.89c84923ec33bp+0",
+            "task": "0x1.a46776dcf3d73p-2",
+        },
+        "proxy": "0x1.301064fd1d124p-4",
+        "params": "92eb90395eab2a8b915298085e8ed10ff3ccab79bc0681f7c0e1bd6777ae800a",
+    },
+    "mcdal_dann": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "aux_task": "0x0.0p+0",
+            "disagreement": "0x1.62cb6d6be8fe4p+0",
+            "task": "0x1.f7178b1d7771dp-2",
+        },
+        "proxy": None,
+        "params": "fb1b197cf48576594f9dfac4d318e29c87f7ac339c0a04d2541c44e88f65c205",
+    },
+    "symmnets_v2": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "bound_lhs": "0x1.c4a8e96dc8b49p-3",
+            "bound_rhs": "0x1.ecf4a820c16bcp+0",
+            "confuse_src": "0x1.262516aa7275cp+0",
+            "confuse_tgt": "0x1.5662959b79368p-1",
+            "discrim": "0x1.c9b2971a199c0p+0",
+            "task_s": "0x1.ae93949132224p-2",
+            "task_t": "0x1.f5a59fea8f0c8p-2",
+        },
+        "proxy": "0x1.1b02433797554p-5",
+        "params": "e073157b553aa7eecdf713f3ef09abbf94ef05f0e216161b436e8e6f187b5169",
+    },
+    "symmnets_v2_no_Lt": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.caaaaaaaaaaabp-1",
+        "losses": {
+            "bound_lhs": "0x1.db908d424e1f3p-2",
+            "bound_rhs": "0x1.4a1b87850c2acp+1",
+            "confuse_src": "0x1.38aea641b1c63p+0",
+            "confuse_tgt": "0x1.626fa780b985dp-1",
+            "discrim": "0x1.cd43ab86da33dp+0",
+            "task_s": "0x1.c0e5538ba4645p-2",
+        },
+        "proxy": "-0x1.d1af958ea3bd0p-4",
+        "params": "790a482dd803e859e3f22af2d38df890ca86e26099249780c14f0cc9a1fb4216",
+    },
+    "symmnets_v2_no_adv": {
+        "source_acc": "0x1.9aaaaaaaaaaabp-1",
+        "target_acc": "0x1.d555555555555p-1",
+        "losses": {
+            "bound_lhs": "0x1.85686cfd9caf8p-5",
+            "bound_rhs": "0x1.446ecf19e1c9ap+1",
+            "confuse_src": "0x1.33e933b8fef39p+0",
+            "task_s": "0x1.0727017567594p-1",
+            "task_t": "0x1.012f634d39c00p-1",
+        },
+        "proxy": "0x1.cff592ca7fe80p-10",
+        "params": "9e117c027049db1d14a5d87d20fc8336f6b78c097400bd525517b55795f03b8a",
+    },
+}
+
+
 EXPECTED_MODE_RUNS = {
     "partial": {
         "source_acc": "0x1.0000000000000p+0",
@@ -415,6 +533,11 @@ def test_k10_ascent():
 @pytest.mark.parametrize("method", RUN_METHODS)
 def test_short_seeded_run(method):
     assert run_values(method) == EXPECTED_RUNS[method]
+
+
+@pytest.mark.parametrize("method", RUN_METHODS)
+def test_short_seeded_minibatch_run(method):
+    assert run_values(method, full_batch_limit=32) == EXPECTED_MINIBATCH_RUNS[method]
 
 
 @pytest.mark.parametrize("mode", RUN_MODES)

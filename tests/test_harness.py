@@ -699,9 +699,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert "Traceback" not in captured.out + captured.err
-        last = captured.out.splitlines()[-1]
-        assert last.startswith("BAD ARGUMENT: cannot write %s" % out), last
+        # one line: theory-check tries the path before any check runs
+        [line] = captured.out.splitlines()
+        assert line.startswith("BAD ARGUMENT: cannot write %s" % out), line
         assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
+
+    def test_theory_check_out_naming_a_directory_exits_2_before_the_suite(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        out.mkdir()
+        argv = ["theory-check", "--trials", "100", "--universes", "1", "--out", str(out)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["BAD ARGUMENT: cannot write %s: Is a directory" % out]
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "pac-report"])
     @pytest.mark.parametrize(
@@ -763,6 +773,32 @@ class TestCli:
             out = capsys.readouterr().out.strip().splitlines()
             assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
         assert not runs.exists()
+
+    @pytest.mark.parametrize(
+        "config,flags",
+        [
+            ([1, 2], ["--epochs", "1"]),
+            ("text", ["--epochs", "1"]),
+            ({"schedules": 5}, []),
+            ({"schedules": "abc"}, ["--eta0", "0.1"]),
+            ({"outdir": 5}, []),
+            ({"zeta_on_adversary": "no"}, []),
+        ],
+        ids=["list", "string", "int_schedules", "str_schedules", "int_outdir", "str_flag"],
+    )
+    def test_train_config_of_the_wrong_type_exits_2(
+        self, config, flags, blobs_csv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # where a relative run directory would go
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        before = sorted(tmp_path.iterdir())
+        rc = main(["train", "--data", str(blobs_csv), "--config", str(cfg_path), *flags])
+        captured = capsys.readouterr()
+        assert rc == 2 and "Traceback" not in captured.out + captured.err
+        [line] = captured.out.splitlines()
+        assert line.startswith("BAD CONFIG: "), line
+        assert sorted(tmp_path.iterdir()) == before  # no run directory
 
     def test_train_bound_violation_exits_2(self, blobs_csv, tmp_path, capsys, monkeypatch):
         def violated(*args, **kwargs):

@@ -5,6 +5,8 @@ absolute margins, entrywise L1 of violation matrices) before the module
 was written; they pin exact values, not implementation echoes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -465,7 +467,8 @@ def _sgd_step(lr):
 
 
 # inputs that some hand-written range checks used to accept or reject with
-# a TypeError; each goes through a checker now, with the parameter's name
+# a TypeError or with a message that does not name them; each goes through a
+# checker now, with the parameter's name
 FORMERLY_UNCHECKED = {
     "sgd_lr_nan": (lambda: _sgd_step(np.nan), "lr"),
     "sgd_lr_inf": (lambda: _sgd_step(np.inf), "lr"),
@@ -483,12 +486,25 @@ FORMERLY_UNCHECKED = {
         lambda: openset_sampler(SampleSet(np.zeros((3, 2)), [1, 2, 3]), 2.0, 2.5),
         "batch_size",
     ),
+    "moons_angle_nan": (lambda: gen_rotated_moons(10, 10, np.nan), "angle_deg"),
+    "blobs_radius_nan": (lambda: gen_gauss_blobs(3, 5, (1.0, 0.5), radius=np.nan), "radius"),
+    "blobs_shift_inf": (lambda: gen_gauss_blobs(3, 5, (1.0, np.inf)), "shift_vector"),
+    "blobs_shift_nan": (lambda: gen_gauss_blobs(3, 5, (np.nan, 0.5)), "shift_vector"),
+    "surface_span_inf": (lambda: emit_surface_grid("mcsd", 1.0, span=np.inf), "span"),
+    "surface_span_nan": (lambda: emit_surface_grid("mcsd", 1.0, span=np.nan), "span"),
+    "margin_error_1d_scores": (lambda: margin_error(np.zeros(3), [1, 2, 1], 1.0), "scores"),
+    "margin_error_3d_scores": (lambda: margin_error(np.zeros((3, 5, 2)), [1] * 5, 1.0), "scores"),
+    "margin_error_square_scores": (
+        lambda: margin_error(np.zeros((5, 5, 2)), [1] * 5, 1.0),
+        "scores",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", FORMERLY_UNCHECKED)
 def test_each_input_kind_is_checked_and_named(case):
     call, name = FORMERLY_UNCHECKED[case]
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy sees the value
         call()
     assert str(info.value).startswith(name + " "), str(info.value)

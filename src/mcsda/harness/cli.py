@@ -129,7 +129,7 @@ def _cmd_train(args) -> int:
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
     try:
         data = {}
-        if args.config:
+        if args.config is not None:  # an empty path is a missing file
             with open(args.config) as fh:
                 data = json.load(fh)
         if not isinstance(data, dict):

@@ -77,7 +77,9 @@ def emit_surface_grid(
         raise ValueError("direction must be 'fix_first' or 'fix_second'")
     resolution = _check_count(resolution, "resolution", 2)
     rho = _check_rho(rho)
-    span = _check_real(span, "span", 0.0, open_low=True)
+    # the swept components a, b and -a-b and the differences of any two of
+    # them (up to 3 span) stay finite
+    span = _check_real(span, "span", 0.0, np.finfo(float).max / 4, open_low=True)
     fx = np.asarray(fixed, dtype=float)
     if fx.shape != (3,):
         raise ValueError("the pinned scorer output must have three components")

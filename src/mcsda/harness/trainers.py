@@ -13,8 +13,11 @@ What differs by method is its row of ``config.METHOD_ROWS``: the heads to
 build, the evaluation head, the head pair of the divergence proxy and the
 constants of its family's step.  ``_family_step`` maps each of the three
 families to its step function.  A step returns one batch's loss values and
-merged parameter gradients; the epoch loop makes the one optimizer update
-and gives the one verdict on non-finite losses.
+merged parameter gradients as one vector shaped like the model's parameter
+arena, ``MlpScorer.theta``, written into gradient buffers the run allocates
+once; the epoch loop makes the one optimizer update (one
+``SgdMomentum.step`` over the whole arena) and gives the one verdict on
+non-finite losses.
 
 * ``source_only``        task head on source data, nothing else: one
   softmax and the picked-entry log loss, the McDalNet step's task term;
@@ -30,17 +33,19 @@ and gives the one verdict on non-finite losses.
   family re-weights classes on partial pairs and draws source batches from
   the super-class-oversampling sampler on open-set pairs.
 
-Every step checks its forward scores and its source labels once, before
-any loss, and then calls only private kernels (``_softmax``, the loss cores,
-the SymmNets bound core), never a public function that would check them
-again.  The partial-mode class-weight forward checks its scores before the
-weights, and the epoch proxy checks its full-data outputs before calling
+``run_experiment`` checks the source labels and ``rho`` once per run, and
+the partial-mode class weights once per epoch; every step checks only its
+forward scores, before any loss, and then calls only private kernels
+(``_softmax``, the loss cores, the SymmNets bound core, the backward
+kernel ``MlpScorer._backward``), never a public function that would check
+them again.  The partial-mode class-weight forward checks its scores before
+the weights, and the epoch proxy checks its full-data outputs before calling
 ``symmnets._head_disagreement``.  A batch with non-finite scores returns no
 gradients and is not stepped, the epoch is flagged and the run stops with a
 note.  A run that stops that way, or whose target accuracy stays below 1.5x
 chance over the second half of training (second-half mean or final epoch),
 is marked not converged; callers map that onto the CLI exit code.  The
-label check returns the loss cores' 0-based picks; accuracies compare
+label check returns the 0-based classes the steps take; accuracies compare
 1-based labels.
 """
 
@@ -55,12 +60,12 @@ from typing import Callable
 import numpy as np
 
 from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
-from ..margin import _check_labels
+from ..margin import _check_labels, _check_rho, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _dann_core, _mdd_variant_core, _picked_log_loss, _softmax
 from ..surrogates import reset_clamp_count
-from ..symmnets import HEAD_T, _head_disagreement, _head_pair, eval_openset, openset_sampler
-from ..symmnets import partial_weights, symmnets_step
+from ..symmnets import HEAD_T, _head_disagreement, _head_pair, _symmnets_step, eval_openset
+from ..symmnets import openset_sampler, partial_weights
 from ..synthdata import DomainPair
 from .config import METHOD_ROWS, ExperimentConfig, MetricsRecord
 
@@ -199,32 +204,36 @@ def _finalize(
 
 
 # ---------------------------------------------------------------------------
-# Per-family steps.  Each takes (model, source batch, source labels, target
-# batch, adversarial weight, class weights) and its row's keywords, and
-# returns its loss values and merged parameter gradients; a batch with
+# Per-family steps.  Each takes (model, source batch, its 0-based classes,
+# target batch, adversarial weight, checked class weights [K]), its row's
+# keywords and ``grads``, the run's gradient buffers (two
+# ``MlpScorer._zero_grads()`` pairs, bound by ``_family_step``), and
+# returns its loss values and the merged gradient vector; a batch with
 # non-finite scores returns a NaN loss and no gradients.  Library functions
 # are called by their module-level names, so a patched name takes effect on
 # the next run.
 # ---------------------------------------------------------------------------
 
 
-def _source_only_step(model, xs, ys, xt, zeta, omega):
+def _source_only_step(model, xs, y, xt, zeta, omega, *, grads):
     """Task head trained on source labels only; the adaptation baseline.
 
-    Like the McDalNet step, it checks its scores' finiteness and the labels
-    and calls the unchecked softmax and the picked-entry log loss, which
+    Like the McDalNet step, it checks its scores' finiteness and calls the
+    unchecked softmax and the picked-entry log loss, which
     ``log_loss_with_grads`` would have checked again."""
     cache = model.forward(xs, heads=("f",))
     if not _finite(cache.raw):
         return {"task": float("nan")}, None
-    n, k = cache.raw["f"].shape
-    picks = _check_labels(ys, n, k)[:, None]
-    value, g = _picked_log_loss(_softmax(cache.raw["f"]), picks, np.ones(n))
+    value, g = _picked_log_loss(_softmax(cache.raw["f"]), y[:, None], np.ones(y.size))
     score_grads = {"f": g}
-    return {"task": value}, model.backward(cache, score_grads, score_grads)
+    flat, views = grads[0]
+    model._backward(cache, score_grads, score_grads, views)
+    return {"task": value}, flat
 
 
-def _mcdal_step(model, xs, ys, xt, zeta, omega, *, surrogate, aux_task_weight, zeta_on_adversary):
+def _mcdal_step(
+    model, xs, y, xt, zeta, omega, *, surrogate, aux_task_weight, zeta_on_adversary, grads
+):
     """Minimax surrogate step: one forward and one backward of the stacked
     batch [xs; xt].
 
@@ -245,8 +254,7 @@ def _mcdal_step(model, xs, ys, xt, zeta, omega, *, surrogate, aux_task_weight, z
     wide = tuple(h for h in raw if raw[h].shape[1] == k)  # built K wide: f, then f1, f2
     probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
     trained = wide if aux_task_weight > 0 else ("f",)
-    picks = _check_labels(ys, ns, k)[:, None]
-    values, g = _picked_log_loss(probs[: len(trained), :ns], picks, np.ones(ns))
+    values, g = _picked_log_loss(probs[: len(trained), :ns], y[:, None], np.ones(ns))
     task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
     task[:, :ns] = g
     task[1:] *= aux_task_weight
@@ -272,16 +280,24 @@ def _mcdal_step(model, xs, ys, xt, zeta, omega, *, surrogate, aux_task_weight, z
         psi_grads[h] = t - zeta * d
     aux = aux_task_weight * float(values[1] + values[2]) if len(trained) > 1 else 0.0
     values = {"task": float(values[0]), "aux_task": aux, "disagreement": disagreement}
-    return values, model.backward(cache, head_grads, psi_grads)
+    flat, views = grads[0]
+    model._backward(cache, head_grads, psi_grads, views)
+    return values, flat
 
 
-def _family_step(cfg: ExperimentConfig) -> Callable[..., tuple[dict, dict | None]]:
-    """The step of the configured method's family, its row's constants and
-    the config fields the family reads bound as keywords."""
+def _family_step(
+    cfg: ExperimentConfig, model: MlpScorer
+) -> Callable[..., tuple[dict, np.ndarray | None]]:
+    """The step of the configured method's family, with its row's constants,
+    the config fields the family reads (``rho`` checked here, once) and two
+    gradient buffers for ``model``, allocated here, bound as keywords."""
     row = METHOD_ROWS[cfg.method]
-    steps = {"source_only": _source_only_step, "mcdal": _mcdal_step, "symmnets": symmnets_step}
+    steps = {"source_only": _source_only_step, "mcdal": _mcdal_step, "symmnets": _symmnets_step}
     options = {name: getattr(cfg, name) for name in row.family.options}
-    return partial(steps[row.family.name], **row.constants, **options)
+    if "rho" in options:
+        options["rho"] = _check_rho(options["rho"])
+    grads = (model._zero_grads(), model._zero_grads())
+    return partial(steps[row.family.name], **row.constants, **options, grads=grads)
 
 
 def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
@@ -293,16 +309,15 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
     already have the pair's K_shared + 1 outputs).
     """
     row = METHOD_ROWS[cfg.method]
-    step = _family_step(cfg)
+    xs, ys = pair.source.points, pair.source.labels
+    y = _check_labels(ys, xs.shape[0], pair.k)  # 0-based, for every step of the run
     eval_head = cfg.resolve_eval_head()
     mode = pair.mode if row.family.modes else "closed"
     init_seed, shuffle_seed, sampler_seed = _seeds(cfg)
-    model = MlpScorer(
-        pair.source.points.shape[1], row.head_widths(pair.k), cfg.hidden, cfg.feature_dim, init_seed
-    )
-    opt = SgdMomentum(model.params(), cfg.schedules.momentum, model.lr_multipliers())
+    model = MlpScorer(xs.shape[1], row.head_widths(pair.k), cfg.hidden, cfg.feature_dim, init_seed)
+    step = _family_step(cfg, model)
+    opt = SgdMomentum(model.theta, cfg.schedules.momentum, model._pack(model.lr_multipliers()))
     rng = np.random.default_rng(shuffle_seed)
-    xs, ys = pair.source.points, pair.source.labels
     xt, yt = pair.target.points, pair.eval_target_labels()
     sampler = None
     if mode == "openset":
@@ -327,16 +342,16 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                 raw_t = model.forward(xt, heads=(HEAD_T,)).raw
                 nan_flag = not _finite(raw_t)  # stops the run before any step
                 if not nan_flag:
-                    omega = partial_weights(raw_t[HEAD_T], xi)
+                    omega = _check_weights(partial_weights(raw_t[HEAD_T], xi), pair.k, "omega")
             batches = (
                 [] if nan_flag else _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg, sampler)
             )
             step_losses = []
             for idx_s, idx_t in batches:
-                values, grads = step(model, xs[idx_s], ys[idx_s], xt[idx_t], zeta, omega)
+                values, grads = step(model, xs[idx_s], y[idx_s], xt[idx_t], zeta, omega)
                 if grads is not None:
                     opt.step(grads, lr)
-                if not all(np.isfinite(v) for v in values.values()):
+                if not all(math.isfinite(v) for v in values.values()):
                     nan_flag = True
                     break
                 step_losses.append(values)

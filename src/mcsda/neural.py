@@ -9,13 +9,20 @@ any margin computation, by ``scorer`` and by the callers of
 gradients are taken with respect to the raw head outputs and already sum to
 zero per row.
 
-Gradients flow through an explicit cache (inputs, per-layer activations,
-head outputs).  ``MlpScorer.backward`` takes two maps from head name to
-dL/d(raw head outputs): the head parameters take their gradients from the
-first, the feature map from the second, pulled back through the current
-head weights.  Passing one map twice is plain backprop; an empty map leaves
-that side out.  It returns a dict of parameter gradients and is audited
-against central finite differences in the tests.  The two maps carry the
+Every parameter lives in one contiguous float64 vector, ``MlpScorer.theta``,
+in ``params()`` (and checkpoint) order; the named arrays of ``params()`` are
+views into it, made once.  Gradients flow through an explicit cache
+(inputs, per-layer activations, head outputs).  ``MlpScorer.backward`` takes
+two maps from head name to dL/d(raw head outputs): the head parameters take
+their gradients from the first, the feature map from the second, pulled
+back through the current head weights.  Passing one map twice is plain
+backprop; an empty map leaves that side out.  It checks the score
+gradients, then runs the private kernel ``MlpScorer._backward``, which
+writes the parameter gradients with ``out=`` into the named views of an
+arena-shaped vector (``MlpScorer._zero_grads``); the trainers allocate those
+vectors once per run and call the kernel directly.  ``backward`` returns the
+gradients of the sides it was given as a dict, and is audited against
+central finite differences in the tests.  The two maps carry the
 gradient-reversal layer as data: a McDalNet step forwards source and target
 as one stacked batch and makes one backward, with the disagreement
 gradients reversed and scaled by zeta in the feature-map map only.
@@ -24,14 +31,15 @@ instead and returns them for the optimizer; the tests keep it as the
 reference for that step.
 
 Optimization is plain SGD with momentum (v <- m v + g; theta <- theta -
-lr * v), a per-parameter learning-rate multiplier (heads train at 10x the
-feature map), and the standard annealed schedules for the learning rate
-and the adversarial weight.
+lr * mult * v) over the whole arena at once, with a per-element learning-rate
+multiplier (heads train at 10x the feature map), and the standard annealed
+schedules for the learning rate and the adversarial weight.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -115,16 +123,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _add_grads(
-    into: dict[str, np.ndarray], more: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Add ``more`` into ``into`` key by key (new keys are taken as they
-    are) and return ``into``: the merge of two backward passes."""
-    for name, g in more.items():
-        into[name] = into[name] + g if name in into else g
-    return into
-
-
 @dataclass
 class ForwardCache:
     """Everything backward() needs from one forward pass."""
@@ -157,9 +155,11 @@ def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
 class MlpScorer:
     """tanh MLP feature map with named linear heads.
 
-    ``heads`` maps a head name to its output width.  Parameters live in an
-    ordered dict keyed ``psi{i}.w`` / ``psi{i}.b`` / ``head:{name}.w`` /
-    ``head:{name}.b`` so optimizers and checkpoints can address them flatly.
+    ``heads`` maps a head name to its output width.  Parameters are keyed
+    ``psi{i}.w`` / ``psi{i}.b`` / ``head:{name}.w`` / ``head:{name}.b`` so
+    optimizers and checkpoints can address them by name, and live in that
+    order in one float64 vector, ``theta``, which the optimizer updates as a
+    whole.
     """
 
     def __init__(
@@ -175,15 +175,47 @@ class MlpScorer:
         self.feature_dim = _check_count(feature_dim, "feature_dim", 1)
         self.seed = _check_count(seed, "seed", 0)
         heads = {name: _check_count(d, "head widths", 1) for name, d in heads.items()}
-        rng = np.random.default_rng(self.seed)
-        self._psi: list[tuple[np.ndarray, np.ndarray]] = []
         dims = (self.in_dim,) + self.hidden + (self.feature_dim,)
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            self._psi.append(_uniform_init(rng, d_out, d_in))
         # each psi layer and head is a (w [out, in], b [out]) pair
-        self._heads = {n: _uniform_init(rng, d, self.feature_dim) for n, d in heads.items()}
+        shapes = {"psi%d" % i: (d_out, d_in) for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))}
+        shapes.update({"head:%s" % n: (d, self.feature_dim) for n, d in heads.items()})
+        self._layout: list[tuple[str, tuple[int, ...]]] = []
+        for key, (d_out, d_in) in shapes.items():
+            self._layout += [(key + ".w", (d_out, d_in)), (key + ".b", (d_out,))]
+        self.theta = np.empty(sum(math.prod(shape) for _, shape in self._layout))
+        self._params = self._views(self.theta)
+        pairs = {key: (self._params[key + ".w"], self._params[key + ".b"]) for key in shapes}
+        rng = np.random.default_rng(self.seed)
+        for w, b in pairs.values():  # drawn in params() order
+            w[...], b[...] = _uniform_init(rng, *w.shape)
+        self._psi = [pairs["psi%d" % i] for i in range(len(dims) - 1)]
+        self._heads = {n: pairs["head:%s" % n] for n in heads}
 
     # -- parameter plumbing -------------------------------------------------
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of an arena-shaped vector, in ``params()`` order."""
+        views, at = {}, 0
+        for name, shape in self._layout:
+            size = math.prod(shape)
+            views[name] = flat[at : at + size].reshape(shape)
+            at += size
+        return views
+
+    def _zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A zeroed arena-shaped vector and its named views, for ``_backward``
+        to write into."""
+        flat = np.zeros_like(self.theta)
+        return flat, self._views(flat)
+
+    def _pack(self, named: Mapping[str, np.ndarray | float]) -> np.ndarray:
+        """An arena-shaped vector holding each named value (an array of the
+        parameter's shape, or a scalar) in its parameter's place, zero
+        elsewhere; an unknown name raises KeyError."""
+        flat, views = self._zero_grads()
+        for name, value in named.items():
+            views[name][...] = value
+        return flat
 
     @property
     def head_names(self) -> tuple[str, ...]:
@@ -193,21 +225,15 @@ class MlpScorer:
         return self._heads[name][0].shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays, keyed; mutate in place to update the model."""
-        out: dict[str, np.ndarray] = {}
-        for i, (w, b) in enumerate(self._psi):
-            out["psi%d.w" % i] = w
-            out["psi%d.b" % i] = b
-        for name, (w, b) in self._heads.items():
-            out["head:%s.w" % name] = w
-            out["head:%s.b" % name] = b
-        return out
+        """Live parameter arrays, keyed: views into ``theta``; mutate in place
+        to update the model."""
+        return dict(self._params)
 
     def lr_multipliers(self) -> dict[str, float]:
         """Heads train at HEAD_LR_MULT times the feature-map learning rate."""
         return {
             name: (HEAD_LR_MULT if name.startswith("head:") else 1.0)
-            for name in self.params()
+            for name in self._params
         }
 
     # -- forward / backward -------------------------------------------------
@@ -240,25 +266,45 @@ class MlpScorer:
         that side treats as fixed linear maps).  An empty map leaves its
         side out of the result.
         """
-        grads: dict[str, np.ndarray] = {}
+        head_grads = {name: _score_grad(cache, name, g) for name, g in head_grads.items()}
+        psi_grads = {name: _score_grad(cache, name, g) for name, g in psi_grads.items()}
+        _, views = self._zero_grads()
+        self._backward(cache, head_grads, psi_grads, views)
+        heads = {"head:%s.%s" % (name, s) for name in head_grads for s in "wb"}
+        return {
+            name: g for name, g in views.items()
+            if name in heads or (psi_grads and name.startswith("psi"))
+        }
+
+    def _backward(
+        self,
+        cache: ForwardCache,
+        head_grads: Mapping[str, np.ndarray],
+        psi_grads: Mapping[str, np.ndarray],
+        out: Mapping[str, np.ndarray],
+    ) -> None:
+        """``backward`` on score gradients that already match the cached head
+        outputs (float64): writes the gradients of the sides given into
+        ``out``, the named views of an arena-shaped vector, and leaves its
+        other entries as they are.  The input layer's pull-back, which no
+        parameter reads, is skipped."""
         feats = cache.feats
         for name, g in head_grads.items():
-            g = _score_grad(cache, name, g)
-            grads["head:%s.w" % name] = g.T @ feats
-            grads["head:%s.b" % name] = g.sum(axis=0)
+            np.matmul(g.T, feats, out=out["head:%s.w" % name])
+            np.add.reduce(g, axis=0, out=out["head:%s.b" % name])  # np.sum without its wrapper
         if not psi_grads:
-            return grads
-        dfeat = np.zeros_like(feats)
+            return
+        dfeat = np.zeros(feats.shape)
         for name, g in psi_grads.items():
-            dfeat += _score_grad(cache, name, g) @ self._heads[name][0]
+            dfeat += g @ self._heads[name][0]
         for i in range(len(self._psi) - 1, -1, -1):
             a = cache.acts[i]
             prev = cache.x if i == 0 else cache.acts[i - 1]
             dz = dfeat * (1.0 - a * a)  # tanh'
-            grads["psi%d.w" % i] = dz.T @ prev
-            grads["psi%d.b" % i] = dz.sum(axis=0)
-            dfeat = dz @ self._psi[i][0]
-        return grads
+            np.matmul(dz.T, prev, out=out["psi%d.w" % i])
+            np.add.reduce(dz, axis=0, out=out["psi%d.b" % i])
+            if i:
+                dfeat = dz @ self._psi[i][0]
 
     def scorer(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
         """Callable batch -> centered scores, for the divergence estimators."""
@@ -325,32 +371,43 @@ class MlpScorer:
 
 
 class SgdMomentum:
-    """SGD with momentum over a named parameter dict.
+    """SGD with momentum over one flat parameter vector, updated in place.
 
-    v <- momentum * v + g;  theta <- theta - lr * mult * v, with a fixed
-    per-parameter multiplier (heads at 10x by convention).
+    v <- momentum * v + g;  theta <- theta - (lr * mult) * v, with a fixed
+    per-element multiplier ``lr_multipliers`` of theta's shape (heads at 10x
+    by convention; all ones when None).  ``MlpScorer.theta`` and
+    ``MlpScorer._pack(model.lr_multipliers())`` are the model's pair.
     """
 
     def __init__(
         self,
-        params: Mapping[str, np.ndarray],
+        theta: np.ndarray,
         momentum: float = 0.9,
-        lr_multipliers: Mapping[str, float] | None = None,
+        lr_multipliers: np.ndarray | None = None,
     ) -> None:
         self.momentum = _check_real(momentum, "momentum", 0.0, 1.0, open_high=True)
-        self._params = dict(params)
-        self._mult = dict(lr_multipliers or {})
-        self._vel = {name: np.zeros_like(p) for name, p in self._params.items()}
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64 and theta.ndim == 1):
+            raise ValueError("theta must be a float64 vector, updated in place")
+        self._theta = theta
+        mult = np.ones_like(theta) if lr_multipliers is None else lr_multipliers
+        self._mult = np.array(mult, dtype=np.float64)
+        if self._mult.shape != theta.shape:
+            raise ValueError("lr_multipliers must have theta's shape %r" % (theta.shape,))
+        self._vel = np.zeros_like(theta)
+        self._scaled = np.empty_like(theta)
 
-    def step(self, grads: Mapping[str, np.ndarray], lr: float) -> None:
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """One update with the gradient vector ``grad`` (theta's shape)."""
         lr = _check_real(lr, "lr", 0.0, open_low=True)
-        for name, g in grads.items():
-            if name not in self._params:
-                raise KeyError("gradient for unknown parameter %r" % name)
-            v = self._vel[name]
-            v *= self.momentum
-            v += g
-            self._params[name] -= lr * self._mult.get(name, 1.0) * v
+        if np.shape(grad) != self._theta.shape:
+            raise ValueError("gradient shape %r mismatches theta's %r"
+                             % (np.shape(grad), self._theta.shape))
+        v = self._vel
+        v *= self.momentum
+        v += grad
+        np.multiply(self._mult, lr, out=self._scaled)
+        self._scaled *= v
+        self._theta -= self._scaled
 
 
 def grad_reversal_step(

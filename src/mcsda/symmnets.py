@@ -18,17 +18,20 @@ probabilities) so they compose with the manual backprop:
 * ``symmnets_step``     the gradients of one simultaneous update: heads
   descend task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
-  without updating them).  It checks its scores' finiteness, the source
-  labels and ``rho`` once, at the top, and from there calls only private
+  without updating them).  It checks the source labels, the class weights
+  and ``rho``, then runs the private kernel ``_symmnets_step``, which the
+  trainers call directly on inputs they checked once per run.  The kernel
+  checks only its scores' finiteness and from there calls only private
   kernels: the unchecked ``surrogates._softmax`` for the two task softmaxes
   and each domain's joint softmax, which it passes to the private cores
   behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, and the bound
   core ``_bound_sides`` (which the public ``disagreement_bound_gap`` wraps
   in its checks) for the per-step bound.  It then makes one backward pass
-  per domain that takes the head gradients from one set of score gradients
-  and the feature-map gradients from the other.  It returns the loss values
-  and the merged parameter gradients; the caller makes the optimizer
-  update.
+  per domain (``MlpScorer._backward``) that takes the head gradients from
+  one set of score gradients and the feature-map gradients from the other,
+  each into its own arena-shaped vector, and merges the two with one add.
+  It returns the loss values and the merged gradient vector; the caller
+  makes the optimizer update.
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
@@ -38,7 +41,7 @@ the second-half mass.
 
 The public functions take 1-based labels and check them, their constants
 and class weights with ``margin``'s checkers; the private cores
-(``_confuse_src``, ``_discrim``, ``_bound_sides``) and the step's picks
+(``_confuse_src``, ``_discrim``, ``_bound_sides``) and ``_symmnets_step``
 take the 0-based classes that ``margin._check_labels`` returns.
 
 Class weights (all ones outside partial mode) re-weight source examples by
@@ -58,7 +61,7 @@ import numpy as np
 from .divergence import SampleSet, _margin_violations, _mcsd_rows
 from .margin import _check_count, _check_labels, _check_real, _check_rho, _check_weights
 from .margin import _finite_ramp_argument
-from .neural import MlpScorer, _add_grads, center_scores
+from .neural import MlpScorer, center_scores
 from .surrogates import _as_batch, _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
 from .surrogates import softmax
 
@@ -212,7 +215,7 @@ def symmnets_step(
     adversarial: bool = True,
     train_task_t: bool = True,
     rho: float | None = None,
-) -> tuple[dict[str, float], dict[str, np.ndarray] | None]:
+) -> tuple[dict[str, float], np.ndarray | None]:
     """Loss values and parameter gradients of one simultaneous update of
     heads and feature map.
 
@@ -225,11 +228,30 @@ def symmnets_step(
     the feature map, then target discrimination to the heads and lambda
     times confuse_tgt to the feature map (the target pass only when
     adversarial).  Returns the loss values for metrics and the merged
-    parameter gradients; with ``rho`` given the values also report (and the
-    step enforces) the per-step bound of the mean head disagreement by the
-    sum of the two source margin errors.  A batch whose scores are not
-    finite returns ``task_s`` NaN and no gradients.
+    parameter gradients as one vector shaped like ``model.theta``, ready
+    for ``SgdMomentum.step``; with ``rho`` given the values also report
+    (and the step enforces) the per-step bound of the mean head
+    disagreement by the sum of the two source margin errors.  A batch whose
+    scores are not finite returns ``task_s`` NaN and no gradients.
     """
+    k = model.head_dim(HEAD_S)
+    y = _check_labels(src_y, np.atleast_2d(src_x).shape[0], k)
+    omega = np.ones(k) if omega is None else _check_weights(omega, k, "omega")
+    rho = None if rho is None else _check_rho(rho)
+    grads = (model._zero_grads(), model._zero_grads())
+    return _symmnets_step(
+        model, src_x, y, tgt_x, lam, omega, adversarial, train_task_t, rho, grads=grads
+    )
+
+
+def _symmnets_step(
+    model, src_x, y, tgt_x, lam, omega, adversarial=True, train_task_t=True, rho=None, *, grads
+):
+    """``symmnets_step`` on checked inputs: 0-based source classes y, class
+    weights omega [K] and a checked ``rho`` (or None).  ``grads`` holds two
+    ``model._zero_grads()`` buffers, one per domain's backward pass; the
+    step merges the second into the first and returns the first's vector.
+    Only the scores' finiteness is checked here."""
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
     zs = np.concatenate([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], axis=1)
@@ -240,12 +262,11 @@ def symmnets_step(
         # gradients, so the caller neither steps nor goes on
         return {"task_s": float("nan")}, None
 
-    # the scores are finite; the labels and rho are checked here, once
-    y, w = _checked_labels(src_y, zs.shape[0], k, omega)
+    w = omega[y]
     values: dict[str, float] = {}
     if rho is not None:
         c = _head_pair(cache_s.raw[HEAD_S], cache_s.raw[HEAD_T])
-        lhs, rhs = _bound_sides(c, y, _check_rho(rho))
+        lhs, rhs = _bound_sides(c, y, rho)
         if lhs > rhs + 1e-9:
             raise ArithmeticError(
                 "disagreement bound violated on a source batch: %.12g > %.12g" % (lhs, rhs)
@@ -270,16 +291,20 @@ def symmnets_step(
         pt = _softmax(zt)
         disc_val, g_disc_s, g_disc_t = _discrim(ps, y, pt, w)
         values["discrim"] = disc_val
-        _add_grads(head_grads_src, _by_head(g_disc_s, k))
+        head_grads_src = {
+            h: head_grads_src[h] + g if h in head_grads_src else g
+            for h, g in _by_head(g_disc_s, k).items()
+        }
     conf_s_val, g_conf_s = _confuse_src(ps, y, w)
     values["confuse_src"] = conf_s_val
-    grads = model.backward(cache_s, head_grads_src, _by_head(g_conf_s, k))
+    (flat, views), (flat_t, views_t) = grads
+    model._backward(cache_s, head_grads_src, _by_head(g_conf_s, k), views)
     if adversarial:
         conf_t_val, g_conf_t = _confuse_tgt(pt)
         values["confuse_tgt"] = conf_t_val
-        tgt_grads = model.backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k))
-        _add_grads(grads, tgt_grads)
-    return values, grads
+        model._backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k), views_t)
+        flat += flat_t
+    return values, flat
 
 
 def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
@@ -312,7 +337,8 @@ def openset_sampler(
     Each slot draws a class (shared classes uniformly, the super class with
     nu times a shared class's probability), then a uniform example of that
     class; the expected per-batch count of super-class examples is nu times
-    the expected count of any single shared class.
+    the expected count of any single shared class.  A batch takes two
+    vectorized draws: its classes, then one example index per slot.
     """
     if sample.labels is None:
         raise ValueError("open-set sampling needs labeled data")
@@ -324,15 +350,17 @@ def openset_sampler(
         raise ValueError("every class in {1..%d} needs at least one example" % k_total)
     probs = openset_class_probs(k_total - 1, nu)
     rng = np.random.default_rng(seed)
+    # indices sorted by class: class c's examples start at offsets[c]
+    counts = np.array([idx.size for idx in by_class])
+    offsets = np.cumsum(counts) - counts
+    by_class_order = np.concatenate(by_class)
 
     def batches() -> Iterator[np.ndarray]:
         while True:
             classes = rng.choice(k_total, size=batch_size, p=probs)
-            idx = np.array(
-                [by_class[c][rng.integers(by_class[c].size)] for c in classes],
-                dtype=np.int64,
-            )
-            yield idx
+            # one bounded draw per slot, in slot order: the same stream as
+            # drawing slot by slot
+            yield by_class_order[offsets[classes] + rng.integers(counts[classes])]
 
     return batches()
 

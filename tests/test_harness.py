@@ -10,8 +10,12 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +40,8 @@ from mcsda.margin import (
     ramp_loss,
     relative_margin,
 )
-from mcsda.neural import MlpScorer, Schedules, _write_json, lambda_schedule, lr_schedule
+from mcsda.neural import MlpScorer, Schedules, SgdMomentum, _write_json, lambda_schedule
+from mcsda.neural import lr_schedule
 from mcsda.surrogates import clamp_count, reset_clamp_count, softmax, sur_ce, sur_kl, sur_l1
 from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, manifest_path, read_csv
 
@@ -221,6 +226,15 @@ class TestSurfaces:
             emit_surface_grid("kl", float("nan"))
         with pytest.raises(ValueError):
             emit_surface_grid("tilde", 1.0, fixed=(np.inf, 0.0, 0.0))
+
+    def test_span_keeps_the_grid_finite(self):
+        # a span whose grid overflows is named, before any numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^span must be"):
+                emit_surface_grid("mcsd", 1.0, resolution=3, span=1e308)
+            widest = emit_surface_grid("mcsd", 1.0, resolution=3, span=np.finfo(float).max / 4)
+        assert np.isfinite(widest.values).all()
 
 
 class TestConfig:
@@ -444,7 +458,7 @@ class TestTrainerRuns:
         )
 
     def test_nan_step_keeps_checkpoint_finite(self, tmp_path, monkeypatch):
-        real_step = trainers.symmnets_step
+        real_step = trainers._symmnets_step
         seen = {}
 
         def nan_batch_step(model, src_x, *args, **kwargs):
@@ -453,7 +467,7 @@ class TestTrainerRuns:
             bad[0, 0] = np.nan
             return real_step(model, bad, *args, **kwargs)
 
-        monkeypatch.setattr(trainers, "symmnets_step", nan_batch_step)
+        monkeypatch.setattr(trainers, "_symmnets_step", nan_batch_step)
         cfg = ExperimentConfig(method="symmnets_v2", epochs=3, seed=0, outdir=str(tmp_path))
         res = run_experiment(_easy_pair(), cfg)
         assert len(res.metrics) == 1 and res.metrics[0].nan_flag
@@ -767,6 +781,11 @@ class TestCli:
             assert rc == 2
             out = capsys.readouterr().out.strip().splitlines()
             assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
+        # an empty path is a file that does not exist, not the default config
+        rc = main(["train", "--data", str(blobs_csv), "--config", "", "--outdir", str(runs)])
+        assert rc == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith("BAD CONFIG: ")
         for method, head in (("mcdal_kl", "ft"), ("source_only", "fs")):
             argv = ["--method", method, "--eval-head", head, "--outdir", str(runs)]
             assert main(["train", "--data", str(blobs_csv), *argv]) == 2
@@ -804,7 +823,7 @@ class TestCli:
         def violated(*args, **kwargs):
             raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
 
-        monkeypatch.setattr(trainers, "symmnets_step", violated)
+        monkeypatch.setattr(trainers, "_symmnets_step", violated)
         out = tmp_path / "runs"
         rc = main(
             [
@@ -819,7 +838,7 @@ class TestCli:
     def test_bound_violation_leaves_config_and_finished_epochs(
         self, blobs_csv, tmp_path, capsys, monkeypatch
     ):
-        real_step = trainers.symmnets_step
+        real_step = trainers._symmnets_step
         calls = []
 
         def violated_in_second_epoch(*args, **kwargs):
@@ -828,7 +847,7 @@ class TestCli:
                 raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
             return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(trainers, "symmnets_step", violated_in_second_epoch)
+        monkeypatch.setattr(trainers, "_symmnets_step", violated_in_second_epoch)
         out = tmp_path / "runs"
         rc = main(
             [
@@ -903,6 +922,18 @@ class TestCli:
         assert len(lines) == 122
         assert {float(l.split(",")[2]) for l in lines[1:]} <= {0.0, 1.0}
 
+    def test_surface_span_that_overflows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "mcsd.csv"
+        argv = ["surface", "--which", "mcsd", "--rho", "1", "--span", "1e308",
+                "--resolution", "3", "--out", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == 2
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("BAD ARGUMENT: span must be"), line
+        assert not path.exists()
+
     def test_pac_report_cli(self, blobs_csv, tmp_path):
         report = tmp_path / "pac.json"
         rc = main(
@@ -967,10 +998,11 @@ class TestChecksAtThePublicEdge:
         for method in METHODS:
             cfg = ExperimentConfig(method=method, rho=2.0)  # SymmNets steps bind rho
             model = MlpScorer(d, METHOD_ROWS[method].head_widths(pair.k), seed=0)
-            values, grads = trainers._family_step(cfg)(model, xs, ys, xt, 0.5, np.ones(pair.k))
+            step = trainers._family_step(cfg, model)
+            values, grads = step(model, xs, ys - 1, xt, 0.5, np.ones(pair.k))
             if METHOD_ROWS[method].family.name == "symmnets":
                 assert {"bound_lhs", "bound_rhs"} <= set(values)
-            out += list(values.values()) + list(grads.values())
+            out += list(values.values()) + [grads]
         heads = METHOD_ROWS["symmnets_v2"].proxy
         model = MlpScorer(d, METHOD_ROWS["symmnets_v2"].head_widths(pair.k), seed=1)
         src, tgt = (model.forward(s.points, heads=heads).raw for s in (pair.source, pair.target))
@@ -1004,6 +1036,65 @@ class TestBenchmarkTracing:
                 assert hasattr(obj, part), "%s.%s" % (modname, attr)
                 obj = getattr(obj, part)
             assert callable(obj), "%s.%s" % (modname, attr)
+
+    def test_traced_runs_count_one_sgd_step_per_step(self):
+        # what ``perfbench/run.py --trace 1`` does, in a fresh process:
+        # install() wraps every target (a method as found in its class's
+        # dict), and the traced runs must count one ``neural.sgd_step`` span
+        # per SGD step of the benchmark's own step rule
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent(
+            """
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            import mcsda.harness.cli
+            from mcsda.harness.config import ExperimentConfig
+            from mcsda.harness.trainers import run_experiment
+            from mcsda.synthdata import gen_gauss_blobs
+            from spans import Tracer, install
+            from worker import expected_steps
+
+            tracer = Tracer()
+            install(tracer, full_rows=33)
+            pair = gen_gauss_blobs(3, 40, shift_vector=(0.6, 0.3), seed=0, std=0.5)
+            steps = 0
+            for method in ("source_only", "mcdal_kl", "symmnets_v2"):
+                cfg = ExperimentConfig(method=method, epochs=2, batch_size=32,
+                                       full_batch_limit=64)
+                run_experiment(pair, cfg)
+                steps += expected_steps(pair, cfg)
+            sgd = tracer.name_id("neural.sgd_step")
+            spans = sum(n == sgd for n in tracer.name)
+            print(json.dumps({"steps": steps, "sgd_step_spans": spans}))
+            """
+        )
+        paths = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(root / "perfbench")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert counts["sgd_step_spans"] == counts["steps"] == 24
+
+
+class TestOneOptimizerStepPerSgdStep:
+    @pytest.mark.parametrize("method", ["source_only", "mcdal_kl", "symmnets_v2"])
+    def test_short_run(self, method, monkeypatch):
+        shapes = []
+        real = SgdMomentum.step
+
+        def counted(opt, grad, lr):
+            shapes.append(np.shape(grad))
+            return real(opt, grad, lr)
+
+        monkeypatch.setattr(SgdMomentum, "step", counted)
+        # 120 points per domain in batches of 32: four SGD steps per epoch
+        cfg = ExperimentConfig(method=method, epochs=3, batch_size=32, full_batch_limit=64)
+        res = run_experiment(_easy_pair(), cfg)
+        assert len(res.metrics) == 3 and not any(r.nan_flag for r in res.metrics)
+        assert shapes == [res.model.theta.shape] * 12
 
 
 class TestPartialReweightingHelps:

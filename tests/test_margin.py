@@ -461,7 +461,7 @@ class TestCheckers:
 def _sgd_step(lr):
     param = np.zeros(2)
     try:
-        SgdMomentum({"w": param}).step({"w": np.ones(2)}, lr=lr)
+        SgdMomentum(param).step(np.ones(2), lr=lr)
     finally:
         assert np.array_equal(param, np.zeros(2))  # a rejected step leaves the parameters
 

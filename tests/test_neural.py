@@ -115,6 +115,72 @@ class TestBackward:
             model.backward(cache, {}, bad)
 
 
+class TestParameterArena:
+    """Every parameter lives in ``theta``; the named arrays are views of it."""
+
+    def _model(self):
+        return MlpScorer(3, {"f": 4, "d": 1}, hidden=(5, 2), feature_dim=3, seed=9)
+
+    def test_params_alias_the_arena_in_order(self):
+        model = self._model()
+        params = model.params()
+        assert model.theta.dtype == np.float64 and model.theta.ndim == 1
+        np.testing.assert_array_equal(
+            np.concatenate([p.reshape(-1) for p in params.values()]), model.theta
+        )
+        for name, p in params.items():
+            assert np.shares_memory(p, model.theta), name
+        model.theta[:] = np.arange(model.theta.size)
+        assert params["psi0.w"][0, 0] == 0.0 and params["head:d.b"][0] == model.theta.size - 1
+        params["head:f.w"][...] = -1.0
+        assert np.count_nonzero(model.theta == -1.0) == params["head:f.w"].size
+
+    def test_save_bytes_are_the_per_array_concatenation(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        block = path.read_bytes().split(b"\n", 1)[1]
+        assert block == b"".join(p.astype("<f8").tobytes() for p in model.params().values())
+        assert block == model.theta.astype("<f8").tobytes()
+
+    def test_flat_update_equals_per_name_update(self):
+        # the per-name loop the flat update replaced, kept as the oracle
+        def per_name_step(params, vel, mult, grads, lr, momentum):
+            for name, g in grads.items():
+                v = vel[name]
+                v *= momentum
+                v += g
+                params[name] -= lr * mult.get(name, 1.0) * v
+
+        model, oracle = self._model(), self._model()
+        opt = SgdMomentum(model.theta, 0.9, model._pack(model.lr_multipliers()))
+        params, mult = oracle.params(), oracle.lr_multipliers()
+        assert sorted(set(mult.values())) == [1.0, HEAD_LR_MULT]
+        vel = {name: np.zeros_like(p) for name, p in params.items()}
+        rng = np.random.default_rng(4)
+        for t in range(6):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            lr = lr_schedule(t / 6, Schedules(eta0=0.05))
+            opt.step(model._pack(grads), lr)
+            per_name_step(params, vel, mult, grads, lr, 0.9)
+            assert model.theta.tobytes() == oracle.theta.tobytes(), t
+
+    def test_public_backward_equals_the_kernel_views(self):
+        model = self._model()
+        rng = np.random.default_rng(3)
+        cache = model.forward(rng.normal(size=(6, 3)))
+        a = {"f": rng.normal(size=(6, 4)), "d": rng.normal(size=(6, 1))}
+        b = {"f": rng.normal(size=(6, 4))}
+        for heads, psi in ((a, b), (a, {}), ({}, b), ({"d": a["d"]}, a)):
+            got = model.backward(cache, heads, psi)
+            flat, views = model._zero_grads()
+            model._backward(cache, heads, psi, views)
+            for name, g in views.items():
+                want = got[name] if name in got else np.zeros_like(g)
+                assert g.tobytes() == want.tobytes(), name
+            assert flat.tobytes() == model._pack(got).tobytes()
+
+
 class TestSchedules:
     def test_lr_frozen_endpoint(self):
         s = Schedules()
@@ -159,21 +225,21 @@ class TestSgdMomentum:
     def test_velocity_geometric_series(self):
         # constant gradient g: after T steps theta = theta0 - lr * g *
         # sum_{t=1..T} (1 - m^t) / (1 - m)
-        theta = {"p": np.array([0.0])}
+        theta = np.array([0.0])
         opt = SgdMomentum(theta, momentum=0.9)
-        g = {"p": np.array([2.0])}
+        g = np.array([2.0])
         T, lr, m = 7, 0.1, 0.9
         for _ in range(T):
             opt.step(g, lr)
         expect = -lr * 2.0 * sum((1 - m ** t) / (1 - m) for t in range(1, T + 1))
-        assert theta["p"][0] == pytest.approx(expect, abs=1e-12)
+        assert theta[0] == pytest.approx(expect, abs=1e-12)
 
     def test_head_multiplier_exact_ratio(self):
-        theta = {"head:f.w": np.array([1.0]), "psi0.w": np.array([1.0])}
-        opt = SgdMomentum(theta, momentum=0.0, lr_multipliers={"head:f.w": HEAD_LR_MULT, "psi0.w": 1.0})
-        opt.step({"head:f.w": np.array([1.0]), "psi0.w": np.array([1.0])}, lr=0.01)
-        d_head = 1.0 - theta["head:f.w"][0]
-        d_psi = 1.0 - theta["psi0.w"][0]
+        theta = np.array([1.0, 1.0])  # [head:f.w, psi0.w]
+        opt = SgdMomentum(theta, momentum=0.0, lr_multipliers=np.array([HEAD_LR_MULT, 1.0]))
+        opt.step(np.array([1.0, 1.0]), lr=0.01)
+        d_head = 1.0 - theta[0]
+        d_psi = 1.0 - theta[1]
         assert d_head == pytest.approx(10.0 * d_psi, abs=1e-15)
 
     def test_model_lr_multipliers(self):
@@ -184,18 +250,18 @@ class TestSgdMomentum:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SgdMomentum({"p": np.zeros(1)}, momentum=-0.1)
-        opt = SgdMomentum({"p": np.zeros(1)})
+            SgdMomentum(np.zeros(1), momentum=-0.1)
+        opt = SgdMomentum(np.zeros(1))
         with pytest.raises(ValueError):
-            opt.step({"p": np.zeros(1)}, lr=0.0)
-        with pytest.raises(KeyError):
-            opt.step({"q": np.zeros(1)}, lr=0.1)
+            opt.step(np.zeros(1), lr=0.0)
+        with pytest.raises(ValueError):  # a gradient for parameters theta does not hold
+            opt.step(np.zeros(2), lr=0.1)
 
 
 class TestGradReversal:
     def _setup(self):
         model = MlpScorer(2, {"f": 2, "f1": 2}, hidden=(), feature_dim=2, seed=4)
-        opt = SgdMomentum(model.params(), momentum=0.0)
+        opt = SgdMomentum(model.theta, momentum=0.0)
         task = {"head:f.w": np.full((2, 2), 1.0), "psi0.w": np.full((2, 2), 2.0)}
         disc = {"head:f1.w": np.full((2, 2), 3.0), "head:f.w": np.full((2, 2), 5.0),
                 "psi0.w": np.full((2, 2), 4.0)}
@@ -221,7 +287,7 @@ class TestGradReversal:
         model, opt, task, disc = self._setup()
         before = {k: v.copy() for k, v in model.params().items()}
         eff = grad_reversal_step(model, task, disc, zeta=0.0, adversary_heads=("f1",))
-        opt.step(eff, 0.1)
+        opt.step(model._pack(eff), 0.1)
         np.testing.assert_allclose(eff["psi0.w"], task["psi0.w"])
         moved = before["psi0.w"] - model.params()["psi0.w"]
         np.testing.assert_allclose(moved, 0.1 * task["psi0.w"], atol=1e-15)

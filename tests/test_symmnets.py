@@ -189,8 +189,8 @@ class TestSymmnetsStep:
     def setup_method(self):
         self.pair = gen_gauss_blobs(3, 20, (0.5, 0.2), seed=0, std=0.5)
         self.model = two_head_model(3, seed=1)
-        self.opt = SgdMomentum(self.model.params(), momentum=0.9,
-                               lr_multipliers=self.model.lr_multipliers())
+        self.opt = SgdMomentum(self.model.theta, momentum=0.9,
+                               lr_multipliers=self.model._pack(self.model.lr_multipliers()))
 
     def test_values_keys_and_bound(self):
         vals = stepped(self.model, self.opt, self.pair.source.points,
@@ -248,16 +248,17 @@ class TestSymmnetsStep:
     @pytest.mark.parametrize("adversarial, calls", [(True, 2), (False, 1)])
     def test_one_backward_per_domain(self, monkeypatch, adversarial, calls):
         # each backward routes head and feature-map gradients at once: the
-        # source pass always, the target pass only with the adversarial part
+        # source pass always, the target pass only with the adversarial part;
+        # the step runs the backward kernel, the public backward adds checks
         counted = []
-        backward = MlpScorer.backward
+        backward = MlpScorer._backward
         xs, xt = self.pair.source.points, self.pair.target.points
 
         def counting(model, cache, *args, **kwargs):
             counted.append("source" if cache.x is xs else "target" if cache.x is xt else None)
             return backward(model, cache, *args, **kwargs)
 
-        monkeypatch.setattr(MlpScorer, "backward", counting)
+        monkeypatch.setattr(MlpScorer, "_backward", counting)
         stepped(self.model, self.opt, xs, self.pair.source.labels, xt, lam=0.5,
                       lr=0.01, adversarial=adversarial, rho=1.0)
         assert counted == ["source", "target"][:calls]
@@ -274,7 +275,8 @@ class TestTaskTrainingEarnsMargins:
     def test_margin_error_vanishes_on_separable_source(self):
         pair = gen_gauss_blobs(3, 40, (0.5, 0.2), seed=0, std=0.3)
         model = two_head_model(3, seed=0)
-        opt = SgdMomentum(model.params(), momentum=0.9, lr_multipliers=model.lr_multipliers())
+        opt = SgdMomentum(model.theta, momentum=0.9,
+                          lr_multipliers=model._pack(model.lr_multipliers()))
         for _ in range(200):
             stepped(model, opt, pair.source.points, pair.source.labels,
                           pair.target.points, lam=0.0, lr=0.02, adversarial=False)
@@ -286,7 +288,7 @@ class TestConfusionEqualizesHeads:
     def test_psi_only_confusion_splits_mass_and_closes_gap(self):
         pair = gen_gauss_blobs(2, 30, (1.0, 0.5), seed=1, std=0.5)
         model = two_head_model(2, seed=3)
-        opt = SgdMomentum(model.params(), momentum=0.9)
+        opt = SgdMomentum(model.theta, momentum=0.9)
         heads_before = {k: v.copy() for k, v in model.params().items()
                         if k.startswith("head:")}
         Xs, ys, Xt = pair.source.points, pair.source.labels, pair.target.points
@@ -303,7 +305,7 @@ class TestConfusionEqualizesHeads:
                 ct, {}, {HEAD_S: g_t[:, :k], HEAD_T: g_t[:, k:]}
             ).items():
                 psi[name] = psi[name] + g
-            opt.step(psi, 0.05)
+            opt.step(model._pack(psi), 0.05)
         # heads were never updated
         for name, v in heads_before.items():
             assert np.array_equal(v, model.params()[name])
@@ -381,6 +383,36 @@ class TestOpensetSampler:
             counts += np.bincount(labels[next(stream)], minlength=4)
         freq = counts[1:] / counts.sum()
         np.testing.assert_allclose(freq, 1.0 / 3.0, atol=0.01)
+
+    @staticmethod
+    def slot_by_slot(sample, nu, batch_size, seed):
+        """The sampler drawn one slot at a time: a class per slot, then one
+        ``integers`` call per slot for an example of that class."""
+        labels = sample.labels
+        k_total = int(labels.max())
+        by_class = [np.flatnonzero(labels == c) for c in range(1, k_total + 1)]
+        probs = openset_class_probs(k_total - 1, nu)
+        rng = np.random.default_rng(seed)
+        while True:
+            classes = rng.choice(k_total, size=batch_size, p=probs)
+            yield np.array(
+                [by_class[c][rng.integers(by_class[c].size)] for c in classes], dtype=np.int64
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 6.0])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_vectorized_draws_equal_slot_by_slot(self, seed, nu, batch_size):
+        # shuffled labels of unequal class sizes, so the class-sorted offsets
+        # differ from positions in the sample
+        labels = np.repeat([1, 2, 3, 4], [5, 9, 2, 14])
+        labels = np.random.default_rng(seed + 10).permutation(labels)
+        sample = SampleSet(np.zeros((labels.size, 2)), labels)
+        got = openset_sampler(sample, nu, batch_size, seed=seed)
+        want = self.slot_by_slot(sample, nu, batch_size, seed)
+        for _ in range(25):
+            g, w = next(got), next(want)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_batches_index_into_sample(self):
         labels = np.repeat([1, 2], 10)

@@ -45,10 +45,14 @@ explicit point masses so fully enumerated universes can be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
 ramp and its clamp, per-component disagreement, violation matrix, decision
-margin); public functions check ``rho``, their counts, scores and labels
-once, at entry, with ``margin``'s checkers, and the private cores
+margin); public functions check ``rho``, their counts, scores, labels and
+points once, at entry, with ``margin``'s checkers, and the private cores
 (``_margin_violations`` among them) check nothing and take the 0-based
-classes that ``margin._check_labels`` returns.
+classes that ``margin._check_labels`` returns.  Points have one checker,
+``margin._check_points``: a ``SampleSet`` runs it at construction and is
+trusted from then on, and every function that takes raw points (the
+estimators and ``ScorerGrid.evaluate``) runs it once per sample through
+``_as_sample``, then hands the grid the checked sample.
 ``violation_tensor`` and the single-vector ``margin`` functions stay as
 reference oracles.
 """
@@ -60,9 +64,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _center, _check_count, _check_labels, _check_real, _check_rho
-from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
-from .margin import _finite_ramp_argument, _integer_labels, _ramp, _ramp_clamp, _violation_matrix
+from .margin import _absolute_margin, _center, _check_count, _check_labels, _check_points
+from .margin import _check_real, _check_rho, _check_weights, _component_disagreement
+from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _integer_labels
+from .margin import _ramp, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -92,19 +97,14 @@ class BoundViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Points with optional 1-based labels."""
+    """Points with optional 1-based labels; the points pass
+    ``margin._check_points`` once, here, and are trusted afterwards."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must form a non-empty [n, d] array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        pts = _check_points(self.points, "points")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             lab = _integer_labels(self.labels)
@@ -119,11 +119,19 @@ class SampleSet:
         return self.points.shape[0]
 
 
-def _as_points(sample) -> np.ndarray:
+class _CheckedPoints(SampleSet):
+    """Unlabelled points that ``_check_points`` has passed: built unchecked."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+def _as_sample(sample, name: str) -> SampleSet:
+    """``sample`` itself if a SampleSet, whose points are checked already;
+    raw points checked once, as the argument ``name``."""
     if isinstance(sample, SampleSet):
-        return sample.points
-    pts = np.asarray(sample, dtype=np.float64)
-    return pts[:, None] if pts.ndim == 1 else pts
+        return sample
+    return _CheckedPoints(_check_points(sample, name))
 
 
 def _as_weights(weights, n: int) -> np.ndarray:
@@ -142,7 +150,9 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
     b = np.asarray(b, dtype=np.float64).reshape(-1)
 
     def score(points: np.ndarray) -> np.ndarray:
-        return _center(_as_points(points) @ w.T + b)
+        # coerced as a sample is but not checked: a grid has checked them
+        pts = np.asarray(points, dtype=np.float64)
+        return _center((pts[:, None] if pts.ndim == 1 else pts) @ w.T + b)
 
     return score
 
@@ -165,8 +175,9 @@ class ScorerGrid:
         return len(self.scorers)
 
     def evaluate(self, points) -> np.ndarray:
-        """Evaluate all candidates: array [n_candidates, n_points, K]."""
-        pts = _as_points(points)
+        """Evaluate all candidates on raw points or a SampleSet: array
+        [n_candidates, n_points, K]."""
+        pts = _as_sample(points, "points").points
         out = np.empty((len(self.scorers), pts.shape[0], self.k))
         for i, scorer in enumerate(self.scorers):
             s = np.asarray(scorer(pts), dtype=np.float64)
@@ -233,10 +244,10 @@ def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
 def empirical_mcsd(sample, f1, f2, rho: float, weights=None) -> float:
     """Mean pointwise scoring disagreement of two scorers over a sample."""
     rho = _check_rho(rho)
-    pts = _as_points(sample)
-    grid = ScorerGrid([f1, f2], k=np.asarray(f1(pts[:1])).shape[-1])
+    sample = _as_sample(sample, "sample")
+    grid = ScorerGrid([f1, f2], k=np.asarray(f1(sample.points[:1])).shape[-1])
     # the grid checks the scores and centers them: [2, n, K], the kernel's pair
-    return float(_mcsd_rows(grid.evaluate(pts), rho) @ _as_weights(weights, pts.shape[0]))
+    return float(_mcsd_rows(grid.evaluate(sample), rho) @ _as_weights(weights, sample.n))
 
 
 @dataclass(frozen=True)
@@ -300,10 +311,9 @@ def _exact_divergence(src, tgt, grid, rho, variant, src_weights, tgt_weights) ->
     """The exact routes' shared prologue: check ``rho`` and the masses, then
     evaluate the grid once per sample."""
     rho = _check_rho(rho)
-    src_pts, tgt_pts = _as_points(src), _as_points(tgt)
-    ws = _as_weights(src_weights, src_pts.shape[0])
-    wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    return _exact(grid.evaluate(src_pts), grid.evaluate(tgt_pts), ws, wt, rho, variant)
+    src, tgt = _as_sample(src, "src"), _as_sample(tgt, "tgt")
+    ws, wt = _as_weights(src_weights, src.n), _as_weights(tgt_weights, tgt.n)
+    return _exact(grid.evaluate(src), grid.evaluate(tgt), ws, wt, rho, variant)
 
 
 def mcsd_divergence_exact(
@@ -487,10 +497,12 @@ def mcsd_divergence_adversarial(
     steps = _check_count(steps, "steps", 0)
     step_size = _check_real(step_size, "step_size", 0.0, open_low=True)
     rho = _check_rho(rho)
-    src_pts, tgt_pts = _as_points(src), _as_points(tgt)
+    src_pts, tgt_pts = _as_sample(src, "src").points, _as_sample(tgt, "tgt").points
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
     d = src_pts.shape[1]
+    if tgt_pts.shape[1] != d:
+        raise ValueError("tgt has %d features per point, src has %d" % (tgt_pts.shape[1], d))
     if init is None:
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(d)
@@ -502,8 +514,12 @@ def mcsd_divergence_adversarial(
         )
     else:
         heads = tuple(np.array(h, dtype=np.float64) for h in init)
-        if [h.shape[:1] for h in heads] != [(k,)] * 4:
-            raise ValueError("init heads must have K = %d rows" % k)
+        shapes = [h.shape for h in heads]
+        if shapes != [(k, d), (k,)] * 2 or not all(np.isfinite(h).all() for h in heads):
+            raise ValueError(
+                "init must be four finite arrays shaped (K, d), (K,), (K, d), (K,) "
+                "at K = %d, d = %d" % (k, d)
+            )
 
     # both domains' rows in one stack; the source side enters the objective,
     # and so its gradients, negated.  Sums over points run per domain, so each
@@ -601,7 +617,7 @@ def rademacher_estimate(
     signed sum, and the estimate is the mean over draws divided by the
     sample size.
     """
-    return _rademacher(grid.evaluate(_as_points(sample)), sigma_draws, seed)
+    return _rademacher(grid.evaluate(_as_sample(sample, "sample")), sigma_draws, seed)
 
 
 def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEstimate:
@@ -731,8 +747,8 @@ def pac_bound_report(
     rho = _check_rho(rho)
     k = grid.k
     n_s, n_t = src.n, tgt.n
-    scores_src = grid.evaluate(src.points)
-    scores_tgt = grid.evaluate(tgt.points)
+    scores_src = grid.evaluate(src)
+    scores_tgt = grid.evaluate(tgt)
 
     w_s, w_t = _as_weights(None, n_s), _as_weights(None, n_t)
     src_errs, _ = _candidate_errors(scores_src, src.labels, rho, w_s)

@@ -31,8 +31,10 @@ This module holds the package's one checker per kind of input, each naming
 the parameter it rejects in a ``ValueError``: ``_check_count`` (an integer
 of at least some value; an integral float is taken, a fractional one
 rejected), ``_check_real`` (a finite real in an interval, each end open or
-closed; ``_check_rho`` is its margin-width case), ``_check_weights`` and
-``_check_labels``.  The package's rule: each public function validates its
+closed; ``_check_rho`` is its margin-width case), ``_check_weights``,
+``_check_labels`` and ``_check_points`` (a non-empty finite float64 [n, d]
+sample, which ``divergence.SampleSet`` and every estimator taking raw points
+share).  The package's rule: each public function validates its
 arguments once, at entry (these checkers, ``as_scores``, the finiteness and
 K-mismatch checks), and then computes with private kernels that trust them,
 so no input is centered or checked twice within one call.  Code that holds
@@ -171,6 +173,22 @@ def _check_weights(w, n: int, name: str) -> np.ndarray:
     if a.size != n or not (np.isfinite(a).all() and (a >= 0.0).all()):
         raise ValueError("%s must be %d non-negative finite weights" % (name, n))
     return a
+
+
+def _check_points(points, name: str) -> np.ndarray:
+    """``points`` as finite float64 [n, d] with n, d >= 1; a 1-D array is n
+    points of one feature, [n, 1].  Float64 arrays are returned uncopied."""
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        pts = None
+    if pts is not None and pts.ndim == 1:
+        pts = pts[:, None]
+    if pts is None or pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError("%s must be a non-empty [n, d] array of reals" % name)
+    if not np.isfinite(pts).all():
+        raise ValueError("%s must be finite" % name)
+    return pts
 
 
 def _integer_labels(labels) -> np.ndarray:

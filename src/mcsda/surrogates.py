@@ -213,6 +213,14 @@ def _as_batch(scores) -> np.ndarray:
     return s
 
 
+def _batch_pair(a, b, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two score batches of one shape [n, K>=2]; ``names`` names both."""
+    a, b = _as_batch(a), _as_batch(b)
+    if a.shape != b.shape:
+        raise ValueError("%s must have one shape, got %r and %r" % (names, a.shape, b.shape))
+    return a, b
+
+
 def _mean_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
@@ -230,7 +238,7 @@ def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _pair_with_grads(kernel, s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
-    s1, s2 = _as_batch(s1), _as_batch(s2)
+    s1, s2 = _batch_pair(s1, s2, "s1 and s2")
     return _pair_core(kernel, softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
 
 
@@ -310,8 +318,8 @@ def mdd_variant_with_grads(
     Returns (src_term, tgt_term, dsrc/d aux_src, dtgt/d aux_tgt).  Reference
     scores only pick argmax classes, so no gradient flows to them.
     """
-    ref_s, aux_s = _as_batch(ref_src), _as_batch(aux_src)
-    ref_t, aux_t = _as_batch(ref_tgt), _as_batch(aux_tgt)
+    ref_s, aux_s = _batch_pair(ref_src, aux_src, "ref_src and aux_src")
+    ref_t, aux_t = _batch_pair(ref_tgt, aux_tgt, "ref_tgt and aux_tgt")
     ns, nt = aux_s.shape[0], aux_t.shape[0]
     src_term, g_src = _mdd_variant_core(
         np.argmax(ref_s, axis=1), softmax(aux_s), _mean_weights(ns)

@@ -18,20 +18,20 @@ probabilities) so they compose with the manual backprop:
 * ``symmnets_step``     the gradients of one simultaneous update: heads
   descend task + discrimination, the feature map descends
   confuse_src + lambda * confuse_tgt (gradients pass through head weights
-  without updating them).  It checks the source labels, the class weights
-  and ``rho``, then runs the private kernel ``_symmnets_step``, which the
-  trainers call directly on inputs they checked once per run.  The kernel
-  checks only its scores' finiteness and from there calls only private
-  kernels: the unchecked ``surrogates._softmax`` for the two task softmaxes
-  and each domain's joint softmax, which it passes to the private cores
-  behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, and the bound
-  core ``_bound_sides`` (which the public ``disagreement_bound_gap`` wraps
-  in its checks) for the per-step bound.  It then makes one backward pass
-  per domain (``MlpScorer._backward``) that takes the head gradients from
-  one set of score gradients and the feature-map gradients from the other,
-  each into its own arena-shaped vector, and merges the two with one add.
-  It returns the loss values and the merged gradient vector; the caller
-  makes the optimizer update.
+  without updating them).  It checks the source labels, the class weights,
+  ``lam`` and ``rho``, then runs the private kernel ``_symmnets_step``,
+  which the trainers call directly on inputs they checked once per run.
+  The kernel checks only its scores' finiteness and from there calls only
+  private kernels: the unchecked ``surrogates._softmax`` for the two task
+  softmaxes and each domain's joint softmax, which it passes to the private
+  cores behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, and the
+  bound core ``_bound_sides`` (which the public ``disagreement_bound_gap``
+  wraps in its checks) for the per-step bound.  It then makes one backward
+  pass per domain (``MlpScorer._backward``) that takes the head gradients
+  from one set of score gradients and the feature-map gradients from the
+  other, each into its own arena-shaped vector, and merges the two with
+  one add.  It returns the loss values and the merged gradient vector; the
+  caller makes the optimizer update.
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
@@ -237,6 +237,7 @@ def symmnets_step(
     k = model.head_dim(HEAD_S)
     y = _check_labels(src_y, np.atleast_2d(src_x).shape[0], k)
     omega = np.ones(k) if omega is None else _check_weights(omega, k, "omega")
+    lam = _check_real(lam, "lam", 0.0)
     rho = None if rho is None else _check_rho(rho)
     grads = (model._zero_grads(), model._zero_grads())
     return _symmnets_step(

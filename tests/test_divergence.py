@@ -477,6 +477,103 @@ class TestMassesAndCounts:
         assert type(ScorerGrid(GRID3.scorers, np.int64(2)).k) is int
 
 
+BAD_POINTS = {
+    "empty": np.empty((0, 2)),
+    "nan_point": np.array([[0.0, 1.0], [np.nan, 0.5]]),
+    "inf_point": np.array([[0.0, 1.0], [np.inf, 0.5]]),
+    "scalar": np.array(1.0),
+    "three_d": np.ones((1, 3, 2)),
+}
+
+# every public entry that takes points, with the argument a bad sample
+# stands in for; the other sample is a good raw array
+POINT_ENTRIES = {
+    "exact_src": ("src", lambda x: mcsd_divergence_exact(x, PTS3, GRID3, 1.0)),
+    "exact_tgt": ("tgt", lambda x: mcsd_divergence_exact(PTS3, x, GRID3, 1.0)),
+    "variant_src": ("src", lambda x: divergence_exact_variant(x, PTS3, GRID3, 1.0, "hat")),
+    "variant_tgt": ("tgt", lambda x: divergence_exact_variant(PTS3, x, GRID3, 1.0)),
+    "empirical_mcsd": ("sample", lambda x: empirical_mcsd(x, F3, G3, 1.0)),
+    "rademacher": ("sample", lambda x: rademacher_estimate(x, GRID3, sigma_draws=4)),
+    "adversarial_src": ("src", lambda x: mcsd_divergence_adversarial(x, PTS3, 2, 1.0, steps=1)),
+    "adversarial_tgt": ("tgt", lambda x: mcsd_divergence_adversarial(PTS3, x, 2, 1.0, steps=1)),
+    "evaluate": ("points", GRID3.evaluate),
+}
+
+
+class TestPointsChecks:
+    """Raw points and SampleSets go through one checker, once per sample and
+    call, and every bad sample ends in a ValueError naming its argument."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(BAD_POINTS))
+    @pytest.mark.parametrize("entry", list(POINT_ENTRIES))
+    def test_bad_points_are_rejected_by_name(self, entry, kind):
+        name, call = POINT_ENTRIES[entry]
+        with pytest.raises(ValueError, match="^%s must" % name):
+            call(BAD_POINTS[kind])
+
+    def test_ascent_sample_widths_must_agree(self):
+        with pytest.raises(ValueError, match="tgt has 3 features per point, src has 2"):
+            mcsd_divergence_adversarial(PTS3, np.ones((4, 3)), 2, 1.0, steps=1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["width", "bias_column", "nan_weight", "inf_bias", "three"])
+    def test_ascent_init_heads_are_checked_by_shape_and_value(self, bad):
+        rng = np.random.default_rng(2)
+        heads = [rng.normal(size=(2, 2)), np.zeros(2), rng.normal(size=(2, 2)), np.zeros(2)]
+        if bad == "width":
+            heads[2] = np.ones((2, 3))
+        elif bad == "bias_column":
+            heads[1] = np.zeros((2, 1))
+        elif bad == "nan_weight":
+            heads[0][1, 1] = np.nan
+        elif bad == "inf_bias":
+            heads[3][0] = np.inf
+        else:
+            heads = heads[:3]
+        with pytest.raises(ValueError, match="^init must"):
+            mcsd_divergence_adversarial(PTS3, PTS3, 2, 1.0, steps=1, init=heads)
+
+    @pytest.mark.parametrize("n_candidates", [1, 5])
+    def test_each_raw_sample_is_checked_once_and_a_sample_set_never(
+        self, n_candidates, monkeypatch
+    ):
+        grid = random_grid(np.random.default_rng(4), n_candidates, k=3, d=2)
+        pts = np.random.default_rng(5).normal(size=(6, 2))
+        labels = np.array([1, 2, 3, 1, 2, 3])
+        src, tgt = SampleSet(pts, labels), SampleSet(pts + 0.5, labels)
+        f1, f2 = grid.scorers[0], grid.scorers[-1]
+        checked = []
+
+        def counting(points, name):
+            checked.append(name)
+            return check_points(points, name)
+
+        check_points = divergence._check_points
+        monkeypatch.setattr(divergence, "_check_points", counting)
+        calls = [
+            (lambda s, t: mcsd_divergence_exact(s, t, grid, 1.0), ["src", "tgt"]),
+            (lambda s, t: divergence_exact_variant(s, t, grid, 1.0), ["src", "tgt"]),
+            (lambda s, t: empirical_mcsd(s, f1, f2, 1.0), ["sample"]),
+            (lambda s, t: rademacher_estimate(s, grid, sigma_draws=4), ["sample"]),
+            (lambda s, t: grid.evaluate(s), ["points"]),
+            (lambda s, t: mcsd_divergence_adversarial(s, t, 3, 1.0, steps=2), ["src", "tgt"]),
+        ]
+        for call, names in calls:
+            checked.clear()
+            raw = call(src.points, tgt.points)
+            assert checked == names
+            checked.clear()
+            held = call(src, tgt)
+            assert checked == []
+            if isinstance(raw, np.ndarray):
+                assert np.array_equal(raw, held)
+            else:
+                assert repr(raw) == repr(held)
+        pac_bound_report(src, tgt, grid, 1.0, sigma_draws=4)
+        assert checked == []
+
+
 class TestPacBoundReport:
     def setup_method(self):
         rng = np.random.default_rng(17)

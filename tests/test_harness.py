@@ -955,8 +955,9 @@ class TestCli:
         evaluate = ScorerGrid.evaluate
 
         def counted(grid, points):
-            calls.append(len(points))
-            return evaluate(grid, points)
+            scores = evaluate(grid, points)
+            calls.append(scores.shape[1])
+            return scores
 
         monkeypatch.setattr(ScorerGrid, "evaluate", counted)
         rc = main(["pac-report", "--data", str(blobs_csv), "--out", str(tmp_path / "pac.json")])

@@ -204,6 +204,13 @@ class TestBatchGradients:
         np.testing.assert_allclose(g1.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(g2.sum(axis=1), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("fn", [l1_with_grads, kl_with_grads, ce_with_grads])
+    @pytest.mark.parametrize("other", [(1, 3), (4, 4), (3,)], ids=str)
+    def test_score_shapes_must_agree(self, fn, other):
+        # a 1 x 3 second batch must not broadcast against 4 x 3
+        with pytest.raises(ValueError, match="s1 and s2 must have one shape"):
+            fn(self.s1, np.zeros(other))
+
     def test_l1_zero_gradient_on_identical_rows(self):
         v, g1, g2 = l1_with_grads(self.s1, self.s1.copy())
         assert v == 0.0
@@ -257,6 +264,14 @@ class TestMddVariant:
                  (aux_s,), 0, g_src)
         fd_check(lambda a: (mdd_variant_with_grads(ref_s, aux_s, ref_t, a)[1],),
                  (aux_t,), 0, g_tgt)
+
+    def test_score_shapes_must_agree(self):
+        # the domains may differ in size; a reference and its auxiliary may not
+        ok_s, ok_t = np.zeros((2, 3)), np.zeros((5, 3))
+        with pytest.raises(ValueError, match="ref_src and aux_src must have one shape"):
+            mdd_variant_with_grads(ok_s, np.zeros((1, 3)), ok_t, ok_t)
+        with pytest.raises(ValueError, match="ref_tgt and aux_tgt must have one shape"):
+            mdd_variant_with_grads(ok_s, ok_s, ok_t, np.zeros((5, 4)))
 
     def test_pinned_values(self):
         # reference decisions: class 1 on the source point, class 2 on the

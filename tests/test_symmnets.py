@@ -218,6 +218,12 @@ class TestSymmnetsStep:
                                  lam=0.8, lr=0.02, rho=1.0)
             assert vals["bound_lhs"] <= vals["bound_rhs"] + 1e-9
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.5, "0.5", None], ids=repr)
+    def test_lam_is_checked(self, lam):
+        with pytest.raises(ValueError, match="lam must"):
+            symmnets_step(self.model, self.pair.source.points, self.pair.source.labels,
+                          self.pair.target.points, lam=lam, rho=1.0)
+
     def test_nan_batch_is_not_stepped(self):
         before = {k: v.copy() for k, v in self.model.params().items()}
         bad = self.pair.source.points.copy()

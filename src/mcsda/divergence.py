@@ -16,21 +16,23 @@ Three routes are provided, each doing its work once:
   ramp(f_i) on it, so ``_signed_ramps`` ramps -f and f with one division
   and no copy of -f, and ``_rows_from_ramps`` takes the L1 distance of two
   matrices in O(K) per point;
-* ``mcsd_divergence_adversarial`` runs monotone backtracking gradient
-  ascent over two linear heads on frozen features, maximizing a smoothed
-  version of the objective (the exact ramp is kinked at 0 and rho, so the
-  ascent uses a piecewise-cubic blend in windows of width rho/100 around
-  the kinks).  Its passes run over the stacked source and target rows, the
-  source with negated masses, and sum over points per domain: a value pass
-  is two centered matmuls and one ``_smoothed_mcsd`` call.  That
-  call starts from ``_signed_ramps``, finds both kink windows from |f|,
-  patches them with one Hermite call (``_smoothed_signed_ramps``, which
-  the public ``smoothed_ramp`` shares) and reduces the smoothed ramps with
-  the exact path's ``_rows_from_ramps``.  The backtracking line search
-  compares smoothed values only; one record step, at the start and at each
-  accepted step, computes gradients and the exact objective.  The reported
-  value is the exact-ramp objective of the best visited head pair, hence a
-  lower bound on the enumerated supremum;
+* ``mcsd_divergence_adversarial`` runs an L-BFGS ascent (the two-loop
+  recursion over the last ``_LBFGS_MEMORY`` curvature pairs, with a
+  monotone Armijo line search) over two linear heads on frozen features,
+  viewed as one flat vector, maximizing a smoothed version of the objective
+  (the exact ramp is kinked at 0 and rho, so the ascent uses a
+  piecewise-cubic blend in windows of width rho/100 around the kinks).  Its
+  passes run over the stacked source and target rows, the source with
+  negated masses, and sum over points per domain: a value pass is two
+  centered matmuls and one ``_smoothed_mcsd`` call.  That call starts from
+  ``_signed_ramps``, finds both kink windows from |f|, patches them with one
+  Hermite call (``_smoothed_signed_ramps``, which the public
+  ``smoothed_ramp`` shares) and reduces the smoothed ramps with the exact
+  path's ``_rows_from_ramps``.  The line search compares smoothed values
+  only; one record step, at the start and at each accepted step, computes
+  gradients and the exact objective.  The reported value is the exact-ramp
+  objective of the best visited head pair, hence a lower bound on the
+  enumerated supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
   of the per-component projections of the grid, summing over fixed slices
   of the points so that the result does not depend on the BLAS thread count.
@@ -59,6 +61,7 @@ reference oracles.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -134,6 +137,14 @@ def _as_sample(sample, name: str) -> SampleSet:
     return _CheckedPoints(_check_points(sample, name))
 
 
+def _check_widths(src: SampleSet, tgt: SampleSet) -> int:
+    """The feature count d that the checked ``src`` and ``tgt`` share."""
+    d = src.points.shape[1]
+    if tgt.points.shape[1] != d:
+        raise ValueError("tgt has %d features per point, src has %d" % (tgt.points.shape[1], d))
+    return d
+
+
 def _as_weights(weights, n: int) -> np.ndarray:
     """Coerce point masses; defaults to the uniform empirical distribution."""
     if weights is None:
@@ -152,7 +163,13 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
     def score(points: np.ndarray) -> np.ndarray:
         # coerced as a sample is but not checked: a grid has checked them
         pts = np.asarray(points, dtype=np.float64)
-        return _center((pts[:, None] if pts.ndim == 1 else pts) @ w.T + b)
+        pts = pts[:, None] if pts.ndim == 1 else pts
+        if pts.shape[-1] != w.shape[-1]:
+            raise ValueError(
+                "points have %d features, the scorer's weights take %d"
+                % (pts.shape[-1], w.shape[-1])
+            )
+        return _center(pts @ w.T + b)
 
     return score
 
@@ -312,6 +329,7 @@ def _exact_divergence(src, tgt, grid, rho, variant, src_weights, tgt_weights) ->
     evaluate the grid once per sample."""
     rho = _check_rho(rho)
     src, tgt = _as_sample(src, "src"), _as_sample(tgt, "tgt")
+    _check_widths(src, tgt)
     ws, wt = _as_weights(src_weights, src.n), _as_weights(tgt_weights, tgt.n)
     return _exact(grid.evaluate(src), grid.evaluate(tgt), ws, wt, rho, variant)
 
@@ -343,10 +361,11 @@ def divergence_exact_variant(
 
 
 # ---------------------------------------------------------------------------
-# Smoothed ramp and the adversarial (gradient ascent) estimator.
+# Smoothed ramp and the adversarial (L-BFGS ascent) estimator.
 # ---------------------------------------------------------------------------
 
 _WINDOW_FRACTION = 100.0  # window width = rho / 100, centered on each kink
+_LBFGS_MEMORY = 10  # curvature pairs the ascent keeps
 
 
 def _hermite_nodes(rho: float):
@@ -445,9 +464,25 @@ def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):
     return _rows_from_ramps(r[:, 0], r[:, 1]), grads
 
 
+def _two_loop(g: np.ndarray, memory) -> np.ndarray:
+    """The L-BFGS ascent direction H g: the two-loop recursion over the
+    curvature pairs (s, y, s.y) in ``memory``, oldest first, each with
+    s.y > 0, from the initial scaling (s.y)/(y.y) of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(memory):
+        alphas.append(float(s @ q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = memory[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(memory, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    return q
+
+
 @dataclass
 class AdversarialDivergence:
-    """Outcome of the gradient-ascent lower bound; ``best_heads``,
+    """Outcome of the L-BFGS ascent's lower bound; ``best_heads``,
     ``final_heads`` and ``visited`` may share arrays."""
 
     value: float  # exact-ramp objective of the best visited head pair
@@ -473,36 +508,43 @@ def mcsd_divergence_adversarial(
     src_weights=None,
     tgt_weights=None,
 ) -> AdversarialDivergence:
-    """Backtracking gradient ascent over two linear heads on frozen features.
+    """L-BFGS ascent over two linear heads on frozen features.
 
-    Maximizes the smoothed target-minus-source disagreement.  Each step takes
-    the first trial eta = ``step_size`` * 0.5**i, i < 40, whose smoothed
-    value is at least the current one minus 1e-12.  The ascent stops at a
+    Maximizes the smoothed target-minus-source disagreement over the four
+    heads as one flat vector of 2(Kd + K) entries.  Each step searches along
+    a direction p: the two-loop L-BFGS direction over the last
+    ``_LBFGS_MEMORY`` curvature pairs (s, y = g_old - g_new), each kept only
+    when s.y > 0, or ``step_size`` * g at the start and after a memory reset.
+    The line search takes the first t = 0.5**i, i < 40, whose smoothed value
+    is at least the current one plus 1e-4 t (g.p); when an L-BFGS direction
+    fails every trial the memory is dropped and the search retried once
+    along ``step_size`` * g.  So ``step_size`` scales the steepest trial, and
+    ``steps`` is the budget of accepted steps.  The ascent stops at a
     gradient norm below 1e-12, when no trial is taken, or after ``steps``
     steps; it sets ``converged=False`` and a ``warning`` instead of raising
     when no trial is taken at the start point, or when the budget runs out at
-    a gradient norm above 1e-6.  The returned ``value`` is the exact-ramp
-    objective of the best visited pair and therefore never exceeds the
-    supremum over any family containing the visited pairs.  ``steps`` must be
-    a non-negative integer and ``step_size`` a positive finite real; both are
-    checked before any pass.
+    a gradient norm above 1e-6.  The ``trajectory`` of smoothed values never
+    falls.  The returned ``value`` is the exact-ramp objective of the best
+    visited pair and therefore never exceeds the supremum over any family
+    containing the visited pairs.  ``steps`` must be a non-negative integer
+    and ``step_size`` a positive finite real; both are checked before any
+    pass.
 
-    The line search compares values only: each trial runs the value pass
-    (score matmuls, centering, smoothed ramps, weighted objective) over the
-    stacked rows of both domains.  One record step, at the start point and
-    at each taken trial, runs the gradient pass and the exact-ramp objective
-    from the centered scores and ramp intermediates the value pass kept.
+    Each trial runs the value pass (score matmuls, centering, smoothed ramps,
+    weighted objective) over the stacked rows of both domains.  One record
+    step, at the start point and at each taken trial, runs the gradient pass
+    and the exact-ramp objective from the centered scores and ramp
+    intermediates the value pass kept.
     """
     k = _check_count(k, "K", 2)
     steps = _check_count(steps, "steps", 0)
     step_size = _check_real(step_size, "step_size", 0.0, open_low=True)
     rho = _check_rho(rho)
-    src_pts, tgt_pts = _as_sample(src, "src").points, _as_sample(tgt, "tgt").points
+    src, tgt = _as_sample(src, "src"), _as_sample(tgt, "tgt")
+    d = _check_widths(src, tgt)
+    src_pts, tgt_pts = src.points, tgt.points
     ws = _as_weights(src_weights, src_pts.shape[0])
     wt = _as_weights(tgt_weights, tgt_pts.shape[0])
-    d = src_pts.shape[1]
-    if tgt_pts.shape[1] != d:
-        raise ValueError("tgt has %d features per point, src has %d" % (tgt_pts.shape[1], d))
     if init is None:
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(d)
@@ -570,29 +612,59 @@ def mcsd_divergence_adversarial(
         visited.append(hs)
         return grads
 
-    grads = visit(heads, *value_pass(heads))
+    # the four heads are views into one flat vector x of 2(Kd + K) entries;
+    # each step makes a new x, so a visited pair's views stay as recorded
+    cuts = np.cumsum([k * d, k, k * d])
+
+    def views(x):
+        w1, b1, w2, b2 = np.split(x, cuts)
+        return w1.reshape(k, d), b1, w2.reshape(k, d), b2
+
+    def record(x, value, kept):
+        # visit x; its gradient as one flat vector
+        return np.concatenate([g.reshape(-1) for g in visit(views(x), value, kept)])
+
+    def line_search(p):
+        # monotone Armijo backtracking along the ascent direction p; a p with
+        # g.p <= 0, which only rounding can give, fails, or the test would
+        # take a fall
+        slope = float(g @ p)
+        if slope > 0.0:
+            for i in range(40):
+                t = 0.5**i
+                trial = x + t * p
+                value, kept = value_pass(views(trial))
+                if value >= trajectory[-1] + 1e-4 * t * slope:
+                    return trial, value, kept
+        return None
+
+    x = np.concatenate([h.reshape(-1) for h in heads])
+    g = record(x, *value_pass(views(x)))
+    memory = deque(maxlen=_LBFGS_MEMORY)
     warning = None
     # iteration ``step`` starts after ``step`` accepted steps; the last one
     # only reads the gradient norm
     for step in range(steps + 1):
-        gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        gnorm = float(np.sqrt(g @ g))
         if gnorm < 1e-12 or step == steps:
             if gnorm > 1e-6:
                 warning = "ascent still improving after %d steps" % steps
             break
-        for i in range(40):
-            eta = step_size * 0.5**i
-            trial = tuple(h + eta * g for h, g in zip(heads, grads))
-            value, kept = value_pass(trial)
-            if value >= trajectory[-1] - 1e-12:
-                break
-        else:
+        taken = line_search(_two_loop(g, memory)) if memory else None
+        if taken is None:
+            memory.clear()
+            taken = line_search(step_size * g)
+        if taken is None:
             if step == 0:
                 warning = "line search could not improve the smoothed objective"
             break
-        heads = trial
-        grads = visit(heads, value, kept)
-    return AdversarialDivergence(*best, heads, trajectory, visited, warning is None, warning)
+        g_new = record(*taken)
+        s, y = taken[0] - x, g - g_new
+        sy = float(s @ y)
+        if sy > 0.0:
+            memory.append((s, y, sy))
+        x, g = taken[0], g_new
+    return AdversarialDivergence(*best, visited[-1], trajectory, visited, warning is None, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +813,9 @@ def pac_bound_report(
     every candidate.  Raises BoundViolation if any candidate's target error
     exceeds the assembled right-hand side.
     """
-    if src.labels is None or tgt.labels is None:
-        raise ValueError("bound report needs labels on both samples")
+    for name, sample in (("src", src), ("tgt", tgt)):
+        if not isinstance(sample, SampleSet) or sample.labels is None:
+            raise ValueError("bound report needs %s as a labelled SampleSet" % name)
     delta = _check_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     rho = _check_rho(rho)
     k = grid.k

@@ -177,9 +177,10 @@ def _check_weights(w, n: int, name: str) -> np.ndarray:
 
 def _check_points(points, name: str) -> np.ndarray:
     """``points`` as finite float64 [n, d] with n, d >= 1; a 1-D array is n
-    points of one feature, [n, 1].  Float64 arrays are returned uncopied."""
+    points of one feature, [n, 1].  Complex points are rejected, not cast.
+    Float64 arrays are returned uncopied."""
     try:
-        pts = np.asarray(points, dtype=np.float64)
+        pts = None if np.iscomplexobj(points) else np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric
         pts = None
     if pts is not None and pts.ndim == 1:

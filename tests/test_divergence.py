@@ -37,7 +37,7 @@ from mcsda.margin import (
     violation_matrix,
 )
 from mcsda.surrogates import log_loss_with_grads
-from mcsda.synthdata import gen_rotated_moons
+from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons
 
 
 def random_grid(rng, n_scorers, k, d, scale=0.7):
@@ -332,7 +332,9 @@ class TestAdversarialEstimator:
     def test_stalled_line_search(self, good_passes, monkeypatch):
         # after ``good_passes`` value passes every trial scores 100 lower on
         # the target rows, so the line search halves its step 40 times in vain
-        # (the first trial at the default step size is accepted on this pair)
+        # (the first trial at the default step size is accepted on this pair);
+        # after one step it does so along the L-BFGS direction, then again
+        # along step_size * g once the memory is dropped
         smoothed, n_src, passes = divergence._smoothed_mcsd, len(self.src), []
 
         def worse_later(a, b, rho):
@@ -344,7 +346,7 @@ class TestAdversarialEstimator:
 
         monkeypatch.setattr(divergence, "_smoothed_mcsd", worse_later)
         res = mcsd_divergence_adversarial(self.src, self.tgt, k=2, rho=1.0, steps=10, seed=0)
-        assert len(passes) == good_passes + 40
+        assert len(passes) == {1: 1 + 40, 2: 2 + 40 + 40}[good_passes]
         assert len(res.trajectory) == len(res.visited) == good_passes
         for got, want in zip(res.final_heads, res.visited[-1]):
             assert np.array_equal(got, want)
@@ -356,6 +358,37 @@ class TestAdversarialEstimator:
             assert res.value == exact.objective[0, 1]
         else:
             assert (res.converged, res.warning) == (True, None)
+
+
+# the value of the 300-step backtracking ascent that preceded the L-BFGS
+# ascent, at defaults, on the K = 10 blobs draws 9, 10 and 11 (rho = 1)
+BACKTRACKING_300 = {
+    9: "0x1.3f6f9e6ee24e0p-1",
+    10: "0x1.d0fa9672796a8p-1",
+    11: "0x1.30b2d6245ece8p+0",
+}
+
+
+class TestAscentAtDefaults:
+    """On K = 10 blobs draws the default ascent converges above the value
+    the backtracking ascent reached in 300 steps."""
+
+    @pytest.mark.parametrize("seed", sorted(BACKTRACKING_300))
+    def test_converges_above_the_backtracking_value(self, seed):
+        pair = gen_gauss_blobs(10, 60, (1.0, 0.5), seed=seed)
+        src, tgt = pair.source.points, pair.target.points
+        res = mcsd_divergence_adversarial(src, tgt, k=10, rho=1.0)
+        assert (res.converged, res.warning) == (True, None)
+        assert res.value >= float.fromhex(BACKTRACKING_300[seed])
+        # the value is the best visited pair's, as a grid scores that pair
+        exact = [
+            mcsd_divergence_exact(
+                src, tgt, ScorerGrid([linear_scorer(w1, b1), linear_scorer(w2, b2)], k=10), 1.0
+            ).objective[0, 1]
+            for w1, b1, w2, b2 in res.visited
+        ]
+        assert res.value == max(exact)
+        assert np.all(np.diff(res.trajectory) > 0.0)
 
 
 class TestRademacher:
@@ -483,6 +516,7 @@ BAD_POINTS = {
     "inf_point": np.array([[0.0, 1.0], [np.inf, 0.5]]),
     "scalar": np.array(1.0),
     "three_d": np.ones((1, 3, 2)),
+    "complex": np.array([[0.0, 1.0], [1.0, 0.5]]) + 1j,
 }
 
 # every public entry that takes points, with the argument a bad sample
@@ -512,9 +546,32 @@ class TestPointsChecks:
         with pytest.raises(ValueError, match="^%s must" % name):
             call(BAD_POINTS[kind])
 
-    def test_ascent_sample_widths_must_agree(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ["exact", "variant", "adversarial"])
+    def test_sample_widths_must_agree(self, entry):
+        call = {
+            "exact": lambda t: mcsd_divergence_exact(PTS3, t, GRID3, 1.0),
+            "variant": lambda t: divergence_exact_variant(PTS3, t, GRID3, 1.0),
+            "adversarial": lambda t: mcsd_divergence_adversarial(PTS3, t, 2, 1.0, steps=1),
+        }[entry]
         with pytest.raises(ValueError, match="tgt has 3 features per point, src has 2"):
-            mcsd_divergence_adversarial(PTS3, np.ones((4, 3)), 2, 1.0, steps=1)
+            call(np.ones((4, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_linear_scorer_rejects_points_of_another_width(self):
+        wide = np.ones((4, 3))
+        with pytest.raises(ValueError, match="points have 3 features, the scorer's weights take 2"):
+            empirical_mcsd(wide, F3, G3, 1.0)
+        for grid in (GRID3, ScorerGrid([F3], 2)):
+            with pytest.raises(ValueError, match="points have 3 features"):
+                mcsd_divergence_exact(wide, wide, grid, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_set_rejects_complex_points(self):
+        with pytest.raises(ValueError, match="^points must be .* of reals"):
+            SampleSet(PTS3 + 1j)
+        with pytest.raises(ValueError, match="^points must"):
+            SampleSet([[0.0, 1.0 + 0j]])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", ["width", "bias_column", "nan_weight", "inf_bias", "three"])
@@ -627,9 +684,14 @@ class TestPacBoundReport:
         assert blob["lambda"] == rep.lambda_joint
         assert len(blob["per_candidate"]) == len(self.grid)
 
+    @pytest.mark.filterwarnings("error")
     def test_requires_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="src as a labelled SampleSet"):
             pac_bound_report(SampleSet(self.src.points), self.tgt, self.grid, 1.0)
+        with pytest.raises(ValueError, match="src as a labelled SampleSet"):
+            pac_bound_report(self.src.points, self.tgt.points, self.grid, 1.0)
+        with pytest.raises(ValueError, match="tgt as a labelled SampleSet"):
+            pac_bound_report(self.src, self.tgt.points, self.grid, 1.0)
         with pytest.raises(ValueError):
             pac_bound_report(self.src, self.tgt, self.grid, 1.0, delta=1.5)
 

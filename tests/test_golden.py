@@ -209,34 +209,34 @@ EXPECTED_PAC = {
 }
 
 EXPECTED_ASCENT = {
-    "value": "0x1.01b8fa04be2fcp+0",
+    "value": "0x1.8326b5199e088p-1",
     "trajectory": [
         "0x1.46c54ae139e20p-3",
         "0x1.4da2709366de0p-2",
-        "0x1.d1233c1697b90p-2",
-        "0x1.dbdd6991f3c20p-2",
-        "0x1.20f5086455f70p-1",
-        "0x1.3c6d71805ae40p-1",
-        "0x1.52890ed969410p-1",
-        "0x1.63e80bd2f2d78p-1",
-        "0x1.7799b2da9a6c0p-1",
-        "0x1.909ab036f31f8p-1",
-        "0x1.abf1bf2ebe5e8p-1",
-        "0x1.b2954d1b43500p-1",
-        "0x1.c18ebfe79a910p-1",
-        "0x1.d42ed928bcc90p-1",
-        "0x1.e5dd278feb140p-1",
-        "0x1.f350c916feda0p-1",
-        "0x1.f7f60e818e1c4p-1",
-        "0x1.f89bc63b58988p-1",
-        "0x1.fb685602b9060p-1",
-        "0x1.fcccf7624de50p-1",
-        "0x1.fd18eee93fdb0p-1",
-        "0x1.fed6c68442508p-1",
-        "0x1.00026007da94cp+0",
-        "0x1.00d514c5656a4p+0",
-        "0x1.017089baece30p+0",
-        "0x1.01b6202e0c7c4p+0",
+        "0x1.bbbe1d0785ce0p-2",
+        "0x1.03c7da1b6cdf0p-1",
+        "0x1.1cf2dca8a0080p-1",
+        "0x1.22fab323c1cb0p-1",
+        "0x1.3ab17793e13a8p-1",
+        "0x1.3fe8bc6ed7858p-1",
+        "0x1.4968e740acd60p-1",
+        "0x1.4c827e03d3060p-1",
+        "0x1.520524c224b50p-1",
+        "0x1.533bfc2de9930p-1",
+        "0x1.5ab0d01ff7080p-1",
+        "0x1.61b19bb695d30p-1",
+        "0x1.66a1357264cd0p-1",
+        "0x1.6c284d2d48c80p-1",
+        "0x1.6e0daf2a74e90p-1",
+        "0x1.73aa858793a30p-1",
+        "0x1.76680166f0a68p-1",
+        "0x1.79b92733782c0p-1",
+        "0x1.7a6d8a9e5e3b0p-1",
+        "0x1.7d370cca56590p-1",
+        "0x1.7e62bc3e80940p-1",
+        "0x1.81134fc04b250p-1",
+        "0x1.81cc0d36943e0p-1",
+        "0x1.83229fcece428p-1",
     ],
 }
 

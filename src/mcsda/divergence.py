@@ -54,9 +54,10 @@ classes that ``margin._check_labels`` returns.  Points have one checker,
 ``margin._check_points``: a ``SampleSet`` runs it at construction and is
 trusted from then on, and every function that takes raw points (the
 estimators and ``ScorerGrid.evaluate``) runs it once per sample through
-``_as_sample``, then hands the grid the checked sample.
-``violation_tensor`` and the single-vector ``margin`` functions stay as
-reference oracles.
+``_as_sample``, then hands the grid the checked sample.  Scores have one
+checker, ``margin._check_scores``; the grid checks its candidates' scores
+with its core, ``_check_reals``.  ``violation_tensor`` and the
+single-vector ``margin`` functions stay as reference oracles.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _center, _check_count, _check_labels, _check_points
-from .margin import _check_real, _check_rho, _check_weights, _component_disagreement
-from .margin import _decision_level, _decision_margin, _finite_ramp_argument, _integer_labels
-from .margin import _ramp, _ramp_clamp, _violation_matrix
+from .margin import _absolute_margin, _batch_pair, _center, _check_count, _check_labels
+from .margin import _check_points, _check_real, _check_reals, _check_rho, _check_scores
+from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
+from .margin import _integer_labels, _ramp, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -197,14 +198,12 @@ class ScorerGrid:
         pts = _as_sample(points, "points").points
         out = np.empty((len(self.scorers), pts.shape[0], self.k))
         for i, scorer in enumerate(self.scorers):
-            s = np.asarray(scorer(pts), dtype=np.float64)
+            s = _check_reals(scorer(pts), "candidate %d's scores" % i)
             if s.shape != (pts.shape[0], self.k):
                 raise ValueError(
                     "candidate %d returned shape %r, expected %r"
                     % (i, s.shape, (pts.shape[0], self.k))
                 )
-            if not np.all(np.isfinite(s)):
-                raise ValueError("candidate %d produced non-finite scores" % i)
             out[i] = _center(s)
         return out
 
@@ -217,7 +216,7 @@ def violation_tensor(scores, rho: float) -> np.ndarray:
     oracle; production paths use ``mcsd_rows``.
     """
     rho = _check_rho(rho)
-    return _violation_matrix(_finite_ramp_argument(scores), rho)
+    return _violation_matrix(_check_scores(scores, "scores", None), rho)
 
 
 def _signed_ramps(s: np.ndarray, rho) -> np.ndarray:
@@ -248,7 +247,7 @@ def mcsd_rows(a, b, rho: float) -> np.ndarray:
     matrix holds ramp(-f_i) K-1 times and ramp(f_i) once.
     """
     rho = _check_rho(rho)
-    return _mcsd_rows(_finite_ramp_argument(np.stack([a, b])), rho)
+    return _mcsd_rows(np.stack(_batch_pair(a, b, "a", "b", None)), rho)
 
 
 def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
@@ -438,7 +437,7 @@ def _smoothed_signed_ramps(s: np.ndarray, rho: float):
 
 def smoothed_ramp(x, rho: float):
     """Value of the C1-smoothed ramp used inside the adversarial estimator."""
-    arr = _finite_ramp_argument(x)
+    arr = _check_reals(x, "x")
     r, _ = _smoothed_signed_ramps(arr.reshape(-1), _check_rho(rho))
     if np.isscalar(x) or arr.ndim == 0:
         return float(r[1, 0])
@@ -720,24 +719,17 @@ def _margin_violations(scores: np.ndarray, y: np.ndarray, rho) -> np.ndarray:
     return _ramp(_absolute_margin(scores, y), rho).sum(axis=-1)
 
 
-def _score_rows(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError("scores must have shape [n, K], got %r" % (s.shape,))
-    return s
-
-
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
     rho = _check_rho(rho)
-    s = _finite_ramp_argument(_score_rows(scores))
+    s = _check_scores(scores, "scores")
     per_point = _margin_violations(s, _check_labels(labels, *s.shape), rho)
     return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 
 def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     """Expected argmax misclassification under point masses (ties: lowest index)."""
-    s = _score_rows(scores)
+    s = _check_scores(scores, "scores")
     y = _check_labels(labels, *s.shape)
     wrong = (np.argmax(s, axis=1) != y).astype(np.float64)
     return float(wrong @ _as_weights(weights, s.shape[0]))

@@ -32,10 +32,14 @@ the parameter it rejects in a ``ValueError``: ``_check_count`` (an integer
 of at least some value; an integral float is taken, a fractional one
 rejected), ``_check_real`` (a finite real in an interval, each end open or
 closed; ``_check_rho`` is its margin-width case), ``_check_weights``,
-``_check_labels`` and ``_check_points`` (a non-empty finite float64 [n, d]
-sample, which ``divergence.SampleSet`` and every estimator taking raw points
-share).  The package's rule: each public function validates its
-arguments once, at entry (these checkers, ``as_scores``, the finiteness and
+``_check_labels``, ``_check_reals`` (a finite float64 array, never cast from
+complex, ragged or non-numeric input: the ramp arguments' check and the core
+of the next two), ``_check_points`` (a non-empty [n, d] sample, which
+``divergence.SampleSet`` and every estimator taking raw points share) and
+``_check_scores`` (class scores, K >= 2 on the last axis, as one vector,
+rows or any leading axes; ``_batch_pair`` checks two of one shape), which
+every public function taking scores runs.  The package's rule: each public
+function validates its arguments once, at entry (these checkers and the
 K-mismatch checks), and then computes with private kernels that trust them,
 so no input is centered or checked twice within one call.  Code that holds
 checked data (a training step, a surface, a theory statement) calls the
@@ -91,7 +95,7 @@ class ScoreVector:
     __slots__ = ("scores",)
 
     def __init__(self, scores: ScoresLike) -> None:
-        self.scores = _centered(scores)
+        self.scores = _centered(scores, "scores")
 
     @property
     def k(self) -> int:
@@ -106,16 +110,13 @@ def _center(z: np.ndarray) -> np.ndarray:
     return z - (z.sum(axis=-1) / z.shape[-1])[..., None]
 
 
-def _centered(scores: ScoresLike) -> np.ndarray:
-    """Validated, centered, read-only copy of raw scores."""
-    arr = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if arr.size < 2:
-        raise ValueError("score vector needs at least 2 classes, got %d" % arr.size)
-    if not np.isfinite(arr).all():
-        raise ValueError("scores must be finite")
-    arr = _center(arr)
-    if not np.isfinite(arr).all():  # centering overflowed
-        raise ValueError("scores must be finite")
+def _centered(scores: ScoresLike, name: str) -> np.ndarray:
+    """The centered score vector behind a ScoreVector, or a validated,
+    centered, read-only copy of one raw score vector, the argument ``name``."""
+    if isinstance(scores, ScoreVector):
+        return scores.scores
+    # centering can overflow finite scores
+    arr = _check_reals(_center(_check_scores(scores, name, 1)), "centered " + name)
     arr.flags.writeable = False
     return arr
 
@@ -126,9 +127,7 @@ def as_scores(f: ScoresLike) -> np.ndarray:
     Accepts a ScoreVector or any finite array-like; raw arrays pass through
     the same projection and validation as ScoreVector construction.
     """
-    if isinstance(f, ScoreVector):
-        return f.scores
-    return _centered(f)
+    return _centered(f, "f")
 
 
 def _check_count(value, name: str, least: int) -> int:
@@ -175,21 +174,59 @@ def _check_weights(w, n: int, name: str) -> np.ndarray:
     return a
 
 
-def _check_points(points, name: str) -> np.ndarray:
-    """``points`` as finite float64 [n, d] with n, d >= 1; a 1-D array is n
-    points of one feature, [n, 1].  Complex points are rejected, not cast.
-    Float64 arrays are returned uncopied."""
-    try:
-        pts = None if np.iscomplexobj(points) else np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric
-        pts = None
-    if pts is not None and pts.ndim == 1:
-        pts = pts[:, None]
-    if pts is None or pts.ndim != 2 or 0 in pts.shape:
-        raise ValueError("%s must be a non-empty [n, d] array of reals" % name)
-    if not np.isfinite(pts).all():
+def _check_reals(x, name: str, what: str = "an array") -> np.ndarray:
+    """``x`` as a finite float64 array, uncopied if it is one: the core of the
+    array checkers, which checks ramp arguments by itself.  Complex, ragged
+    and non-numeric input is rejected, not cast: '<name> must be <what> of
+    reals'."""
+    try:  # booleans, integers and reals only: no complex, string or object array
+        arr = np.asarray(x)
+        arr = arr.astype(np.float64, copy=False) if arr.dtype.kind in "biuf" else None
+    except ValueError:  # ragged
+        arr = None
+    if arr is None:
+        raise ValueError("%s must be %s of reals" % (name, what))
+    if not np.isfinite(arr).all():
         raise ValueError("%s must be finite" % name)
+    return arr
+
+
+def _check_points(points, name: str, d: int | None = None) -> np.ndarray:
+    """``points`` as finite float64 [n, d] with n, d >= 1 (exactly ``d``
+    features when given); a 1-D array is n points of one feature, [n, 1].
+    Float64 arrays are returned uncopied."""
+    what = "a non-empty [n, %s] array" % (d or "d")
+    pts = _check_reals(points, name, what)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or 0 in pts.shape or d not in (None, pts.shape[1]):
+        raise ValueError("%s must be %s of reals" % (name, what))
     return pts
+
+
+def _check_scores(scores, name: str, rank: int | None = 2) -> np.ndarray:
+    """``scores`` as finite float64 class scores: K >= 2 classes on the last
+    axis and no empty axis.  ``rank`` 1 asks for one vector [K]; 2 for rows
+    [n, K], a 1-D array being one row (a [1, K] view); None for any leading
+    axes [..., K].  Float64 arrays are returned uncopied."""
+    what = "a non-empty %s array" % {1: "[K >= 2]", 2: "[n, K >= 2]", None: "[..., K >= 2]"}[rank]
+    s = _check_reals(scores, name, what)
+    if rank == 2 and s.ndim == 1:
+        s = s[None, :]
+    if s.ndim == 0 or rank not in (None, s.ndim) or 0 in s.shape or s.shape[-1] < 2:
+        raise ValueError("%s must be %s of reals" % (name, what))
+    return s
+
+
+def _batch_pair(a, b, name_a: str, name_b: str, rank: int | None = 2):
+    """Two score arrays of one shape, each checked by ``_check_scores`` at
+    ``rank`` as its argument name."""
+    a, b = _check_scores(a, name_a, rank), _check_scores(b, name_b, rank)
+    if a.shape != b.shape:
+        raise ValueError(
+            "%s and %s must have one shape, got %r and %r" % (name_a, name_b, a.shape, b.shape)
+        )
+    return a, b
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -219,13 +256,6 @@ def _check_label(y: int, k: int) -> int:
     return int(_check_labels(y, 1, k)[0])
 
 
-def _finite_ramp_argument(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("ramp argument must be finite")
-    return arr
-
-
 def _ramp_clamp(u, out=None):
     """The ramp's linear piece ``u = 1 - x/rho`` cut to [0, 1], into ``out``
     when given.  ``u`` is never -0.0, so the two-sided clamp equals ``np.clip``.
@@ -245,7 +275,7 @@ def ramp_loss(x, rho: float):
     The function is non-increasing and 1/rho-Lipschitz.
     """
     rho = _check_rho(rho)
-    arr = _finite_ramp_argument(x)
+    arr = _check_reals(x, "x")
     out = _ramp(arr, rho)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
@@ -315,7 +345,7 @@ def violation_matrix(f: ScoresLike, rho: float) -> np.ndarray:
 
 
 def _same_k(f1: ScoresLike, f2: ScoresLike) -> tuple[np.ndarray, np.ndarray]:
-    s1, s2 = as_scores(f1), as_scores(f2)
+    s1, s2 = _centered(f1, "f1"), _centered(f2, "f2")
     if s1.size != s2.size:
         raise ValueError("score vectors disagree on K: %d vs %d" % (s1.size, s2.size))
     return s1, s2
@@ -403,7 +433,7 @@ def phi_distance(a, b, rho: float, k: int):
     """
     k = _check_count(k, "K", 2)
     rho = _check_rho(rho)
-    out = _phi_distance(_finite_ramp_argument(a), _finite_ramp_argument(b), rho, k)
+    out = _phi_distance(_check_reals(a, "a"), _check_reals(b, "b"), rho, k)
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out

@@ -8,7 +8,9 @@ training, and a binary domain-score pair in the style of domain-adversarial
 training.  Probability-level ops (`sur_*`, `log_loss`) are pointwise and
 ungraded; the `*_with_grads` batch forms return the batch-mean value
 together with gradients with respect to the raw scores, which is what the
-manual backprop in the neural stack consumes.
+manual backprop in the neural stack consumes.  Each public function checks
+its scores once with `margin._check_scores` (`_check_prob` then asks for
+probability vectors); `dann_with_grads` checks one domain score per point.
 
 Each of the three pairwise surrogates is written once, as a kernel on
 probability rows [..., K] (`_l1`, `_kl`, `_ce`): it returns the per-row
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .margin import _check_label, _check_labels, _check_weights
+from .margin import _batch_pair, _check_label, _check_labels, _check_points, _check_scores
+from .margin import _check_weights
 
 __all__ = [
     "softmax",
@@ -91,12 +94,7 @@ def _guarded_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def softmax(scores) -> np.ndarray:
     """Stable softmax along the last axis; accepts a vector or a batch."""
-    s = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("softmax input must be finite")
-    if s.shape[-1] < 2:
-        raise ValueError("softmax needs at least 2 classes")
-    return _softmax(s)
+    return _softmax(_check_scores(scores, "scores", None))
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -117,17 +115,16 @@ def sigmoid(x):
     return out
 
 
+def _check_prob(v: np.ndarray, name: str) -> np.ndarray:
+    """A checked score vector as a probability vector: non-negative, sum 1."""
+    if np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-6:
+        raise ValueError("%s is not a probability vector: %r" % (name, v))
+    return v
+
+
 def _check_prob_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(p1, dtype=np.float64).reshape(-1)
-    b = np.asarray(p2, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
-        raise ValueError("probability vectors disagree on K: %d vs %d" % (a.size, b.size))
-    if a.size < 2:
-        raise ValueError("probability vectors need at least 2 classes")
-    for v in (a, b):
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-6:
-            raise ValueError("not a probability vector: %r" % (v,))
-    return a, b
+    a, b = _batch_pair(p1, p2, "p1", "p2", 1)
+    return _check_prob(a, "p1"), _check_prob(b, "p2")
 
 
 def sur_l1(p1, p2) -> float:
@@ -180,7 +177,7 @@ def _ce(p1: np.ndarray, p2: np.ndarray):
 
 def log_loss(p, y: int) -> float:
     """Negative log probability of the 1-based label y."""
-    a = np.asarray(p, dtype=np.float64).reshape(-1)
+    a = _check_prob(_check_scores(p, "p", 1), "p")
     i = _check_label(y, a.size)
     return -float(_guarded_log(a[i : i + 1])[0][0])
 
@@ -204,23 +201,6 @@ def log_loss(p, y: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim == 1:
-        s = s[None, :]
-    if s.ndim != 2 or s.shape[1] < 2:
-        raise ValueError("expected scores of shape [n, K>=2], got %r" % (s.shape,))
-    return s
-
-
-def _batch_pair(a, b, names: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two score batches of one shape [n, K>=2]; ``names`` names both."""
-    a, b = _as_batch(a), _as_batch(b)
-    if a.shape != b.shape:
-        raise ValueError("%s must have one shape, got %r and %r" % (names, a.shape, b.shape))
-    return a, b
-
-
 def _mean_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
@@ -238,8 +218,8 @@ def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _pair_with_grads(kernel, s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
-    s1, s2 = _batch_pair(s1, s2, "s1 and s2")
-    return _pair_core(kernel, softmax(s1), softmax(s2), _mean_weights(s1.shape[0]))
+    s1, s2 = _batch_pair(s1, s2, "s1", "s2")
+    return _pair_core(kernel, _softmax(s1), _softmax(s2), _mean_weights(s1.shape[0]))
 
 
 def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
@@ -267,11 +247,11 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     value = (1/n) sum_i w_i * (-log p_{y_i});  gradient rows are
     (w_i/n) * (p_i - onehot(y_i)).  Weights default to 1.
     """
-    s = _as_batch(scores)
+    s = _check_scores(scores, "scores")
     n, k = s.shape
     y = _check_labels(labels, n, k)
     w = np.ones(n) if weights is None else _check_weights(weights, n, "weights")
-    return _picked_log_loss(softmax(s), y[:, None], w)
+    return _picked_log_loss(_softmax(s), y[:, None], w)
 
 
 def _picked_log_loss(p: np.ndarray, c: np.ndarray, w: np.ndarray):
@@ -318,14 +298,14 @@ def mdd_variant_with_grads(
     Returns (src_term, tgt_term, dsrc/d aux_src, dtgt/d aux_tgt).  Reference
     scores only pick argmax classes, so no gradient flows to them.
     """
-    ref_s, aux_s = _batch_pair(ref_src, aux_src, "ref_src and aux_src")
-    ref_t, aux_t = _batch_pair(ref_tgt, aux_tgt, "ref_tgt and aux_tgt")
+    ref_s, aux_s = _batch_pair(ref_src, aux_src, "ref_src", "aux_src")
+    ref_t, aux_t = _batch_pair(ref_tgt, aux_tgt, "ref_tgt", "aux_tgt")
     ns, nt = aux_s.shape[0], aux_t.shape[0]
     src_term, g_src = _mdd_variant_core(
-        np.argmax(ref_s, axis=1), softmax(aux_s), _mean_weights(ns)
+        np.argmax(ref_s, axis=1), _softmax(aux_s), _mean_weights(ns)
     )
     neg_tgt, neg_g = _mdd_variant_core(
-        np.argmax(ref_t, axis=1), softmax(aux_t), -_mean_weights(nt)
+        np.argmax(ref_t, axis=1), _softmax(aux_t), -_mean_weights(nt)
     )
     return src_term, -neg_tgt, g_src, -neg_g
 
@@ -347,8 +327,7 @@ def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]
     src term = mean -log sigmoid(d) over source, tgt term = mean
     log(1 - sigmoid(d)) over target; gradients are w.r.t. the raw scores.
     """
-    ds = np.asarray(d_src, dtype=np.float64).reshape(-1)
-    dt = np.asarray(d_tgt, dtype=np.float64).reshape(-1)
+    ds, dt = _check_points(d_src, "d_src", 1)[:, 0], _check_points(d_tgt, "d_tgt", 1)[:, 0]
     src_term, g_src = _dann_core(ds, _mean_weights(ds.size))
     neg_tgt, neg_g = _dann_core(dt, -_mean_weights(dt.size))
     return src_term, -neg_tgt, g_src, -neg_g

@@ -39,8 +39,9 @@ row, the source half of ``discrim``) are all the picked-entry log loss,
 task losses; the target block term of ``discrim`` takes the guarded log of
 the second-half mass.
 
-The public functions take 1-based labels and check them, their constants
-and class weights with ``margin``'s checkers; the private cores
+The public functions check their scores (``_check_joint`` adds the even
+joint width), 1-based labels, constants and class weights with
+``margin``'s checkers; the private cores
 (``_confuse_src``, ``_discrim``, ``_bound_sides``) and ``_symmnets_step``
 take the 0-based classes that ``margin._check_labels`` returns.
 
@@ -59,11 +60,10 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, _mcsd_rows
-from .margin import _check_count, _check_labels, _check_real, _check_rho, _check_weights
-from .margin import _finite_ramp_argument
+from .margin import _batch_pair, _check_count, _check_labels, _check_real, _check_reals
+from .margin import _check_rho, _check_scores, _check_weights
 from .neural import MlpScorer, center_scores
-from .surrogates import _as_batch, _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
-from .surrogates import softmax
+from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
 
 __all__ = [
     "loss_task_src",
@@ -92,18 +92,19 @@ def _checked_labels(labels, n: int, k: int, omega) -> tuple[np.ndarray, np.ndarr
     return y, (np.ones(k) if omega is None else _check_weights(omega, k, "omega"))[y]
 
 
-def _check_joint(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] % 2 or z.shape[1] < 4:
-        raise ValueError("joint scores must be [n, 2K] with K >= 2, got %r" % (z.shape,))
+def _check_joint(z, name: str) -> np.ndarray:
+    """Score rows ``_check_scores`` passes, of an even width 2K with K >= 2."""
+    z = _check_scores(z, name)
+    if z.shape[1] % 2 or z.shape[1] < 4:
+        raise ValueError("%s must be joint scores [n, 2K] with K >= 2, got %r" % (name, z.shape))
     return z
 
 
 def loss_task_src(scores, labels, omega=None) -> tuple[float, np.ndarray]:
     """Weighted source log loss of one head: (1/n) sum_i w_{y_i} (-log p_{y_i})."""
-    s = _as_batch(scores)
+    s = _check_scores(scores, "scores")
     y, w = _checked_labels(labels, *s.shape, omega)
-    return _picked_log_loss(softmax(s), y[:, None], w)
+    return _picked_log_loss(_softmax(s), y[:, None], w)
 
 
 def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
@@ -112,9 +113,9 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
     Minimized (over the feature map) when the joint softmax splits an
     example's mass evenly between the label's two neurons.
     """
-    z = _check_joint(z)
+    z = _check_joint(z, "z")
     y, w = _checked_labels(labels, z.shape[0], z.shape[1] // 2, omega)
-    return _confuse_src(softmax(z), y, w)
+    return _confuse_src(_softmax(z), y, w)
 
 
 def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -132,7 +133,7 @@ def confuse_tgt(z) -> tuple[float, np.ndarray]:
     batch; it attains log(2)/2 per example exactly when the two halves agree
     and concentrate on a single class pair.
     """
-    return _confuse_tgt(softmax(_check_joint(z)))
+    return _confuse_tgt(_softmax(_check_joint(z, "z")))
 
 
 def _confuse_tgt(p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -150,11 +151,11 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
     target examples are pushed onto the second half as a block:
     -(1/n_s) sum w_i log p_{y_i}(src) - (1/n_t) sum log sum_{k>K} p_k(tgt).
     """
-    zs, zt = _check_joint(z_src), _check_joint(z_tgt)
+    zs, zt = _check_joint(z_src, "z_src"), _check_joint(z_tgt, "z_tgt")
     if zs.shape[1] != zt.shape[1]:
         raise ValueError("source and target joint widths differ")
     y, w = _checked_labels(labels_src, zs.shape[0], zs.shape[1] // 2, omega)
-    return _discrim(softmax(zs), y, softmax(zt), w)
+    return _discrim(_softmax(zs), y, _softmax(zt), w)
 
 
 def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
@@ -201,7 +202,8 @@ def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, flo
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
     rho = _check_rho(rho)
-    c = _finite_ramp_argument(_head_pair(raw_s, raw_t))
+    s, t = _batch_pair(raw_s, raw_t, "raw_s", "raw_t")
+    c = _check_reals(_head_pair(s, t), "centered raw_s and raw_t")  # centering can overflow
     return _bound_sides(c, _check_labels(labels, *c.shape[-2:]), rho)
 
 
@@ -315,10 +317,7 @@ def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:
     all-ones vector: xi * omega/max(omega) + (1 - xi).
     """
     xi = _check_real(xi, "xi", 0.0, 1.0)
-    p = softmax(np.asarray(tgt_scores_t, dtype=np.float64))
-    if p.ndim != 2:
-        raise ValueError("expected a batch of target scores")
-    omega = p.mean(axis=0)
+    omega = _softmax(_check_scores(tgt_scores_t, "tgt_scores_t")).mean(axis=0)
     return xi * omega / omega.max() + (1.0 - xi)
 
 

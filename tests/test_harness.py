@@ -975,7 +975,14 @@ class TestCli:
         assert calls == [pair.source.n, pair.target.n]
 
 
-GUARDED = ("softmax", "log_loss_with_grads", "mcsd_rows", "phi_distance", "disagreement_bound_gap")
+GUARDED = (
+    "softmax",
+    "log_loss_with_grads",
+    "mcsd_rows",
+    "phi_distance",
+    "disagreement_bound_gap",
+    "_check_scores",
+)
 
 
 def _raise_on_public_checks(monkeypatch):

@@ -578,6 +578,11 @@ KERNEL_RULES = {
         re.compile(r"\] -= \(?\w+ / |log\(\w+\[(\.\.\., )?\w+(\[[^\]]*\])?, \w+"),
         ("surrogates.py", "_picked_log_loss"),
     ),
+    # K >= 2 classes on the last axis: the one checker of class scores
+    "class-count check": (
+        re.compile(r"\.shape\[(-1|1)\] < 2\b|\.size < 2\b"),
+        ("margin.py", "_check_scores"),
+    ),
 }
 
 
@@ -663,6 +668,9 @@ class TestOneKernelPerObject:
                 "picked-entry log loss",
                 "def p(q, rows, c):\n    return -_guarded_log(q[..., rows, c])[0]\n",
             ),
+            ("class-count check", "def c(s):\n    if s.shape[-1] < 2:\n        raise ValueError\n"),
+            ("class-count check", "def c(s):\n    return s.ndim != 2 or s.shape[1] < 2\n"),
+            ("class-count check", "def c(a):\n    if a.size < 2:\n        raise ValueError(a)\n"),
         ],
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):

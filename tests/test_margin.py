@@ -12,13 +12,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcsda.divergence import SampleSet, margin_error, violation_tensor, zero_one_error
+from mcsda.divergence import (
+    SampleSet,
+    ScorerGrid,
+    margin_error,
+    mcsd_rows,
+    smoothed_ramp,
+    violation_tensor,
+    zero_one_error,
+)
 from mcsda.harness.surface import emit_surface_grid
 from mcsda.margin import (
     ScoreVector,
     _check_count,
     _check_labels,
+    _check_points,
     _check_real,
+    _check_scores,
     _check_weights,
     absolute_margin,
     argmax_label,
@@ -33,8 +43,30 @@ from mcsda.margin import (
     violation_matrix,
 )
 from mcsda.neural import MlpScorer, SgdMomentum
-from mcsda.surrogates import log_loss_with_grads
-from mcsda.symmnets import confuse_src, eval_openset, openset_class_probs, openset_sampler
+from mcsda.surrogates import (
+    ce_with_grads,
+    dann_with_grads,
+    kl_with_grads,
+    l1_with_grads,
+    log_loss,
+    log_loss_with_grads,
+    mdd_variant_with_grads,
+    softmax,
+    sur_ce,
+    sur_kl,
+    sur_l1,
+)
+from mcsda.symmnets import (
+    confuse_src,
+    confuse_tgt,
+    disagreement_bound_gap,
+    discrim,
+    eval_openset,
+    loss_task_src,
+    openset_class_probs,
+    openset_sampler,
+    partial_weights,
+)
 from mcsda.synthdata import DomainPair, gen_gauss_blobs, gen_rotated_moons
 
 F = [10.0, -5.0, -5.0]
@@ -492,7 +524,8 @@ FORMERLY_UNCHECKED = {
     "blobs_shift_nan": (lambda: gen_gauss_blobs(3, 5, (np.nan, 0.5)), "shift_vector"),
     "surface_span_inf": (lambda: emit_surface_grid("mcsd", 1.0, span=np.inf), "span"),
     "surface_span_nan": (lambda: emit_surface_grid("mcsd", 1.0, span=np.nan), "span"),
-    "margin_error_1d_scores": (lambda: margin_error(np.zeros(3), [1, 2, 1], 1.0), "scores"),
+    # a 1-D array is one row of scores: here a row of one class
+    "margin_error_1d_scores": (lambda: margin_error(np.zeros(1), [1], 1.0), "scores"),
     "margin_error_3d_scores": (lambda: margin_error(np.zeros((3, 5, 2)), [1] * 5, 1.0), "scores"),
     "margin_error_square_scores": (
         lambda: margin_error(np.zeros((5, 5, 2)), [1] * 5, 1.0),
@@ -508,3 +541,199 @@ def test_each_input_kind_is_checked_and_named(case):
         warnings.simplefilter("error")  # rejected before numpy sees the value
         call()
     assert str(info.value).startswith(name + " "), str(info.value)
+
+
+# Every public function that takes class scores, once per score argument:
+# (argument name, the form it asks for, a good value, the call with every
+# other argument good).  Forms: "vector" [K], "rows" [n, K] (a 1-D array is
+# one row), "joint" rows [n, 2K], "any" [..., K], "domain" one score per
+# point [n] or [n, 1].
+V3 = [1.0, 0.0, -1.0]
+P3 = [0.5, 0.25, 0.25]
+ROWS = np.array([[1.0, 0.0, -1.0], [0.5, -0.5, 0.0], [0.0, 2.0, -2.0], [1.5, 0.5, -2.0]])
+JOINT = np.concatenate([ROWS, ROWS[::-1]], axis=1)
+Y4 = [1, 2, 3, 1]
+D4 = ROWS[:, 0]
+
+SCORE_ARGS = {
+    "ScoreVector": ("scores", "vector", V3, ScoreVector),
+    "as_scores": ("f", "vector", V3, as_scores),
+    "argmax_label": ("f", "vector", V3, argmax_label),
+    "absolute_margin": ("f", "vector", V3, lambda f: absolute_margin(f, 1)),
+    "relative_margin": ("f", "vector", V3, lambda f: relative_margin(f, 1)),
+    "violation_matrix": ("f", "vector", V3, lambda f: violation_matrix(f, 1.0)),
+    "source_margin_loss": ("f", "vector", V3, lambda f: source_margin_loss(f, 1, 1.0)),
+    "mcsd_pointwise_f1": ("f1", "vector", V3, lambda f: mcsd_pointwise(f, V3, 1.0)),
+    "mcsd_pointwise_f2": ("f2", "vector", V3, lambda f: mcsd_pointwise(V3, f, 1.0)),
+    "mcsd_tilde_f1": ("f1", "vector", V3, lambda f: mcsd_tilde_pointwise(f, V3, 1.0)),
+    "mcsd_hat_f2": ("f2", "vector", V3, lambda f: mcsd_hat_pointwise(V3, f, 1.0)),
+    "sur_l1_p1": ("p1", "vector", P3, lambda p: sur_l1(p, P3)),
+    "sur_kl_p2": ("p2", "vector", P3, lambda p: sur_kl(P3, p)),
+    "sur_ce_p1": ("p1", "vector", P3, lambda p: sur_ce(p, P3)),
+    "log_loss": ("p", "vector", P3, lambda p: log_loss(p, 1)),
+    "l1_with_grads_s1": ("s1", "rows", ROWS, lambda s: l1_with_grads(s, ROWS)),
+    "kl_with_grads_s2": ("s2", "rows", ROWS, lambda s: kl_with_grads(ROWS, s)),
+    "ce_with_grads_s1": ("s1", "rows", ROWS, lambda s: ce_with_grads(s, ROWS)),
+    "log_loss_with_grads": ("scores", "rows", ROWS, lambda s: log_loss_with_grads(s, Y4)),
+    "mdd_ref_src": ("ref_src", "rows", ROWS, lambda s: mdd_variant_with_grads(s, ROWS, ROWS, ROWS)),
+    "mdd_aux_src": ("aux_src", "rows", ROWS, lambda s: mdd_variant_with_grads(ROWS, s, ROWS, ROWS)),
+    "mdd_ref_tgt": ("ref_tgt", "rows", ROWS, lambda s: mdd_variant_with_grads(ROWS, ROWS, s, ROWS)),
+    "mdd_aux_tgt": ("aux_tgt", "rows", ROWS, lambda s: mdd_variant_with_grads(ROWS, ROWS, ROWS, s)),
+    "dann_d_src": ("d_src", "domain", D4, lambda d: dann_with_grads(d, D4)),
+    "dann_d_tgt": ("d_tgt", "domain", D4, lambda d: dann_with_grads(D4, d)),
+    "loss_task_src": ("scores", "rows", ROWS, lambda s: loss_task_src(s, Y4)),
+    "confuse_src": ("z", "joint", JOINT, lambda z: confuse_src(z, Y4)),
+    "confuse_tgt": ("z", "joint", JOINT, confuse_tgt),
+    "discrim_z_src": ("z_src", "joint", JOINT, lambda z: discrim(z, Y4, JOINT)),
+    "discrim_z_tgt": ("z_tgt", "joint", JOINT, lambda z: discrim(JOINT, Y4, z)),
+    "bound_gap_raw_s": ("raw_s", "rows", ROWS, lambda s: disagreement_bound_gap(s, ROWS, Y4, 1.0)),
+    "bound_gap_raw_t": ("raw_t", "rows", ROWS, lambda s: disagreement_bound_gap(ROWS, s, Y4, 1.0)),
+    "partial_weights": ("tgt_scores_t", "rows", ROWS, lambda s: partial_weights(s, 0.5)),
+    "margin_error": ("scores", "rows", ROWS, lambda s: margin_error(s, Y4, 1.0)),
+    "zero_one_error": ("scores", "rows", ROWS, lambda s: zero_one_error(s, Y4)),
+    "softmax": ("scores", "any", ROWS, softmax),
+    "mcsd_rows_a": ("a", "any", ROWS, lambda a: mcsd_rows(a, ROWS, 1.0)),
+    "mcsd_rows_b": ("b", "any", ROWS, lambda b: mcsd_rows(ROWS, b, 1.0)),
+    "violation_tensor": ("scores", "any", ROWS, lambda s: violation_tensor(s, 1.0)),
+}
+
+
+def bad_scores(kind: str, form: str, good) -> object:
+    """``good`` made bad in one way, keeping its form otherwise."""
+    g = np.array(good, dtype=np.float64)
+    if kind in ("nan", "inf"):
+        g.flat[-1] = np.nan if kind == "nan" else np.inf
+        return g
+    if kind == "complex":
+        return g + 1j
+    if kind == "strings":  # numbers as text are not numbers
+        return g.astype(str)
+    if kind == "empty":
+        return g[:0]
+    if kind == "ragged":
+        if g.ndim == 2:  # the last row one class short
+            return [list(r) for r in g[:-1]] + [list(g[-1, :-1])]
+        return [g[0], list(g[1:])]
+    if kind == "one_class":
+        return g[..., : 2 if form == "joint" else 1]
+    # wrong rank: a 0-d scalar for any leading axes, two scores per point for
+    # a domain head, one axis too many otherwise
+    if form == "any":
+        return g[0, 0]
+    return np.stack([g, g], axis=1) if form == "domain" else g[None]
+
+
+BAD_KINDS = ("nan", "inf", "complex", "strings", "empty", "ragged", "one_class", "wrong_rank")
+# cases that were rejected by name, without a warning, before the scores had
+# one checker
+ALREADY_NAMED = {
+    ("ScoreVector", "nan"),
+    ("ScoreVector", "inf"),
+    ("margin_error", "wrong_rank"),
+    ("zero_one_error", "wrong_rank"),
+}
+SCORE_CASES = [
+    (entry, kind)
+    for entry, (_, form, _, _) in SCORE_ARGS.items()
+    for kind in BAD_KINDS
+    # a domain head has one score per point by design
+    if (entry, kind) not in ALREADY_NAMED and not (form == "domain" and kind == "one_class")
+]
+
+# pairs whose one-shape rule is new: the checked pair, the call
+MISMATCHED_PAIRS = {
+    "sur_l1": ("p1 and p2", lambda: sur_l1([0.5, 0.5], P3)),
+    "sur_kl": ("p1 and p2", lambda: sur_kl(P3, [0.5, 0.5])),
+    "mcsd_rows": ("a and b", lambda: mcsd_rows(ROWS, ROWS[:3], 1.0)),
+    "disagreement_bound_gap": (
+        "raw_s and raw_t",
+        lambda: disagreement_bound_gap(ROWS, ROWS[:, :2], Y4, 1.0),
+    ),
+}
+
+
+# the row-batch functions called on one row, every score argument a 1-D
+# array and then the same row as [1, K]
+ONE_ROW = {
+    "l1_with_grads": (l1_with_grads, (ROWS[0], ROWS[1])),
+    "log_loss_with_grads": (lambda s: log_loss_with_grads(s, [1]), (ROWS[0],)),
+    "mdd_variant_with_grads": (mdd_variant_with_grads, tuple(ROWS)),
+    "loss_task_src": (lambda s: loss_task_src(s, [2]), (ROWS[1],)),
+    "confuse_src": (lambda z: confuse_src(z, [3]), (JOINT[2],)),
+    "confuse_tgt": (confuse_tgt, (JOINT[0],)),
+    "discrim": (lambda a, b: discrim(a, [1], b), (JOINT[0], JOINT[1])),
+    "disagreement_bound_gap": (
+        lambda a, b: disagreement_bound_gap(a, b, [1], 1.0),
+        (ROWS[0], ROWS[3]),
+    ),
+    "partial_weights": (lambda s: partial_weights(s, 0.5), (ROWS[2],)),
+    "margin_error": (lambda s: margin_error(s, [1], 1.0), (ROWS[3],)),
+    "zero_one_error": (lambda s: zero_one_error(s, [2]), (ROWS[3],)),
+}
+
+
+class TestScoresChecks:
+    """Class scores have one checker, ``margin._check_scores``: every bad
+    score argument ends in a ValueError that names it, before numpy warns."""
+
+    @pytest.mark.parametrize("entry", list(SCORE_ARGS))
+    def test_good_scores_pass(self, entry):
+        _, _, good, call = SCORE_ARGS[entry]
+        call(good)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, kind", SCORE_CASES)
+    def test_bad_scores_are_rejected_by_name(self, entry, kind):
+        name, form, good, call = SCORE_ARGS[entry]
+        with pytest.raises(ValueError, match="^%s must" % name):
+            call(bad_scores(kind, form, good))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", list(MISMATCHED_PAIRS))
+    def test_mismatched_pairs_are_rejected_by_name(self, entry):
+        names, call = MISMATCHED_PAIRS[entry]
+        with pytest.raises(ValueError, match="^%s must have one shape" % names):
+            call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_probabilities_are_checked_as_a_probability_vector(self):
+        for p in ([2.0, -1.0], [0.5, 0.6]):
+            with pytest.raises(ValueError, match="^p is not a probability vector"):
+                log_loss(p, 1)
+        assert log_loss([0.25, 0.75], 2) == -np.log(0.75)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_arguments_and_candidate_scores_are_rejected_by_name(self):
+        for call, name in (
+            (lambda: ramp_loss(1j, 1.0), "x"),
+            (lambda: smoothed_ramp([0.5 + 1j], 1.0), "x"),
+            (lambda: phi_distance(0.5 + 0j, 0.5, 1.0, 3), "a"),
+            (lambda: phi_distance(0.5, [0.5j], 1.0, 3), "b"),
+            (lambda: ScorerGrid([lambda x: x + 1j], 2).evaluate(np.zeros((3, 2))), "candidate 0's"),
+        ):
+            with pytest.raises(ValueError, match="^%s " % name):
+                call()
+
+    @pytest.mark.parametrize("entry", list(ONE_ROW))
+    def test_a_1d_array_is_one_row(self, entry):
+        call, rows = ONE_ROW[entry]
+        got, want = call(*rows), call(*(r[None] for r in rows))
+        got, want = (x if isinstance(x, tuple) else (x,) for x in (got, want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_domain_scores_may_be_one_column(self):
+        got, want = dann_with_grads(D4[:, None], D4[::-1, None]), dann_with_grads(D4, D4[::-1])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_checked_float64_arrays_are_not_copied(self):
+        stack, rows = np.zeros((2, 3, 4)), np.zeros((2, 3))
+        assert _check_scores(stack, "scores", None) is stack
+        assert _check_scores(rows, "scores") is rows
+        assert _check_scores(rows[0], "scores").base is rows
+        vector = rows[0]
+        assert _check_scores(vector, "f", 1) is vector
+        assert _check_points(rows, "points") is rows
+        assert softmax(stack).shape == stack.shape

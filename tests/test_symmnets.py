@@ -354,7 +354,9 @@ class TestPartialWeights:
         with pytest.raises(ValueError):
             partial_weights(np.zeros((2, 3)), 1.5)
         with pytest.raises(ValueError):
-            partial_weights(np.zeros(3), 0.5)
+            partial_weights(np.zeros((2, 2, 3)), 0.5)
+        # a 1-D array is one row of target scores, as in every row-batch function
+        np.testing.assert_array_equal(partial_weights(np.zeros(3), 0.5), np.ones(3))
 
 
 class TestOpensetSampler:

@@ -350,7 +350,7 @@ class TestFailsClosedOnNaN:
         # whose check rejects them
         monkeypatch.setattr(theory, "softmax", nan_on_first_vector(theory.softmax))
         error = run_check("check_surrogate_identities").details["replay_error"]
-        assert error.startswith("sur_kl raised on draw 0: not a probability vector")
+        assert error.startswith("sur_kl raised on draw 0: p1 must be finite")
 
     @pytest.mark.parametrize("name", ["lr_schedule", "lambda_schedule"])
     def test_nan_from_a_schedule_fails_the_check(self, monkeypatch, name):

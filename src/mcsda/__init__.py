@@ -50,9 +50,7 @@ from .neural import (
     lr_schedule,
 )
 from .surrogates import (
-    clamp_count,
     log_loss,
-    reset_clamp_count,
     sigmoid,
     softmax,
     sur_ce,

@@ -157,9 +157,14 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 
 def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Centered linear scorer x -> center(w x + b)."""
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    """Centered linear scorer x -> center(w x + b), from K >= 2 finite
+    biases b and finite weights w [K, d], checked here."""
+    b = _check_scores(b, "b", 1)
+    w = _check_reals(w, "w", "a [K, d] array")
+    if w.ndim != 2 or w.shape[0] != b.size or w.shape[1] < 1:
+        raise ValueError(
+            "w must be a [%d, d >= 1] array, one row per bias, got shape %r" % (b.size, w.shape)
+        )
 
     def score(points: np.ndarray) -> np.ndarray:
         # coerced as a sample is but not checked: a grid has checked them

@@ -12,12 +12,13 @@ through the evaluation accessor.
 What differs by method is its row of ``config.METHOD_ROWS``: the heads to
 build, the evaluation head, the head pair of the divergence proxy and the
 constants of its family's step.  ``_family_step`` maps each of the three
-families to its step function.  A step returns one batch's loss values and
+families to its step function.  A step returns one batch's loss values,
 merged parameter gradients as one vector shaped like the model's parameter
 arena, ``MlpScorer.theta``, written into gradient buffers the run allocates
-once; the epoch loop makes the one optimizer update (one
-``SgdMomentum.step`` over the whole arena) and gives the one verdict on
-non-finite losses.
+once, and the clamp count of every guarded log it took; the epoch loop
+makes the one optimizer update (one ``SgdMomentum.step`` over the whole
+arena), sums the counts into the epoch's ``clamp_events`` and gives the one
+verdict on non-finite losses.
 
 * ``source_only``        task head on source data, nothing else: one
   softmax and the picked-entry log loss, the McDalNet step's task term;
@@ -63,7 +64,6 @@ from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
 from ..margin import _check_labels, _check_rho, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _dann_core, _mdd_variant_core, _picked_log_loss, _softmax
-from ..surrogates import reset_clamp_count
 from ..symmnets import HEAD_T, _head_disagreement, _head_pair, _symmnets_step, eval_openset
 from ..symmnets import openset_sampler, partial_weights
 from ..synthdata import DomainPair
@@ -208,10 +208,10 @@ def _finalize(
 # target batch, adversarial weight, checked class weights [K]), its row's
 # keywords and ``grads``, the run's gradient buffers (two
 # ``MlpScorer._zero_grads()`` pairs, bound by ``_family_step``), and
-# returns its loss values and the merged gradient vector; a batch with
-# non-finite scores returns a NaN loss and no gradients.  Library functions
-# are called by their module-level names, so a patched name takes effect on
-# the next run.
+# returns its loss values, the merged gradient vector and the sum of its
+# loss cores' clamp counts; a batch with non-finite scores returns a NaN
+# loss, no gradients and 0 clamps.  Library functions are called by their
+# module-level names, so a patched name takes effect on the next run.
 # ---------------------------------------------------------------------------
 
 
@@ -223,12 +223,12 @@ def _source_only_step(model, xs, y, xt, zeta, omega, *, grads):
     ``log_loss_with_grads`` would have checked again."""
     cache = model.forward(xs, heads=("f",))
     if not _finite(cache.raw):
-        return {"task": float("nan")}, None
-    value, g = _picked_log_loss(_softmax(cache.raw["f"]), y[:, None], np.ones(y.size))
+        return {"task": float("nan")}, None, 0
+    value, g, clamps = _picked_log_loss(_softmax(cache.raw["f"]), y[:, None], np.ones(y.size))
     score_grads = {"f": g}
     flat, views = grads[0]
     model._backward(cache, score_grads, score_grads, views)
-    return {"task": value}, flat
+    return {"task": value}, flat, clamps
 
 
 def _mcdal_step(
@@ -249,12 +249,12 @@ def _mcdal_step(
     cache = model.forward(np.concatenate((xs, xt)))
     raw = cache.raw
     if not _finite(raw):
-        return {"task": float("nan")}, None
+        return {"task": float("nan")}, None, 0
     n, k = raw["f"].shape
     wide = tuple(h for h in raw if raw[h].shape[1] == k)  # built K wide: f, then f1, f2
     probs = _softmax(np.stack([raw[h] for h in wide]))  # [heads, n, K]
     trained = wide if aux_task_weight > 0 else ("f",)
-    values, g = _picked_log_loss(probs[: len(trained), :ns], y[:, None], np.ones(ns))
+    values, g, task_clamps = _picked_log_loss(probs[: len(trained), :ns], y[:, None], np.ones(ns))
     task = np.zeros((len(trained), n, k))  # source-row gradients, zero on target rows
     task[:, :ns] = g
     task[1:] *= aux_task_weight
@@ -262,13 +262,13 @@ def _mcdal_step(
     w = np.full(n, 1.0 / ns)
     w[ns:] = -1.0 / (n - ns)
     if surrogate == "dann":
-        disagreement, g_d = _dann_core(raw["d"][:, 0], w)
+        disagreement, g_d, clamps = _dann_core(raw["d"][:, 0], w)
         dis = {"d": g_d[:, None]}
     elif surrogate == "mdd_variant":
-        disagreement, g_2 = _mdd_variant_core(np.argmax(raw["f1"], axis=1), probs[2], w)
+        disagreement, g_2, clamps = _mdd_variant_core(np.argmax(raw["f1"], axis=1), probs[2], w)
         dis = {"f2": g_2}
     else:
-        disagreement, g_1, g_2 = _PAIRWISE_CORES[surrogate](probs[1], probs[2], w)
+        disagreement, g_1, g_2, clamps = _PAIRWISE_CORES[surrogate](probs[1], probs[2], w)
         dis = {"f1": g_1, "f2": g_2}
 
     c = zeta if zeta_on_adversary else 1.0
@@ -282,12 +282,12 @@ def _mcdal_step(
     values = {"task": float(values[0]), "aux_task": aux, "disagreement": disagreement}
     flat, views = grads[0]
     model._backward(cache, head_grads, psi_grads, views)
-    return values, flat
+    return values, flat, task_clamps + clamps
 
 
 def _family_step(
     cfg: ExperimentConfig, model: MlpScorer
-) -> Callable[..., tuple[dict, np.ndarray | None]]:
+) -> Callable[..., tuple[dict, np.ndarray | None, int]]:
     """The step of the configured method's family, with its row's constants,
     the config fields the family reads (``rho`` checked here, once) and two
     gradient buffers for ``model``, allocated here, bound as keywords."""
@@ -328,7 +328,6 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
     notes: list[str] = []
     run_dir = _run_dir(cfg)
     recorder = _Recorder(run_dir / "metrics.jsonl" if run_dir else None)
-    reset_clamp_count()
     try:
         for epoch in range(cfg.epochs):
             p = epoch / cfg.epochs
@@ -347,8 +346,10 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                 [] if nan_flag else _epoch_batches(rng, xs.shape[0], xt.shape[0], cfg, sampler)
             )
             step_losses = []
+            clamp_events = 0
             for idx_s, idx_t in batches:
-                values, grads = step(model, xs[idx_s], y[idx_s], xt[idx_t], zeta, omega)
+                values, grads, clamps = step(model, xs[idx_s], y[idx_s], xt[idx_t], zeta, omega)
+                clamp_events += clamps
                 if grads is not None:
                     opt.step(grads, lr)
                 if not all(math.isfinite(v) for v in values.values()):
@@ -375,7 +376,7 @@ def run_experiment(pair: DomainPair, cfg: ExperimentConfig) -> RunResult:
                     divergence_proxy=(
                         None if row.proxy is None else _mcsd_gap(src, tgt, row.proxy, cfg.rho)
                     ),
-                    clamp_events=reset_clamp_count(),
+                    clamp_events=clamp_events,
                     omega=[float(w) for w in omega] if mode == "partial" else None,
                     nan_flag=nan_flag,
                     **os_fields,

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # the weighted pairwise cores the McDalNet step dispatches:
-# (p1, p2, row weights) -> (value, g1, g2)
+# (p1, p2, row weights) -> (value, g1, g2, clamp count)
 PAIRWISE_CORES = {
     name: partial(_pair_core, kernel) for name, kernel in (("l1", _l1), ("kl", _kl), ("ce", _ce))
 }
@@ -90,14 +90,14 @@ def _pair_sample(rng: np.random.Generator, apart: bool = False) -> tuple:
 
 def _pair_apply(name: str) -> Callable:
     def apply(s1, s2, w):
-        value, g1, g2 = PAIRWISE_CORES[name](_softmax(s1), _softmax(s2), w)
+        value, g1, g2, _ = PAIRWISE_CORES[name](_softmax(s1), _softmax(s2), w)
         return value, {0: g1, 1: g2}
 
     return apply
 
 
 def _mdd_variant_apply(ref, aux, w):
-    value, g = _mdd_variant_core(np.argmax(ref, axis=1), _softmax(aux), w)
+    value, g, _ = _mdd_variant_core(np.argmax(ref, axis=1), _softmax(aux), w)
     return value, {1: g}
 
 
@@ -107,7 +107,7 @@ def _dann_sample(rng: np.random.Generator) -> tuple:
 
 
 def _dann_apply(d, w):
-    value, g = _dann_core(d, w)
+    value, g, _ = _dann_core(d, w)
     return value, {0: g}
 
 
@@ -118,7 +118,7 @@ def _labeled_sample(rng: np.random.Generator, width: int = 1) -> tuple:
 
 
 def _task_apply(scores, labels, omega):
-    value, g = _picked_log_loss(_softmax(scores), labels[:, None], omega[labels])
+    value, g, _ = _picked_log_loss(_softmax(scores), labels[:, None], omega[labels])
     return value, {0: g}
 
 
@@ -128,7 +128,7 @@ def _heads_sample(rng: np.random.Generator) -> tuple:
 
 
 def _heads_apply(scores, labels):
-    values, g = _picked_log_loss(_softmax(scores), labels[:, None], np.ones(labels.size))
+    values, g, _ = _picked_log_loss(_softmax(scores), labels[:, None], np.ones(labels.size))
     return float(values.sum()), {0: g}
 
 
@@ -138,12 +138,12 @@ def _joint_sample(rng: np.random.Generator) -> tuple:
 
 
 def _confuse_tgt_apply(z):
-    value, g = _confuse_tgt(_softmax(z))
+    value, g, _ = _confuse_tgt(_softmax(z))
     return value, {0: g}
 
 
 def _confuse_src_apply(z, labels, omega):
-    value, g = _confuse_src(_softmax(z), labels, omega[labels])
+    value, g, _ = _confuse_src(_softmax(z), labels, omega[labels])
     return value, {0: g}
 
 
@@ -154,7 +154,7 @@ def _discrim_sample(rng: np.random.Generator) -> tuple:
 
 
 def _discrim_apply(z_src, labels, z_tgt, omega):
-    value, g_src, g_tgt = _discrim(_softmax(z_src), labels, _softmax(z_tgt), omega[labels])
+    value, g_src, g_tgt, _ = _discrim(_softmax(z_src), labels, _softmax(z_tgt), omega[labels])
     return value, {0: g_src, 2: g_tgt}
 
 

@@ -4,10 +4,10 @@ The experiments only need a fixed architecture: a feature map psi made of
 affine layers each followed by tanh, and one or more linear heads on top of
 the shared features, each given by its name and output width.  ``forward``
 returns raw head outputs; scores are centered (minus their row mean) before
-any margin computation, by ``scorer`` and by the callers of
-``center_scores``.  Softmax-based losses are shift invariant, so their
-gradients are taken with respect to the raw head outputs and already sum to
-zero per row.
+any margin computation, by margin's kernel ``_center`` in ``scorer`` and in
+SymmNets' head pairs; ``center_scores`` is its checked public form.
+Softmax-based losses are shift invariant, so their gradients are taken with
+respect to the raw head outputs and already sum to zero per row.
 
 Every parameter lives in one contiguous float64 vector, ``MlpScorer.theta``,
 in ``params()`` (and checkpoint) order; the named arrays of ``params()`` are
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .margin import _center, _check_count, _check_real
+from .margin import _center, _check_count, _check_real, _check_scores
 
 __all__ = [
     "Schedules",
@@ -92,9 +92,11 @@ def lambda_schedule(p: float, s: Schedules) -> float:
     return 2.0 / (1.0 + np.exp(-s.gamma * p)) - 1.0
 
 
-# raw head outputs -> sum-to-zero rows (an orthogonal projection, so it also
-# pulls gradients on centered scores back): margin's centering kernel
-center_scores = _center
+def center_scores(scores) -> np.ndarray:
+    """Raw head outputs [..., K] as sum-to-zero rows: margin's centering kernel
+    (an orthogonal projection, so it also pulls gradients on centered scores
+    back) on scores ``margin._check_scores`` passes."""
+    return _center(_check_scores(scores, "scores", None))
 
 
 @contextmanager
@@ -313,7 +315,7 @@ class MlpScorer:
 
         def score(points: np.ndarray) -> np.ndarray:
             raw = self.forward(points, heads=(name,)).raw[name]
-            return center_scores(raw)
+            return _center(raw)
 
         return score
 

@@ -23,14 +23,17 @@ weighted core with w = 1/n), the McDalNet step (the weighted core, through
 halves of the joint softmax), the surface slices and the theory suite.
 
 Every log of a probability in the library goes through one guarded log,
-`_guarded_log`, which clamps its argument below at 1e-12 and counts the
-clamped entries in a module-level tally (`clamp_count`,
-`reset_clamp_count`) so training metrics can report them per epoch.  The
-weighted negative log of picked softmax entries is written once too, as
-`_picked_log_loss` (m picks per row): the task losses of every trainer,
-SymmNets' labeled confusion (two picks) and the source half of its domain
-discrimination call it.  The one-vs-rest and domain-head cores keep their
-own gradient forms and share only the guarded log.
+`_guarded_log`, which clamps its argument below at 1e-12 and returns the
+number of clamped entries with the log.  Each private kernel that takes a
+guarded log returns the sum of its logs' counts as its last value (`_l1`
+returns 0), and the training steps sum their kernels' counts, so a count
+travels with the values it belongs to and the module holds no state.  The
+public functions drop the count.  The weighted negative log of picked
+softmax entries is written once too, as `_picked_log_loss` (m picks per
+row): the task losses of every trainer, SymmNets' labeled confusion (two
+picks) and the source half of its domain discrimination call it.  The
+one-vs-rest and domain-head cores keep their own gradient forms and share
+only the guarded log.
 
 Sign convention for the adversarial pairs: each returns
 (source term, target term) separately, and the disagreement loss is source
@@ -53,8 +56,6 @@ __all__ = [
     "sur_kl",
     "sur_ce",
     "log_loss",
-    "clamp_count",
-    "reset_clamp_count",
     "l1_with_grads",
     "kl_with_grads",
     "ce_with_grads",
@@ -66,30 +67,14 @@ __all__ = [
 
 _EPS = 1e-12
 
-_clamp_events = 0
 
-
-def clamp_count() -> int:
-    """Number of log-argument clamps since the last reset."""
-    return _clamp_events
-
-
-def reset_clamp_count() -> int:
-    """Zero the clamp tally; returns the count it had."""
-    global _clamp_events
-    n, _clamp_events = _clamp_events, 0
-    return n
-
-
-def _guarded_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The guarded log: (log q, q) for q = p clamped below at 1e-12, counting
-    how many entries hit the clamp."""
-    global _clamp_events
+def _guarded_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The guarded log: (log q, q, hits) for q = p clamped below at 1e-12,
+    with hits the number of entries that hit the clamp."""
     hits = int(np.count_nonzero(p < _EPS))
     if hits:
-        _clamp_events += hits
         p = np.maximum(p, _EPS)
-    return np.log(p), p
+    return np.log(p), p, hits
 
 
 def softmax(scores) -> np.ndarray:
@@ -146,9 +131,9 @@ def sur_ce(p1, p2) -> float:
 
 
 # The three pairwise surrogates, one kernel each, over probability rows
-# p1, p2 [..., K].  A kernel returns the per-row values [...] and the per-row
-# probability gradients dV/dp1, dV/dp2 [..., K]; each log argument is
-# clamped once.
+# p1, p2 [..., K].  A kernel returns the per-row values [...], the per-row
+# probability gradients dV/dp1, dV/dp2 [..., K] and its clamp count; each
+# log argument is clamped once.
 
 
 def _l1(p1: np.ndarray, p2: np.ndarray):
@@ -156,23 +141,23 @@ def _l1(p1: np.ndarray, p2: np.ndarray):
     k = p1.shape[-1]
     d = p1 - p2
     u1 = np.sign(d) / k
-    return np.abs(d).sum(axis=-1) / k, u1, -u1
+    return np.abs(d).sum(axis=-1) / k, u1, -u1, 0
 
 
 def _kl(p1: np.ndarray, p2: np.ndarray):
     """Symmetrized-KL rows (p1 - p2) . (log p1 - log p2) / 2."""
-    (l1, c1), (l2, c2) = _guarded_log(p1), _guarded_log(p2)
+    (l1, c1, h1), (l2, c2, h2) = _guarded_log(p1), _guarded_log(p2)
     u1 = 0.5 * (l1 - l2 + 1.0 - p2 / c1)
     u2 = 0.5 * (l2 - l1 + 1.0 - p1 / c2)
-    return 0.5 * ((p1 - p2) * (l1 - l2)).sum(axis=-1), u1, u2
+    return 0.5 * ((p1 - p2) * (l1 - l2)).sum(axis=-1), u1, u2, h1 + h2
 
 
 def _ce(p1: np.ndarray, p2: np.ndarray):
     """Symmetrized cross-entropy rows -(p1 . log p2 + p2 . log p1) / 2."""
-    (l1, c1), (l2, c2) = _guarded_log(p1), _guarded_log(p2)
+    (l1, c1, h1), (l2, c2, h2) = _guarded_log(p1), _guarded_log(p2)
     u1 = 0.5 * (-l2 - p2 / c1)
     u2 = 0.5 * (-l1 - p1 / c2)
-    return -0.5 * (p1 * l2 + p2 * l1).sum(axis=-1), u1, u2
+    return -0.5 * (p1 * l2 + p2 * l1).sum(axis=-1), u1, u2, h1 + h2
 
 
 def log_loss(p, y: int) -> float:
@@ -191,9 +176,10 @@ def log_loss(p, y: int) -> float:
 #
 # Behind each public form sits one private core on probability rows (raw
 # rows for the binary domain head) and a row-weight vector w [n]: it returns
-# sum_i w_i * loss_i and the score gradients of that sum.  The three
-# pairwise forms share `_pair_core` over their kernels.  The public forms
-# are softmax + core with w = 1/n (-1/n for a target term, negated back).
+# sum_i w_i * loss_i, the score gradients of that sum and its clamp count.
+# The three pairwise forms share `_pair_core` over their kernels.  The
+# public forms are softmax + core with w = 1/n (-1/n for a target term,
+# negated back), and drop the count.
 # A trainer stacks source and target rows and weights them +1/n_s and
 # -1/n_t, so one core call gives "source term minus target term" and the
 # gradients of both domains.  The adversarial pairs use different source and
@@ -209,17 +195,17 @@ def _chain_softmax(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return p * (u - np.sum(p * u, axis=1, keepdims=True))
 
 
-def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted sum of a pairwise kernel's rows of p1, p2 [n, K] and its
-    score gradients."""
-    rows, u1, u2 = kernel(p1, p2)
+def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Weighted sum of a pairwise kernel's rows of p1, p2 [n, K], its score
+    gradients and the kernel's clamp count."""
+    rows, u1, u2, clamps = kernel(p1, p2)
     wc = w[:, None]
-    return float(rows @ w), _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
+    return float(rows @ w), _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc, clamps
 
 
 def _pair_with_grads(kernel, s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
     s1, s2 = _batch_pair(s1, s2, "s1", "s2")
-    return _pair_core(kernel, _softmax(s1), _softmax(s2), _mean_weights(s1.shape[0]))
+    return _pair_core(kernel, _softmax(s1), _softmax(s2), _mean_weights(s1.shape[0]))[:3]
 
 
 def l1_with_grads(s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
@@ -251,40 +237,44 @@ def log_loss_with_grads(scores, labels, weights=None) -> tuple[float, np.ndarray
     n, k = s.shape
     y = _check_labels(labels, n, k)
     w = np.ones(n) if weights is None else _check_weights(weights, n, "weights")
-    return _picked_log_loss(_softmax(s), y[:, None], w)
+    return _picked_log_loss(_softmax(s), y[:, None], w)[:2]
 
 
 def _picked_log_loss(p: np.ndarray, c: np.ndarray, w: np.ndarray):
     """The picked-entry log loss: softmax rows p [..., n, K], m 0-based picks
     per row c [n, m] and row weights w [n].  Returns
-    sum_i w_i sum_j -log p[i, c_ij] / (m n) and its gradient w.r.t. the
-    scores, p * m w_i / (m n) less w_i / (m n) at each pick.  Leading axes
-    stack heads scored on the same rows; each gets its own value (a float
-    for plain [n, K] rows)."""
+    sum_i w_i sum_j -log p[i, c_ij] / (m n), its gradient w.r.t. the
+    scores, p * m w_i / (m n) less w_i / (m n) at each pick, and the clamp
+    count of the picked entries.  Leading axes stack heads scored on the
+    same rows; each gets its own value (a float for plain [n, K] rows) and
+    the count covers them all."""
     n, m = c.shape
     rows = np.arange(n)
-    value = np.dot(-_guarded_log(p[..., rows[:, None], c])[0].sum(axis=-1), w) / (m * n)
+    log_q, _, clamps = _guarded_log(p[..., rows[:, None], c])
+    value = np.dot(-log_q.sum(axis=-1), w) / (m * n)
     g = p * (m * w / (m * n))[:, None]
     for j in range(m):
         g[..., rows, c[:, j]] -= w / (m * n)
-    return (float(value) if value.ndim == 0 else value), g
+    return (float(value) if value.ndim == 0 else value), g, clamps
 
 
-def _mdd_variant_core(c: np.ndarray, p: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+def _mdd_variant_core(
+    c: np.ndarray, p: np.ndarray, w: np.ndarray
+) -> tuple[float, np.ndarray, int]:
     """One-vs-rest consistency rows: auxiliary softmax rows p [n, K] and the
     reference head's 0-based decision classes c [n].  A row with w > 0 is a
     source row, loss -log p_c; a row with w < 0 is a target row, loss
-    log(1 - p_c).  Returns sum_i w_i * loss_i and its gradient w.r.t. the
-    auxiliary scores."""
+    log(1 - p_c).  Returns sum_i w_i * loss_i, its gradient w.r.t. the
+    auxiliary scores and the clamp count."""
     rows = np.arange(p.shape[0])
     pc = p[rows, c]
     src = w > 0
-    log_q, q = _guarded_log(np.where(src, pc, 1.0 - pc))  # q: the probability under the log
+    log_q, q, clamps = _guarded_log(np.where(src, pc, 1.0 - pc))  # q: the probability under the log
     value = -float(np.abs(w) @ log_q)
     g = p.copy()
     g[rows, c] -= 1.0
     g *= np.where(src, w, w * pc / q)[:, None]
-    return value, g
+    return value, g, clamps
 
 
 def mdd_variant_with_grads(
@@ -301,24 +291,24 @@ def mdd_variant_with_grads(
     ref_s, aux_s = _batch_pair(ref_src, aux_src, "ref_src", "aux_src")
     ref_t, aux_t = _batch_pair(ref_tgt, aux_tgt, "ref_tgt", "aux_tgt")
     ns, nt = aux_s.shape[0], aux_t.shape[0]
-    src_term, g_src = _mdd_variant_core(
+    src_term, g_src, _ = _mdd_variant_core(
         np.argmax(ref_s, axis=1), _softmax(aux_s), _mean_weights(ns)
     )
-    neg_tgt, neg_g = _mdd_variant_core(
+    neg_tgt, neg_g, _ = _mdd_variant_core(
         np.argmax(ref_t, axis=1), _softmax(aux_t), -_mean_weights(nt)
     )
     return src_term, -neg_tgt, g_src, -neg_g
 
 
-def _dann_core(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+def _dann_core(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Binary domain rows on raw scalar domain scores d [n]: a row with
     w > 0 is a source row, loss -log sigmoid(d); a row with w < 0 is a
-    target row, loss log(1 - sigmoid(d)).  Returns sum_i w_i * loss_i and
-    its gradient w.r.t. d."""
+    target row, loss log(1 - sigmoid(d)).  Returns sum_i w_i * loss_i, its
+    gradient w.r.t. d and the clamp count."""
     s = sigmoid(d)
     src = w > 0
-    value = -float(np.abs(w) @ _guarded_log(np.where(src, s, 1.0 - s))[0])
-    return value, w * np.where(src, s - 1.0, -s)
+    log_q, _, clamps = _guarded_log(np.where(src, s, 1.0 - s))
+    return -float(np.abs(w) @ log_q), w * np.where(src, s - 1.0, -s), clamps
 
 
 def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -328,6 +318,6 @@ def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]
     log(1 - sigmoid(d)) over target; gradients are w.r.t. the raw scores.
     """
     ds, dt = _check_points(d_src, "d_src", 1)[:, 0], _check_points(d_tgt, "d_tgt", 1)[:, 0]
-    src_term, g_src = _dann_core(ds, _mean_weights(ds.size))
-    neg_tgt, neg_g = _dann_core(dt, -_mean_weights(dt.size))
+    src_term, g_src, _ = _dann_core(ds, _mean_weights(ds.size))
+    neg_tgt, neg_g, _ = _dann_core(dt, -_mean_weights(dt.size))
     return src_term, -neg_tgt, g_src, -neg_g

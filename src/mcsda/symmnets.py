@@ -30,14 +30,15 @@ probabilities) so they compose with the manual backprop:
   pass per domain (``MlpScorer._backward``) that takes the head gradients
   from one set of score gradients and the feature-map gradients from the
   other, each into its own arena-shaped vector, and merges the two with
-  one add.  It returns the loss values and the merged gradient vector; the
-  caller makes the optimizer update.
+  one add.  It returns the loss values, the merged gradient vector and the
+  sum of its cores' clamp counts; the caller makes the optimizer update.
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
 ``surrogates._picked_log_loss``, which the step calls directly for the
 task losses; the target block term of ``discrim`` takes the guarded log of
-the second-half mass.
+the second-half mass.  Each private core returns the clamp count of its
+guarded logs after its values and gradients; the public functions drop it.
 
 The public functions check their scores (``_check_joint`` adds the even
 joint width), 1-based labels, constants and class weights with
@@ -61,8 +62,8 @@ import numpy as np
 
 from .divergence import SampleSet, _margin_violations, _mcsd_rows
 from .margin import _batch_pair, _check_count, _check_labels, _check_real, _check_reals
-from .margin import _check_rho, _check_scores, _check_weights
-from .neural import MlpScorer, center_scores
+from .margin import _center, _check_rho, _check_scores, _check_weights
+from .neural import MlpScorer
 from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
 
 __all__ = [
@@ -104,7 +105,7 @@ def loss_task_src(scores, labels, omega=None) -> tuple[float, np.ndarray]:
     """Weighted source log loss of one head: (1/n) sum_i w_{y_i} (-log p_{y_i})."""
     s = _check_scores(scores, "scores")
     y, w = _checked_labels(labels, *s.shape, omega)
-    return _picked_log_loss(_softmax(s), y[:, None], w)
+    return _picked_log_loss(_softmax(s), y[:, None], w)[:2]
 
 
 def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
@@ -115,13 +116,13 @@ def confuse_src(z, labels, omega=None) -> tuple[float, np.ndarray]:
     """
     z = _check_joint(z, "z")
     y, w = _checked_labels(labels, z.shape[0], z.shape[1] // 2, omega)
-    return _confuse_src(_softmax(z), y, w)
+    return _confuse_src(_softmax(z), y, w)[:2]
 
 
-def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+def _confuse_src(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, int]:
     """``confuse_src`` from the joint softmax rows, 0-based classes y and
     per-example weights: the picked-entry log loss at the class's two
-    neurons."""
+    neurons, with its clamp count."""
     return _picked_log_loss(p, np.stack((y, y + p.shape[1] // 2), axis=1), w)
 
 
@@ -133,15 +134,16 @@ def confuse_tgt(z) -> tuple[float, np.ndarray]:
     batch; it attains log(2)/2 per example exactly when the two halves agree
     and concentrate on a single class pair.
     """
-    return _confuse_tgt(_softmax(_check_joint(z, "z")))
+    return _confuse_tgt(_softmax(_check_joint(z, "z")))[:2]
 
 
-def _confuse_tgt(p: np.ndarray) -> tuple[float, np.ndarray]:
+def _confuse_tgt(p: np.ndarray) -> tuple[float, np.ndarray, int]:
     """``confuse_tgt`` from the joint softmax rows: the symmetrized cross
-    entropy of the two halves, chained through the joint softmax."""
+    entropy of the two halves, chained through the joint softmax, with its
+    clamp count."""
     n, k = p.shape[0], p.shape[1] // 2
-    rows, u_r, u_q = _ce(p[:, :k], p[:, k:])
-    return float(rows.sum()) / n, _chain_softmax(p, np.concatenate([u_r, u_q], axis=1)) / n
+    rows, u_r, u_q, clamps = _ce(p[:, :k], p[:, k:])
+    return float(rows.sum()) / n, _chain_softmax(p, np.concatenate([u_r, u_q], axis=1)) / n, clamps
 
 
 def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -155,22 +157,22 @@ def discrim(z_src, labels_src, z_tgt, omega=None) -> tuple[float, np.ndarray, np
     if zs.shape[1] != zt.shape[1]:
         raise ValueError("source and target joint widths differ")
     y, w = _checked_labels(labels_src, zs.shape[0], zs.shape[1] // 2, omega)
-    return _discrim(_softmax(zs), y, _softmax(zt), w)
+    return _discrim(_softmax(zs), y, _softmax(zt), w)[:3]
 
 
 def _discrim(ps: np.ndarray, y: np.ndarray, pt: np.ndarray, w: np.ndarray):
     """``discrim`` from the joint softmax rows of both domains, 0-based
-    source classes y and per-example weights."""
+    source classes y and per-example weights; the clamp count comes last."""
     nt, k = pt.shape[0], pt.shape[1] // 2
     # the picked-entry log loss over the 2K joint scores; the label check keeps
     # classes in the first half
-    src_value, g_src = _picked_log_loss(ps, y[:, None], w)
-    log_q, q_tot = _guarded_log(pt[:, k:].sum(axis=1))
+    src_value, g_src, src_clamps = _picked_log_loss(ps, y[:, None], w)
+    log_q, q_tot, tgt_clamps = _guarded_log(pt[:, k:].sum(axis=1))
     tgt_value = float(np.mean(-log_q))
     u = np.zeros_like(pt)
     u[:, k:] = -1.0 / q_tot[:, None]
     g_tgt = _chain_softmax(pt, u) / nt
-    return src_value + tgt_value, g_src, g_tgt
+    return src_value + tgt_value, g_src, g_tgt, src_clamps + tgt_clamps
 
 
 def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
@@ -180,7 +182,7 @@ def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
 
 def _head_pair(raw_a, raw_b) -> np.ndarray:
     """Two heads' scores [n, K] stacked [2, n, K], each row centered."""
-    return center_scores(np.asarray([raw_a, raw_b], dtype=float))
+    return _center(np.asarray([raw_a, raw_b], dtype=float))
 
 
 def _head_disagreement(c: np.ndarray, rho) -> float:
@@ -244,7 +246,7 @@ def symmnets_step(
     grads = (model._zero_grads(), model._zero_grads())
     return _symmnets_step(
         model, src_x, y, tgt_x, lam, omega, adversarial, train_task_t, rho, grads=grads
-    )
+    )[:2]
 
 
 def _symmnets_step(
@@ -253,8 +255,10 @@ def _symmnets_step(
     """``symmnets_step`` on checked inputs: 0-based source classes y, class
     weights omega [K] and a checked ``rho`` (or None).  ``grads`` holds two
     ``model._zero_grads()`` buffers, one per domain's backward pass; the
-    step merges the second into the first and returns the first's vector.
-    Only the scores' finiteness is checked here."""
+    step merges the second into the first and returns the first's vector,
+    after the values and before the clamp count of every guarded log the
+    step takes (0 on a NaN step).  Only the scores' finiteness is checked
+    here."""
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
     zs = np.concatenate([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], axis=1)
@@ -263,7 +267,7 @@ def _symmnets_step(
     if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
         # the losses reject non-finite scores; report a NaN step without
         # gradients, so the caller neither steps nor goes on
-        return {"task_s": float("nan")}, None
+        return {"task_s": float("nan")}, None, 0
 
     w = omega[y]
     values: dict[str, float] = {}
@@ -280,34 +284,33 @@ def _symmnets_step(
     # heads: task terms (+ discrimination when adversarial); feature map:
     # confusion terms through frozen head weights
     picks = y[:, None]
-    task_s_val, g_task_s = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
-    values["task_s"] = task_s_val
+    values["task_s"], g_task_s, clamps = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
     head_grads_src = {HEAD_S: g_task_s}
     if train_task_t:
-        task_t_val, g_task_t = _picked_log_loss(_softmax(cache_s.raw[HEAD_T]), picks, w)
-        values["task_t"] = task_t_val
+        values["task_t"], g_task_t, n = _picked_log_loss(_softmax(cache_s.raw[HEAD_T]), picks, w)
         head_grads_src[HEAD_T] = g_task_t
+        clamps += n
     # one joint softmax per domain, shared by the discrimination and
     # confusion terms
     ps = _softmax(zs)
     if adversarial:
         pt = _softmax(zt)
-        disc_val, g_disc_s, g_disc_t = _discrim(ps, y, pt, w)
-        values["discrim"] = disc_val
+        values["discrim"], g_disc_s, g_disc_t, n = _discrim(ps, y, pt, w)
+        clamps += n
         head_grads_src = {
             h: head_grads_src[h] + g if h in head_grads_src else g
             for h, g in _by_head(g_disc_s, k).items()
         }
-    conf_s_val, g_conf_s = _confuse_src(ps, y, w)
-    values["confuse_src"] = conf_s_val
+    values["confuse_src"], g_conf_s, n = _confuse_src(ps, y, w)
+    clamps += n
     (flat, views), (flat_t, views_t) = grads
     model._backward(cache_s, head_grads_src, _by_head(g_conf_s, k), views)
     if adversarial:
-        conf_t_val, g_conf_t = _confuse_tgt(pt)
-        values["confuse_tgt"] = conf_t_val
+        values["confuse_tgt"], g_conf_t, n = _confuse_tgt(pt)
+        clamps += n
         model._backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k), views_t)
         flat += flat_t
-    return values, flat
+    return values, flat, clamps
 
 
 def partial_weights(tgt_scores_t: np.ndarray, xi: float) -> np.ndarray:

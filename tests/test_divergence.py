@@ -567,6 +567,35 @@ class TestPointsChecks:
                 mcsd_divergence_exact(wide, wide, grid, 1.0)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "w, b, message",
+        [
+            (np.ones((3, 2)), np.ones(2), r"^w must be a \[2, d >= 1\] array, .* \(3, 2\)"),
+            (np.ones(2), np.ones(2), r"^w must be a \[2, d >= 1\] array, one row per bias"),
+            (np.ones((3, 0)), np.ones(3), r"^w must be a \[3, d >= 1\] array"),
+            (np.ones((2, 2, 2)), np.ones(2), r"^w must be a \[2, d >= 1\] array"),
+            ([[1.0, np.nan], [0.0, 1.0]], np.ones(2), "^w must be finite"),
+            ([[1.0, 1j], [0.0, 1.0]], np.ones(2), r"^w must be a \[K, d\] array of reals"),
+            (np.ones((1, 2)), np.ones(1), r"^b must be a non-empty \[K >= 2\] array"),
+            (np.ones((2, 2)), [0.0, np.inf], "^b must be finite"),
+            (np.ones((2, 2)), np.ones((1, 2)), r"^b must be a non-empty \[K >= 2\] array"),
+            (np.ones((2, 2)), 0.0, r"^b must be a non-empty \[K >= 2\] array"),
+            (np.ones((2, 2)), ["0", "1"], "^b must be .* of reals"),
+        ],
+    )
+    def test_linear_scorer_checks_its_weights_and_biases_by_name(self, w, b, message):
+        with pytest.raises(ValueError, match=message):
+            linear_scorer(w, b)
+
+    def test_linear_scorer_scores_as_before_its_checks(self):
+        rng = np.random.default_rng(4)
+        w, b, pts = rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=(5, 2))
+        raw = pts @ w.T + b
+        want = raw - (raw.sum(axis=-1) / 3)[..., None]
+        for w_in, b_in in ((w, b), (w.tolist(), b.tolist())):
+            assert np.array_equal(linear_scorer(w_in, b_in)(pts), want)
+
+    @pytest.mark.filterwarnings("error")
     def test_sample_set_rejects_complex_points(self):
         with pytest.raises(ValueError, match="^points must be .* of reals"):
             SampleSet(PTS3 + 1j)

@@ -42,7 +42,7 @@ from mcsda.margin import (
 )
 from mcsda.neural import MlpScorer, Schedules, SgdMomentum, _write_json, lambda_schedule
 from mcsda.neural import lr_schedule
-from mcsda.surrogates import clamp_count, reset_clamp_count, softmax, sur_ce, sur_kl, sur_l1
+from mcsda.surrogates import _ce, _kl, softmax, sur_ce, sur_kl, sur_l1
 from mcsda.synthdata import gen_gauss_blobs, make_openset, make_partial, manifest_path, read_csv
 
 CHECK_NAMES = {
@@ -182,9 +182,7 @@ class TestSurfaces:
     @pytest.mark.parametrize("which", ["kl", "ce"])
     def test_log_surfaces_clamp_through_the_counted_guard(self, which):
         # the pinned scorer's corners push probabilities below the 1e-12 floor
-        reset_clamp_count()
         g = _grid(which)
-        clamps = reset_clamp_count()
         aa, bb = np.meshgrid(g.a_grid, g.b_grid, indexing="ij")
         var = np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3)
         var = var - var.mean(axis=1, keepdims=True)
@@ -196,6 +194,9 @@ class TestSurfaces:
         else:
             want = -0.5 * (p1 * lp2 + p2 * lp1).sum(axis=1)
         assert np.array_equal(g.values, want.reshape(g.values.shape))
+        # the surface's kernel returns the count of the clamps it takes
+        rows, _, _, clamps = {"kl": _kl, "ce": _ce}[which](p1, p2)
+        assert np.array_equal(rows.reshape(g.values.shape), g.values)
         assert clamps == np.count_nonzero(p1 < 1e-12) + np.count_nonzero(p2 < 1e-12) > 0
 
     def test_direction_flip_swaps_the_asymmetric_arguments(self):
@@ -598,6 +599,72 @@ class TestTrainerRuns:
             cfg = ExperimentConfig(method=method, epochs=1, seed=0)
             res = run_experiment(pair, cfg)
             assert res.method == method and len(res.metrics) == 1
+
+
+def _clamping_runs():
+    """(pair, config) of runs whose steps clamp: a learning rate of 3.0
+    saturates the heads within a few epochs, and a full-batch limit of 1
+    makes several mini-batch steps per epoch."""
+    blobs = _easy_pair()
+    partial = make_partial(gen_gauss_blobs(4, 40, (0.6, 0.3), seed=3, std=0.5), [1, 2])
+    base = gen_gauss_blobs(6, 30, (0.6, 0.3), seed=4, std=0.8)
+    openset = make_openset(base, [1, 2, 3], [4], [5, 6])
+    runs = [(blobs, m) for m in METHODS] + [(partial, "symmnets_v2"), (openset, "symmnets_v2")]
+    for pair, method in runs:
+        cfg = ExperimentConfig(
+            method=method, epochs=6, seed=0, batch_size=32, full_batch_limit=1, nu=2.0,
+            schedules=Schedules(eta0=3.0),
+        )
+        yield pytest.param(pair, cfg, id="%s-%s" % (pair.mode, method))
+
+
+class TestClampEvents:
+    """An epoch's ``clamp_events`` is the sum of the counts its steps
+    return; no guarded log outside the steps reaches it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pair, cfg", _clamping_runs())
+    def test_epoch_clamp_events_sum_their_steps_counts(self, pair, cfg, monkeypatch):
+        per_epoch = []  # the counts each epoch's steps return
+        real_family_step, real_batches = trainers._family_step, trainers._epoch_batches
+
+        def counting_family_step(*args):
+            step = real_family_step(*args)
+
+            def counted(*step_args):
+                out = step(*step_args)
+                per_epoch[-1].append(out[2])
+                return out
+
+            return counted
+
+        def batches(*args):
+            per_epoch.append([])
+            return real_batches(*args)
+
+        monkeypatch.setattr(trainers, "_family_step", counting_family_step)
+        monkeypatch.setattr(trainers, "_epoch_batches", batches)
+        res = run_experiment(pair, cfg)
+        assert [r.clamp_events for r in res.metrics] == [sum(c) for c in per_epoch]
+        assert all(len(c) > 1 for c in per_epoch)
+        assert all(isinstance(n, int) for c in per_epoch for n in c)
+        assert sum(r.clamp_events for r in res.metrics) > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mcdal_kl", "symmnets_v2"])
+    def test_a_clamp_between_steps_leaves_the_records(self, method, monkeypatch):
+        cfg = ExperimentConfig(method=method, epochs=6, seed=0, schedules=Schedules(eta0=3.0))
+        want = [r.to_json_line() for r in run_experiment(_easy_pair(), cfg).metrics]
+        real_gap = trainers._mcsd_gap
+
+        def gap_after_a_clamp(*args):
+            sur_kl([1.0, 0.0], [0.5, 0.5])  # a guarded log that clamps, between steps
+            return real_gap(*args)
+
+        monkeypatch.setattr(trainers, "_mcsd_gap", gap_after_a_clamp)
+        got = [r.to_json_line() for r in run_experiment(_easy_pair(), cfg).metrics]
+        assert got == want
+        assert sum(json.loads(line)["clamp_events"] for line in got) > 0
 
 
 class TestCli:
@@ -1007,7 +1074,7 @@ class TestChecksAtThePublicEdge:
     that would check the data again, and computes the same values."""
 
     @staticmethod
-    def exercise() -> list:
+    def exercise(f1, f2) -> list:
         pair = _easy_pair()
         xs, ys, xt = pair.source.points[:24], pair.source.labels[:24], pair.target.points[:24]
         d = xs.shape[1]
@@ -1016,24 +1083,25 @@ class TestChecksAtThePublicEdge:
             cfg = ExperimentConfig(method=method, rho=2.0)  # SymmNets steps bind rho
             model = MlpScorer(d, METHOD_ROWS[method].head_widths(pair.k), seed=0)
             step = trainers._family_step(cfg, model)
-            values, grads = step(model, xs, ys - 1, xt, 0.5, np.ones(pair.k))
+            values, grads, clamps = step(model, xs, ys - 1, xt, 0.5, np.ones(pair.k))
             if METHOD_ROWS[method].family.name == "symmnets":
                 assert {"bound_lhs", "bound_rhs"} <= set(values)
-            out += list(values.values()) + [grads]
+            out += list(values.values()) + [grads, clamps]
         heads = METHOD_ROWS["symmnets_v2"].proxy
         model = MlpScorer(d, METHOD_ROWS["symmnets_v2"].head_widths(pair.k), seed=1)
         src, tgt = (model.forward(s.points, heads=heads).raw for s in (pair.source, pair.target))
         out.append(trainers._mcsd_gap(src, tgt, heads, 2.0))
         out += [emit_surface_grid(which, 5.0, resolution=9).values for which in SURFACE_MEASURES]
-        rng = np.random.default_rng(2)
-        f1, f2 = (linear_scorer(rng.normal(size=(3, d)), rng.normal(size=3)) for _ in range(2))
         out.append(empirical_mcsd(pair.source.points, f1, f2, 1.0))
         return out
 
     def test_checked_paths_run_on_kernels_with_the_same_values(self, monkeypatch):
-        want = self.exercise()
+        # a linear scorer checks its raw weights when built, at the public edge
+        rng, d = np.random.default_rng(2), _easy_pair().source.points.shape[1]
+        f1, f2 = (linear_scorer(rng.normal(size=(3, d)), rng.normal(size=3)) for _ in range(2))
+        want = self.exercise(f1, f2)
         _raise_on_public_checks(monkeypatch)
-        got = self.exercise()
+        got = self.exercise(f1, f2)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

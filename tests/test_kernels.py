@@ -15,7 +15,9 @@ and the signed decision margin may each be spelled out in one function
 only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
 symmetrized-CE rows, the guarded log and the picked-entry log loss
 likewise, their kernels in ``mcsda.surrogates``.  Outside the guarded log,
-the library takes no log but of a constant.
+the library takes no log but of a constant.  ``TestNoModuleState`` scans it
+for ``global`` statements: counts travel with the values they count, so no
+function rebinds a module-level name.
 """
 
 import ast
@@ -675,3 +677,32 @@ class TestOneKernelPerObject:
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):
         assert (name, "dup.py", source[4]) in kernel_spellings(source, "dup.py")
+
+
+def global_statements(source: str, path: str) -> set[tuple[str, int, str]]:
+    """(path, line, name) for every name a ``global`` statement anywhere in
+    ``source`` declares."""
+    return {
+        (path, node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    }
+
+
+class TestNoModuleState:
+    def test_no_function_rebinds_a_module_level_name(self):
+        found = set()
+        for file in sorted(SRC.rglob("*.py")):
+            found |= global_statements(file.read_text(), file.relative_to(SRC).as_posix())
+        assert found == set(), "module-level state is back"
+
+    def test_scan_flags_a_reintroduced_tally(self):
+        source = (
+            "_clamp_events = 0\n\n\n"
+            "def _guarded_log(p):\n"
+            "    global _clamp_events\n"
+            "    _clamp_events += int(np.count_nonzero(p < _EPS))\n"
+            "    return np.log(np.maximum(p, _EPS))\n"
+        )
+        assert global_statements(source, "dup.py") == {("dup.py", 5, "_clamp_events")}

@@ -98,8 +98,9 @@ def one_step(method):
     pair = gen_rotated_moons(40, 30, 30.0, noise_sd=0.05, seed=1)
     xs, ys, xt = pair.source.points, pair.source.labels, pair.target.points
     step = trainers._family_step(cfg, model)
-    values, grads = step(model, xs, ys - 1, xt, 0.5, np.array([1.0, 0.5]))
+    values, grads, clamps = step(model, xs, ys - 1, xt, 0.5, np.array([1.0, 0.5]))
     assert all(np.isfinite(v) for v in values.values()) and grads is not None
+    assert isinstance(clamps, int)
 
 
 class TestRegistry:

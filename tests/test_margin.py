@@ -42,7 +42,7 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
-from mcsda.neural import MlpScorer, SgdMomentum
+from mcsda.neural import MlpScorer, SgdMomentum, center_scores
 from mcsda.surrogates import (
     ce_with_grads,
     dann_with_grads,
@@ -595,6 +595,7 @@ SCORE_ARGS = {
     "mcsd_rows_a": ("a", "any", ROWS, lambda a: mcsd_rows(a, ROWS, 1.0)),
     "mcsd_rows_b": ("b", "any", ROWS, lambda b: mcsd_rows(ROWS, b, 1.0)),
     "violation_tensor": ("scores", "any", ROWS, lambda s: violation_tensor(s, 1.0)),
+    "center_scores": ("scores", "any", ROWS, center_scores),
 }
 
 
@@ -727,6 +728,15 @@ class TestScoresChecks:
         got, want = dann_with_grads(D4[:, None], D4[::-1, None]), dann_with_grads(D4, D4[::-1])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.filterwarnings("error")
+    def test_center_scores_checks_what_it_centers(self):
+        with pytest.raises(ValueError, match="^scores must be finite"):
+            center_scores(np.array([[1.0, np.nan]]))
+        # array-likes are checked into arrays, and centered like arrays
+        assert np.array_equal(center_scores([[1.0, 2.0]]), [[-0.5, 0.5]])
+        stack = np.arange(12.0).reshape(2, 2, 3)
+        assert np.array_equal(center_scores(stack), stack - stack.mean(axis=-1, keepdims=True))
 
     def test_checked_float64_arrays_are_not_copied(self):
         stack, rows = np.zeros((2, 3, 4)), np.zeros((2, 3))

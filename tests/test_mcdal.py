@@ -86,7 +86,7 @@ def fresh(cfg):
 def stacked_step(model, opt, cfg, xs, ys, xt, zeta, lr):
     """The trainers' McDalNet step, then the optimizer update the epoch
     loop makes; returns the loss values."""
-    values, grads = trainers._family_step(cfg, model)(model, xs, ys - 1, xt, zeta, None)
+    values, grads, _ = trainers._family_step(cfg, model)(model, xs, ys - 1, xt, zeta, None)
     opt.step(grads, lr)
     return values
 

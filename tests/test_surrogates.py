@@ -12,21 +12,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsda.surrogates import (
+    _ce,
+    _dann_core,
+    _kl,
+    _l1,
+    _mdd_variant_core,
+    _pair_core,
+    _picked_log_loss,
+    _softmax,
     ce_with_grads,
-    clamp_count,
     dann_with_grads,
     kl_with_grads,
     l1_with_grads,
     log_loss,
     log_loss_with_grads,
     mdd_variant_with_grads,
-    reset_clamp_count,
     sigmoid,
     softmax,
     sur_ce,
     sur_kl,
     sur_l1,
 )
+from mcsda.symmnets import _confuse_src, _confuse_tgt, _discrim
 
 UNIFORM3 = [1.0 / 3.0] * 3
 
@@ -152,20 +159,90 @@ class TestPointwiseSurrogates:
             sur_ce([-0.1, 1.1], [0.5, 0.5])
 
 
-class TestClampTally:
-    def test_counts_and_resets(self):
-        reset_clamp_count()
-        sur_kl([1.0, 0.0], [0.5, 0.5])
-        assert clamp_count() >= 1
-        n = reset_clamp_count()
-        assert n >= 1
-        assert clamp_count() == 0
+def below_guard(values) -> int:
+    """Brute-force count of the entries below the 1e-12 guard."""
+    return sum(1 for v in np.ravel(values) if v < 1e-12)
 
+
+def planted_probs(rng, n, k):
+    """Softmax rows [n, K] with about half the scores planted 40 below the
+    rest, so their probabilities underflow the guard (exp(-40) ~ 4e-18)."""
+    s = rng.normal(0.0, 1.0, size=(n, k))
+    s[rng.random((n, k)) < 0.5] = -40.0
+    return _softmax(s)
+
+
+def clamp_cases(seed) -> dict[str, tuple[int, int]]:
+    """Per loss kernel, on planted underflows: (the clamp count it returns,
+    a brute-force count of the entries it logs below the guard)."""
+    rng = np.random.default_rng(seed)
+    n, k = 8, 4
+    p1, p2 = planted_probs(rng, n, k), planted_probs(rng, n, k)
+    w = np.concatenate([np.full(n // 2, 2.0 / n), np.full(n // 2, -2.0 / n)])
+    heads = np.stack([planted_probs(rng, n, k) for _ in range(3)])
+    picks = rng.integers(0, k, size=(n, 2))
+    # decision classes: the largest entry on odd rows, the smallest on even
+    c = np.where(np.arange(n) % 2, p2.argmax(axis=1), p2.argmin(axis=1))
+    d = rng.choice([-40.0, 0.3, 40.0], size=n)
+    ps, pt = planted_probs(rng, n, 2 * k), planted_probs(rng, n, 2 * k)
+    pt[0] = _softmax(np.r_[np.zeros(k), np.full(k, -40.0)])  # second-half mass underflows
+    y = rng.integers(0, k, size=n)
+    # the entry each one-vs-rest and domain row logs: p_c (or sigmoid(d)) on a
+    # source row, its complement on a target row
+    pc, sig = p2[np.arange(n), c], sigmoid(d)
+    mdd_logged = [pc[i] if w[i] > 0 else 1.0 - pc[i] for i in range(n)]
+    dann_logged = [sig[i] if w[i] > 0 else 1.0 - sig[i] for i in range(n)]
+    picked = [heads[h, i, picks[i, j]] for h in range(3) for i in range(n) for j in range(2)]
+    both = below_guard(p1) + below_guard(p2)
+    return {
+        "_l1": (_l1(p1, p2)[-1], 0),
+        "_kl": (_kl(p1, p2)[-1], both),
+        "_ce": (_ce(p1, p2)[-1], both),
+        "_pair_core_l1": (_pair_core(_l1, p1, p2, w)[-1], 0),
+        "_pair_core_kl": (_pair_core(_kl, p1, p2, w)[-1], both),
+        "_pair_core_ce": (_pair_core(_ce, p1, p2, w)[-1], both),
+        "_picked_log_loss": (_picked_log_loss(heads, picks, np.ones(n))[-1], below_guard(picked)),
+        "_mdd_variant_core": (_mdd_variant_core(c, p2, w)[-1], below_guard(mdd_logged)),
+        "_dann_core": (_dann_core(d, w)[-1], below_guard(dann_logged)),
+        "_confuse_src": (
+            _confuse_src(ps, y, np.ones(n))[-1],
+            below_guard(ps[np.arange(n), y]) + below_guard(ps[np.arange(n), y + k]),
+        ),
+        "_confuse_tgt": (_confuse_tgt(pt)[-1], below_guard(pt)),
+        "_discrim": (
+            _discrim(ps, y, pt, np.ones(n))[-1],
+            below_guard(ps[np.arange(n), y]) + below_guard(pt[:, k:].sum(axis=1)),
+        ),
+    }
+
+
+CLAMP_SEEDS = range(5)
+
+
+class TestClampCounts:
+    """Every loss kernel returns the clamp count of its guarded logs; no
+    module keeps a tally."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel", list(clamp_cases(0)))
+    def test_kernel_count_is_the_brute_force_count(self, kernel):
+        pairs = [clamp_cases(seed)[kernel] for seed in CLAMP_SEEDS]
+        for got, want in pairs:
+            assert isinstance(got, int) and got == want
+        # the planted underflows reach every kernel that takes a log
+        assert sum(want for _, want in pairs) > 0 or kernel.endswith("l1")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_clamped_log_is_counted_by_its_call(self):
+        p, q = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        assert _kl(p, q)[-1] == _ce(p, q)[-1] == 1
+        assert _kl(p, q)[-1] == 1  # a second call counts afresh
+        assert isinstance(sur_kl(p, q), float)  # the public form drops the count
+
+    @pytest.mark.filterwarnings("error")
     def test_no_clamps_on_interior_points(self):
-        reset_clamp_count()
-        sur_kl([0.4, 0.6], [0.3, 0.7])
-        sur_ce([0.4, 0.6], [0.3, 0.7])
-        assert clamp_count() == 0
+        p, q = np.array([0.4, 0.6]), np.array([0.3, 0.7])
+        assert _kl(p, q)[-1] == _ce(p, q)[-1] == 0
 
 
 def fd_check(fn, args, wrt, grad, eps=1e-6, tol=1e-5):

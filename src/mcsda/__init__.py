@@ -15,7 +15,6 @@ from .divergence import (
     SampleSet,
     ScorerGrid,
     divergence_exact_variant,
-    empirical_mcsd,
     linear_scorer,
     margin_error,
     mcsd_divergence_adversarial,
@@ -23,7 +22,6 @@ from .divergence import (
     mcsd_rows,
     pac_bound_report,
     rademacher_estimate,
-    smoothed_ramp,
     violation_tensor,
     zero_one_error,
 )

@@ -26,13 +26,12 @@ Three routes are provided, each doing its work once:
   negated masses, and sum over points per domain: a value pass is two
   centered matmuls and one ``_smoothed_mcsd`` call.  That call starts from
   ``_signed_ramps``, finds both kink windows from |f|, patches them with one
-  Hermite call (``_smoothed_signed_ramps``, which the public
-  ``smoothed_ramp`` shares) and reduces the smoothed ramps with the exact
-  path's ``_rows_from_ramps``.  The line search compares smoothed values
-  only; one record step, at the start and at each accepted step, computes
-  gradients and the exact objective.  The reported value is the exact-ramp
-  objective of the best visited head pair, hence a lower bound on the
-  enumerated supremum;
+  Hermite call (``_smoothed_signed_ramps``) and reduces the smoothed ramps
+  with the exact path's ``_rows_from_ramps``.  The line search compares
+  smoothed values only; one record step, at the start and at each accepted
+  step, computes gradients and the exact objective.  The reported value is
+  the exact-ramp objective of the best visited head pair, hence a lower
+  bound on the enumerated supremum;
 * ``rademacher_estimate`` Monte-Carlos the empirical Rademacher complexity
   of the per-component projections of the grid, summing over fixed slices
   of the points so that the result does not depend on the BLAS thread count.
@@ -79,13 +78,11 @@ __all__ = [
     "linear_scorer",
     "violation_tensor",
     "mcsd_rows",
-    "empirical_mcsd",
     "ExactDivergence",
     "mcsd_divergence_exact",
     "divergence_exact_variant",
     "AdversarialDivergence",
     "mcsd_divergence_adversarial",
-    "smoothed_ramp",
     "RademacherEstimate",
     "rademacher_estimate",
     "margin_error",
@@ -262,15 +259,6 @@ def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
     return _rows_from_ramps(r[:, 0], r[:, 1])
 
 
-def empirical_mcsd(sample, f1, f2, rho: float, weights=None) -> float:
-    """Mean pointwise scoring disagreement of two scorers over a sample."""
-    rho = _check_rho(rho)
-    sample = _as_sample(sample, "sample")
-    grid = ScorerGrid([f1, f2], k=np.asarray(f1(sample.points[:1])).shape[-1])
-    # the grid checks the scores and centers them: [2, n, K], the kernel's pair
-    return float(_mcsd_rows(grid.evaluate(sample), rho) @ _as_weights(weights, sample.n))
-
-
 @dataclass(frozen=True)
 class ExactDivergence:
     """Result of enumerating every ordered candidate pair."""
@@ -438,15 +426,6 @@ def _smoothed_signed_ramps(s: np.ndarray, rho: float):
         return der
 
     return r, slopes
-
-
-def smoothed_ramp(x, rho: float):
-    """Value of the C1-smoothed ramp used inside the adversarial estimator."""
-    arr = _check_reals(x, "x")
-    r, _ = _smoothed_signed_ramps(arr.reshape(-1), _check_rho(rho))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(r[1, 0])
-    return r[1].reshape(arr.shape)
 
 
 def _smoothed_mcsd(a: np.ndarray, b: np.ndarray, rho: float):

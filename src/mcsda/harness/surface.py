@@ -13,7 +13,7 @@ checkers) and the centered scores once, at entry, and then calls only
 kernels: those of ``mcsda.margin`` (centering, decision margin, relative
 margin, ramp), ``mcsda.divergence._mcsd_rows`` (the kernel behind
 ``mcsd_rows``), the unchecked ``surrogates._softmax`` and the surrogate
-kernels ``_l1``, ``_kl`` and ``_ce``, which the per-point ``sur_*`` share.
+kernels of ``surrogates._PAIR_KERNELS``, which the per-point ``sur_*`` share.
 ``mcsd_pointwise`` serves as an independent oracle for spot checks; the
 independent surrogate oracles live in the tests (``kl_oracle`` in
 ``tests/test_surrogates.py`` and the inline formulas of
@@ -30,7 +30,7 @@ from ..divergence import _mcsd_rows
 from ..margin import _center, _check_count, _check_real, _check_rho, _decision_level
 from ..margin import _decision_margin, _ramp, _relative_margin
 from ..neural import _replacing
-from ..surrogates import _ce, _kl, _l1, _softmax
+from ..surrogates import _PAIR_KERNELS, _softmax
 
 __all__ = ["SURFACE_MEASURES", "SurfaceGrid", "emit_surface_grid"]
 
@@ -101,7 +101,6 @@ def emit_surface_grid(
         # relative margin of the probe at the reference's decision
         vals = _ramp(_relative_margin(second, first.argmax(axis=1)), rho)
     else:
-        kernel = {"l1": _l1, "kl": _kl, "ce": _ce}[which]
-        vals = kernel(_softmax(first), _softmax(second))[0]
+        vals = _PAIR_KERNELS[which](_softmax(first), _softmax(second))[0]
     values = vals.reshape(resolution, resolution)
     return SurfaceGrid(which, float(rho), tuple(fx), direction, axis, axis, values)

@@ -60,10 +60,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..losses import PAIRWISE_CORES as _PAIRWISE_CORES
 from ..margin import _check_labels, _check_rho, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
-from ..surrogates import _dann_core, _mdd_variant_core, _picked_log_loss, _softmax
+from ..surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
+from ..surrogates import _picked_log_loss, _softmax
 from ..symmnets import HEAD_T, _head_disagreement, _head_pair, _symmnets_step, eval_openset
 from ..symmnets import openset_sampler, partial_weights
 from ..synthdata import DomainPair
@@ -268,7 +268,7 @@ def _mcdal_step(
         disagreement, g_2, clamps = _mdd_variant_core(np.argmax(raw["f1"], axis=1), probs[2], w)
         dis = {"f2": g_2}
     else:
-        disagreement, g_1, g_2, clamps = _PAIRWISE_CORES[surrogate](probs[1], probs[2], w)
+        disagreement, g_1, g_2, clamps = _pair_core(_PAIR_KERNELS[surrogate], probs[1], probs[2], w)
         dis = {"f1": g_1, "f2": g_2}
 
     c = zeta if zeta_on_adversary else 1.0

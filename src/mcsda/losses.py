@@ -7,11 +7,14 @@ losses), per-example class weights (the SymmNets task losses) or a joint
 softmax shared by several terms (the SymmNets confusion and discrimination
 cores).  It bundles that call with a sampler producing valid random inputs,
 so the whole collection can be audited against central finite differences
-in one sweep.  Admission rule: a step may call a loss core only in a shape
-that an entry here calls it in and that passes the audit;
+in one sweep; the audit, an independent oracle, lives in
+``tests/test_losses.py``.  Admission rule: a step may call a loss core only
+in a shape that an entry here calls it in and that passes the audit;
 ``tests/test_losses.py`` runs one step of every method and checks the rule.
 The public wrappers (softmax plus a core with batch-mean weights) keep
-finite-difference tests of their own.
+finite-difference tests of their own.  No module of the package imports
+this one: the steps call the cores by name, the pairwise cores on a kernel
+from ``surrogates._PAIR_KERNELS``.
 
 ``apply`` returns the scalar value and a dict mapping input positions to
 gradients; positions absent from the dict (labels, weights, reference
@@ -30,22 +33,11 @@ from typing import Callable
 
 import numpy as np
 
-from .surrogates import _ce, _dann_core, _kl, _l1, _mdd_variant_core, _pair_core
+from .surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
 from .surrogates import _picked_log_loss, _softmax
 from .symmnets import _confuse_src, _confuse_tgt, _discrim
 
-__all__ = [
-    "RegisteredLoss",
-    "PAIRWISE_CORES",
-    "registered_losses",
-    "finite_difference_audit",
-]
-
-# the weighted pairwise cores the McDalNet step dispatches:
-# (p1, p2, row weights) -> (value, g1, g2, clamp count)
-PAIRWISE_CORES = {
-    name: partial(_pair_core, kernel) for name, kernel in (("l1", _l1), ("kl", _kl), ("ce", _ce))
-}
+__all__ = ["RegisteredLoss", "registered_losses"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,7 @@ def _pair_sample(rng: np.random.Generator, apart: bool = False) -> tuple:
 
 def _pair_apply(name: str) -> Callable:
     def apply(s1, s2, w):
-        value, g1, g2, _ = PAIRWISE_CORES[name](_softmax(s1), _softmax(s2), w)
+        value, g1, g2, _ = _pair_core(_PAIR_KERNELS[name], _softmax(s1), _softmax(s2), w)
         return value, {0: g1, 1: g2}
 
     return apply
@@ -173,43 +165,3 @@ def registered_losses() -> tuple[RegisteredLoss, ...]:
         RegisteredLoss("confuse_tgt", _joint_sample, _confuse_tgt_apply),
         RegisteredLoss("discrim", _discrim_sample, _discrim_apply),
     )
-
-
-def finite_difference_audit(
-    loss: RegisteredLoss,
-    rng: np.random.Generator,
-    n_inputs: int = 100,
-    eps: float = 1e-6,
-    tol: float = 1e-5,
-) -> float:
-    """Worst relative error of analytic vs central-difference gradients.
-
-    Every coordinate of every differentiable input is perturbed; relative
-    error uses a 1e-3 floor in the denominator so near-zero gradient entries
-    are compared absolutely.  Raises AssertionError above ``tol``.
-    """
-    worst = 0.0
-    for _ in range(n_inputs):
-        inputs = loss.sample(rng)
-        _, grads = loss.apply(*inputs)
-        for pos, g in grads.items():
-            base = np.asarray(inputs[pos], dtype=np.float64)
-            flat_g = np.asarray(g, dtype=np.float64).reshape(-1)
-            for j in range(base.size):
-
-                def value_at(offset: float) -> float:
-                    pert = base.reshape(-1).copy()
-                    pert[j] += offset
-                    args = list(inputs)
-                    args[pos] = pert.reshape(base.shape)
-                    return loss.apply(*args)[0]
-
-                fd = (value_at(eps) - value_at(-eps)) / (2.0 * eps)
-                rel = abs(fd - flat_g[j]) / max(abs(fd), abs(flat_g[j]), 1e-3)
-                worst = max(worst, rel)
-                if rel > tol:
-                    raise AssertionError(
-                        "%s: gradient mismatch at input %d coord %d: fd=%.3e analytic=%.3e"
-                        % (loss.name, pos, j, fd, flat_g[j])
-                    )
-    return worst

@@ -115,8 +115,10 @@ def _centered(scores: ScoresLike, name: str) -> np.ndarray:
     centered, read-only copy of one raw score vector, the argument ``name``."""
     if isinstance(scores, ScoreVector):
         return scores.scores
-    # centering can overflow finite scores
-    arr = _check_reals(_center(_check_scores(scores, name, 1)), "centered " + name)
+    # centering can overflow finite scores: the check reports it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = _center(_check_scores(scores, name, 1))
+    arr = _check_reals(arr, "centered " + name)
     arr.flags.writeable = False
     return arr
 
@@ -229,14 +231,18 @@ def _batch_pair(a, b, name_a: str, name_b: str, rank: int | None = 2):
     return a, b
 
 
-def _integer_labels(labels) -> np.ndarray:
-    """Labels as int64 [n]; a non-integral value is rejected, not truncated.
-    Integer arrays skip the comparison."""
+def _integer_labels(labels, name: str = "labels") -> np.ndarray:
+    """Labels (or class ids, the argument ``name``) as int64 [n]; a
+    non-integral value is rejected, not truncated.  Integer arrays skip the
+    comparison."""
     a = np.asarray(labels).reshape(-1)
     if a.dtype.kind not in "biu":
-        a = a.astype(np.float64)
+        try:
+            a = a.astype(np.float64)
+        except (TypeError, ValueError):  # text that is not a number, None
+            raise ValueError("%s must be integers" % name) from None
         if not (np.isfinite(a).all() and (np.trunc(a) == a).all()):
-            raise ValueError("labels must be integers")
+            raise ValueError("%s must be integers" % name)
     return a.astype(np.int64, copy=False)
 
 

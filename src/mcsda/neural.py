@@ -5,7 +5,7 @@ affine layers each followed by tanh, and one or more linear heads on top of
 the shared features, each given by its name and output width.  ``forward``
 returns raw head outputs; scores are centered (minus their row mean) before
 any margin computation, by margin's kernel ``_center`` in ``scorer`` and in
-SymmNets' head pairs; ``center_scores`` is its checked public form.
+SymmNets' head pairs.
 Softmax-based losses are shift invariant, so their gradients are taken with
 respect to the raw head outputs and already sum to zero per row.
 
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .margin import _center, _check_count, _check_real, _check_scores
+from .margin import _center, _check_count, _check_real
 
 __all__ = [
     "Schedules",
@@ -58,7 +58,6 @@ __all__ = [
     "ForwardCache",
     "SgdMomentum",
     "grad_reversal_step",
-    "center_scores",
 ]
 
 HEAD_LR_MULT = 10.0
@@ -90,13 +89,6 @@ def lambda_schedule(p: float, s: Schedules) -> float:
     """Adversarial weight 2 / (1 + exp(-gamma p)) - 1, ramping 0 -> 1."""
     p = _check_real(p, "p", 0.0, 1.0)
     return 2.0 / (1.0 + np.exp(-s.gamma * p)) - 1.0
-
-
-def center_scores(scores) -> np.ndarray:
-    """Raw head outputs [..., K] as sum-to-zero rows: margin's centering kernel
-    (an orthogonal projection, so it also pulls gradients on centered scores
-    back) on scores ``margin._check_scores`` passes."""
-    return _center(_check_scores(scores, "scores", None))
 
 
 @contextmanager

@@ -16,11 +16,13 @@ Each of the three pairwise surrogates is written once, as a kernel on
 probability rows [..., K] (`_l1`, `_kl`, `_ce`): it returns the per-row
 values and the per-row probability gradients dV/dp1, dV/dp2, taking each
 guarded log once.  One weighted core, `_pair_core`, sums the rows with row
-weights w and chains the probability gradients through the softmax.  Every
+weights w and chains the probability gradients through the softmax.  One
+table, `_PAIR_KERNELS`, maps each surrogate name to its kernel.  Every
 caller goes through a kernel: `sur_*` (one row), `*_with_grads` (softmax +
-weighted core with w = 1/n), the McDalNet step (the weighted core, through
-`losses.PAIRWISE_CORES`), SymmNets' target confusion (`_ce` between the two
-halves of the joint softmax), the surface slices and the theory suite.
+weighted core with w = 1/n), the McDalNet step (the weighted core on the
+kernel its surrogate names in the table), SymmNets' target confusion (`_ce`
+between the two halves of the joint softmax), the surface slices (a kernel
+from the table) and the theory suite.
 
 Every log of a probability in the library goes through one guarded log,
 `_guarded_log`, which clamps its argument below at 1e-12 and returns the
@@ -158,6 +160,10 @@ def _ce(p1: np.ndarray, p2: np.ndarray):
     u1 = 0.5 * (-l2 - p2 / c1)
     u2 = 0.5 * (-l1 - p1 / c2)
     return -0.5 * (p1 * l2 + p2 * l1).sum(axis=-1), u1, u2, h1 + h2
+
+
+# the pairwise kernels by surrogate name
+_PAIR_KERNELS = {"l1": _l1, "kl": _kl, "ce": _ce}
 
 
 def log_loss(p, y: int) -> float:

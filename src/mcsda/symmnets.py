@@ -205,7 +205,10 @@ def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, flo
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
     rho = _check_rho(rho)
     s, t = _batch_pair(raw_s, raw_t, "raw_s", "raw_t")
-    c = _check_reals(_head_pair(s, t), "centered raw_s and raw_t")  # centering can overflow
+    # centering can overflow finite scores: the check reports it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _head_pair(s, t)
+    c = _check_reals(c, "centered raw_s and raw_t")
     return _bound_sides(c, _check_labels(labels, *c.shape[-2:]), rho)
 
 

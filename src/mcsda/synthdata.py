@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .divergence import SampleSet
-from .margin import _check_count, _check_real
+from .margin import _check_count, _check_real, _integer_labels
 from .neural import _replacing, _write_json
 
 __all__ = [
@@ -197,7 +197,7 @@ def gen_gauss_blobs(
 
 def make_partial(pair: DomainPair, kept_classes) -> DomainPair:
     """Restrict the target to a subset of classes; source keeps all K."""
-    kept = sorted(set(int(c) for c in kept_classes))
+    kept = sorted(set(_integer_labels(kept_classes, "kept_classes").tolist()))
     if not kept or any(c < 1 or c > pair.k for c in kept):
         raise ValueError("kept_classes must be a non-empty subset of {1..%d}" % pair.k)
     if len(kept) == pair.k:
@@ -226,9 +226,9 @@ def make_openset(pair: DomainPair, shared_classes, src_extra, tgt_extra) -> Doma
     unknowns and carry that same super-class label on the evaluation side.
     Classes outside the three groups are dropped from both domains.
     """
-    shared = sorted(set(int(c) for c in shared_classes))
-    s_extra = sorted(set(int(c) for c in src_extra))
-    t_extra = sorted(set(int(c) for c in tgt_extra))
+    shared = sorted(set(_integer_labels(shared_classes, "shared_classes").tolist()))
+    s_extra = sorted(set(_integer_labels(src_extra, "src_extra").tolist()))
+    t_extra = sorted(set(_integer_labels(tgt_extra, "tgt_extra").tolist()))
     if not shared or not s_extra or not t_extra:
         raise ValueError("shared, source-extra and target-extra groups must be non-empty")
     groups = shared + s_extra + t_extra

@@ -17,14 +17,12 @@ from mcsda.divergence import (
     SampleSet,
     ScorerGrid,
     divergence_exact_variant,
-    empirical_mcsd,
     linear_scorer,
     margin_error,
     mcsd_divergence_adversarial,
     mcsd_divergence_exact,
     pac_bound_report,
     rademacher_estimate,
-    smoothed_ramp,
     violation_tensor,
     zero_one_error,
 )
@@ -117,13 +115,16 @@ class TestViolationTensor:
 
 
 class TestEmpiricalMcsd:
+    """The mean disagreement of one scorer pair over one sample: the exact
+    route's ``mean_src[0, 1]`` on the grid of the two scorers."""
+
     def test_matches_slow_oracle(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(15, 3))
         f1 = linear_scorer(rng.normal(size=(3, 3)), rng.normal(size=3))
         f2 = linear_scorer(rng.normal(size=(3, 3)), rng.normal(size=3))
         for rho in (0.5, 1.0, 5.0):
-            fast = empirical_mcsd(pts, f1, f2, rho)
+            fast = mcsd_divergence_exact(pts, pts, ScorerGrid([f1, f2], 3), rho).mean_src[0, 1]
             slow = slow_empirical_mcsd(pts, f1, f2, rho)
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -131,10 +132,12 @@ class TestEmpiricalMcsd:
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
         f1 = linear_scorer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
         f2 = linear_scorer(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
-        all_first = empirical_mcsd(pts, f1, f2, 1.0, weights=[1.0, 0.0])
+        grid = ScorerGrid([f1, f2], 2)
+        w = [1.0, 0.0]
+        all_first = mcsd_divergence_exact(pts, pts, grid, 1.0, w, w).mean_src[0, 1]
         assert all_first == pytest.approx(mcsd_pointwise(f1(pts)[0], f2(pts)[0], 1.0), abs=1e-12)
         with pytest.raises(ValueError):
-            empirical_mcsd(pts, f1, f2, 1.0, weights=[0.7, 0.7])
+            mcsd_divergence_exact(pts, pts, grid, 1.0, src_weights=[0.7, 0.7])
 
 
 class TestExactDivergence:
@@ -218,6 +221,9 @@ class TestAngleMonotonicity:
 
 
 class TestSmoothedRamp:
+    """The C1-smoothed ramp of the adversarial ascent: the second half
+    (argument +x) of its kernel's signed ramps."""
+
     def test_exact_outside_windows(self):
         rho = 1.0
         h = rho / 200.0
@@ -226,14 +232,15 @@ class TestSmoothedRamp:
             np.linspace(h * 1.01, rho - h * 1.01, 50),
             np.linspace(rho + h * 1.01, 3, 50),
         ])
-        np.testing.assert_allclose(smoothed_ramp(xs, rho), ramp_loss(xs, rho), atol=1e-14)
+        smoothed = divergence._smoothed_signed_ramps(xs, rho)[0][1]
+        np.testing.assert_allclose(smoothed, ramp_loss(xs, rho), atol=1e-14)
 
     def test_c1_no_derivative_jumps(self):
         # numeric derivative over a dense grid spanning both kinks must not
         # jump by ~1/rho anywhere, unlike the raw ramp
         rho = 1.0
         xs = np.linspace(-0.02, 1.02, 20001)
-        vals = np.asarray(smoothed_ramp(xs, rho))
+        vals = divergence._smoothed_signed_ramps(xs, rho)[0][1]
         der = np.diff(vals) / np.diff(xs)
         jumps = np.abs(np.diff(der))
         assert jumps.max() < 0.05 / rho
@@ -242,22 +249,9 @@ class TestSmoothedRamp:
         rho = 2.0
         h = rho / 200.0
         xs = np.linspace(-h, h, 101)
-        gap = np.abs(np.asarray(smoothed_ramp(xs, rho)) - ramp_loss(xs, rho))
+        gap = np.abs(divergence._smoothed_signed_ramps(xs, rho)[0][1] - ramp_loss(xs, rho))
         assert gap.max() <= h / rho + 1e-12
 
-    def test_scalar_form(self):
-        assert smoothed_ramp(-1.0, 1.0) == 1.0
-        assert smoothed_ramp(2.0, 1.0) == 0.0
-        # inside the kink windows, as one element of an array
-        for x in (0.001, 0.999, 1.001):
-            assert smoothed_ramp(x, 1.0) == smoothed_ramp(np.array([x]), 1.0)[0]
-
-    def test_argument_checks(self):
-        for rho in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                smoothed_ramp(0.5, rho)
-        with pytest.raises(ValueError):
-            smoothed_ramp(np.array([0.5, np.inf]), 1.0)
 
 
 class TestAdversarialEstimator:
@@ -461,7 +455,7 @@ class TestErrorFunctionals:
 PTS3 = np.array([[0.0, 1.0], [1.0, -0.5], [-1.0, 0.3]])
 GRID3 = random_grid(np.random.default_rng(9), 3, k=2, d=2)
 SCORES3 = np.array([[1.0, -1.0], [-0.5, 0.5], [0.2, -0.2]])
-F3, G3 = GRID3.scorers[:2]
+F3 = GRID3.scorers[0]
 
 
 class TestMassesAndCounts:
@@ -471,7 +465,6 @@ class TestMassesAndCounts:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda w: empirical_mcsd(PTS3, F3, G3, 1.0, weights=w),
             lambda w: mcsd_divergence_exact(PTS3, PTS3, GRID3, 1.0, src_weights=w),
             lambda w: mcsd_divergence_exact(PTS3, PTS3, GRID3, 1.0, tgt_weights=w),
             lambda w: divergence_exact_variant(PTS3, PTS3, GRID3, 1.0, "hat", src_weights=w),
@@ -482,7 +475,7 @@ class TestMassesAndCounts:
             lambda w: log_loss_with_grads(SCORES3, [1, 2, 1], weights=w),
         ],
         ids=[
-            "empirical_mcsd", "exact_src", "exact_tgt", "variant", "adversarial_src",
+            "exact_src", "exact_tgt", "variant", "adversarial_src",
             "adversarial_tgt", "margin_error", "zero_one_error", "log_loss_with_grads",
         ],
     )
@@ -526,7 +519,6 @@ POINT_ENTRIES = {
     "exact_tgt": ("tgt", lambda x: mcsd_divergence_exact(PTS3, x, GRID3, 1.0)),
     "variant_src": ("src", lambda x: divergence_exact_variant(x, PTS3, GRID3, 1.0, "hat")),
     "variant_tgt": ("tgt", lambda x: divergence_exact_variant(PTS3, x, GRID3, 1.0)),
-    "empirical_mcsd": ("sample", lambda x: empirical_mcsd(x, F3, G3, 1.0)),
     "rademacher": ("sample", lambda x: rademacher_estimate(x, GRID3, sigma_draws=4)),
     "adversarial_src": ("src", lambda x: mcsd_divergence_adversarial(x, PTS3, 2, 1.0, steps=1)),
     "adversarial_tgt": ("tgt", lambda x: mcsd_divergence_adversarial(PTS3, x, 2, 1.0, steps=1)),
@@ -560,10 +552,9 @@ class TestPointsChecks:
     @pytest.mark.filterwarnings("error")
     def test_linear_scorer_rejects_points_of_another_width(self):
         wide = np.ones((4, 3))
-        with pytest.raises(ValueError, match="points have 3 features, the scorer's weights take 2"):
-            empirical_mcsd(wide, F3, G3, 1.0)
+        message = "points have 3 features, the scorer's weights take 2"
         for grid in (GRID3, ScorerGrid([F3], 2)):
-            with pytest.raises(ValueError, match="points have 3 features"):
+            with pytest.raises(ValueError, match=message):
                 mcsd_divergence_exact(wide, wide, grid, 1.0)
 
     @pytest.mark.filterwarnings("error")
@@ -628,7 +619,6 @@ class TestPointsChecks:
         pts = np.random.default_rng(5).normal(size=(6, 2))
         labels = np.array([1, 2, 3, 1, 2, 3])
         src, tgt = SampleSet(pts, labels), SampleSet(pts + 0.5, labels)
-        f1, f2 = grid.scorers[0], grid.scorers[-1]
         checked = []
 
         def counting(points, name):
@@ -640,7 +630,6 @@ class TestPointsChecks:
         calls = [
             (lambda s, t: mcsd_divergence_exact(s, t, grid, 1.0), ["src", "tgt"]),
             (lambda s, t: divergence_exact_variant(s, t, grid, 1.0), ["src", "tgt"]),
-            (lambda s, t: empirical_mcsd(s, f1, f2, 1.0), ["sample"]),
             (lambda s, t: rademacher_estimate(s, grid, sigma_draws=4), ["sample"]),
             (lambda s, t: grid.evaluate(s), ["points"]),
             (lambda s, t: mcsd_divergence_adversarial(s, t, 3, 1.0, steps=2), ["src", "tgt"]),

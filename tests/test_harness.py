@@ -25,7 +25,7 @@ from mcsda.harness import theory, trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
-from mcsda.divergence import ScorerGrid, empirical_mcsd, linear_scorer, mcsd_divergence_adversarial
+from mcsda.divergence import ScorerGrid, mcsd_divergence_adversarial
 from mcsda.harness.theory import (
     check_adversarial_estimator,
     check_prop3_identity,
@@ -1074,7 +1074,7 @@ class TestChecksAtThePublicEdge:
     that would check the data again, and computes the same values."""
 
     @staticmethod
-    def exercise(f1, f2) -> list:
+    def exercise() -> list:
         pair = _easy_pair()
         xs, ys, xt = pair.source.points[:24], pair.source.labels[:24], pair.target.points[:24]
         d = xs.shape[1]
@@ -1092,16 +1092,12 @@ class TestChecksAtThePublicEdge:
         src, tgt = (model.forward(s.points, heads=heads).raw for s in (pair.source, pair.target))
         out.append(trainers._mcsd_gap(src, tgt, heads, 2.0))
         out += [emit_surface_grid(which, 5.0, resolution=9).values for which in SURFACE_MEASURES]
-        out.append(empirical_mcsd(pair.source.points, f1, f2, 1.0))
         return out
 
     def test_checked_paths_run_on_kernels_with_the_same_values(self, monkeypatch):
-        # a linear scorer checks its raw weights when built, at the public edge
-        rng, d = np.random.default_rng(2), _easy_pair().source.points.shape[1]
-        f1, f2 = (linear_scorer(rng.normal(size=(3, d)), rng.normal(size=3)) for _ in range(2))
-        want = self.exercise(f1, f2)
+        want = self.exercise()
         _raise_on_public_checks(monkeypatch)
-        got = self.exercise(f1, f2)
+        got = self.exercise()
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

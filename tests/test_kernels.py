@@ -570,6 +570,22 @@ KERNEL_RULES = {
         ),
         ("surrogates.py", "_ce"),
     ),
+    # the max shift of the scores, and each exponential over its row sum
+    "softmax": (
+        re.compile(
+            r"\b(\w+) - (\1\.max\(|(np\.)?max\(\1\b)"
+            r"|\b(\w+) / (\4\.sum\(|(np\.)?sum\(\4\b)[^)]*keepdims"
+        ),
+        ("surrogates.py", "_softmax"),
+    ),
+    # dV/ds = p * (u - <p, u>) for per-row dV/dp = u
+    "softmax chain rule": (
+        re.compile(
+            r"\b(?P<p>\w+) \* \((?P<u>\w+) - ((np\.)?sum\(|\()"
+            r"((?P=p) \* (?P=u)|(?P=u) \* (?P=p))\b"
+        ),
+        ("surrogates.py", "_chain_softmax"),
+    ),
     # every log but of a constant, and the 1e-12 clamp of its argument
     "guarded log": (
         re.compile(r"\blog\((?!\d)|\bmaximum\([^()]*, (_EPS|1e-12)\)"),
@@ -656,6 +672,17 @@ class TestOneKernelPerObject:
                 "symmetrized CE",
                 "def s(a, b, ca, cb):\n"
                 "    return _row_dot(a, np.log(cb)) + _row_dot(b, np.log(ca))\n",
+            ),
+            ("softmax", "def s(z):\n    return np.exp(z - z.max(axis=1, keepdims=True))\n"),
+            ("softmax", "def s(x):\n    return np.exp(x - np.max(x, axis=-1))\n"),
+            ("softmax", "def s(e):\n    return e / np.sum(e, axis=-1, keepdims=True)\n"),
+            (
+                "softmax chain rule",
+                "def c(p, g):\n    return p * (g - np.sum(p * g, axis=-1, keepdims=True))\n",
+            ),
+            (
+                "softmax chain rule",
+                "def c(q, u):\n    return q * (u - (u * q).sum(axis=1, keepdims=True))\n",
             ),
             ("guarded log", "def g(q):\n    return np.log(_clamped(q))\n"),
             ("guarded log", "def g(q):\n    return np.log(np.maximum(q, 1e-12))\n"),

@@ -17,7 +17,6 @@ from mcsda.divergence import (
     ScorerGrid,
     margin_error,
     mcsd_rows,
-    smoothed_ramp,
     violation_tensor,
     zero_one_error,
 )
@@ -42,7 +41,7 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
-from mcsda.neural import MlpScorer, SgdMomentum, center_scores
+from mcsda.neural import MlpScorer, SgdMomentum
 from mcsda.surrogates import (
     ce_with_grads,
     dann_with_grads,
@@ -380,6 +379,20 @@ class TestPublicValidation:
         with pytest.raises(ValueError):
             PUBLIC[name](f=[1e308, 1e308, -1e308])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (as_scores, "f"),
+            (ScoreVector, "scores"),
+            (lambda f: disagreement_bound_gap([f], [[1.0, 2.0]], [1], 1.0), "raw_s and raw_t"),
+        ],
+        ids=["as_scores", "ScoreVector", "disagreement_bound_gap"],
+    )
+    def test_centering_overflow_is_named_before_numpy_warns(self, call, name):
+        with pytest.raises(ValueError, match="^centered %s must be finite" % name):
+            call([1.7e308, 1.7e308])
+
     @pytest.mark.parametrize("name", TAKES_RHO)
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_rho(self, name, rho):
@@ -595,7 +608,6 @@ SCORE_ARGS = {
     "mcsd_rows_a": ("a", "any", ROWS, lambda a: mcsd_rows(a, ROWS, 1.0)),
     "mcsd_rows_b": ("b", "any", ROWS, lambda b: mcsd_rows(ROWS, b, 1.0)),
     "violation_tensor": ("scores", "any", ROWS, lambda s: violation_tensor(s, 1.0)),
-    "center_scores": ("scores", "any", ROWS, center_scores),
 }
 
 
@@ -707,7 +719,6 @@ class TestScoresChecks:
     def test_complex_arguments_and_candidate_scores_are_rejected_by_name(self):
         for call, name in (
             (lambda: ramp_loss(1j, 1.0), "x"),
-            (lambda: smoothed_ramp([0.5 + 1j], 1.0), "x"),
             (lambda: phi_distance(0.5 + 0j, 0.5, 1.0, 3), "a"),
             (lambda: phi_distance(0.5, [0.5j], 1.0, 3), "b"),
             (lambda: ScorerGrid([lambda x: x + 1j], 2).evaluate(np.zeros((3, 2))), "candidate 0's"),
@@ -728,15 +739,6 @@ class TestScoresChecks:
         got, want = dann_with_grads(D4[:, None], D4[::-1, None]), dann_with_grads(D4, D4[::-1])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-
-    @pytest.mark.filterwarnings("error")
-    def test_center_scores_checks_what_it_centers(self):
-        with pytest.raises(ValueError, match="^scores must be finite"):
-            center_scores(np.array([[1.0, np.nan]]))
-        # array-likes are checked into arrays, and centered like arrays
-        assert np.array_equal(center_scores([[1.0, 2.0]]), [[-0.5, 0.5]])
-        stack = np.arange(12.0).reshape(2, 2, 3)
-        assert np.array_equal(center_scores(stack), stack - stack.mean(axis=-1, keepdims=True))
 
     def test_checked_float64_arrays_are_not_copied(self):
         stack, rows = np.zeros((2, 3, 4)), np.zeros((2, 3))

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from mcsda.margin import _center
 from mcsda.neural import (
     HEAD_LR_MULT,
     MlpScorer,
     Schedules,
     SgdMomentum,
-    center_scores,
     grad_reversal_step,
     lambda_schedule,
     lr_schedule,
@@ -311,13 +311,13 @@ class TestGradReversal:
 class TestCenteredScores:
     def test_center_rows(self):
         raw = np.array([[1.0, 2.0, 6.0]])
-        np.testing.assert_allclose(center_scores(raw).sum(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(_center(raw).sum(axis=1), 0.0, atol=1e-12)
 
     def test_grad_pullback_is_projection(self):
         # centering is an orthogonal projection, so the same map pulls a
         # gradient on centered scores back to the raw head outputs
         g = np.array([[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(center_scores(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
+        np.testing.assert_allclose(_center(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
 
     def test_scorer_callable_centers(self):
         model = MlpScorer(2, {"f": 3}, seed=7)

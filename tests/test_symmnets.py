@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mcsda import symmnets
-from mcsda.divergence import SampleSet, empirical_mcsd, margin_error
-from mcsda.neural import MlpScorer, SgdMomentum, center_scores
+from mcsda.divergence import SampleSet, ScorerGrid, margin_error, mcsd_divergence_exact
+from mcsda.margin import _center
+from mcsda.neural import MlpScorer, SgdMomentum
 from mcsda.surrogates import _softmax, softmax
 from mcsda.symmnets import (
     HEAD_S,
@@ -289,7 +290,7 @@ class TestTaskTrainingEarnsMargins:
         for _ in range(200):
             stepped(model, opt, pair.source.points, pair.source.labels,
                           pair.target.points, lam=0.0, lr=0.02, adversarial=False)
-        scores = center_scores(model.forward(pair.source.points, heads=(HEAD_S,)).raw[HEAD_S])
+        scores = _center(model.forward(pair.source.points, heads=(HEAD_S,)).raw[HEAD_S])
         assert margin_error(scores, pair.source.labels, 0.5) < 0.01
 
 
@@ -326,11 +327,12 @@ class TestConfusionEqualizesHeads:
         assert np.abs(pa - pb).max() < 0.05
         assert (pa + pb).min() > 0.8
         # the two heads disagree equally little on both domains
-        fs, ft = model.scorer(HEAD_S), model.scorer(HEAD_T)
-        gap_tight = abs(empirical_mcsd(Xs, fs, ft, 0.5) - empirical_mcsd(Xt, fs, ft, 0.5))
+        grid = ScorerGrid([model.scorer(HEAD_S), model.scorer(HEAD_T)], k)
+        tight = mcsd_divergence_exact(Xs, Xt, grid, 0.5)
+        gap_tight = abs(tight.mean_src[0, 1] - tight.mean_tgt[0, 1])
         assert gap_tight < 1e-3
-        dp = empirical_mcsd(Xs, fs, ft, 1.0)
-        dq = empirical_mcsd(Xt, fs, ft, 1.0)
+        means = mcsd_divergence_exact(Xs, Xt, grid, 1.0)
+        dp, dq = means.mean_src[0, 1], means.mean_tgt[0, 1]
         assert abs(dp - dq) < 5e-3
         assert dp < 0.15 and dq < 0.15
 

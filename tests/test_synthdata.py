@@ -140,6 +140,16 @@ class TestPartial:
         with pytest.raises(ValueError):
             make_partial(stripped, [3])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, "x"])
+    def test_class_ids_are_not_truncated(self, bad):
+        base = gen_gauss_blobs(3, 10, (0.0, 0.0), seed=0)
+        with pytest.raises(ValueError, match="^kept_classes must be integers"):
+            make_partial(base, [bad, 2])
+        # integral floats and numpy integers name the same classes as ints
+        for kept in ([1.0, 2.0], np.array([2, 1]), (np.int64(1), 2)):
+            assert make_partial(base, kept).meta["params"]["kept_classes"] == [1, 2]
+
 
 class TestOpenset:
     def test_relabeling_recount(self):
@@ -181,6 +191,18 @@ class TestOpenset:
         # a single shared class is rejected when the pair is built
         with pytest.raises(ValueError):
             make_openset(base, [1], [2], [3])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("arg", ["shared_classes", "src_extra", "tgt_extra"])
+    def test_class_ids_are_not_truncated(self, arg):
+        base = gen_gauss_blobs(6, 10, (0.0, 0.0), seed=0)
+        groups = {"shared_classes": [1, 2, 3], "src_extra": [4], "tgt_extra": [5, 6]}
+        want = make_openset(base, **groups).meta
+        bad = dict(groups, **{arg: [groups[arg][0] + 0.9] + groups[arg][1:]})
+        with pytest.raises(ValueError, match="^%s must be integers" % arg):
+            make_openset(base, **bad)
+        floats = dict(groups, **{arg: [float(g) for g in groups[arg]]})
+        assert make_openset(base, **floats).meta == want
 
     def test_pair_width_checks(self):
         src = SampleSet(np.ones((4, 2)), [1, 2, 3, 3])

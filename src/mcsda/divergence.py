@@ -55,8 +55,10 @@ trusted from then on, and every function that takes raw points (the
 estimators and ``ScorerGrid.evaluate``) runs it once per sample through
 ``_as_sample``, then hands the grid the checked sample.  Scores have one
 checker, ``margin._check_scores``; the grid checks its candidates' scores
-with its core, ``_check_reals``.  ``violation_tensor`` and the
-single-vector ``margin`` functions stay as reference oracles.
+with its core, ``_check_reals``, and centers them with
+``margin._center_checked``, which names an overflow.  ``rho`` has one rule,
+``margin._check_rho``.  ``violation_tensor`` and the single-vector
+``margin`` functions stay as reference oracles.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _batch_pair, _center, _check_count, _check_labels
-from .margin import _check_points, _check_real, _check_reals, _check_rho, _check_scores
-from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
-from .margin import _integer_labels, _ramp, _ramp_clamp, _violation_matrix
+from .margin import _absolute_margin, _batch_pair, _center, _center_checked, _check_count
+from .margin import _check_labels, _check_points, _check_real, _check_reals, _check_rho
+from .margin import _check_scores, _check_weights, _component_disagreement, _decision_level
+from .margin import _decision_margin, _integer_labels, _ramp, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -206,7 +208,7 @@ class ScorerGrid:
                     "candidate %d returned shape %r, expected %r"
                     % (i, s.shape, (pts.shape[0], self.k))
                 )
-            out[i] = _center(s)
+            out[i] = _center_checked(s, "centered candidate %d's scores" % i)
         return out
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import tempfile
 from dataclasses import fields
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ..divergence import BoundViolation, SampleSet, ScorerGrid, linear_scorer, pac_bound_report
-from ..margin import _check_count, _check_real
+from ..margin import _check_count, _check_real, _check_rho
 from ..neural import _write_json
 from ..synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial, read_csv, write_csv
 from .config import EVAL_HEADS, METHODS, ExperimentConfig
@@ -53,23 +52,24 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _number(kind: type, low, strict: bool = False, below=None):
-    """An argparse type: ``margin``'s checker for ``kind`` on the parsed
-    value, at least ``low`` (above it when ``strict``) and, when given, below
-    ``below``; argparse turns a rejection into exit 2."""
+def _number(kind: type, check):
+    """An argparse type: ``check``, one of ``margin``'s checkers, on the value
+    ``kind`` parses; argparse turns a rejection into exit 2."""
 
     def parse(text: str):
         v = kind(text)
         try:
-            if kind is int:
-                return _check_count(v, "value", low)
-            high = math.inf if below is None else below
-            return _check_real(v, "value", low, high, open_low=strict, open_high=below is not None)
+            return check(v)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = kind.__name__
     return parse
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    return _number(int, lambda v: _check_count(v, "value", least))
 
 
 def _read_data(path):
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--generator", choices=("moons", "blobs"), default="moons")
     g.add_argument("--mode", choices=("closed", "partial", "openset"), default="closed")
-    g.add_argument("--seed", type=_number(int, 0), default=0)
+    g.add_argument("--seed", type=_count(0), default=0)
     g.add_argument("--n-src", type=int, default=600, help="moons: source sample size")
     g.add_argument("--n-tgt", type=int, default=600, help="moons: target sample size")
     g.add_argument("--angle", type=float, default=30.0, help="moons: target rotation, degrees")
@@ -303,17 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_train)
 
     c = sub.add_parser("theory-check", help="run the brute-force verification suite")
-    c.add_argument("--seed", type=_number(int, 0), default=0)
-    c.add_argument("--trials", type=_number(int, 1), default=2000)
-    c.add_argument("--universes", type=_number(int, 1), default=20)
+    c.add_argument("--seed", type=_count(0), default=0)
+    c.add_argument("--trials", type=_count(1), default=2000)
+    c.add_argument("--universes", type=_count(1), default=20)
     c.add_argument("--out", default=None, help="optional JSON report path")
     c.set_defaults(func=_cmd_theory_check)
 
     s = sub.add_parser("surface", help="dump one disagreement surface to CSV")
     s.add_argument("--out", required=True)
     s.add_argument("--which", choices=SURFACE_MEASURES, required=True)
-    s.add_argument("--rho", type=_number(float, 0, strict=True), required=True)
-    s.add_argument("--resolution", type=_number(int, 2), default=121)
+    s.add_argument("--rho", type=_number(float, _check_rho), required=True)
+    s.add_argument("--resolution", type=_count(2), default=121)
     s.add_argument("--span", type=float, default=15.0)
     s.add_argument("--fixed", default="10,-5,-5", help="pinned scores, comma separated")
     s.add_argument("--direction", choices=("fix_first", "fix_second"), default="fix_first")
@@ -321,11 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pac-report", help="finite-sample bound report on a data CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=_number(float, 0, strict=True), default=1.0)
-    p.add_argument("--delta", type=_number(float, 0, strict=True, below=1), default=0.05)
-    p.add_argument("--grid-size", type=_number(int, 1), dest="grid_size", default=12)
-    p.add_argument("--sigma-draws", type=_number(int, 2), dest="sigma_draws", default=2000)
-    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--rho", type=_number(float, _check_rho), default=1.0)
+    delta = _number(float, lambda v: _check_real(v, "delta", 0, 1, open_low=True, open_high=True))
+    p.add_argument("--delta", type=delta, default=0.05)
+    p.add_argument("--grid-size", type=_count(1), dest="grid_size", default=12)
+    p.add_argument("--sigma-draws", type=_count(2), dest="sigma_draws", default=2000)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=_cmd_pac_report)
     return parser

@@ -17,7 +17,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from ..margin import _check_count, _check_real
+from ..margin import _check_count, _check_real, _check_rho
 from ..neural import Schedules, _write_json
 from ..symmnets import HEAD_S, HEAD_T
 
@@ -115,7 +115,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError("method must be one of %r, got %r" % (METHODS, self.method))
-        _check_real(self.rho, "rho", 0.0, open_low=True)
+        self.rho = _check_rho(self.rho)
         for name in ("epochs", "batch_size", "full_batch_limit", "feature_dim"):
             setattr(self, name, _check_count(getattr(self, name), name, 1))
         self.seed = _check_count(self.seed, "seed", 0)

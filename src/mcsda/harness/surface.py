@@ -9,11 +9,12 @@ surrogates, and the single-component decision-margin ramp.
 
 Evaluation is batched over the whole grid.  ``emit_surface_grid`` checks
 its arguments (``resolution``, ``rho`` and ``span`` with ``margin``'s
-checkers) and the centered scores once, at entry, and then calls only
-kernels: those of ``mcsda.margin`` (centering, decision margin, relative
-margin, ramp), ``mcsda.divergence._mcsd_rows`` (the kernel behind
-``mcsd_rows``), the unchecked ``surrogates._softmax`` and the surrogate
-kernels of ``surrogates._PAIR_KERNELS``, which the per-point ``sur_*`` share.
+checkers) and centers the scores with ``margin._center_checked`` once, at
+entry, and then calls only kernels: those of ``mcsda.margin`` (decision
+margin, relative margin, ramp), ``mcsda.divergence._mcsd_rows`` (the
+kernel behind ``mcsd_rows``), the unchecked ``surrogates._softmax`` and the
+surrogate kernels of ``surrogates._PAIR_KERNELS``, which the per-point
+``sur_*`` share.
 ``mcsd_pointwise`` serves as an independent oracle for spot checks; the
 independent surrogate oracles live in the tests (``kl_oracle`` in
 ``tests/test_surrogates.py`` and the inline formulas of
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..divergence import _mcsd_rows
-from ..margin import _center, _check_count, _check_real, _check_rho, _decision_level
+from ..margin import _center_checked, _check_count, _check_real, _check_rho, _decision_level
 from ..margin import _decision_margin, _ramp, _relative_margin
 from ..neural import _replacing
 from ..surrogates import _PAIR_KERNELS, _softmax
@@ -85,11 +86,8 @@ def emit_surface_grid(
         raise ValueError("the pinned scorer output must have three components")
     axis = np.linspace(-span, span, resolution)
     aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        fx, var = _center(fx), _center(np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3))
-    # a non-finite score, or one that overflows when centered, is not finite here
-    if not (np.isfinite(fx).all() and np.isfinite(var).all()):
-        raise ValueError("surface scores must be finite")
+    fx = _center_checked(fx, "surface scores")
+    var = _center_checked(np.stack([aa, bb, -aa - bb], axis=-1).reshape(-1, 3), "surface scores")
     fixed_batch = np.broadcast_to(fx, var.shape)
     first, second = (fixed_batch, var) if direction == "fix_first" else (var, fixed_batch)
 

@@ -356,14 +356,12 @@ def check_margin_decision(seed: int, trials: int) -> CheckResult:
     return _pointwise("margin_decision_property", draws, statement, replay, rule)
 
 
-def check_prop3_identity(
-    seed: int,
-    trials: int,
-    ks: tuple[int, ...] = (2, 3, 5, 10),
-    rhos: tuple[float, ...] = (0.5, 1.0, 5.0),
-    tol: float = 1e-12,
-    mutant_rho_scale: float = 1.0,
-) -> CheckResult:
+_PROP3_KS = (2, 3, 5, 10)
+_PROP3_RHOS = (0.5, 1.0, 5.0)
+_PROP3_TOL = 1e-12
+
+
+def check_prop3_identity(seed: int, trials: int, mutant_rho_scale: float = 1.0) -> CheckResult:
     """K times the pointwise disagreement equals the per-component sum.
 
     ``mutant_rho_scale`` deliberately corrupts the per-component side's
@@ -385,14 +383,14 @@ def check_prop3_identity(
 
     def rule(m, gap):
         worst = _worst(m["gap"], 0.0)
-        return worst <= tol and gap <= 1e-12, {
+        return worst <= _PROP3_TOL and gap <= 1e-12, {
             "worst_abs_gap": worst,
-            "tol": tol,
+            "tol": _PROP3_TOL,
             "mutant_rho_scale": mutant_rho_scale,
             "single_vector_gap": gap,
         }
 
-    draws = _prop3_draws(seed, trials, ks, rhos)
+    draws = _prop3_draws(seed, trials, _PROP3_KS, _PROP3_RHOS)
     return _pointwise("per_component_identity", draws, statement, replay, rule, key=lambda d: d[:2])
 
 

@@ -34,20 +34,20 @@ verdict on non-finite losses.
   family re-weights classes on partial pairs and draws source batches from
   the super-class-oversampling sampler on open-set pairs.
 
-``run_experiment`` checks the source labels and ``rho`` once per run, and
-the partial-mode class weights once per epoch; every step checks only its
-forward scores, before any loss, and then calls only private kernels
-(``_softmax``, the loss cores, the SymmNets bound core, the backward
-kernel ``MlpScorer._backward``), never a public function that would check
-them again.  The partial-mode class-weight forward checks its scores before
-the weights, and the epoch proxy checks its full-data outputs before calling
-``symmnets._head_disagreement``.  A batch with non-finite scores returns no
-gradients and is not stepped, the epoch is flagged and the run stops with a
-note.  A run that stops that way, or whose target accuracy stays below 1.5x
-chance over the second half of training (second-half mean or final epoch),
-is marked not converged; callers map that onto the CLI exit code.  The
-label check returns the 0-based classes the steps take; accuracies compare
-1-based labels.
+``run_experiment`` checks the source labels once per run (the config has
+checked ``rho``), and the partial-mode class weights once per epoch; every
+step checks only its forward scores, before any loss, and then calls only
+private kernels (``_softmax``, the loss cores, the SymmNets bound core, the
+backward kernel ``MlpScorer._backward``), never a public function that
+would check them again.  The partial-mode class-weight forward checks its
+scores before the weights, and the epoch proxy checks its full-data outputs
+before calling ``symmnets._head_disagreement``.  A batch with non-finite
+scores returns no gradients and is not stepped, the epoch is flagged and the
+run stops with a note.  A run that stops that way, or whose target accuracy
+stays below 1.5x chance over the second half of training (second-half mean
+or final epoch), is marked not converged; callers map that onto the CLI exit
+code.  The label check returns the 0-based classes the steps take;
+accuracies compare 1-based labels.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..margin import _check_labels, _check_rho, _check_weights
+from ..margin import _check_labels, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
 from ..surrogates import _picked_log_loss, _softmax
@@ -289,13 +289,11 @@ def _family_step(
     cfg: ExperimentConfig, model: MlpScorer
 ) -> Callable[..., tuple[dict, np.ndarray | None, int]]:
     """The step of the configured method's family, with its row's constants,
-    the config fields the family reads (``rho`` checked here, once) and two
+    the config fields the family reads (checked by the config) and two
     gradient buffers for ``model``, allocated here, bound as keywords."""
     row = METHOD_ROWS[cfg.method]
     steps = {"source_only": _source_only_step, "mcdal": _mcdal_step, "symmnets": _symmnets_step}
     options = {name: getattr(cfg, name) for name in row.family.options}
-    if "rho" in options:
-        options["rho"] = _check_rho(options["rho"])
     grads = (model._zero_grads(), model._zero_grads())
     return partial(steps[row.family.name], **row.constants, **options, grads=grads)
 

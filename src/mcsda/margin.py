@@ -31,14 +31,17 @@ This module holds the package's one checker per kind of input, each naming
 the parameter it rejects in a ``ValueError``: ``_check_count`` (an integer
 of at least some value; an integral float is taken, a fractional one
 rejected), ``_check_real`` (a finite real in an interval, each end open or
-closed; ``_check_rho`` is its margin-width case), ``_check_weights``,
-``_check_labels``, ``_check_reals`` (a finite float64 array, never cast from
-complex, ragged or non-numeric input: the ramp arguments' check and the core
-of the next two), ``_check_points`` (a non-empty [n, d] sample, which
+closed; ``_check_rho``, the one rule for the margin width, is its case of at
+least ``np.finfo(float).tiny``), ``_check_weights``, ``_check_labels``,
+``_check_reals`` (a finite float64 array, never cast from complex, ragged
+or non-numeric input: the ramp arguments' check and the core of the next
+two), ``_check_points`` (a non-empty [n, d] sample, which
 ``divergence.SampleSet`` and every estimator taking raw points share) and
 ``_check_scores`` (class scores, K >= 2 on the last axis, as one vector,
 rows or any leading axes; ``_batch_pair`` checks two of one shape), which
-every public function taking scores runs.  The package's rule: each public
+every public function taking scores runs, and ``_center_checked``, the one
+place that centers scores a caller supplied: an overflow ends in 'centered
+<name> must be finite', not a numpy warning.  The package's rule: each public
 function validates its arguments once, at entry (these checkers and the
 K-mismatch checks), and then computes with private kernels that trust them,
 so no input is centered or checked twice within one call.  Code that holds
@@ -110,15 +113,21 @@ def _center(z: np.ndarray) -> np.ndarray:
     return z - (z.sum(axis=-1) / z.shape[-1])[..., None]
 
 
+def _center_checked(s: np.ndarray, name: str) -> np.ndarray:
+    """``_center`` of finite scores that a caller supplied, checked: centering
+    can overflow finite scores, and '<name> must be finite' reports it, not
+    numpy."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _center(s)
+    return _check_reals(out, name)
+
+
 def _centered(scores: ScoresLike, name: str) -> np.ndarray:
     """The centered score vector behind a ScoreVector, or a validated,
     centered, read-only copy of one raw score vector, the argument ``name``."""
     if isinstance(scores, ScoreVector):
         return scores.scores
-    # centering can overflow finite scores: the check reports it, not numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        arr = _center(_check_scores(scores, name, 1))
-    arr = _check_reals(arr, "centered " + name)
+    arr = _center_checked(_check_scores(scores, name, 1), "centered " + name)
     arr.flags.writeable = False
     return arr
 
@@ -163,8 +172,9 @@ def _check_real(value, name: str, low=-math.inf, high=math.inf, *, open_low=Fals
 
 
 def _check_rho(rho: float) -> float:
-    """The margin width: a positive finite real."""
-    return _check_real(rho, "rho", 0.0, open_low=True)
+    """The margin width, and its one rule: a finite real of at least the
+    smallest normal float, so rho/2 never underflows to 0."""
+    return _check_real(rho, "rho", np.finfo(float).tiny)
 
 
 def _check_weights(w, n: int, name: str) -> np.ndarray:
@@ -233,15 +243,16 @@ def _batch_pair(a, b, name_a: str, name_b: str, rank: int | None = 2):
 
 def _integer_labels(labels, name: str = "labels") -> np.ndarray:
     """Labels (or class ids, the argument ``name``) as int64 [n]; a
-    non-integral value is rejected, not truncated.  Integer arrays skip the
-    comparison."""
+    non-integral value, or one that int64 cannot hold (|a| >= 2**63), is
+    rejected, not truncated or wrapped.  Integer arrays skip the comparison."""
     a = np.asarray(labels).reshape(-1)
     if a.dtype.kind not in "biu":
         try:
             a = a.astype(np.float64)
         except (TypeError, ValueError):  # text that is not a number, None
             raise ValueError("%s must be integers" % name) from None
-        if not (np.isfinite(a).all() and (np.trunc(a) == a).all()):
+        # NaN and the infinities fail the bound too
+        if not ((np.abs(a) < 2.0**63).all() and (np.trunc(a) == a).all()):
             raise ValueError("%s must be integers" % name)
     return a.astype(np.int64, copy=False)
 
@@ -392,11 +403,7 @@ def _decision_level(margins: np.ndarray, rho, variant: str) -> np.ndarray:
     Testing ``ramp(m, rho) == 1`` instead would call a positive margin below
     rho * 2**-53 saturated, since 1 - m/rho rounds to 1 there."""
     if variant == "tilde":
-        half = rho / 2.0
-        # the half width is checked too: it underflows to 0 for the smallest rho
-        if np.any(half == 0.0):
-            raise ValueError("margin width rho/2 underflows to 0 for rho = %r" % (rho,))
-        return _ramp(margins, half)
+        return _ramp(margins, rho / 2.0)
     if variant == "hat":
         return (margins <= 0.0).astype(np.float64)
     raise ValueError("variant must be 'tilde' or 'hat', got %r" % variant)

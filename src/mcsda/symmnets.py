@@ -61,8 +61,8 @@ from typing import Iterator
 import numpy as np
 
 from .divergence import SampleSet, _margin_violations, _mcsd_rows
-from .margin import _batch_pair, _check_count, _check_labels, _check_real, _check_reals
-from .margin import _center, _check_rho, _check_scores, _check_weights
+from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
+from .margin import _check_real, _check_rho, _check_scores, _check_weights
 from .neural import MlpScorer
 from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
 
@@ -205,10 +205,7 @@ def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, flo
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
     rho = _check_rho(rho)
     s, t = _batch_pair(raw_s, raw_t, "raw_s", "raw_t")
-    # centering can overflow finite scores: the check reports it, not numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _head_pair(s, t)
-    c = _check_reals(c, "centered raw_s and raw_t")
+    c = _center_checked(np.stack([s, t]), "centered raw_s and raw_t")
     return _bound_sides(c, _check_labels(labels, *c.shape[-2:]), rho)
 
 

@@ -12,9 +12,10 @@ in one sweep; the audit, an independent oracle, lives in
 in a shape that an entry here calls it in and that passes the audit;
 ``tests/test_losses.py`` runs one step of every method and checks the rule.
 The public wrappers (softmax plus a core with batch-mean weights) keep
-finite-difference tests of their own.  No module of the package imports
-this one: the steps call the cores by name, the pairwise cores on a kernel
-from ``surrogates._PAIR_KERNELS``.
+finite-difference tests of their own.  It is test support, kept out of the
+package: no module of the package imports it, since the steps call the
+cores by name, the pairwise cores on a kernel from
+``surrogates._PAIR_KERNELS``.
 
 ``apply`` returns the scalar value and a dict mapping input positions to
 gradients; positions absent from the dict (labels, weights, reference
@@ -33,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
-from .surrogates import _picked_log_loss, _softmax
-from .symmnets import _confuse_src, _confuse_tgt, _discrim
+from mcsda.surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
+from mcsda.surrogates import _picked_log_loss, _softmax
+from mcsda.symmnets import _confuse_src, _confuse_tgt, _discrim
 
 __all__ = ["RegisteredLoss", "registered_losses"]
 

@@ -24,7 +24,6 @@ from mcsda.harness.config import ExperimentConfig
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
 from mcsda.harness.theory import build_universe, check_bound_universes
 from mcsda.harness.trainers import run_experiment
-from mcsda.losses import registered_losses
 from mcsda.margin import (
     argmax_label,
     mcsd_hat_pointwise,
@@ -37,6 +36,8 @@ from mcsda.margin import (
 from mcsda.neural import Schedules, lambda_schedule, lr_schedule
 from mcsda.surrogates import softmax, sur_ce, sur_kl, sur_l1
 from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons, make_openset, make_partial
+
+from losses import registered_losses
 from test_losses import finite_difference_audit
 
 

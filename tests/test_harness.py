@@ -280,6 +280,8 @@ class TestConfig:
             {"nu": 0.0},
             {"rho": float("nan")},
             {"rho": float("inf")},
+            {"rho": 1e-320},
+            {"rho": 5e-324},
             {"nu": float("nan")},
             {"nu": float("inf")},
             {"zeta": float("nan")},
@@ -726,6 +728,9 @@ class TestCli:
             ["pac-report", "--data", "{data}", "--delta", "nan", "--out", "{out}"],
             ["theory-check", "--trials", "0", "--out", "{out}"],
             ["surface", "--out", "{out}", "--which", "hat", "--rho", "0"],
+            ["surface", "--out", "{out}", "--which", "tilde", "--rho", "1e-320"],
+            ["pac-report", "--data", "{data}", "--rho", "1e-320", "--out", "{out}"],
+            ["train", "--data", "{data}", "--rho", "1e-320", "--epochs", "1", "--outdir", "{out}"],
             ["gen-data", "--out", "{out}", "--seed", "-1"],
             ["theory-check", "--seed", "-1", "--out", "{out}"],
             ["pac-report", "--data", "{data}", "--seed", "-1", "--out", "{out}"],

@@ -601,6 +601,21 @@ KERNEL_RULES = {
         re.compile(r"\.shape\[(-1|1)\] < 2\b|\.size < 2\b"),
         ("margin.py", "_check_scores"),
     ),
+    # centering under suppressed floating-point errors, checked after: the
+    # one place that centers scores a caller supplied
+    "overflow-guarded centering": (
+        re.compile(r"\berrstate\("),
+        ("margin.py", "_center_checked"),
+    ),
+    # a hand-written margin-width check: rho as a checked real, or rho or its
+    # half compared with 0
+    "margin-width rule": (
+        re.compile(
+            r"\b_check_real\([^,]+, 'rho'"
+            r"|\brho( / 2(\.0)?)?\)? (==|<=|<|>|>=) 0\b"
+        ),
+        ("margin.py", "_check_rho"),
+    ),
 }
 
 
@@ -700,6 +715,15 @@ class TestOneKernelPerObject:
             ("class-count check", "def c(s):\n    if s.shape[-1] < 2:\n        raise ValueError\n"),
             ("class-count check", "def c(s):\n    return s.ndim != 2 or s.shape[1] < 2\n"),
             ("class-count check", "def c(a):\n    if a.size < 2:\n        raise ValueError(a)\n"),
+            (
+                "overflow-guarded centering",
+                "def c(s):\n    with np.errstate(over='ignore'):\n        return _center(s)\n",
+            ),
+            ("margin-width rule", "def r(self):\n    _check_real(self.rho, 'rho', 0.0)\n"),
+            (
+                "margin-width rule",
+                "def r(rho):\n    if np.any(rho / 2.0 == 0.0):\n        raise ValueError\n",
+            ),
         ],
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):

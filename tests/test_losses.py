@@ -12,9 +12,10 @@ import pytest
 from mcsda import surrogates, symmnets
 from mcsda.harness import trainers
 from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig
-from mcsda.losses import RegisteredLoss, registered_losses
 from mcsda.neural import MlpScorer
 from mcsda.synthdata import gen_rotated_moons
+
+from losses import RegisteredLoss, registered_losses
 
 EXPECTED_NAMES = {
     "pair_core_l1",
@@ -107,7 +108,7 @@ def call_shape(args) -> tuple:
 @pytest.fixture
 def core_calls(monkeypatch):
     """Records (core, call shape) of every loss-core call, wherever the core
-    was imported."""
+    was imported: in the package or in the registry, ``tests/losses.py``."""
     calls = set()
 
     def recording(name, core):
@@ -121,7 +122,7 @@ def core_calls(monkeypatch):
         core = getattr(home, name)
         wrapped = recording(name, core)
         for modname, mod in list(sys.modules.items()):
-            if modname.startswith("mcsda") and vars(mod).get(name) is core:
+            if modname.split(".")[0] in ("mcsda", "losses") and vars(mod).get(name) is core:
                 monkeypatch.setattr(mod, name, wrapped)
     return calls
 

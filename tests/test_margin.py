@@ -16,7 +16,9 @@ from mcsda.divergence import (
     SampleSet,
     ScorerGrid,
     margin_error,
+    mcsd_divergence_exact,
     mcsd_rows,
+    pac_bound_report,
     violation_tensor,
     zero_one_error,
 )
@@ -351,6 +353,14 @@ PUBLIC = {
     "phi_distance": lambda f=GOOD, g=GOOD, rho=1.0, y=1: phi_distance(f, g, rho, len(GOOD)),
     "source_margin_loss": lambda f=GOOD, g=GOOD, rho=1.0, y=1: source_margin_loss(f, y, rho),
 }
+ONES = np.ones((2, 1))
+
+
+def overflow_grid(f):
+    """Two candidates: constant scores f on every point, then zeros."""
+    return ScorerGrid([lambda x: np.tile(f, (len(x), 1)), lambda x: np.zeros((len(x), 2))], 2)
+
+
 TAKES_RHO = [
     "ramp_loss", "violation_matrix", "mcsd_pointwise", "mcsd_tilde_pointwise",
     "mcsd_hat_pointwise", "phi_distance", "source_margin_loss",
@@ -386,15 +396,30 @@ class TestPublicValidation:
             (as_scores, "f"),
             (ScoreVector, "scores"),
             (lambda f: disagreement_bound_gap([f], [[1.0, 2.0]], [1], 1.0), "raw_s and raw_t"),
+            (lambda f: overflow_grid(f).evaluate(ONES), "candidate 0's scores"),
+            (
+                lambda f: mcsd_divergence_exact(ONES, ONES, overflow_grid(f), 1.0),
+                "candidate 0's scores",
+            ),
+            (
+                lambda f: pac_bound_report(
+                    SampleSet(ONES, [1, 2]), SampleSet(ONES, [1, 2]), overflow_grid(f), 1.0,
+                    sigma_draws=2,
+                ),
+                "candidate 0's scores",
+            ),
         ],
-        ids=["as_scores", "ScoreVector", "disagreement_bound_gap"],
+        ids=[
+            "as_scores", "ScoreVector", "disagreement_bound_gap", "ScorerGrid.evaluate",
+            "mcsd_divergence_exact", "pac_bound_report",
+        ],
     )
     def test_centering_overflow_is_named_before_numpy_warns(self, call, name):
         with pytest.raises(ValueError, match="^centered %s must be finite" % name):
             call([1.7e308, 1.7e308])
 
     @pytest.mark.parametrize("name", TAKES_RHO)
-    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf, 5e-324, 1e-320])
     def test_rejects_bad_rho(self, name, rho):
         with pytest.raises(ValueError):
             PUBLIC[name](rho=rho)
@@ -431,7 +456,7 @@ class TestPublicValidation:
     )
     def test_batch_labels_must_be_integral(self, call):
         call(np.array([1.0, 2.0]))  # integral floats are labels
-        for y in ([1.5, 2.0], [1.0, 2.9], [np.nan, 2.0]):
+        for y in ([1.5, 2.0], [1.0, 2.9], [np.nan, 2.0], [1e20, 2.0]):
             with pytest.raises(ValueError, match="integers"):
                 call(y)
 

@@ -141,7 +141,7 @@ class TestPartial:
             make_partial(stripped, [3])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, "x"])
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, "x", 1e20])
     def test_class_ids_are_not_truncated(self, bad):
         base = gen_gauss_blobs(3, 10, (0.0, 0.0), seed=0)
         with pytest.raises(ValueError, match="^kept_classes must be integers"):
@@ -198,9 +198,10 @@ class TestOpenset:
         base = gen_gauss_blobs(6, 10, (0.0, 0.0), seed=0)
         groups = {"shared_classes": [1, 2, 3], "src_extra": [4], "tgt_extra": [5, 6]}
         want = make_openset(base, **groups).meta
-        bad = dict(groups, **{arg: [groups[arg][0] + 0.9] + groups[arg][1:]})
-        with pytest.raises(ValueError, match="^%s must be integers" % arg):
-            make_openset(base, **bad)
+        for bad_id in (groups[arg][0] + 0.9, 1e20):
+            bad = dict(groups, **{arg: [bad_id] + groups[arg][1:]})
+            with pytest.raises(ValueError, match="^%s must be integers" % arg):
+                make_openset(base, **bad)
         floats = dict(groups, **{arg: [float(g) for g in groups[arg]]})
         assert make_openset(base, **floats).meta == want
 

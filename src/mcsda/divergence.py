@@ -41,12 +41,14 @@ against source margin error + divergence + scaled complexities + slack
 terms + the best achievable joint margin error.  It evaluates the grid once
 per sample and hands those scores to the cores behind the public
 estimators (``_exact``, ``_rademacher``) and to ``_candidate_errors``, one
-pass of every candidate's margin and 0-1 errors.  All expectations accept
-explicit point masses so fully enumerated universes can be checked exactly.
+pass of every candidate's margin and 0-1 errors, which
+``_margin_violations`` reads off the ramps of ``_signed_ramps``.  All
+expectations accept explicit point masses so fully enumerated universes can
+be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
-ramp and its clamp, per-component disagreement, violation matrix, decision
-margin); public functions check ``rho``, their counts, scores, labels and
+ramp clamp, per-component disagreement, violation matrix, decision margin);
+public functions check ``rho``, their counts, scores, labels and
 points once, at entry, with ``margin``'s checkers, and the private cores
 (``_margin_violations`` among them) check nothing and take the 0-based
 classes that ``margin._check_labels`` returns.  Points have one checker,
@@ -69,10 +71,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _absolute_margin, _batch_pair, _center, _center_checked, _check_count
-from .margin import _check_labels, _check_points, _check_real, _check_reals, _check_rho
-from .margin import _check_scores, _check_weights, _component_disagreement, _decision_level
-from .margin import _decision_margin, _integer_labels, _ramp, _ramp_clamp, _violation_matrix
+from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
+from .margin import _check_points, _check_real, _check_reals, _check_rho, _check_scores
+from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
+from .margin import _integer_labels, _ramp_clamp, _violation_matrix
 
 __all__ = [
     "SampleSet",
@@ -657,6 +659,9 @@ def mcsd_divergence_adversarial(
 # ---------------------------------------------------------------------------
 
 
+_SIGMA_BLOCK = 200  # sign draws per block of the Rademacher estimate
+
+
 @dataclass(frozen=True)
 class RademacherEstimate:
     value: float
@@ -678,38 +683,42 @@ def rademacher_estimate(
 
 
 def _rademacher(evals: np.ndarray, sigma_draws: int, seed: int) -> RademacherEstimate:
-    """``rademacher_estimate`` from the grid's evaluated scores [c, m, K]."""
+    """``rademacher_estimate`` from the grid's evaluated scores [c, m, K],
+    keeping the per-draw suprema of ``_SIGMA_BLOCK`` sign draws at a time:
+    the blocks continue the stream of one [draws, m] draw."""
     sigma_draws = _check_count(sigma_draws, "sigma_draws", 2)
     c, m, k = evals.shape
     g = np.moveaxis(evals, 2, 1).reshape(c * k, m)  # component rows
     rng = np.random.default_rng(seed)
-    sigma = rng.choice((-1.0, 1.0), size=(sigma_draws, m))
-    # summed over fixed 128-point slices: one gemm over all m points rounds
-    # differently at one and at two BLAS threads
-    sums = sum(sigma[:, i : i + 128] @ g[:, i : i + 128].T for i in range(0, m, 128))
-    sups = sums.max(axis=1)  # [draws]
+    sups = np.empty(sigma_draws)
+    for lo in range(0, sigma_draws, _SIGMA_BLOCK):
+        sigma = rng.choice((-1.0, 1.0), size=(min(_SIGMA_BLOCK, sigma_draws - lo), m))
+        # summed over fixed 128-point slices: one gemm over all m points
+        # rounds differently at one and at two BLAS threads
+        sums = sum(sigma[:, i : i + 128] @ g[:, i : i + 128].T for i in range(0, m, 128))
+        sups[lo : lo + len(sigma)] = sums.max(axis=1)
     value = float(sups.mean()) / m
     stderr = float(sups.std(ddof=1)) / (np.sqrt(sigma_draws) * m)
     return RademacherEstimate(value=value, stderr=stderr, n_draws=sigma_draws)
 
 
-def _margin_violations(scores: np.ndarray, y: np.ndarray, rho) -> np.ndarray:
-    """Per-point sum of ramped absolute margins: scores [..., n, K] -> [..., n].
+def _margin_violations(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-point sum of ramped absolute margins from the ``_signed_ramps``
+    r [2, ..., n, K] of scores [..., n, K]; returns [..., n].
 
     The absolute margin of component k is +f_k at the class and -f_k
-    elsewhere; ``margin.source_margin_loss`` is the single-point oracle.
-    Like every kernel it checks nothing: the callers hold finite float
-    scores, a checked ``rho`` and 0-based classes ``y`` [n] from
-    ``_check_labels``.
-    """
-    return _ramp(_absolute_margin(scores, y), rho).sum(axis=-1)
+    elsewhere, so its ramp is r[1] at the class and r[0] elsewhere;
+    ``margin.source_margin_loss`` is the single-point oracle.  Like every
+    kernel it checks nothing: the callers hold ramps at a checked ``rho``
+    and 0-based classes ``y`` [n] from ``_check_labels``."""
+    return np.where(np.arange(r.shape[-1]) == y[..., None], r[1], r[0]).sum(axis=-1)
 
 
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
     rho = _check_rho(rho)
     s = _check_scores(scores, "scores")
-    per_point = _margin_violations(s, _check_labels(labels, *s.shape), rho)
+    per_point = _margin_violations(_signed_ramps(s, rho), _check_labels(labels, *s.shape))
     return float(per_point @ _as_weights(weights, per_point.shape[0]))
 
 
@@ -725,15 +734,13 @@ def _candidate_errors(scores: np.ndarray, labels, rho: float, weights: np.ndarra
     """Margin errors and 0-1 errors [c] of every candidate of the evaluated
     scores [c, n, K] under checked point masses.
 
-    One 1-D dot per candidate, so each rounds like ``margin_error`` and
-    ``zero_one_error``: a batched matrix-vector product would not.
+    A stack of row-vector products, as in ``_pairwise_mcsd_means``, so each
+    rounds like ``margin_error`` and ``zero_one_error``.
     """
     y = _check_labels(labels, *scores.shape[-2:])
     wrong = (np.argmax(scores, axis=-1) != y).astype(np.float64)
-    return tuple(
-        np.array([p @ weights for p in per_point])
-        for per_point in (_margin_violations(scores, y, rho), wrong)
-    )
+    per_point = np.stack([_margin_violations(_signed_ramps(scores, rho), y), wrong])  # [2, c, n]
+    return tuple((per_point[..., None, :] @ weights[:, None]).reshape(2, -1))
 
 
 @dataclass
@@ -789,7 +796,8 @@ def pac_bound_report(
     The candidate whose empirical source margin error is smallest is
     selected for the headline numbers; the bound is additionally checked for
     every candidate.  Raises BoundViolation if any candidate's target error
-    exceeds the assembled right-hand side.
+    exceeds the assembled right-hand side, and a ValueError naming ``rho``
+    when a right-hand-side term, which grows as 1/rho, overflows.
     """
     for name, sample in (("src", src), ("tgt", tgt)):
         if not isinstance(sample, SampleSet) or sample.labels is None:
@@ -824,6 +832,8 @@ def pac_bound_report(
         + lam
     )
     rhs_all = src_errs + shared_rhs
+    if not np.isfinite([rad_src_mult, *rhs_all]).all():
+        raise ValueError("rho = %r overflows the bound's right-hand side" % rho)
     selected = int(np.argmin(src_errs))
     per_candidate = [
         {

@@ -7,18 +7,19 @@ and ``pac-report`` assembles the finite-sample bound on a data file.
 
 Exit codes: 0 on success; 2 on a bad argument (argparse's usage error,
 also for out-of-range numbers and missing mode flags; ``BAD ARGUMENT``
-when ``gen-data`` or ``surface`` rejects a combination of values, or when
-an output path cannot be written, with no file left under its name and,
-for ``theory-check``, no check run), a bad training config or config file
-(``BAD CONFIG``, with no run directory made: no such file, bad JSON, not a
-JSON object, or a field unknown, out of range or of the wrong type), a
-missing or malformed data file or sidecar (``BAD DATA``), or a failed
-theory check or bound; 3 when training does not converge.  Notes
-(``note: ...``) follow a result: why a run stopped, or a theory check's
-warning, such as an ascent still improving at its step budget.
-Argument defaults mirror the library defaults; ``train`` can also read a
-JSON config file, whose values the flags given override (``--eta0`` the
-one in its ``schedules``).
+when ``gen-data`` or ``surface`` rejects a combination of values, when
+``pac-report``'s ``--rho`` is so small that the bound's right side
+overflows, or when an output path cannot be written, with no file left
+under its name and, for ``theory-check``, no check run), a bad training
+config or config file (``BAD CONFIG``, with no run directory made: no such
+file, bad JSON, not a JSON object, or a field unknown, out of range or of
+the wrong type), a missing or malformed data file or sidecar
+(``BAD DATA``), or a failed theory check or bound; 3 when training does
+not converge.  Notes (``note: ...``) follow a result: why a run stopped,
+or a theory check's warning, such as an ascent still improving at its step
+budget.  Argument defaults mirror the library defaults; ``train`` can
+also read a JSON config file, whose values the flags given override
+(``--eta0`` the one in its ``schedules``).
 """
 
 from __future__ import annotations
@@ -244,6 +245,9 @@ def _cmd_pac_report(args) -> int:
         )
     except BoundViolation as exc:
         print("BOUND VIOLATED: %s" % exc)
+        return 2
+    except ValueError as exc:  # a rho so small that the bound overflows
+        print("BAD ARGUMENT: %s" % exc)
         return 2
     if args.out:
         _write_json(args.out, report.to_json())

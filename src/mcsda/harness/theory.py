@@ -75,6 +75,7 @@ from ..divergence import (
     _exact,
     _margin_violations,
     _mcsd_rows,
+    _signed_ramps,
     linear_scorer,
     mcsd_divergence_adversarial,
     mcsd_divergence_exact,
@@ -399,7 +400,7 @@ def _lemma_batch(rho, f, fp, y):
     losses of both scorers (at the 0-based classes of the drawn labels)
     and the 0-1 error of f."""
     c, cp = _center(_center(f)), _center(_center(fp))
-    lf, lfp = _margin_violations(np.stack([c, cp]), y - 1, rho[:, None])
+    lf, lfp = _margin_violations(_signed_ramps(np.stack([c, cp]), rho[:, None]), y - 1)
     err = (c.argmax(axis=-1) + 1 != y).astype(np.float64)
     return (c, cp), (lf, lfp), err
 
@@ -570,17 +571,19 @@ class ToyUniverse:
     rho: float
 
 
-def build_universe(
-    seed: int,
-    n_points: int = 8,
-    k: int = 3,
-    n_candidates: int = 30,
-    rho: float = 1.0,
-) -> ToyUniverse:
-    """Random finite universe with bounded linear scorer candidates."""
+_UNIVERSE_POINTS = 8  # most points in a universe
+_UNIVERSE_K = 3
+_UNIVERSE_CANDIDATES = 30  # most candidates in its grid
+
+
+def build_universe(seed: int, rho: float = 1.0) -> ToyUniverse:
+    """Random finite universe with bounded linear scorer candidates: 2 to
+    ``_UNIVERSE_POINTS`` points of ``_UNIVERSE_K`` classes and 3 to
+    ``_UNIVERSE_CANDIDATES`` candidates."""
+    k = _UNIVERSE_K
     rng = np.random.default_rng(seed)
-    n_points = int(rng.integers(2, n_points + 1))
-    n_candidates = int(rng.integers(3, n_candidates + 1))
+    n_points = int(rng.integers(2, _UNIVERSE_POINTS + 1))
+    n_candidates = int(rng.integers(3, _UNIVERSE_CANDIDATES + 1))
     points = rng.normal(0.0, 2.0, size=(n_points, 2))
     labels = rng.integers(1, k + 1, size=n_points)
     p_mass = rng.gamma(1.0, 1.0, size=n_points)

@@ -41,7 +41,7 @@ private kernels (``_softmax``, the loss cores, the SymmNets bound core, the
 backward kernel ``MlpScorer._backward``), never a public function that
 would check them again.  The partial-mode class-weight forward checks its
 scores before the weights, and the epoch proxy checks its full-data outputs
-before calling ``symmnets._head_disagreement``.  A batch with non-finite
+before calling ``divergence._mcsd_rows``.  A batch with non-finite
 scores returns no gradients and is not stepped, the epoch is flagged and the
 run stops with a note.  A run that stops that way, or whose target accuracy
 stays below 1.5x chance over the second half of training (second-half mean
@@ -60,11 +60,12 @@ from typing import Callable
 
 import numpy as np
 
+from ..divergence import _mcsd_rows
 from ..margin import _check_labels, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
 from ..surrogates import _picked_log_loss, _softmax
-from ..symmnets import HEAD_T, _head_disagreement, _head_pair, _symmnets_step, eval_openset
+from ..symmnets import HEAD_T, _head_pair, _symmnets_step, eval_openset
 from ..symmnets import openset_sampler, partial_weights
 from ..synthdata import DomainPair
 from .config import METHOD_ROWS, ExperimentConfig, MetricsRecord
@@ -135,7 +136,7 @@ def _mcsd_gap(
     if not all(np.isfinite(raw[h]).all() for raw in (tgt, src) for h in heads):
         return None
     a, b = heads
-    tgt_mean, src_mean = (_head_disagreement(_head_pair(r[a], r[b]), rho) for r in (tgt, src))
+    tgt_mean, src_mean = (float(_mcsd_rows(_head_pair(r[a], r[b]), rho).mean()) for r in (tgt, src))
     return tgt_mean - src_mean
 
 

@@ -60,7 +60,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import SampleSet, _margin_violations, _mcsd_rows
+from .divergence import SampleSet, _margin_violations, _rows_from_ramps, _signed_ramps
 from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
 from .margin import _check_real, _check_rho, _check_scores, _check_weights
 from .neural import MlpScorer
@@ -185,19 +185,14 @@ def _head_pair(raw_a, raw_b) -> np.ndarray:
     return _center(np.asarray([raw_a, raw_b], dtype=float))
 
 
-def _head_disagreement(c: np.ndarray, rho) -> float:
-    """Mean pointwise disagreement of a centered head pair c [2, n, K] of
-    finite scores at a checked ``rho``: the step bound's left side and each
-    domain's term of the epoch proxy."""
-    return float(_mcsd_rows(c, rho).mean())
-
-
 def _bound_sides(c: np.ndarray, y: np.ndarray, rho) -> tuple[float, float]:
     """The per-step bound's two sides from a centered head pair c [2, n, K]
-    of finite scores, 0-based classes y [n] and a checked ``rho``:
-    the mean head disagreement and the sum of the two mean margin errors."""
-    err_s, err_t = _margin_violations(c, y, rho)
-    return _head_disagreement(c, rho), float(err_s.mean()) + float(err_t.mean())
+    of finite scores, 0-based classes y [n] and a checked ``rho``: the mean
+    head disagreement and the sum of the two mean margin errors, both read
+    off one ``_signed_ramps`` pass."""
+    r = _signed_ramps(c, rho)  # [2, 2, n, K]
+    rhs = sum(float(err.mean()) for err in _margin_violations(r, y))
+    return float(_rows_from_ramps(r[:, 0], r[:, 1]).mean()), rhs
 
 
 def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, float]:

@@ -12,6 +12,7 @@ import pytest
 
 from mcsda import divergence
 from mcsda.divergence import (
+    _SIGMA_BLOCK,
     AdversarialDivergence,
     BoundViolation,
     SampleSet,
@@ -421,6 +422,24 @@ class TestRademacher:
             rademacher_estimate(np.ones((3, 2)), random_grid(np.random.default_rng(0), 2, 2, 2),
                                 sigma_draws=1)
 
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("m", [12, 127, 128, 129, 600])
+    @pytest.mark.parametrize("draws", [2, 199, 200, 201, 500, 4000])
+    def test_blocked_draws_equal_one_draw_of_every_sign(self, draws, m, k):
+        # the oracle draws all signs at once: block edges must change no bit
+        # of the generator's stream or of the 128-point slice sums
+        assert _SIGMA_BLOCK == 200
+        rng = np.random.default_rng(draws + 7 * m + k)
+        evals = rng.normal(scale=3.0, size=(4, m, k))
+        evals -= evals.mean(axis=-1, keepdims=True)
+        g = np.moveaxis(evals, 2, 1).reshape(-1, m)
+        sigma = np.random.default_rng(9).choice((-1.0, 1.0), size=(draws, m))
+        sums = sum(sigma[:, i : i + 128] @ g[:, i : i + 128].T for i in range(0, m, 128))
+        sups = sums.max(axis=1)
+        est = divergence._rademacher(evals, draws, 9)
+        assert est.value == float(sups.mean()) / m
+        assert est.stderr == float(sups.std(ddof=1)) / (math.sqrt(draws) * m)
+
 
 class TestErrorFunctionals:
     def test_margin_error_matches_pointwise_loop(self):
@@ -712,6 +731,21 @@ class TestPacBoundReport:
             pac_bound_report(self.src, self.tgt.points, self.grid, 1.0)
         with pytest.raises(ValueError):
             pac_bound_report(self.src, self.tgt, self.grid, 1.0, delta=1.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_right_side_names_rho(self):
+        # the source multiplier 2K^2/rho + 4K/rho overflows at K = 10 below
+        # rho of about 1.3e-306; Python's float division gives inf silently
+        rng = np.random.default_rng(18)
+        pts = rng.normal(size=(40, 2))
+        labels = np.tile(np.arange(1, 11), 4)
+        src, tgt = SampleSet(pts, labels), SampleSet(pts + 0.3, labels.copy())
+        grid = random_grid(rng, 5, k=10, d=2)
+        with pytest.raises(ValueError, match="^rho = 1e-306 overflows"):
+            pac_bound_report(src, tgt, grid, 1e-306, sigma_draws=50)
+        rep = pac_bound_report(src, tgt, grid, 1e-300, sigma_draws=50)
+        rhs = [rep.rad_src_multiplier, rep.rhs_total] + [c["rhs_total"] for c in rep.per_candidate]
+        assert np.isfinite(rhs).all() and rep.rhs_total > 1e300
 
     def test_bound_violation_is_runtime_error(self):
         assert issubclass(BoundViolation, RuntimeError)

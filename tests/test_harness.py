@@ -730,6 +730,8 @@ class TestCli:
             ["surface", "--out", "{out}", "--which", "hat", "--rho", "0"],
             ["surface", "--out", "{out}", "--which", "tilde", "--rho", "1e-320"],
             ["pac-report", "--data", "{data}", "--rho", "1e-320", "--out", "{out}"],
+            # a rho the parser takes but whose bound overflows: 2K^2/rho at K = 3
+            ["pac-report", "--data", "{data}", "--rho", "1e-307", "--out", "{out}"],
             ["train", "--data", "{data}", "--rho", "1e-320", "--epochs", "1", "--outdir", "{out}"],
             ["gen-data", "--out", "{out}", "--seed", "-1"],
             ["theory-check", "--seed", "-1", "--out", "{out}"],
@@ -1028,6 +1030,18 @@ class TestCli:
         assert parsed["holds"] is True
         assert parsed["lambda"] >= 0.0
         assert parsed["lhs_target_err"] <= parsed["rhs_total"]
+
+    def test_pac_report_overflow_exits_2_and_a_huge_finite_bound_exits_0(
+        self, blobs_csv, tmp_path, capsys
+    ):
+        report = tmp_path / "pac.json"
+        argv = ["pac-report", "--data", str(blobs_csv), "--sigma-draws", "50", "--out", str(report)]
+        assert main(argv + ["--rho", "1e-307"]) == 2
+        [line] = capsys.readouterr().out.splitlines()
+        assert line == "BAD ARGUMENT: rho = 1e-307 overflows the bound's right-hand side"
+        assert not report.exists()
+        assert main(argv + ["--rho", "1e-300"]) == 0
+        assert "Infinity" not in report.read_text()
 
     def test_pac_report_evaluates_the_grid_once_per_sample(
         self, blobs_csv, tmp_path, monkeypatch

@@ -14,8 +14,9 @@ row centering, the per-component disagreement, the violation-matrix diagonal
 and the signed decision margin may each be spelled out in one function
 only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
 symmetrized-CE rows, the guarded log and the picked-entry log loss
-likewise, their kernels in ``mcsda.surrogates``.  Outside the guarded log,
-the library takes no log but of a constant.  ``TestNoModuleState`` scans it
+likewise, their kernels in ``mcsda.surrogates``; the margin error, its
+kernel in ``mcsda.divergence``.  Outside the guarded log, the library takes
+no log but of a constant.  ``TestNoModuleState`` scans it
 for ``global`` statements: counts travel with the values they count, so no
 function rebinds a module-level name.
 """
@@ -459,12 +460,23 @@ class TestMarginViolations:
         scores[0, :10] = kink_scores(rng, 10, 3, 1.0)
         labels = rng.integers(1, 4, size=30)
         # the kernel takes the 0-based classes that ``_check_labels`` returns
-        per_point = _margin_violations(scores, labels - 1, 1.0)
+        per_point = _margin_violations(_signed_ramps(scores, 1.0), labels - 1)
         assert per_point.shape == (4, 30)
         for c in range(4):
             for i in range(30):
                 want = source_margin_loss(scores[c, i], int(labels[i]), 1.0)
                 assert per_point[c, i] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_read_off_the_ramps_equals_the_ramped_absolute_margins(self, k):
+        # the kernel's former composition is the oracle, bit for bit: stacked
+        # leading axes, a per-row rho and entries on the kinks 0, -0.0, +-rho
+        rng = np.random.default_rng(25 + k)
+        rho = rng.uniform(0.2, 2.0, size=(40, 1))
+        s = planted_kinks(rng, (3, 2, 40, k), 1.0) * rho
+        y = rng.integers(0, k, size=40)
+        want = _ramp(_absolute_margin(s, y), rho).sum(axis=-1)
+        assert_bitwise(_margin_violations(_signed_ramps(s, rho), y), want)
 
     def test_absolute_margin_kernel_matches_single_vectors(self):
         rng = np.random.default_rng(24)
@@ -544,6 +556,15 @@ KERNEL_RULES = {
     "absolute margin": (
         re.compile(r"\* signs\b"),
         ("margin.py", "_absolute_margin"),
+    ),
+    # the ramped absolute margins summed per point, or the class picking its
+    # plain ramp and every other component its negated one
+    "margin error": (
+        re.compile(
+            r"\b_ramp\(_absolute_margin\("
+            r"|\bwhere\(.*\barange\(.*\) == .+, (?P<r>\w+)\[1\], (?P=r)\[0\]\)"
+        ),
+        ("divergence.py", "_margin_violations"),
     ),
     "signed decision margin": (
         re.compile(r"\bwhere\(.+, (?P<top>[A-Za-z_][\w\[\]:, ]*), -(?P=top)\)"),
@@ -667,6 +688,14 @@ class TestOneKernelPerObject:
             ("violation-matrix diagonal", "def v(mu, s, i):\n    mu[..., i, i] = s\n"),
             ("signed decision margin", "def m(a, t):\n    return np.where(a, t, -t)\n"),
             ("absolute margin", "def a(s, signs, rho):\n    return _ramp(s * signs, rho)\n"),
+            (
+                "margin error",
+                "def m(s, y, rho):\n    return _ramp(_absolute_margin(s, y), rho).sum(axis=-1)\n",
+            ),
+            (
+                "margin error",
+                "def m(r, y, k):\n    return np.where(np.arange(k) == y[:, None], r[1], r[0])\n",
+            ),
             ("scaled L1", "def s(p1, p2):\n    return np.abs(p1 - p2).sum(axis=1) / 3.0\n"),
             ("scaled L1", "def s(d, w, k):\n    return float(np.abs(d).sum(axis=1) @ w) / k\n"),
             (

@@ -47,7 +47,8 @@ expectations accept explicit point masses so fully enumerated universes can
 be checked exactly.
 
 Every route computes with ``margin``'s one kernel per object (centering,
-ramp clamp, per-component disagreement, violation matrix, decision margin);
+ramp clamp, per-component disagreement, violation matrix, decision margin,
+and the point-weighted sum behind every expectation, ``_weighted_sum``);
 public functions check ``rho``, their counts, scores, labels and
 points once, at entry, with ``margin``'s checkers, and the private cores
 (``_margin_violations`` among them) check nothing and take the 0-based
@@ -74,7 +75,7 @@ import numpy as np
 from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
 from .margin import _check_points, _check_real, _check_reals, _check_rho, _check_scores
 from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
-from .margin import _integer_labels, _ramp_clamp, _violation_matrix
+from .margin import _integer_labels, _quiet_finite, _ramp_clamp, _violation_matrix, _weighted_sum
 
 __all__ = [
     "SampleSet",
@@ -159,7 +160,8 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Centered linear scorer x -> center(w x + b), from K >= 2 finite
-    biases b and finite weights w [K, d], checked here."""
+    biases b and finite weights w [K, d], checked here; scores that overflow
+    end in a ValueError."""
     b = _check_scores(b, "b", 1)
     w = _check_reals(w, "w", "a [K, d] array")
     if w.ndim != 2 or w.shape[0] != b.size or w.shape[1] < 1:
@@ -176,7 +178,7 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
                 "points have %d features, the scorer's weights take %d"
                 % (pts.shape[-1], w.shape[-1])
             )
-        return _center(pts @ w.T + b)
+        return _quiet_finite(lambda: _center(pts @ w.T + b), "centered linear scorer's scores")
 
     return score
 
@@ -278,17 +280,14 @@ def _pairwise_mcsd_means(scores: np.ndarray, weights: np.ndarray, rho: float) ->
     """Weighted mean disagreement for every ordered pair; [c, c] symmetric.
 
     Ramps every candidate once and fills the upper triangle, mirrored below;
-    the diagonal is exactly zero.  Each pair's rows are weighted as one
-    1-D dot, as in the ascent's exact objective and ``margin_error``, so a
-    pair scores the same here as alone: a matrix-vector product rounds
-    differently, a stack of row-vector products does not.
+    the diagonal is exactly zero.
     """
     r = _signed_ramps(scores, rho)  # [2, c, n, K]
     c = scores.shape[0]
     out = np.zeros((c, c))
     for i in range(c - 1):
         rows = _rows_from_ramps(r[:, i, None], r[:, i + 1 :])  # [c-i-1, n]
-        out[i, i + 1 :] = out[i + 1 :, i] = (rows[:, None, :] @ weights[:, None])[:, 0, 0]
+        out[i, i + 1 :] = out[i + 1 :, i] = _weighted_sum(rows, weights)
     return out
 
 
@@ -302,7 +301,7 @@ def _pairwise_variant_means(
     rho/2 (``tilde``) or the saturation indicator of a margin <= 0 (``hat``).
     """
     margins = _decision_margin(scores[:, None], scores[None, :])  # [i, j, n]
-    return _decision_level(margins, rho, variant) @ weights
+    return _weighted_sum(_decision_level(margins, rho, variant), weights)
 
 
 def _exact(ss: np.ndarray, st: np.ndarray, ws, wt, rho: float, variant: str) -> ExactDivergence:
@@ -551,15 +550,15 @@ def mcsd_divergence_adversarial(
             )
 
     # both domains' rows in one stack; the source side enters the objective,
-    # and so its gradients, negated.  Sums over points run per domain, so each
-    # rounds as it would over that domain alone.
+    # and so its gradients, negated.  Sums over points run per domain, as in
+    # ``_exact``, so a visited pair scores as it would in a grid.
     n_s = src_pts.shape[0]
     pts = np.concatenate([src_pts, tgt_pts])
     w = np.concatenate([-ws, wt])
     domains = (slice(None, n_s), slice(n_s, None))
 
     def weighted(rows):
-        return sum((float(rows[dom] @ w[dom]) for dom in domains), 0.0)
+        return sum((float(_weighted_sum(rows[dom], w[dom])) for dom in domains), 0.0)
 
     def value_pass(hs):
         w1, b1, w2, b2 = hs
@@ -719,7 +718,7 @@ def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     rho = _check_rho(rho)
     s = _check_scores(scores, "scores")
     per_point = _margin_violations(_signed_ramps(s, rho), _check_labels(labels, *s.shape))
-    return float(per_point @ _as_weights(weights, per_point.shape[0]))
+    return float(_weighted_sum(per_point, _as_weights(weights, per_point.shape[0])))
 
 
 def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
@@ -727,20 +726,16 @@ def zero_one_error(scores: np.ndarray, labels, weights=None) -> float:
     s = _check_scores(scores, "scores")
     y = _check_labels(labels, *s.shape)
     wrong = (np.argmax(s, axis=1) != y).astype(np.float64)
-    return float(wrong @ _as_weights(weights, s.shape[0]))
+    return float(_weighted_sum(wrong, _as_weights(weights, s.shape[0])))
 
 
 def _candidate_errors(scores: np.ndarray, labels, rho: float, weights: np.ndarray):
     """Margin errors and 0-1 errors [c] of every candidate of the evaluated
-    scores [c, n, K] under checked point masses.
-
-    A stack of row-vector products, as in ``_pairwise_mcsd_means``, so each
-    rounds like ``margin_error`` and ``zero_one_error``.
-    """
+    scores [c, n, K] under checked point masses."""
     y = _check_labels(labels, *scores.shape[-2:])
     wrong = (np.argmax(scores, axis=-1) != y).astype(np.float64)
     per_point = np.stack([_margin_violations(_signed_ramps(scores, rho), y), wrong])  # [2, c, n]
-    return tuple((per_point[..., None, :] @ weights[:, None]).reshape(2, -1))
+    return tuple(_weighted_sum(per_point, weights))
 
 
 @dataclass

@@ -61,11 +61,11 @@ from typing import Callable
 import numpy as np
 
 from ..divergence import _mcsd_rows
-from ..margin import _check_labels, _check_weights
+from ..margin import _center, _check_labels, _check_weights
 from ..neural import MlpScorer, SgdMomentum, _write_json, lambda_schedule, lr_schedule
 from ..surrogates import _PAIR_KERNELS, _dann_core, _mdd_variant_core, _pair_core
 from ..surrogates import _picked_log_loss, _softmax
-from ..symmnets import HEAD_T, _head_pair, _symmnets_step, eval_openset
+from ..symmnets import HEAD_T, _symmnets_step, eval_openset
 from ..symmnets import openset_sampler, partial_weights
 from ..synthdata import DomainPair
 from .config import METHOD_ROWS, ExperimentConfig, MetricsRecord
@@ -135,8 +135,8 @@ def _mcsd_gap(
     outputs are not finite."""
     if not all(np.isfinite(raw[h]).all() for raw in (tgt, src) for h in heads):
         return None
-    a, b = heads
-    tgt_mean, src_mean = (float(_mcsd_rows(_head_pair(r[a], r[b]), rho).mean()) for r in (tgt, src))
+    pairs = (_center(np.stack([r[h] for h in heads])) for r in (tgt, src))
+    tgt_mean, src_mean = (float(_mcsd_rows(c, rho).mean()) for c in pairs)
     return tgt_mean - src_mean
 
 

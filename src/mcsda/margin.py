@@ -41,7 +41,9 @@ two), ``_check_points`` (a non-empty [n, d] sample, which
 rows or any leading axes; ``_batch_pair`` checks two of one shape), which
 every public function taking scores runs, and ``_center_checked``, the one
 place that centers scores a caller supplied: an overflow ends in 'centered
-<name> must be finite', not a numpy warning.  The package's rule: each public
+<name> must be finite', not a numpy warning.  It runs in ``_quiet_finite``,
+the one quiet block, which ``linear_scorer`` and ``softmax`` use too.  The
+package's rule: each public
 function validates its arguments once, at entry (these checkers and the
 K-mismatch checks), and then computes with private kernels that trust them,
 so no input is centered or checked twice within one call.  Code that holds
@@ -56,7 +58,8 @@ pointwise disagreement), ``_component_disagreement`` (K-1)|dn| + |dp| with
 ``_phi_distance`` (the same from the two score components, the kernel
 behind ``phi_distance``), ``_decision_margin`` with ``_decision_level``
 (its ramp at rho/2, 'tilde', or its 0/1 saturation, the indicator of a
-margin <= 0, 'hat') and ``_relative_margin``.  The kernels broadcast a
+margin <= 0, 'hat'), ``_relative_margin`` and ``_weighted_sum`` (the sum
+over points behind every expectation and loss value).  The kernels broadcast a
 per-row ``rho``, which the theory suite uses to test its lemmas on whole
 batches of draws.  ``mcsd_pointwise`` and ``source_margin_loss`` stay
 independent oracles of the O(K) kernels in ``divergence``.
@@ -113,13 +116,28 @@ def _center(z: np.ndarray) -> np.ndarray:
     return z - (z.sum(axis=-1) / z.shape[-1])[..., None]
 
 
+def _quiet_finite(compute, name: str) -> np.ndarray:
+    """``compute()`` with numpy's overflow and invalid-value warnings off,
+    checked: the package's one quiet block, where an overflow ends in
+    '<name> must be finite' or, where harmless, in a clean result."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    return _check_reals(out, name)
+
+
 def _center_checked(s: np.ndarray, name: str) -> np.ndarray:
     """``_center`` of finite scores that a caller supplied, checked: centering
-    can overflow finite scores, and '<name> must be finite' reports it, not
-    numpy."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _center(s)
-    return _check_reals(out, name)
+    can overflow finite scores, and '<name> must be finite' reports it."""
+    return _quiet_finite(lambda: _center(s), name)
+
+
+def _weighted_sum(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One sum over points per leading index of ``rows`` [..., n] under
+    masses or signed row weights ``w`` [n]: [...].  The rounding rule: each
+    sum equals, bit for bit, the 1-D ``np.dot`` of its row made contiguous,
+    so a row sums the same in any stack as alone.  A matrix-vector product
+    over the stack, or a dot over a strided row, rounds differently."""
+    return (np.ascontiguousarray(rows)[..., None, :] @ w[:, None]).reshape(rows.shape[:-1])
 
 
 def _centered(scores: ScoresLike, name: str) -> np.ndarray:

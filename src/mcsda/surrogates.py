@@ -35,7 +35,8 @@ softmax entries is written once too, as `_picked_log_loss` (m picks per
 row): the task losses of every trainer, SymmNets' labeled confusion (two
 picks) and the source half of its domain discrimination call it.  The
 one-vs-rest and domain-head cores keep their own gradient forms and share
-only the guarded log.
+only the guarded log.  Every core sums its weighted rows with
+`margin._weighted_sum`, so a stacked head's value rounds as it does alone.
 
 Sign convention for the adversarial pairs: each returns
 (source term, target term) separately, and the disagreement loss is source
@@ -50,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .margin import _batch_pair, _check_label, _check_labels, _check_points, _check_scores
-from .margin import _check_weights
+from .margin import _check_weights, _quiet_finite, _weighted_sum
 
 __all__ = [
     "softmax",
@@ -80,8 +81,10 @@ def _guarded_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def softmax(scores) -> np.ndarray:
-    """Stable softmax along the last axis; accepts a vector or a batch."""
-    return _softmax(_check_scores(scores, "scores", None))
+    """Stable softmax along the last axis; accepts a vector or a batch.
+    Entries beyond the float range below their row's maximum get 0."""
+    s = _check_scores(scores, "scores", None)
+    return _quiet_finite(lambda: _softmax(s), "softmax")
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -206,7 +209,8 @@ def _pair_core(kernel, p1, p2, w) -> tuple[float, np.ndarray, np.ndarray, int]:
     gradients and the kernel's clamp count."""
     rows, u1, u2, clamps = kernel(p1, p2)
     wc = w[:, None]
-    return float(rows @ w), _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc, clamps
+    g1, g2 = _chain_softmax(p1, u1) * wc, _chain_softmax(p2, u2) * wc
+    return float(_weighted_sum(rows, w)), g1, g2, clamps
 
 
 def _pair_with_grads(kernel, s1, s2) -> tuple[float, np.ndarray, np.ndarray]:
@@ -252,12 +256,12 @@ def _picked_log_loss(p: np.ndarray, c: np.ndarray, w: np.ndarray):
     sum_i w_i sum_j -log p[i, c_ij] / (m n), its gradient w.r.t. the
     scores, p * m w_i / (m n) less w_i / (m n) at each pick, and the clamp
     count of the picked entries.  Leading axes stack heads scored on the
-    same rows; each gets its own value (a float for plain [n, K] rows) and
-    the count covers them all."""
+    same rows; each gets its own value, which rounds as that head scored
+    alone (a float for plain [n, K] rows), and the count covers them all."""
     n, m = c.shape
     rows = np.arange(n)
     log_q, _, clamps = _guarded_log(p[..., rows[:, None], c])
-    value = np.dot(-log_q.sum(axis=-1), w) / (m * n)
+    value = _weighted_sum(-log_q.sum(axis=-1), w) / (m * n)
     g = p * (m * w / (m * n))[:, None]
     for j in range(m):
         g[..., rows, c[:, j]] -= w / (m * n)
@@ -276,7 +280,7 @@ def _mdd_variant_core(
     pc = p[rows, c]
     src = w > 0
     log_q, q, clamps = _guarded_log(np.where(src, pc, 1.0 - pc))  # q: the probability under the log
-    value = -float(np.abs(w) @ log_q)
+    value = -float(_weighted_sum(log_q, np.abs(w)))
     g = p.copy()
     g[rows, c] -= 1.0
     g *= np.where(src, w, w * pc / q)[:, None]
@@ -314,7 +318,7 @@ def _dann_core(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, int]:
     s = sigmoid(d)
     src = w > 0
     log_q, _, clamps = _guarded_log(np.where(src, s, 1.0 - s))
-    return -float(np.abs(w) @ log_q), w * np.where(src, s - 1.0, -s), clamps
+    return -float(_weighted_sum(log_q, np.abs(w))), w * np.where(src, s - 1.0, -s), clamps
 
 
 def dann_with_grads(d_src, d_tgt) -> tuple[float, float, np.ndarray, np.ndarray]:

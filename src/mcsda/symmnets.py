@@ -22,11 +22,12 @@ probabilities) so they compose with the manual backprop:
   ``lam`` and ``rho``, then runs the private kernel ``_symmnets_step``,
   which the trainers call directly on inputs they checked once per run.
   The kernel checks only its scores' finiteness and from there calls only
-  private kernels: the unchecked ``surrogates._softmax`` for the two task
-  softmaxes and each domain's joint softmax, which it passes to the private
+  private kernels: the unchecked ``surrogates._softmax`` of the two heads'
+  source scores stacked [2, n, K], whose trained heads feed one task loss
+  call, and of each domain's joint scores, which it passes to the private
   cores behind ``confuse_src``, ``confuse_tgt`` and ``discrim``, and the
   bound core ``_bound_sides`` (which the public ``disagreement_bound_gap``
-  wraps in its checks) for the per-step bound.  It then makes one backward
+  wraps in its checks) on the centered stack.  It then makes one backward
   pass per domain (``MlpScorer._backward``) that takes the head gradients
   from one set of score gradients and the feature-map gradients from the
   other, each into its own arena-shaped vector, and merges the two with
@@ -35,8 +36,8 @@ probabilities) so they compose with the manual backprop:
 
 The labeled terms (the task losses, ``confuse_src`` with its two picks per
 row, the source half of ``discrim``) are all the picked-entry log loss,
-``surrogates._picked_log_loss``, which the step calls directly for the
-task losses; the target block term of ``discrim`` takes the guarded log of
+``surrogates._picked_log_loss``, which the step calls once for both task
+losses; the target block term of ``discrim`` takes the guarded log of
 the second-half mass.  Each private core returns the clamp count of its
 guarded logs after its values and gradients; the public functions drop it.
 
@@ -180,11 +181,6 @@ def _by_head(g: np.ndarray, k: int) -> dict[str, np.ndarray]:
     return {HEAD_S: g[:, :k], HEAD_T: g[:, k:]}
 
 
-def _head_pair(raw_a, raw_b) -> np.ndarray:
-    """Two heads' scores [n, K] stacked [2, n, K], each row centered."""
-    return _center(np.asarray([raw_a, raw_b], dtype=float))
-
-
 def _bound_sides(c: np.ndarray, y: np.ndarray, rho) -> tuple[float, float]:
     """The per-step bound's two sides from a centered head pair c [2, n, K]
     of finite scores, 0-based classes y [n] and a checked ``rho``: the mean
@@ -256,7 +252,8 @@ def _symmnets_step(
     here."""
     cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
     cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
-    zs = np.concatenate([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], axis=1)
+    heads_s = np.stack([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]])  # [2, n_s, K]
+    zs = np.concatenate(heads_s, axis=1)
     zt = np.concatenate([cache_t.raw[HEAD_S], cache_t.raw[HEAD_T]], axis=1)
     k = model.head_dim(HEAD_S)
     if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
@@ -267,8 +264,7 @@ def _symmnets_step(
     w = omega[y]
     values: dict[str, float] = {}
     if rho is not None:
-        c = _head_pair(cache_s.raw[HEAD_S], cache_s.raw[HEAD_T])
-        lhs, rhs = _bound_sides(c, y, rho)
+        lhs, rhs = _bound_sides(_center(heads_s), y, rho)
         if lhs > rhs + 1e-9:
             raise ArithmeticError(
                 "disagreement bound violated on a source batch: %.12g > %.12g" % (lhs, rhs)
@@ -278,13 +274,10 @@ def _symmnets_step(
 
     # heads: task terms (+ discrimination when adversarial); feature map:
     # confusion terms through frozen head weights
-    picks = y[:, None]
-    values["task_s"], g_task_s, clamps = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
-    head_grads_src = {HEAD_S: g_task_s}
-    if train_task_t:
-        values["task_t"], g_task_t, n = _picked_log_loss(_softmax(cache_s.raw[HEAD_T]), picks, w)
-        head_grads_src[HEAD_T] = g_task_t
-        clamps += n
+    trained = (HEAD_S, HEAD_T) if train_task_t else (HEAD_S,)
+    task, g_task, clamps = _picked_log_loss(_softmax(heads_s[: len(trained)]), y[:, None], w)
+    values.update(zip(("task_s", "task_t"), map(float, task)))
+    head_grads_src = dict(zip(trained, g_task))
     # one joint softmax per domain, shared by the discrimination and
     # confusion terms
     ps = _softmax(zs)

@@ -254,9 +254,9 @@ EXPECTED_RUNS = {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.c000000000000p-1",
         "losses": {
-            "aux_task": "0x1.41de63909f0e2p+0",
+            "aux_task": "0x1.41de63909f0e4p+0",
             "disagreement": "-0x1.828141bf2fa00p-17",
-            "task": "0x1.4f5e6cc30d375p-1",
+            "task": "0x1.4f5e6cc30d373p-1",
         },
         "proxy": "0x1.e1a2d2f825e00p-11",
         "params": "becb7853e9b3cba48bb3752612c41edf5d3aac7ea335181e1663c5fe3aa23259",
@@ -265,9 +265,9 @@ EXPECTED_RUNS = {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.c000000000000p-1",
         "losses": {
-            "aux_task": "0x1.41dcda3896696p+0",
+            "aux_task": "0x1.41dcda3896697p+0",
             "disagreement": "0x1.ea1fab0773260p-15",
-            "task": "0x1.4f5da12da047dp-1",
+            "task": "0x1.4f5da12da047ep-1",
         },
         "proxy": "0x1.335d7f0756000p-12",
         "params": "8f219f3745fa4a067a133412f79d08ce22f9f8270ad3825ad5c8918325bee16d",
@@ -276,7 +276,7 @@ EXPECTED_RUNS = {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.c000000000000p-1",
         "losses": {
-            "aux_task": "0x1.41d3530be4e99p+0",
+            "aux_task": "0x1.41d3530be4e9ap+0",
             "disagreement": "-0x1.68cac527b47f3p-10",
             "task": "0x1.4f5dd669aa11bp-1",
         },
@@ -375,9 +375,9 @@ EXPECTED_MINIBATCH_RUNS = {
         "source_acc": "0x1.9aaaaaaaaaaabp-1",
         "target_acc": "0x1.d555555555555p-1",
         "losses": {
-            "aux_task": "0x1.995f442afcf47p-1",
+            "aux_task": "0x1.995f442afcf45p-1",
             "disagreement": "0x1.72326875367e3p-12",
-            "task": "0x1.a31f42519d77cp-2",
+            "task": "0x1.a31f42519d77bp-2",
         },
         "proxy": "0x1.316bc3e87e5b4p-8",
         "params": "00de81f5a8fb3b8778e55d5557b63e8ddb649f3b37d934d53629a982f8f3b584",
@@ -397,7 +397,7 @@ EXPECTED_MINIBATCH_RUNS = {
         "source_acc": "0x1.a000000000000p-1",
         "target_acc": "0x1.d000000000000p-1",
         "losses": {
-            "aux_task": "0x1.9e79973ae5460p-1",
+            "aux_task": "0x1.9e79973ae545fp-1",
             "disagreement": "0x1.89c84923ec33bp+0",
             "task": "0x1.a46776dcf3d73p-2",
         },
@@ -579,7 +579,7 @@ EXPECTED_THEORY = {
     "divergence_properties": [
         True,
         {
-            "worst_negative_value": "0x1.2492492492494p-2",
+            "worst_negative_value": "0x1.2492492492492p-2",
             "worst_triangle_excess": "-0x1.35027471b3840p-7",
             "largest_asymmetry_witness": "0x1.7dfbb35aaef04p-2",
         },

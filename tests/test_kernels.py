@@ -10,9 +10,10 @@ gradients for every line-search trial, is the oracle whose value the L-BFGS
 ascent must reach at the same budget.
 
 ``TestOneKernelPerObject`` scans the library source: the ramp clamp, the
-row centering, the per-component disagreement, the violation-matrix diagonal
-and the signed decision margin may each be spelled out in one function
-only, their kernel in ``mcsda.margin``; the scaled-L1, symmetrized-KL and
+row centering, the per-component disagreement, the violation-matrix diagonal,
+the signed decision margin, the point-weighted sum and the quiet block may
+each be spelled out in one function only, their kernel in ``mcsda.margin``;
+the scaled-L1, symmetrized-KL and
 symmetrized-CE rows, the guarded log and the picked-entry log loss
 likewise, their kernels in ``mcsda.surrogates``; the margin error, its
 kernel in ``mcsda.divergence``.  Outside the guarded log, the library takes
@@ -622,11 +623,20 @@ KERNEL_RULES = {
         re.compile(r"\.shape\[(-1|1)\] < 2\b|\.size < 2\b"),
         ("margin.py", "_check_scores"),
     ),
-    # centering under suppressed floating-point errors, checked after: the
-    # one place that centers scores a caller supplied
-    "overflow-guarded centering": (
+    # work under suppressed floating-point errors, checked after: the one
+    # quiet block, where scores a caller supplied are centered
+    "quiet block": (
         re.compile(r"\berrstate\("),
-        ("margin.py", "_center_checked"),
+        ("margin.py", "_quiet_finite"),
+    ),
+    # a sum over points under masses or row weights, as a dot or a product
+    # with the weights; the linear maps x @ w.T are not sums over points
+    "weighted point sum": (
+        re.compile(
+            r"@ (np\.abs\(|_as_weights\()?w(eights)?\b(?!\.T)"
+            r"|\b(np\.abs\()?w(eights)?\)? @ |\bnp\.dot\("
+        ),
+        ("margin.py", "_weighted_sum"),
     ),
     # a hand-written margin-width check: rho as a checked real, or rho or its
     # half compared with 0
@@ -745,9 +755,13 @@ class TestOneKernelPerObject:
             ("class-count check", "def c(s):\n    return s.ndim != 2 or s.shape[1] < 2\n"),
             ("class-count check", "def c(a):\n    if a.size < 2:\n        raise ValueError(a)\n"),
             (
-                "overflow-guarded centering",
+                "quiet block",
                 "def c(s):\n    with np.errstate(over='ignore'):\n        return _center(s)\n",
             ),
+            ("weighted point sum", "def s(rows, w):\n    return float(rows @ w)\n"),
+            ("weighted point sum", "def s(x, w):\n    return np.dot(x, w)\n"),
+            ("weighted point sum", "def s(x, weights):\n    return x @ weights\n"),
+            ("weighted point sum", "def s(q, w):\n    return -float(np.abs(w) @ q)\n"),
             ("margin-width rule", "def r(self):\n    _check_real(self.rho, 'rho', 0.0)\n"),
             (
                 "margin-width rule",
@@ -757,6 +771,10 @@ class TestOneKernelPerObject:
     )
     def test_scan_flags_a_reintroduced_duplicate(self, name, source):
         assert (name, "dup.py", source[4]) in kernel_spellings(source, "dup.py")
+
+    def test_scan_leaves_linear_maps_alone(self):
+        source = "def f(x, w, b, w1):\n    return x @ w.T + b, (x @ w1.T) @ w1\n"
+        assert kernel_spellings(source, "ok.py") == set()
 
 
 def global_statements(source: str, path: str) -> set[tuple[str, int, str]]:

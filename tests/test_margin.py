@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mcsda.divergence import (
     SampleSet,
     ScorerGrid,
+    linear_scorer,
     margin_error,
     mcsd_divergence_exact,
     mcsd_rows,
@@ -31,6 +32,7 @@ from mcsda.margin import (
     _check_real,
     _check_scores,
     _check_weights,
+    _weighted_sum,
     absolute_margin,
     argmax_label,
     as_scores,
@@ -369,6 +371,41 @@ TAKES_LABEL = ["absolute_margin", "relative_margin", "source_margin_loss"]
 TAKES_PAIR = ["mcsd_pointwise", "mcsd_tilde_pointwise", "mcsd_hat_pointwise"]
 
 
+def row_dots(rows, w):
+    """The weighted sums' oracle: one 1-D ``np.dot`` per row, each row
+    copied contiguous."""
+    out = np.empty(rows.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = np.dot(np.ascontiguousarray(rows[idx]), w)
+    return out
+
+
+def weighted_rows(rng, lead, n, layout):
+    """Rows [*lead, n] laid out contiguous, as a transpose, or as the sum over
+    fancy-indexed picks of a stack, which puts the leading axes innermost."""
+    if layout == "contiguous":
+        return rng.normal(size=(*lead, n))
+    if layout == "transposed":
+        return np.transpose(rng.normal(size=(n, *lead[::-1])))
+    base = rng.normal(size=(*lead, n, 3))
+    picks = rng.integers(0, 3, size=(n, 2))
+    return base[..., np.arange(n)[:, None], picks].sum(axis=-1)
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "fancy"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 32, 33, 96, 127, 128, 129, 600])
+    def test_each_sum_is_its_rows_contiguous_dot(self, n, layout):
+        rng = np.random.default_rng(n)
+        for lead in [(), (3,), (4, 4), (2, 5)]:
+            rows = weighted_rows(rng, lead, n, layout)
+            assert rows.shape == (*lead, n)
+            for w in (rng.dirichlet(np.ones(n)), rng.normal(size=n)):
+                got = _weighted_sum(rows, w)
+                assert np.shape(got) == lead
+                assert np.array_equal(got, row_dots(rows, w))
+
+
 class TestPublicValidation:
     @pytest.mark.parametrize("name", sorted(PUBLIC))
     def test_good_arguments_pass(self, name):
@@ -408,15 +445,34 @@ class TestPublicValidation:
                 ),
                 "candidate 0's scores",
             ),
+            # the product w x overflows before the centering
+            (
+                lambda f: ScorerGrid([linear_scorer([[f[0]], [0.0]], [f[1], 0.0])], 2).evaluate(
+                    [[10.0]]
+                ),
+                "linear scorer's scores",
+            ),
         ],
         ids=[
             "as_scores", "ScoreVector", "disagreement_bound_gap", "ScorerGrid.evaluate",
-            "mcsd_divergence_exact", "pac_bound_report",
+            "mcsd_divergence_exact", "pac_bound_report", "linear_scorer",
         ],
     )
     def test_centering_overflow_is_named_before_numpy_warns(self, call, name):
         with pytest.raises(ValueError, match="^centered %s must be finite" % name):
             call([1.7e308, 1.7e308])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scores, want",
+        [
+            ([1.7e308, -1.7e308], [1.0, 0.0]),
+            ([-1.7e308, 0.0, 1.7e308], [0.0, 0.0, 1.0]),
+            ([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]], [[1.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_softmax_of_a_row_wider_than_the_float_range_is_clean(self, scores, want):
+        assert np.array_equal(softmax(scores), want)
 
     @pytest.mark.parametrize("name", TAKES_RHO)
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf, 5e-324, 1e-320])

@@ -86,6 +86,21 @@ class TestSoftmax:
             softmax([1.0])
 
 
+class TestPickedLogLoss:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_stacked_head_scores_as_it_does_alone(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(40):
+            n, k = int(rng.integers(2, 90)), int(rng.integers(2, 6))
+            p = _softmax(3.0 * rng.normal(size=(3, n, k)))
+            c, w = rng.integers(0, k, size=(n, m)), rng.random(n)
+            values, g, clamps = _picked_log_loss(p, c, w)
+            alone = [_picked_log_loss(p[h], c, w) for h in range(3)]
+            assert [float(v) for v in values] == [a[0] for a in alone]
+            assert np.array_equal(g, [a[1] for a in alone])
+            assert clamps == sum(a[2] for a in alone)
+
+
 class TestSigmoid:
     def test_values(self):
         assert sigmoid(np.array(0.0)) == 0.5

@@ -11,10 +11,17 @@ from mcsda.divergence import SampleSet, ScorerGrid, margin_error, mcsd_divergenc
 from mcsda.margin import _center
 from mcsda.neural import MlpScorer, SgdMomentum
 from mcsda.surrogates import _softmax, softmax
+from mcsda.surrogates import _picked_log_loss
 from mcsda.symmnets import (
     HEAD_S,
     HEAD_T,
     OpensetEval,
+    _bound_sides,
+    _by_head,
+    _confuse_src,
+    _confuse_tgt,
+    _discrim,
+    _symmnets_step,
     confuse_src,
     confuse_tgt,
     disagreement_bound_gap,
@@ -238,9 +245,10 @@ class TestSymmnetsStep:
         for k, v in self.model.params().items():
             assert np.array_equal(before[k], v), k
 
-    @pytest.mark.parametrize("adversarial, calls", [(True, 4), (False, 3)])
+    @pytest.mark.parametrize("adversarial, calls", [(True, 3), (False, 2)])
     def test_one_softmax_per_joint_score_matrix(self, monkeypatch, adversarial, calls):
-        # two task losses, then the joint softmax of each domain the step uses
+        # both task heads stacked, then the joint softmax of each domain the
+        # step uses
         counted = []
 
         def counting(scores):
@@ -251,9 +259,8 @@ class TestSymmnetsStep:
         stepped(self.model, self.opt, self.pair.source.points,
                       self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01,
                       adversarial=adversarial, rho=1.0)
-        assert len(counted) == calls
         n_s, n_t = self.pair.source.n, self.pair.target.n
-        assert counted[2:] == [(n_s, 6), (n_t, 6)][: calls - 2]
+        assert counted == [(2, n_s, 3), (n_s, 6), (n_t, 6)][:calls]
 
     @pytest.mark.parametrize("adversarial, calls", [(True, 2), (False, 1)])
     def test_one_backward_per_domain(self, monkeypatch, adversarial, calls):
@@ -279,6 +286,74 @@ class TestSymmnetsStep:
                       self.pair.source.labels, self.pair.target.points, lam=0.5, lr=0.01)
         moved = [not np.array_equal(before[k], v) for k, v in self.model.params().items()]
         assert all(moved)
+
+
+def per_head_step(model, src_x, y, tgt_x, lam, omega, adversarial, train_task_t, rho):
+    """The SymmNets step composed head by head: each task loss from its own
+    softmax and picked-entry log loss call, and the bound from the two heads'
+    scores stacked on their own.  The oracle of the stacked step."""
+    cache_s = model.forward(src_x, heads=(HEAD_S, HEAD_T))
+    cache_t = model.forward(tgt_x, heads=(HEAD_S, HEAD_T))
+    zs = np.concatenate([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], axis=1)
+    zt = np.concatenate([cache_t.raw[HEAD_S], cache_t.raw[HEAD_T]], axis=1)
+    k = model.head_dim(HEAD_S)
+    w = omega[y]
+    values = {}
+    if rho is not None:
+        pair = _center(np.asarray([cache_s.raw[HEAD_S], cache_s.raw[HEAD_T]], dtype=float))
+        values["bound_lhs"], values["bound_rhs"] = _bound_sides(pair, y, rho)
+    picks = y[:, None]
+    values["task_s"], g_task_s, clamps = _picked_log_loss(_softmax(cache_s.raw[HEAD_S]), picks, w)
+    head_grads_src = {HEAD_S: g_task_s}
+    if train_task_t:
+        values["task_t"], g_task_t, n = _picked_log_loss(_softmax(cache_s.raw[HEAD_T]), picks, w)
+        head_grads_src[HEAD_T] = g_task_t
+        clamps += n
+    ps = _softmax(zs)
+    if adversarial:
+        pt = _softmax(zt)
+        values["discrim"], g_disc_s, g_disc_t, n = _discrim(ps, y, pt, w)
+        clamps += n
+        head_grads_src = {
+            h: head_grads_src[h] + g if h in head_grads_src else g
+            for h, g in _by_head(g_disc_s, k).items()
+        }
+    values["confuse_src"], g_conf_s, n = _confuse_src(ps, y, w)
+    clamps += n
+    (flat, views), (flat_t, views_t) = model._zero_grads(), model._zero_grads()
+    model._backward(cache_s, head_grads_src, _by_head(g_conf_s, k), views)
+    if adversarial:
+        values["confuse_tgt"], g_conf_t, n = _confuse_tgt(pt)
+        clamps += n
+        model._backward(cache_t, _by_head(g_disc_t, k), _by_head(lam * g_conf_t, k), views_t)
+        flat += flat_t
+    return values, flat, clamps
+
+
+class TestStackedStepMatchesPerHeadOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "adversarial, train_task_t", [(True, True), (True, False), (False, True)]
+    )
+    @pytest.mark.parametrize("rho", [1.0, None])
+    def test_values_gradients_and_clamps_are_bit_identical(self, k, adversarial, train_task_t, rho):
+        rng = np.random.default_rng(k)
+        model = two_head_model(k, seed=k)
+        omega = rng.uniform(0.5, 1.5, size=k)
+        xs, xt = rng.normal(size=(13, 2)), rng.normal(size=(8, 2))
+        y = rng.integers(0, k, size=13)
+        # then every parameter 40 times as large: saturated softmax entries
+        # make the guarded logs clamp
+        for scale in (1.0, 40.0):
+            model.theta *= scale
+            args = (model, xs, y, xt, 0.7, omega, adversarial, train_task_t, rho)
+            grads = (model._zero_grads(), model._zero_grads())
+            got = _symmnets_step(*args, grads=grads)
+            want = per_head_step(*args)
+            assert list(got[0].items()) == list(want[0].items())
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert (got[2] > 0) == (scale > 1.0)
 
 
 class TestTaskTrainingEarnsMargins:

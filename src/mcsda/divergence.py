@@ -57,10 +57,10 @@ classes that ``margin._check_labels`` returns.  Points have one checker,
 trusted from then on, and every function that takes raw points (the
 estimators and ``ScorerGrid.evaluate``) runs it once per sample through
 ``_as_sample``, then hands the grid the checked sample.  Scores have one
-checker, ``margin._check_scores``; the grid checks its candidates' scores
-with its core, ``_check_reals``, and centers them with
-``margin._center_checked``, which names an overflow.  ``rho`` has one rule,
-``margin._check_rho``.  ``violation_tensor`` and the single-vector
+checker, ``margin._check_scores``; scorers return raw scores, which the
+grid checks with its core, ``_check_reals``, and centers once per candidate
+with ``margin._center_checked``, which names an overflow.  ``rho`` has one
+rule, ``margin._check_rho``.  ``violation_tensor`` and the single-vector
 ``margin`` functions stay as reference oracles.
 """
 
@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
+from .margin import _batch_pair, _center, _center_checked, _centered, _check_count, _check_labels
 from .margin import _check_points, _check_real, _check_reals, _check_rho, _check_scores
 from .margin import _check_weights, _component_disagreement, _decision_level, _decision_margin
 from .margin import _integer_labels, _quiet_finite, _ramp_clamp, _violation_matrix, _weighted_sum
@@ -159,9 +159,9 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 
 def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Centered linear scorer x -> center(w x + b), from K >= 2 finite
-    biases b and finite weights w [K, d], checked here; scores that overflow
-    end in a ValueError."""
+    """Linear scorer x -> w x + b, raw scores for a grid or a margin
+    function to center, from K >= 2 finite biases b and finite weights
+    w [K, d], checked here; scores that overflow end in a ValueError."""
     b = _check_scores(b, "b", 1)
     w = _check_reals(w, "w", "a [K, d] array")
     if w.ndim != 2 or w.shape[0] != b.size or w.shape[1] < 1:
@@ -178,7 +178,7 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
                 "points have %d features, the scorer's weights take %d"
                 % (pts.shape[-1], w.shape[-1])
             )
-        return _quiet_finite(lambda: _center(pts @ w.T + b), "centered linear scorer's scores")
+        return _quiet_finite(lambda: pts @ w.T + b, "linear scorer's scores")
 
     return score
 
@@ -186,9 +186,9 @@ def linear_scorer(w: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.nda
 class ScorerGrid:
     """Finite family of scorer callables sharing one class count K.
 
-    Each scorer maps a batch of points [n, d] to scores [n, K]; rows are
-    re-centered on evaluation so downstream margin kernels see sum-to-zero
-    vectors regardless of how a candidate was built.
+    Each scorer maps a batch of points [n, d] to raw scores [n, K]; each
+    candidate's rows are checked and centered once, on evaluation, so the
+    margin kernels see sum-to-zero vectors whatever the candidate returns.
     """
 
     def __init__(self, scorers: Sequence[Callable[[np.ndarray], np.ndarray]], k: int) -> None:
@@ -217,14 +217,14 @@ class ScorerGrid:
 
 
 def violation_tensor(scores, rho: float) -> np.ndarray:
-    """Stacked violation matrices for centered scores of shape [..., K].
+    """Stacked violation matrices of scores [..., K], centered here.
 
     Returns [..., K, K] with entry (i, j) = ramp(mu_i(f, j), rho); agrees
     entrywise with the single-vector ``margin.violation_matrix``.  Reference
     oracle; production paths use ``mcsd_rows``.
     """
     rho = _check_rho(rho)
-    return _violation_matrix(_check_scores(scores, "scores", None), rho)
+    return _violation_matrix(_centered(scores, "scores", None), rho)
 
 
 def _signed_ramps(s: np.ndarray, rho) -> np.ndarray:
@@ -247,15 +247,15 @@ def _rows_from_ramps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 
 
 def mcsd_rows(a, b, rho: float) -> np.ndarray:
-    """Pointwise scoring disagreement of two centered score batches of one
-    shape [..., K]; returns [...].
+    """Pointwise scoring disagreement of two score batches of one shape
+    [..., K], centered here; returns [...].
 
     Equals ``|violation_tensor(a) - violation_tensor(b)|`` summed over the
     last two axes and divided by K, in O(K) per point: row i of a violation
     matrix holds ramp(-f_i) K-1 times and ramp(f_i) once.
     """
     rho = _check_rho(rho)
-    return _mcsd_rows(np.stack(_batch_pair(a, b, "a", "b", None)), rho)
+    return _mcsd_rows(np.stack(_batch_pair(a, b, "a", "b", None, _centered)), rho)
 
 
 def _mcsd_rows(ab: np.ndarray, rho) -> np.ndarray:
@@ -525,6 +525,7 @@ def mcsd_divergence_adversarial(
     k = _check_count(k, "K", 2)
     steps = _check_count(steps, "steps", 0)
     step_size = _check_real(step_size, "step_size", 0.0, open_low=True)
+    seed = _check_count(seed, "seed", 0)
     rho = _check_rho(rho)
     src, tgt = _as_sample(src, "src"), _as_sample(tgt, "tgt")
     d = _check_widths(src, tgt)
@@ -576,13 +577,10 @@ def mcsd_divergence_adversarial(
         return [s + t for s, t in zip(*terms)]
 
     def exact_objective(kept):
-        # the value pass centers ``x @ w.T + b`` as ``linear_scorer`` does; the
-        # finiteness check and the second centering are ``ScorerGrid.evaluate``'s,
-        # so every point scores bit-identically to the same pair inside a grid
         ab = np.stack(kept[:2])
         if not np.isfinite(ab).all():
             raise ValueError("ascent head pair produced non-finite scores")
-        return weighted(_mcsd_rows(_center(ab), rho))
+        return weighted(_mcsd_rows(ab, rho))
 
     trajectory, visited, best = [], [], None
 
@@ -678,6 +676,7 @@ def rademacher_estimate(
     signed sum, and the estimate is the mean over draws divided by the
     sample size.
     """
+    seed = _check_count(seed, "seed", 0)
     return _rademacher(grid.evaluate(_as_sample(sample, "sample")), sigma_draws, seed)
 
 
@@ -716,7 +715,7 @@ def _margin_violations(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 def margin_error(scores: np.ndarray, labels, rho: float, weights=None) -> float:
     """Expected sum of ramped absolute-margin violations under point masses."""
     rho = _check_rho(rho)
-    s = _check_scores(scores, "scores")
+    s = _centered(scores, "scores", 2)
     per_point = _margin_violations(_signed_ramps(s, rho), _check_labels(labels, *s.shape))
     return float(_weighted_sum(per_point, _as_weights(weights, per_point.shape[0])))
 
@@ -797,8 +796,10 @@ def pac_bound_report(
     for name, sample in (("src", src), ("tgt", tgt)):
         if not isinstance(sample, SampleSet) or sample.labels is None:
             raise ValueError("bound report needs %s as a labelled SampleSet" % name)
+    _check_widths(src, tgt)
     delta = _check_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     rho = _check_rho(rho)
+    seed = _check_count(seed, "seed", 0)
     k = grid.k
     n_s, n_t = src.n, tgt.n
     scores_src = grid.evaluate(src)

@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
         return 2
     try:
         result = run_experiment(pair, cfg)
-    except ArithmeticError as exc:  # the per-step disagreement bound
+    except BoundViolation as exc:  # SymmNets' per-step disagreement bound
         print("BOUND VIOLATED: %s" % exc)
         return 2
     line = "%s seed=%d converged=%s source_acc=%.4f target_acc=%.4f" % (

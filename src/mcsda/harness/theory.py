@@ -21,8 +21,9 @@ each raw score draw with ``margin._center``, which rounds like the per-draw
 single-vector replay, through which the runner passes the first 64 draws:
 the public functions (``ramp_loss``, ``absolute_margin``,
 ``mcsd_pointwise``, ``phi_distance``, ``source_margin_loss``,
-``mcsd_tilde/hat_pointwise``, ``softmax``, ``sur_*``) on the draw, centered
-by the replay itself; their largest difference from the batched values is
+``mcsd_tilde/hat_pointwise``, ``softmax``, ``sur_*``) on the raw draw,
+which they center (``phi_distance``, which takes component values, on the
+centered draw); their largest difference from the batched values is
 ``single_vector_gap``, and a gap above 1e-12 fails the check.  A public
 function that raises ``ValueError`` in a replay (its checks reject a NaN
 that a kernel returned, say) fails the check too, with ``single_vector_gap``
@@ -336,7 +337,7 @@ def check_margin_decision(seed: int, trials: int) -> CheckResult:
     """All absolute margins >= 0 with one > 0 forces the argmax decision."""
 
     def statement(_, __, f, y):
-        c = _center(_center(f))
+        c = _center(f)
         mu = _absolute_margin(c, y - 1)
         dec = c.argmax(axis=-1) + 1
         forced = np.all(mu >= 0, axis=-1) & np.any(mu > 0, axis=-1)
@@ -345,8 +346,7 @@ def check_margin_decision(seed: int, trials: int) -> CheckResult:
 
     def replay(draw):
         _, f, y = draw
-        s = _center(f)
-        return absolute_margin(s, y), argmax_label(s)
+        return absolute_margin(f, y), argmax_label(f)
 
     def rule(m, gap):
         violations = int(np.count_nonzero(m["violated"]))
@@ -372,15 +372,14 @@ def check_prop3_identity(seed: int, trials: int, mutant_rho_scale: float = 1.0) 
     def statement(group, _, __, f1, f2):
         k, rho = group
         s1, s2 = _center(f1), _center(f2)
-        lhs = k * _matrix_disagreement(_center(s1), _center(s2), rho)
+        lhs = k * _matrix_disagreement(s1, s2, rho)
         rhs = np.sum(_phi_distance(s1, s2, rho * mutant_rho_scale, k), axis=-1)
         return {"gap": np.abs(lhs - rhs)}, (lhs, rhs)
 
     def replay(draw):
         k, rho, f1, f2 = draw
-        s1, s2 = _center(f1), _center(f2)
-        phi = phi_distance(s1, s2, rho * mutant_rho_scale, k)
-        return k * mcsd_pointwise(s1, s2, rho), np.sum(phi)
+        phi = phi_distance(_center(f1), _center(f2), rho * mutant_rho_scale, k)
+        return k * mcsd_pointwise(f1, f2, rho), np.sum(phi)
 
     def rule(m, gap):
         worst = _worst(m["gap"], 0.0)
@@ -399,7 +398,7 @@ def _lemma_batch(rho, f, fp, y):
     """Per group of lemma draws: the scores the kernels see, the margin
     losses of both scorers (at the 0-based classes of the drawn labels)
     and the 0-1 error of f."""
-    c, cp = _center(_center(f)), _center(_center(fp))
+    c, cp = _center(f), _center(fp)
     lf, lfp = _margin_violations(_signed_ramps(np.stack([c, cp]), rho[:, None]), y - 1)
     err = (c.argmax(axis=-1) + 1 != y).astype(np.float64)
     return (c, cp), (lf, lfp), err
@@ -422,10 +421,9 @@ def check_pointwise_lemmas(seed: int, trials: int) -> CheckResult:
 
     def replay(draw):
         _, rho, f, fp, y = draw
-        s, sp = _center(f), _center(fp)
-        m = mcsd_pointwise(s, sp, rho)
-        err = 1.0 if argmax_label(s) != y else 0.0
-        return m, m, source_margin_loss(s, y, rho), source_margin_loss(sp, y, rho), err
+        m = mcsd_pointwise(f, fp, rho)
+        err = 1.0 if argmax_label(f) != y else 0.0
+        return m, m, source_margin_loss(f, y, rho), source_margin_loss(fp, y, rho), err
 
     def rule(m, gap):
         worst_a, worst_b = _worst(m["a"]), _worst(m["b"])
@@ -452,12 +450,11 @@ def check_variant_lemmas(seed: int, trials: int) -> CheckResult:
 
     def replay(draw):
         _, rho, f, fp, y = draw
-        s, sp = _center(f), _center(fp)
         return (
-            mcsd_tilde_pointwise(s, sp, rho),
-            mcsd_hat_pointwise(s, sp, rho),
-            source_margin_loss(s, y, rho),
-            source_margin_loss(sp, y, rho),
+            mcsd_tilde_pointwise(f, fp, rho),
+            mcsd_hat_pointwise(f, fp, rho),
+            source_margin_loss(f, y, rho),
+            source_margin_loss(fp, y, rho),
         )
 
     def rule(m, gap):
@@ -477,7 +474,7 @@ def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
     tolerances."""
 
     def statement(k, _, rho, *raw):
-        c1, c2, c3 = (_center(_center(f)) for f in raw)
+        c1, c2, c3 = (_center(f) for f in raw)
         # pairs (1, 2), (2, 1), (1, 3), (2, 3), (1, 1)
         d = _disagreements(
             np.stack([c1, c2, c1, c2, c1]), np.stack([c2, c1, c3, c3, c1]), rho[:, None]
@@ -488,9 +485,8 @@ def check_mcsd_metric(seed: int, trials: int) -> CheckResult:
         return {"ok": ok, "triangle": excess[0], "kernel": excess[1]}, tuple(d.reshape(10, -1))
 
     def replay(draw):
-        _, rho, *raw = draw
-        s1, s2, s3 = (_center(f) for f in raw)
-        pairs = ((s1, s2), (s2, s1), (s1, s3), (s2, s3), (s1, s1))
+        _, rho, f1, f2, f3 = draw
+        pairs = ((f1, f2), (f2, f1), (f1, f3), (f2, f3), (f1, f1))
         return [mcsd_pointwise(a, b, rho) for a, b in pairs] * 2
 
     def rule(m, gap):
@@ -763,6 +759,7 @@ def run_theory_checks(
     seed: int = 0, trials: int = 2000, n_universes: int = 20
 ) -> TheoryReport:
     """Run the whole suite; every check must pass on a correct build."""
+    seed = _check_count(seed, "seed", 0)
     trials = _check_count(trials, "trials", 1)
     n_universes = _check_count(n_universes, "n_universes", 1)
     checks = [

@@ -24,8 +24,9 @@ Conventions, fixed across the package:
   one-label form ``_check_label``), which returns the classes that the
   kernels and training steps take;
 * argmax ties resolve to the lowest index;
-* score vectors are projected onto the sum-to-zero hyperplane by
-  subtracting the mean at construction time.
+* a function that reads a margin from class scores centers them (projects
+  them onto the sum-to-zero hyperplane) at its entry, through ``_centered``,
+  and nothing that produces scores does: scorers return raw scores.
 
 This module holds the package's one checker per kind of input, each naming
 the parameter it rejects in a ``ValueError``: ``_check_count`` (an integer
@@ -140,12 +141,12 @@ def _weighted_sum(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(rows)[..., None, :] @ w[:, None]).reshape(rows.shape[:-1])
 
 
-def _centered(scores: ScoresLike, name: str) -> np.ndarray:
-    """The centered score vector behind a ScoreVector, or a validated,
-    centered, read-only copy of one raw score vector, the argument ``name``."""
-    if isinstance(scores, ScoreVector):
+def _centered(scores: ScoresLike, name: str, rank: int | None = 1) -> np.ndarray:
+    """Scores ``name`` checked by ``_check_scores`` at ``rank`` and centered,
+    read-only; a ScoreVector, centered already, is taken as one vector."""
+    if rank == 1 and isinstance(scores, ScoreVector):
         return scores.scores
-    arr = _center_checked(_check_scores(scores, name, 1), "centered " + name)
+    arr = _center_checked(_check_scores(scores, name, rank), "centered " + name)
     arr.flags.writeable = False
     return arr
 
@@ -248,10 +249,10 @@ def _check_scores(scores, name: str, rank: int | None = 2) -> np.ndarray:
     return s
 
 
-def _batch_pair(a, b, name_a: str, name_b: str, rank: int | None = 2):
-    """Two score arrays of one shape, each checked by ``_check_scores`` at
-    ``rank`` as its argument name."""
-    a, b = _check_scores(a, name_a, rank), _check_scores(b, name_b, rank)
+def _batch_pair(a, b, name_a: str, name_b: str, rank: int | None = 2, check=_check_scores):
+    """Two score arrays of one shape, each checked as its argument name by
+    ``check`` at ``rank``: ``_check_scores``, or ``_centered`` to center too."""
+    a, b = check(a, name_a, rank), check(b, name_b, rank)
     if a.shape != b.shape:
         raise ValueError(
             "%s and %s must have one shape, got %r and %r" % (name_a, name_b, a.shape, b.shape)

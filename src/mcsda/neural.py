@@ -3,9 +3,8 @@
 The experiments only need a fixed architecture: a feature map psi made of
 affine layers each followed by tanh, and one or more linear heads on top of
 the shared features, each given by its name and output width.  ``forward``
-returns raw head outputs; scores are centered (minus their row mean) before
-any margin computation, by margin's kernel ``_center`` in ``scorer`` and in
-SymmNets' head pairs.
+returns raw head outputs, and so does ``scorer``: whoever reads a margin
+from them centers them (subtracts their row mean), as ``margin`` states.
 Softmax-based losses are shift invariant, so their gradients are taken with
 respect to the raw head outputs and already sum to zero per row.
 
@@ -48,7 +47,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .margin import _center, _check_count, _check_real
+from .margin import _check_count, _check_real
 
 __all__ = [
     "Schedules",
@@ -301,15 +300,10 @@ class MlpScorer:
                 dfeat = dz @ self._psi[i][0]
 
     def scorer(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
-        """Callable batch -> centered scores, for the divergence estimators."""
+        """Callable batch -> raw head scores, for the divergence estimators."""
         if name not in self._heads:
             raise KeyError("unknown head %r" % name)
-
-        def score(points: np.ndarray) -> np.ndarray:
-            raw = self.forward(points, heads=(name,)).raw[name]
-            return _center(raw)
-
-        return score
+        return lambda points: self.forward(points, heads=(name,)).raw[name]
 
     # -- checkpointing --------------------------------------------------------
 

@@ -61,8 +61,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import SampleSet, _margin_violations, _rows_from_ramps, _signed_ramps
-from .margin import _batch_pair, _center, _center_checked, _check_count, _check_labels
+from .divergence import BoundViolation, SampleSet, _margin_violations, _rows_from_ramps
+from .divergence import _signed_ramps
+from .margin import _batch_pair, _center, _centered, _check_count, _check_labels
 from .margin import _check_real, _check_rho, _check_scores, _check_weights
 from .neural import MlpScorer
 from .surrogates import _ce, _chain_softmax, _guarded_log, _picked_log_loss, _softmax
@@ -195,8 +196,7 @@ def disagreement_bound_gap(raw_s, raw_t, labels, rho: float) -> tuple[float, flo
     """Source-batch check that mean disagreement of the two heads stays below
     the sum of their margin errors: returns (lhs, rhs) of that inequality."""
     rho = _check_rho(rho)
-    s, t = _batch_pair(raw_s, raw_t, "raw_s", "raw_t")
-    c = _center_checked(np.stack([s, t]), "centered raw_s and raw_t")
+    c = np.stack(_batch_pair(raw_s, raw_t, "raw_s", "raw_t", 2, _centered))
     return _bound_sides(c, _check_labels(labels, *c.shape[-2:]), rho)
 
 
@@ -225,9 +225,10 @@ def symmnets_step(
     adversarial).  Returns the loss values for metrics and the merged
     parameter gradients as one vector shaped like ``model.theta``, ready
     for ``SgdMomentum.step``; with ``rho`` given the values also report
-    (and the step enforces) the per-step bound of the mean head
-    disagreement by the sum of the two source margin errors.  A batch whose
-    scores are not finite returns ``task_s`` NaN and no gradients.
+    (and the step enforces, by ``divergence.BoundViolation``) the per-step
+    bound of the mean head disagreement by the sum of the two source margin
+    errors.  A batch whose scores are not finite returns ``task_s`` NaN and
+    no gradients.
     """
     k = model.head_dim(HEAD_S)
     y = _check_labels(src_y, np.atleast_2d(src_x).shape[0], k)
@@ -266,7 +267,7 @@ def _symmnets_step(
     if rho is not None:
         lhs, rhs = _bound_sides(_center(heads_s), y, rho)
         if lhs > rhs + 1e-9:
-            raise ArithmeticError(
+            raise BoundViolation(
                 "disagreement bound violated on a source batch: %.12g > %.12g" % (lhs, rhs)
             )
         values["bound_lhs"] = lhs
@@ -334,6 +335,7 @@ def openset_sampler(
     if sample.labels is None:
         raise ValueError("open-set sampling needs labeled data")
     batch_size = _check_count(batch_size, "batch_size", 1)
+    seed = _check_count(seed, "seed", 0)
     labels = sample.labels
     k_total = int(labels.max())
     by_class = [np.flatnonzero(labels == c) for c in range(1, k_total + 1)]

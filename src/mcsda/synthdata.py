@@ -117,6 +117,7 @@ def gen_rotated_moons(
     n_src, n_tgt = _check_count(n_src, "n_src", 2), _check_count(n_tgt, "n_tgt", 2)
     _check_real(noise_sd, "noise_sd", 0.0)
     _check_real(angle_deg, "angle_deg")
+    seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     src_pts, src_lab = _moons_sample(rng, n_src, noise_sd)
     tgt_pts, tgt_lab = _moons_sample(rng, n_tgt, noise_sd)
@@ -160,6 +161,7 @@ def gen_gauss_blobs(
     shift = np.array([_check_real(v, "shift_vector") for v in np.ravel(shift_vector)])
     if shift.size != 2:
         raise ValueError("shift_vector must have 2 components")
+    seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     means = blob_means(k, radius)
 

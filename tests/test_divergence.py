@@ -35,7 +35,9 @@ from mcsda.margin import (
     source_margin_loss,
     violation_matrix,
 )
+from mcsda.harness.theory import run_theory_checks
 from mcsda.surrogates import log_loss_with_grads
+from mcsda.symmnets import openset_sampler
 from mcsda.synthdata import gen_gauss_blobs, gen_rotated_moons
 
 
@@ -477,6 +479,22 @@ SCORES3 = np.array([[1.0, -1.0], [-0.5, 0.5], [0.2, -0.2]])
 F3 = GRID3.scorers[0]
 
 
+LABELLED3 = SampleSet(PTS3, [1, 2, 1])
+SEED_ENTRIES = {
+    "rademacher_estimate": lambda seed: rademacher_estimate(PTS3, GRID3, sigma_draws=2, seed=seed),
+    "mcsd_divergence_adversarial": lambda seed: mcsd_divergence_adversarial(
+        PTS3, PTS3, 2, 1.0, steps=1, seed=seed
+    ),
+    "pac_bound_report": lambda seed: pac_bound_report(
+        LABELLED3, LABELLED3, GRID3, 1.0, sigma_draws=2, seed=seed
+    ),
+    "gen_rotated_moons": lambda seed: gen_rotated_moons(4, 4, 30.0, seed=seed),
+    "gen_gauss_blobs": lambda seed: gen_gauss_blobs(2, 2, (1.0, 0.0), seed=seed),
+    "openset_sampler": lambda seed: openset_sampler(LABELLED3, 2.0, 2, seed=seed),
+    "run_theory_checks": lambda seed: run_theory_checks(seed=seed, trials=1, n_universes=1),
+}
+
+
 class TestMassesAndCounts:
     """Masses and weights must be finite and non-negative, never passed on
     as a NaN result; counts must be integers, never truncated."""
@@ -513,6 +531,13 @@ class TestMassesAndCounts:
     def test_grid_k_must_be_an_integer_of_at_least_2(self, bad):
         with pytest.raises(ValueError, match="K must"):
             ScorerGrid(GRID3.scorers, bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1.5, -1, np.nan, "3"])
+    @pytest.mark.parametrize("entry", list(SEED_ENTRIES))
+    def test_seed_must_be_a_non_negative_integer(self, entry, bad):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            SEED_ENTRIES[entry](bad)
 
     def test_integral_counts_are_taken_as_ints(self):
         est = rademacher_estimate(PTS3, GRID3, sigma_draws=3.0, seed=4)
@@ -558,12 +583,18 @@ class TestPointsChecks:
             call(BAD_POINTS[kind])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("entry", ["exact", "variant", "adversarial"])
+    @pytest.mark.parametrize("entry", ["exact", "variant", "adversarial", "pac"])
     def test_sample_widths_must_agree(self, entry):
+        # scores that ignore the points, so only the width check can object
+        any_width = ScorerGrid([lambda x: np.zeros((len(x), 2)), lambda x: np.ones((len(x), 2))], 2)
         call = {
             "exact": lambda t: mcsd_divergence_exact(PTS3, t, GRID3, 1.0),
             "variant": lambda t: divergence_exact_variant(PTS3, t, GRID3, 1.0),
             "adversarial": lambda t: mcsd_divergence_adversarial(PTS3, t, 2, 1.0, steps=1),
+            "pac": lambda t: pac_bound_report(
+                SampleSet(PTS3, [1, 2, 1]), SampleSet(t, [1, 2, 1, 2]), any_width, 1.0,
+                sigma_draws=2,
+            ),
         }[entry]
         with pytest.raises(ValueError, match="tgt has 3 features per point, src has 2"):
             call(np.ones((4, 3)))
@@ -600,10 +631,16 @@ class TestPointsChecks:
     def test_linear_scorer_scores_as_before_its_checks(self):
         rng = np.random.default_rng(4)
         w, b, pts = rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=(5, 2))
-        raw = pts @ w.T + b
-        want = raw - (raw.sum(axis=-1) / 3)[..., None]
+        want = pts @ w.T + b
         for w_in, b_in in ((w, b), (w.tolist(), b.tolist())):
             assert np.array_equal(linear_scorer(w_in, b_in)(pts), want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_linear_scorer_overflow_is_named_before_numpy_warns(self):
+        # the product w x overflows; a grid never sees the scores
+        grid = ScorerGrid([linear_scorer([[1.7e308], [0.0]], [1.7e308, 0.0])], 2)
+        with pytest.raises(ValueError, match="^linear scorer's scores must be finite"):
+            grid.evaluate([[10.0]])
 
     @pytest.mark.filterwarnings("error")
     def test_sample_set_rejects_complex_points(self):

@@ -25,7 +25,7 @@ from mcsda.harness import theory, trainers
 from mcsda.harness.cli import main
 from mcsda.harness.config import METHOD_ROWS, METHODS, ExperimentConfig, MetricsRecord
 from mcsda.harness.surface import SURFACE_MEASURES, emit_surface_grid
-from mcsda.divergence import ScorerGrid, mcsd_divergence_adversarial
+from mcsda.divergence import BoundViolation, ScorerGrid, mcsd_divergence_adversarial
 from mcsda.harness.theory import (
     check_adversarial_estimator,
     check_prop3_identity,
@@ -904,7 +904,7 @@ class TestCli:
 
     def test_train_bound_violation_exits_2(self, blobs_csv, tmp_path, capsys, monkeypatch):
         def violated(*args, **kwargs):
-            raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
+            raise BoundViolation("disagreement bound violated on a source batch: 1 > 0")
 
         monkeypatch.setattr(trainers, "_symmnets_step", violated)
         out = tmp_path / "runs"
@@ -918,6 +918,21 @@ class TestCli:
         assert capsys.readouterr().out.startswith("BOUND VIOLATED: disagreement bound")
         assert (out / "symmnets_v2_seed0" / "metrics.jsonl").read_text() == ""
 
+    @pytest.mark.parametrize(
+        "method, step", [("mcdal_kl", "_mcdal_step"), ("symmnets_v2", "_symmnets_step")]
+    )
+    def test_an_arithmetic_error_is_not_a_violated_bound(
+        self, method, step, blobs_csv, tmp_path, capsys, monkeypatch
+    ):
+        def divides_by_zero(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(trainers, step, divides_by_zero)
+        argv = ["train", "--data", str(blobs_csv), "--method", method, "--epochs", "2"]
+        with pytest.raises(ZeroDivisionError):
+            main(argv + ["--outdir", str(tmp_path / "runs")])
+        assert "BOUND VIOLATED" not in capsys.readouterr().out
+
     def test_bound_violation_leaves_config_and_finished_epochs(
         self, blobs_csv, tmp_path, capsys, monkeypatch
     ):
@@ -927,7 +942,7 @@ class TestCli:
         def violated_in_second_epoch(*args, **kwargs):
             calls.append(1)
             if len(calls) > 1:  # the blobs pair fits one full batch per epoch
-                raise ArithmeticError("disagreement bound violated on a source batch: 1 > 0")
+                raise BoundViolation("disagreement bound violated on a source batch: 1 > 0")
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(trainers, "_symmnets_step", violated_in_second_epoch)

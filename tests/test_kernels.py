@@ -165,14 +165,14 @@ class TestPairwiseMeans:
         # as the per-pair dot in ``_exact`` and ``margin_error`` weight a
         # single pair's rows
         rng = np.random.default_rng(50 + k)
-        scores = _center(rng.normal(scale=2.0, size=(6, 300, k)))
+        raw = rng.normal(scale=2.0, size=(6, 300, k))
         w = rng.random(300)
         w /= w.sum()
-        means = _pairwise_mcsd_means(scores, w, 0.7)
+        means = _pairwise_mcsd_means(_center(raw), w, 0.7)
         for i in range(6):
             for j in range(6):
                 if i != j:
-                    assert means[i, j] == float(mcsd_rows(scores[i], scores[j], 0.7) @ w)
+                    assert means[i, j] == float(mcsd_rows(raw[i], raw[j], 0.7) @ w)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_divergence_selects_the_oracle_pair(self, k):
@@ -246,9 +246,9 @@ def four_call_smoothed_mcsd_and_grads(a, b, rho):
 def eager_exact_objective(src, tgt, heads, k, rho):
     w1, b1, w2, b2 = heads
     grid = ScorerGrid([linear_scorer(w1, b1), linear_scorer(w2, b2)], k=k)
-    ss, st = grid.evaluate(src), grid.evaluate(tgt)
+    (fs1, fs2), (ft1, ft2) = ([f(x) for f in grid.scorers] for x in (src, tgt))
     ws, wt = np.full(len(src), 1.0 / len(src)), np.full(len(tgt), 1.0 / len(tgt))
-    return float(mcsd_rows(st[0], st[1], rho) @ wt) - float(mcsd_rows(ss[0], ss[1], rho) @ ws)
+    return float(mcsd_rows(ft1, ft2, rho) @ wt) - float(mcsd_rows(fs1, fs2, rho) @ ws)
 
 
 def eager_objective_and_grads(src, tgt, hs, rho):
@@ -509,9 +509,8 @@ class TestMarginViolations:
             [linear_scorer(rng.normal(size=(3, 2)), rng.normal(size=3)) for _ in range(6)], k=3
         )
         rep = pac_bound_report(src, tgt, grid, 1.0, sigma_draws=200)
-        scores = grid.evaluate(pts)
-        for i, cand in enumerate(rep.per_candidate):
-            assert cand["src_margin_err"] == margin_error(scores[i], labels, 1.0)
+        for cand, f in zip(rep.per_candidate, grid.scorers, strict=True):
+            assert cand["src_margin_err"] == margin_error(f(pts), labels, 1.0)
 
     def test_bound_gap_rhs_keeps_mean_reduction(self):
         rng = np.random.default_rng(23)
@@ -638,6 +637,12 @@ KERNEL_RULES = {
         ),
         ("margin.py", "_weighted_sum"),
     ),
+    # centering scores that are centered already: whoever reads a margin
+    # centers once, at entry, and no kernel owns a second centering
+    "double centering": (
+        re.compile(r"\b_center(_checked)?\(_center\("),
+        None,
+    ),
     # a hand-written margin-width check: rho as a checked real, or rho or its
     # half compared with 0
     "margin-width rule": (
@@ -680,7 +685,8 @@ class TestOneKernelPerObject:
         for file in sorted(SRC.rglob("*.py")):
             rel = file.relative_to(SRC).as_posix()
             found |= kernel_spellings(file.read_text(), rel)
-        owners = {(name, *where) for name, (_, where) in KERNEL_RULES.items()}
+        # a rule without an owner spells out what no module may do
+        owners = {(name, *where) for name, (_, where) in KERNEL_RULES.items() if where}
         assert found - owners == set(), "duplicate kernel outside its owner"
         assert found == owners  # every rule still recognizes its own kernel
 
@@ -762,6 +768,8 @@ class TestOneKernelPerObject:
             ("weighted point sum", "def s(x, w):\n    return np.dot(x, w)\n"),
             ("weighted point sum", "def s(x, weights):\n    return x @ weights\n"),
             ("weighted point sum", "def s(q, w):\n    return -float(np.abs(w) @ q)\n"),
+            ("double centering", "def t(f):\n    return _center(_center(f))\n"),
+            ("double centering", "def g(s, i):\n    return _center_checked(_center(s), i)\n"),
             ("margin-width rule", "def r(self):\n    _check_real(self.rho, 'rho', 0.0)\n"),
             (
                 "margin-width rule",

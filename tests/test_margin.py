@@ -432,7 +432,7 @@ class TestPublicValidation:
         [
             (as_scores, "f"),
             (ScoreVector, "scores"),
-            (lambda f: disagreement_bound_gap([f], [[1.0, 2.0]], [1], 1.0), "raw_s and raw_t"),
+            (lambda f: disagreement_bound_gap([f], [[1.0, 2.0]], [1], 1.0), "raw_s"),
             (lambda f: overflow_grid(f).evaluate(ONES), "candidate 0's scores"),
             (
                 lambda f: mcsd_divergence_exact(ONES, ONES, overflow_grid(f), 1.0),
@@ -445,12 +445,10 @@ class TestPublicValidation:
                 ),
                 "candidate 0's scores",
             ),
-            # the product w x overflows before the centering
+            # the raw scores are finite; the grid's centering overflows
             (
-                lambda f: ScorerGrid([linear_scorer([[f[0]], [0.0]], [f[1], 0.0])], 2).evaluate(
-                    [[10.0]]
-                ),
-                "linear scorer's scores",
+                lambda f: ScorerGrid([linear_scorer([[0.0], [0.0]], f)], 2).evaluate([[10.0]]),
+                "candidate 0's scores",
             ),
         ],
         ids=[
@@ -547,6 +545,38 @@ class TestMcsdPointwiseAgainstTensor:
         assert np.all(got[::5] == 0.0)
         for i in range(0, len(a), 7):
             assert np.abs(violation_matrix(a[i], rho) - ta[i]).max() <= 1e-12
+
+
+class TestBatchAgreesWithSingleVectors:
+    """On the same raw scores, the batch functions center at entry as the
+    single-vector ones do, so each row agrees with its single-vector value."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 5.0])
+    def test_rows_match_single_vectors_on_raw_scores(self, k, rho):
+        rng = np.random.default_rng(200 + k)
+        # rows of mixed magnitude, each shifted off the sum-to-zero plane
+        scale = rho * rng.choice([0.2, 1.0, 3.0], size=(2, 40, 1))
+        a, b = rng.uniform(-2.0, 2.0, size=(2, 40, k)) * scale + rng.normal(0, 3, (2, 40, 1))
+        y = rng.integers(1, k + 1, size=40)
+        w = rng.random(40)
+        w /= w.sum()
+        want = sum(w[i] * source_margin_loss(a[i], int(y[i]), rho) for i in range(40))
+        assert abs(margin_error(a, y, rho, w) - want) <= 1e-12
+        pointwise = [mcsd_pointwise(a[i], b[i], rho) for i in range(40)]
+        assert np.abs(mcsd_rows(a, b, rho) - pointwise).max() <= 1e-12
+        tensor = violation_tensor(a, rho)
+        assert max(np.abs(tensor[i] - violation_matrix(a[i], rho)).max() for i in range(40)) <= 1e-12
+
+    def test_a_linear_scorer_composes_with_margin_error(self):
+        rng = np.random.default_rng(5)
+        f = linear_scorer(rng.normal(size=(3, 2)), rng.normal(3.0, 1.0, size=3))
+        x, y = rng.normal(size=(30, 2)), rng.integers(1, 4, size=30)
+        one_at_a_time = [source_margin_loss(f(x[i : i + 1])[0], int(y[i]), 1.0) for i in range(30)]
+        assert abs(margin_error(f(x), y, 1.0) - np.mean(one_at_a_time)) <= 1e-12
+
+    def test_margin_error_of_a_raw_row_is_its_single_vector_value(self):
+        assert margin_error([[3.0, 1.0]], [1], 1.0) == source_margin_loss([3.0, 1.0], 1, 1.0) == 0.0
 
 
 class TestCheckers:

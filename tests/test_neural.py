@@ -319,10 +319,11 @@ class TestCenteredScores:
         g = np.array([[1.0, 0.0, 0.0]])
         np.testing.assert_allclose(_center(g), [[2.0 / 3, -1.0 / 3, -1.0 / 3]], atol=1e-12)
 
-    def test_scorer_callable_centers(self):
+    def test_scorer_callable_returns_the_raw_head(self):
+        # whoever reads a margin from the scores centers them
         model = MlpScorer(2, {"f": 3}, seed=7)
-        s = model.scorer("f")(np.ones((4, 2)))
-        np.testing.assert_allclose(s.sum(axis=1), 0.0, atol=1e-12)
+        x = np.random.default_rng(3).normal(size=(4, 2))
+        assert np.array_equal(model.scorer("f")(x), model.forward(x).raw["f"])
         with pytest.raises(KeyError):
             model.scorer("nope")
 
